@@ -29,10 +29,19 @@ and the factorization of the Leibniz residual through the anchor residual
 
     leibniz_residual(a, b, c) = lie_form(A(a,b), c) - (-1)^n * S(a,b) * c.
 
+The exact-forms rule is swept over pairs of function tuples without a
+decomposition: it evaluates the same operations as the direct residual, but
+hoists every piece that depends on one slot out of the pair loop (the
+wedges of differentials, their exterior derivatives, the anchor and bracket
+scale of the left slot, and the brackets ``d{f.., g}``), so a pair costs
+only the pieces that need both slots.  Differentials of jet monomials are
+cached on the sweep basis, whose lifetime is one verifier call.
+
 Every decomposition is cross-checked against the direct defining formulas
 by the test suite on randomized inputs, and every reported counterexample is
-re-evaluated through the direct formula before it is returned.  Residuals
-are multidifferential operators of order <= 2 per slot, so grids capped at
+re-evaluated through the direct formula before it is returned; the hoisted
+exact-forms residual must moreover equal the direct one.  Residuals are
+multidifferential operators of order <= 2 per slot, so grids capped at
 coefficient degree 2 already certify the full configured degree; achievable
 grids run at the full degree.  The lexicographically first failing tuple is
 reported (basis order: coefficient monomial-major, then index set).
@@ -151,6 +160,7 @@ class _SweepBasis:
         self.index_sets = list(
             itertools.combinations(range(1, structure.m + 1), structure.n - 1)
         )
+        self._d: dict[int, Form] = {}
         self._sharp0: dict[tuple[int, ...], Multivector] = {}
         self._bracket0: dict[tuple[tuple[int, ...], tuple[int, ...]], Form] = {}
 
@@ -163,11 +173,16 @@ class _SweepBasis:
     def form(self, g: int, indices: tuple[int, ...]) -> Form:
         return Form.basis(self.m, indices) * self.monomials[g]
 
-    def label(self, g: int, indices: tuple[int, ...]) -> str:
-        return format_tensor(self.form(g, indices))
-
     def size(self) -> int:
         return len(self.monomials) * len(self.index_sets)
+
+    def d(self, g: int) -> Form:
+        """Differential of the jet monomial ``g``, computed once per basis."""
+        cached = self._d.get(g)
+        if cached is None:
+            cached = differential(self.monomials[g])
+            self._d[g] = cached
+        return cached
 
     def sharp0(self, indices: tuple[int, ...]) -> Multivector:
         cached = self._sharp0.get(indices)
@@ -205,9 +220,7 @@ def _anchor_pair_residual(
     grad = apply_vec(basis.sharp0(right), f)
     if not grad.is_zero():
         residual = residual - basis.sharp0(left) * grad
-    lifted = contract_vec(
-        basis.sharp0(left), wedge(differential(f), Form.basis(basis.m, right))
-    )
+    lifted = contract_vec(basis.sharp0(left), wedge(basis.d(g), Form.basis(basis.m, right)))
     if not lifted.is_zero():
         residual = residual + sharp(structure, lifted)
     return residual
@@ -288,8 +301,7 @@ class _SharpDSweep:
         key = (g, right)
         value = self._u.get(key)
         if value is None:
-            form = wedge(differential(self.basis.monomials[g]), Form.basis(self.basis.m, right))
-            value = pair(form, self.lam)
+            value = pair(wedge(self.basis.d(g), Form.basis(self.basis.m, right)), self.lam)
             self._u[key] = value
         return value
 
@@ -306,8 +318,7 @@ class _SharpDSweep:
         value = self._T.get(key)
         if value is None:
             value = contract_vec(
-                self.basis.sharp0(left),
-                wedge(differential(self.basis.monomials[f]), Form.basis(self.basis.m, right)),
+                self.basis.sharp0(left), wedge(self.basis.d(f), Form.basis(self.basis.m, right))
             )
             self._T[key] = value
         return value
@@ -317,7 +328,7 @@ class _SharpDSweep:
         key = (f, left, right)
         value = self._V.get(key)
         if value is None:
-            df = differential(self.basis.monomials[f])
+            df = self.basis.d(f)
             core = self.basis.bracket0(left, right)
             value = pair(wedge(df, core), self.lam)
             value = value - pair(ext_d(self.T(f, left, right)), self.lam)
@@ -333,7 +344,7 @@ class _SharpDSweep:
         key = (g, left, right)
         value = self._U.get(key)
         if value is None:
-            dg = differential(self.basis.monomials[g])
+            dg = self.basis.d(g)
             core = self.basis.bracket0(left, right)
             value = pair(wedge(dg, core), self.lam)
             w = self.w(g, left)
@@ -351,12 +362,8 @@ class _SharpDSweep:
         mono_g = self.basis.monomials[g]
         value = mono_f * self.single_g(g, left, right)
         value = value + mono_g * self.single_f(f, left, right)
-        cross = self.w(g, left) * pair(
-            wedge(differential(mono_f), Form.basis(self.basis.m, right)), self.lam
-        )
-        cross = cross - pair(
-            wedge(differential(mono_g), self.T(f, left, right)), self.lam
-        )
+        cross = self.w(g, left) * self.u(f, right)
+        cross = cross - pair(wedge(self.basis.d(g), self.T(f, left, right)), self.lam)
         return value + cross
 
 
@@ -491,18 +498,63 @@ def exact_forms_residual(
     for i in range(n - 1):
         replaced = [differential(g) for g in gs]
         replaced[i] = differential(nbracket(structure, list(fs) + [gs[i]]))
-        term = replaced[0]
-        for factor in replaced[1:]:
-            term = wedge(term, factor)
-        residual = residual - term
+        residual = residual - _wedge_all(replaced)
     return residual
 
 
-def _wedge_of_differentials(functions: Sequence[Polynomial]) -> Form:
-    omega = differential(functions[0])
-    for f in functions[1:]:
-        omega = wedge(omega, differential(f))
+def _wedge_all(factors: Sequence[Form]) -> Form:
+    omega = factors[0]
+    for factor in factors[1:]:
+        omega = wedge(omega, factor)
     return omega
+
+
+def _wedge_of_differentials(functions: Sequence[Polynomial]) -> Form:
+    return _wedge_all([differential(f) for f in functions])
+
+
+def _first_exact_forms_failure(
+    basis: _SweepBasis, capped: Sequence[int]
+) -> tuple[list[Polynomial], list[Polynomial], Form] | None:
+    """First failing pair of the exact-forms rule in direct-scan order, or None.
+
+    Per pair only ``i_X d beta + d i_X beta``, the scale term and the n-1
+    replaced wedges are evaluated; the rest is computed once per tuple.  A
+    failure is returned with its residual recomputed by ``exact_forms_residual``.
+    """
+    structure = basis.structure
+    lam = structure.nvector
+    sign = _sign_n(structure)
+    tuples = list(itertools.combinations(capped, structure.n - 1))
+    g_side = []
+    for g_idx in tuples:
+        dgs = [basis.d(g) for g in g_idx]
+        beta = _wedge_all(dgs)
+        g_side.append((g_idx, dgs, beta, ext_d(beta)))
+    for f_idx in tuples:
+        fs = [basis.monomials[i] for i in f_idx]
+        alpha = _wedge_all([basis.d(f) for f in f_idx])
+        anchor = sharp(structure, alpha)
+        scale = pair(ext_d(alpha), lam) * sign
+        d_bracket = {
+            g: differential(nbracket(structure, fs + [basis.monomials[g]])) for g in capped
+        }
+        for g_idx, dgs, beta, d_beta in g_side:
+            residual = contract_vec(anchor, d_beta) + ext_d(contract_vec(anchor, beta))
+            if not scale.is_zero():
+                residual = residual + beta * scale
+            for i, g in enumerate(g_idx):
+                replaced = list(dgs)
+                replaced[i] = d_bracket[g]
+                residual = residual - _wedge_all(replaced)
+            if residual.is_zero():
+                continue
+            gs = [basis.monomials[i] for i in g_idx]
+            direct = exact_forms_residual(structure, fs, gs)
+            if direct != residual:  # pragma: no cover - hoisting guard
+                raise AssertionError("hoisted exact-forms residual disagrees with direct value")
+            return fs, gs, direct
+    return None
 
 
 def function_slot2_residual(
@@ -531,8 +583,12 @@ def verify_characterization(
     The two function-slot rules are exactly linear in the coefficients of
     both form slots (slot lemmas in the module docstring), so constant basis
     forms with a full-degree function slot cover the whole grid.  The
-    exact-forms rule is swept over increasing function tuples with slot
-    degrees capped at 2 (complete for an order-<=2 residual).
+    exact-forms rule is swept over pairs of increasing function tuples with
+    slot degrees capped at 2 (complete for an order-<=2 residual), in the
+    order of a direct scan: per pair only the pieces of the residual that
+    need both slots are evaluated, the rest is computed once per tuple.  The
+    first nonzero residual is recomputed by ``exact_forms_residual``, which
+    must agree, and the direct value is reported.
     """
     basis = _SweepBasis(structure, config.max_degree)
     n, m = structure.n, structure.m
@@ -546,23 +602,16 @@ def verify_characterization(
         + count_funcs * count_forms * count_forms   # slot-1 rule
     )
 
-    for f_idx in itertools.combinations(capped, n - 1):
-        fs = [basis.monomials[i] for i in f_idx]
-        for g_idx in itertools.combinations(capped, n - 1):
-            gs = [basis.monomials[i] for i in g_idx]
-            residual = exact_forms_residual(structure, fs, gs)
-            if not residual.is_zero():
-                inputs = ("exact-forms",) + tuple(str(p) for p in fs) + tuple(
-                    str(p) for p in gs
-                )
-                return CheckReport(
-                    check="characterization",
-                    passed=False,
-                    items_checked=items,
-                    counterexample=Counterexample(
-                        inputs=inputs, residual=format_tensor(residual)
-                    ),
-                )
+    failure = _first_exact_forms_failure(basis, capped)
+    if failure is not None:
+        fs, gs, residual = failure
+        inputs = ("exact-forms",) + tuple(str(p) for p in fs) + tuple(str(p) for p in gs)
+        return CheckReport(
+            check="characterization",
+            passed=False,
+            items_checked=items,
+            counterexample=Counterexample(inputs=inputs, residual=format_tensor(residual)),
+        )
 
     for rule, evaluator in (
         ("slot-2", lambda a, f, b: function_slot2_residual(structure, a, f, b)),

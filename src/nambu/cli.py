@@ -148,7 +148,7 @@ class _Emitter:
 
 
 def _resolve_config(options, loaded) -> JetBasisConfig:
-    degree = options.jet_degree if getattr(options, "jet_degree", None) else None
+    degree = getattr(options, "jet_degree", None)
     if degree is None:
         degree = loaded.jet_degree
     if degree is None:

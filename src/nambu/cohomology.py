@@ -64,6 +64,8 @@ class VolumeForm:
     p: Polynomial
 
     def __post_init__(self):
+        if not isinstance(self.c, (int, Fraction)):
+            raise ValueError(f"volume constant {self.c!r} is not an int or a Fraction")
         object.__setattr__(self, "c", Fraction(self.c))
         if self.c == 0:
             raise ValueError("volume constant must be nonzero")
@@ -240,9 +242,7 @@ def _cocycle_pair_residual(
     grad = apply_vec(basis.sharp0(right), f)
     if not grad.is_zero():
         residual = residual - grad * cochain(Form.basis(basis.m, left))
-    lifted = contract_vec(
-        basis.sharp0(left), wedge(differential(f), Form.basis(basis.m, right))
-    )
+    lifted = contract_vec(basis.sharp0(left), wedge(basis.d(g), Form.basis(basis.m, right)))
     if not lifted.is_zero():
         residual = residual + cochain(lifted)
     return residual

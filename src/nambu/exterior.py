@@ -121,10 +121,17 @@ class _Alternating:
         if self.degree != other.degree:
             raise DegreeError(f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def _wrap(self, components: dict[tuple[int, ...], Polynomial], degree: int | None = None):
-        tensor = type(self).__new__(type(self))
-        object.__setattr__(tensor, "m", self.m)
-        object.__setattr__(tensor, "degree", self.degree if degree is None else degree)
+    @classmethod
+    def _wrap(cls, m: int, degree: int, components: dict[tuple[int, ...], Polynomial]):
+        """Trusted constructor for operation results; skips re-validation.
+
+        The caller guarantees what ``__init__`` would check: every key is a
+        strictly increasing multi-index in ``1..m`` of length ``degree``, no
+        coefficient is zero, and there is no component when ``degree > m``.
+        """
+        tensor = cls.__new__(cls)
+        object.__setattr__(tensor, "m", m)
+        object.__setattr__(tensor, "degree", degree)
         object.__setattr__(tensor, "components", components)
         return tensor
 
@@ -141,10 +148,10 @@ class _Alternating:
                     del result[indices]
                 else:
                     result[indices] = acc
-        return self._wrap(result)
+        return self._wrap(self.m, self.degree, result)
 
     def __neg__(self):
-        return self._wrap({i: -c for i, c in self.components.items()})
+        return self._wrap(self.m, self.degree, {i: -c for i, c in self.components.items()})
 
     def __sub__(self, other):
         self._check_compatible(other)
@@ -165,7 +172,7 @@ class _Alternating:
             product = coeff * scalar
             if not product.is_zero():
                 result[indices] = product
-        return self._wrap(result)
+        return self._wrap(self.m, self.degree, result)
 
     __rmul__ = __mul__
 
@@ -241,9 +248,9 @@ def wedge(a, b):
                 result.pop(merged, None)
             else:
                 result[merged] = acc
-    # Degree overflow (> m) can only produce the zero tensor; keep the
-    # nominal degree so callers see an exact zero of the expected grade.
-    return type(a)(a.m, degree, result)
+    # Degree overflow (> m) makes every index pair overlap, so the result is
+    # the exact zero of the nominal degree.
+    return type(a)._wrap(a.m, degree, result)
 
 
 def pair(omega: Form, mv: Multivector) -> Polynomial:
@@ -296,7 +303,7 @@ def contract_form(alpha: Form, mv: Multivector) -> Multivector:
                 result.pop(rest, None)
             else:
                 result[rest] = acc
-    return Multivector(mv.m, mv.degree - alpha.degree, result)
+    return Multivector._wrap(mv.m, mv.degree - alpha.degree, result)
 
 
 def contract_vec(vector: Multivector, omega: Form) -> Form:
@@ -325,13 +332,18 @@ def contract_vec(vector: Multivector, omega: Form) -> Form:
                 result.pop(rest, None)
             else:
                 result[rest] = acc
-    return Form(omega.m, omega.degree - 1, result)
+    return Form._wrap(omega.m, omega.degree - 1, result)
 
 
 def differential(f: Polynomial) -> Form:
     """The exact 1-form df."""
     m = f.num_vars
-    return Form(m, 1, {(j,): f.diff(j) for j in range(1, m + 1)})
+    components: dict[tuple[int, ...], Polynomial] = {}
+    for j in range(1, m + 1):
+        partial = f.diff(j)
+        if partial:
+            components[(j,)] = partial
+    return Form._wrap(m, 1, components)
 
 
 def ext_d(omega: Form) -> Form:
@@ -355,7 +367,7 @@ def ext_d(omega: Form) -> Form:
                 result.pop(merged, None)
             else:
                 result[merged] = acc
-    return Form(omega.m, omega.degree + 1, result)
+    return Form._wrap(omega.m, omega.degree + 1, result)
 
 
 def apply_vec(vector: Multivector, f: Polynomial) -> Polynomial:
@@ -408,7 +420,7 @@ def lie_mv(vector: Multivector, mv: Multivector) -> Multivector:
         scalar = mv.components.get(())
         if scalar is not None:
             accumulate((), apply_vec(vector, scalar))
-        return Multivector(m, 0, result)
+        return Multivector._wrap(m, 0, result)
 
     # derivatives[(j, i)] = d(X^i)/dx^j, nonzero entries only
     derivatives: dict[tuple[int, int], Polynomial] = {}
@@ -436,4 +448,4 @@ def lie_mv(vector: Multivector, mv: Multivector) -> Multivector:
                 if sign_old * sign_t > 0:
                     value = -value
                 accumulate(merged, value)
-    return Multivector(m, mv.degree, result)
+    return Multivector._wrap(m, mv.degree, result)

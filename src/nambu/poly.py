@@ -59,6 +59,8 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if not isinstance(coeff, (int, Fraction)):
+                raise ValueError(f"coefficient {coeff!r} is not an int or a Fraction")
             value = Fraction(coeff)
             if value:
                 normalized[tuple(exps)] = value
@@ -77,7 +79,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, num_vars: int, value: _Scalar) -> Polynomial:
-        return cls(num_vars, {(0,) * num_vars: Fraction(value)})
+        return cls(num_vars, {(0,) * num_vars: value})
 
     @classmethod
     def one(cls, num_vars: int) -> Polynomial:
@@ -94,7 +96,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], coeff: _Scalar = 1) -> Polynomial:
-        return cls(len(exponents), {tuple(exponents): Fraction(coeff)})
+        return cls(len(exponents), {tuple(exponents): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -307,10 +309,16 @@ def format_polynomial(poly: Polynomial) -> str:
 # -- parsing -----------------------------------------------------------------
 
 
+# Each open parenthesis costs five nested parser calls; this bound keeps the
+# recursion far below the interpreter's limit.
+_MAX_NESTING = 100
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, location=f"column {self.pos + 1}")
@@ -394,19 +402,29 @@ def _parse_factor(tok: _Tokenizer, num_vars: int) -> Polynomial:
 
 
 def _parse_base(tok: _Tokenizer, num_vars: int) -> Polynomial:
+    negate = False
+    while tok.peek() == "-":
+        tok.pos += 1
+        negate = not negate
+    base = _parse_signless_base(tok, num_vars)
+    return -base if negate else base
+
+
+def _parse_signless_base(tok: _Tokenizer, num_vars: int) -> Polynomial:
     ch = tok.peek()
     if ch is None:
         raise tok.error("unexpected end of expression")
     if ch == "(":
+        if tok.depth == _MAX_NESTING:
+            raise tok.error(f"parentheses nested deeper than {_MAX_NESTING}")
         tok.pos += 1
+        tok.depth += 1
         inner = _parse_expr(tok, num_vars)
         if tok.peek() != ")":
             raise tok.error("expected ')'")
         tok.pos += 1
+        tok.depth -= 1
         return inner
-    if ch == "-":
-        tok.pos += 1
-        return -_parse_base(tok, num_vars)
     if ch == "x":
         tok.pos += 1
         index = tok.take_int()

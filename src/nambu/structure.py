@@ -188,7 +188,7 @@ def check_fundamental_identity(
     exps = jet_exponents(structure.m, config.max_degree)
     monomials = [Polynomial.monomial(e) for e in exps]
     f_tuples = list(itertools.combinations(range(len(monomials)), structure.n - 1))
-    g_count = _combinations_count(len(monomials), structure.n)
+    g_count = math.comb(len(monomials), structure.n)
     items = len(f_tuples) * g_count
     for f_idx in f_tuples:
         fs = [monomials[i] for i in f_idx]
@@ -242,10 +242,6 @@ def check_invariance(
                 ),
             )
     return CheckReport(check="invariance", passed=True, items_checked=items)
-
-
-def _combinations_count(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 # -- pointwise decomposability -------------------------------------------------

@@ -8,6 +8,7 @@ cannot pass the suite.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -282,6 +283,45 @@ class TestExactFormsRule:
                 fs = [random_polynomial(rng, m, 2, 3) for _ in range(2)]
                 gs = [random_polynomial(rng, m, 2, 3) for _ in range(2)]
                 assert exact_forms_residual(structure, fs, gs).is_zero()
+
+    def test_characterization_reports_first_direct_failure(self, monkeypatch, scaled_r3):
+        # The rule holds for every n-vector, so perturb the bracket it uses:
+        # {x1, x3, x1*x2} gains x3^2.  The sweep must report the first pair of
+        # the direct scan in tuple order, with the direct residual.
+        from nambu import algebroid
+        from nambu.structure import nbracket
+        from nambu.textio import format_tensor
+
+        m = 3
+        target = [x(m, 1), x(m, 3), x(m, 1) * x(m, 2)]
+
+        def perturbed(structure, functions):
+            value = nbracket(structure, functions)
+            return value + x(m, 3) ** 2 if list(functions) == target else value
+
+        monkeypatch.setattr(algebroid, "nbracket", perturbed)
+        basis = _SweepBasis(scaled_r3, 3)
+        capped = [basis.monomials[g] for g, e in enumerate(basis.exponents) if sum(e) <= 2]
+        expected = None
+        for fs in itertools.combinations(capped, 2):
+            for gs in itertools.combinations(capped, 2):
+                direct = exact_forms_residual(scaled_r3, fs, gs)
+                if not direct.is_zero():
+                    expected = fs, gs, direct
+                    break
+            if expected is not None:
+                break
+        assert expected is not None
+        fs, gs, direct = expected
+        assert [str(p) for p in fs] == ["x1", "x3"]
+        assert [str(p) for p in gs] == ["x1", "x1*x2"]
+
+        report = verify_characterization(scaled_r3)
+        assert not report.passed
+        assert report.counterexample.inputs == (
+            ("exact-forms",) + tuple(str(p) for p in fs) + tuple(str(p) for p in gs)
+        )
+        assert report.counterexample.residual == format_tensor(direct)
 
     def test_frozen_instance(self, scaled_r3):
         # [[d(x1)^d(x2), d(x2)^d(x3)]] = d{x1,x2,x2}^dx3 + dx2^d{x1,x2,x3}

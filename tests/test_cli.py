@@ -121,6 +121,23 @@ class TestCheck:
         code, _, err = run(capsys, ["check", R3_SCALED, "--jet-degree=1"])
         assert code == 1
 
+    def test_jet_degree_zero_is_rejected_not_defaulted(self, capsys):
+        code, out, err = run(capsys, ["check", R3_SCALED, "--jet-degree=0"])
+        assert code == 1
+        assert out == ""
+        assert "max_degree >= 2" in err
+
+    def test_deeply_nested_coefficient(self, capsys, tmp_path):
+        doc = json.loads(Path(R3_SCALED).read_text())
+        doc["lambda"][0]["coeff"] = "(" * 5000 + "x3" + ")" * 5000
+        target = tmp_path / "nested.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["check", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: $.lambda[0].coeff: column 101:")
+        assert "Traceback" not in err
+
     def test_json_and_human_agree(self, capsys):
         args = ["check", R3_VOLUME, "--checks=invariance,anchor,lsv"]
         code_h, human, _ = run(capsys, args)

@@ -52,6 +52,10 @@ class TestVolumeForm:
         with pytest.raises(ValueError):
             VolumeForm(Fraction(0), Polynomial.zero(3))
 
+    def test_inexact_constant_rejected(self):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            VolumeForm(c=0.1, p=Polynomial.zero(3))
+
     def test_rescaling_adds_exponents(self, nu3):
         scaled = nu3.rescaled(x(3, 1))
         assert scaled.p == x(3, 1)

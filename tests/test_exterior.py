@@ -341,6 +341,49 @@ class TestLieDerivatives:
             ) + lie_form(field, omega) * f
 
 
+class TestTrustedResults:
+    """Operation results skip validation, so they must already be canonical."""
+
+    @staticmethod
+    def assert_canonical(tensor):
+        assert all(not coeff.is_zero() for coeff in tensor.components.values())
+        assert type(tensor)(tensor.m, tensor.degree, dict(tensor.components)) == tensor
+
+    def test_results_equal_validated_rebuild(self, rng):
+        m = 4
+        for _ in range(8):
+            one_form = random_form(rng, m, 1)
+            field = random_multivector(rng, m, 1)
+            results = [
+                wedge(one_form, random_form(rng, m, 2)),
+                wedge(one_form, one_form),  # every component cancels
+                wedge(random_form(rng, m, 3), random_form(rng, m, 2)),  # degree 5 > m
+                wedge(random_multivector(rng, m, 2), random_multivector(rng, m, 2)),
+                contract_form(one_form, random_multivector(rng, m, 3)),
+                contract_form(random_form(rng, m, 2), random_multivector(rng, m, 2)),
+                contract_vec(field, random_form(rng, m, 2)),
+                differential(random_polynomial(rng, m)),
+                ext_d(random_form(rng, m, 2)),
+                ext_d(random_form(rng, m, m)),  # degree m + 1
+                lie_mv(field, random_multivector(rng, m, 2)),
+                lie_mv(field, random_multivector(rng, m, 0)),
+                lie_mv(field, field),
+            ]
+            for result in results:
+                self.assert_canonical(result)
+
+    def test_overflow_wedge_is_exact_zero(self, rng):
+        overflow = wedge(random_form(rng, 3, 2), random_form(rng, 3, 2))
+        self.assert_canonical(overflow)
+        assert overflow.is_zero() and overflow.degree == 4
+
+    def test_differential_drops_zero_partials(self):
+        d = differential(x(4, 1) * x(4, 3))
+        assert set(d.components) == {(1,), (3,)}
+        self.assert_canonical(d)
+        assert differential(Polynomial.constant(4, 5)).components == {}
+
+
 class TestApplyVec:
     def test_scaling_field(self):
         assert apply_vec(x(3, 3) * dd(3, 3), x(3, 3)) == x(3, 3)

@@ -52,6 +52,19 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             p.num_vars = 5
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Polynomial(1, {(1,): 0.1}),
+            lambda: Polynomial.constant(1, 0.1),
+            lambda: Polynomial.monomial((1,), 0.1),
+            lambda: Polynomial.constant(1, "1/2"),
+        ],
+    )
+    def test_inexact_scalars_rejected(self, build):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            build()
+
 
 class TestArithmetic:
     def test_additive_inverse(self):
@@ -171,6 +184,18 @@ class TestGrammar:
         with pytest.raises(ParseError) as info:
             parse_polynomial("x1 + x9", M)
         assert "column" in str(info.value)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        text = "(" * 5000 + "x1" + ")" * 5000
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, M)
+        assert info.value.location == "column 101"
+
+    def test_nesting_within_bound_parses(self):
+        assert parse_polynomial("(" * 100 + "x1" + ")" * 100, M) == x(1)
+
+    def test_long_sign_chain_parses(self):
+        assert parse_polynomial("-" * 5001 + "x1", M) == -x(1)
 
 
 class TestJetBasis:
