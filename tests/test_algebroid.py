@@ -323,6 +323,46 @@ class TestExactFormsRule:
         )
         assert report.counterexample.residual == format_tensor(direct)
 
+    def test_phi_morphism_reports_first_direct_failure(self, monkeypatch, scaled_r3):
+        # Same perturbed bracket as above: the report must be the first pair
+        # of the direct phi/lbracket scan over capped increasing tuples.
+        from nambu import algebroid
+        from nambu.poly import jet_exponents
+        from nambu.structure import nbracket
+        from nambu.textio import format_tensor
+
+        m = 3
+        target = [x(m, 1), x(m, 3), x(m, 1) * x(m, 2)]
+
+        def perturbed(structure, functions):
+            value = nbracket(structure, functions)
+            return value + x(m, 3) ** 2 if list(functions) == target else value
+
+        monkeypatch.setattr(algebroid, "nbracket", perturbed)
+        capped = [Polynomial.monomial(e) for e in jet_exponents(m, 3) if sum(e) <= 2]
+        expected = None
+        for fs in itertools.combinations(capped, 2):
+            left = FormalWedge.single(fs)
+            for gs in itertools.combinations(capped, 2):
+                right = FormalWedge.single(gs)
+                residual = phi(fbracket_prime(scaled_r3, left, right)) - lbracket(
+                    scaled_r3, phi(left), phi(right)
+                )
+                if not residual.is_zero():
+                    expected = fs, gs, residual
+                    break
+            if expected is not None:
+                break
+        assert expected is not None
+        fs, gs, residual = expected
+        assert [str(p) for p in fs] == ["x1", "x3"]
+        assert [str(p) for p in gs] == ["x1", "x1*x2"]
+
+        report = verify_phi_morphism(scaled_r3)
+        assert not report.passed
+        assert report.counterexample.inputs == tuple(str(p) for p in fs + gs)
+        assert report.counterexample.residual == format_tensor(residual)
+
     def test_frozen_instance(self, scaled_r3):
         # [[d(x1)^d(x2), d(x2)^d(x3)]] = d{x1,x2,x2}^dx3 + dx2^d{x1,x2,x3}
         #                              = dx2 ^ d(x3) rescaled by the bracket

@@ -15,6 +15,7 @@ from nambu.cohomology import (
     cobound0,
     cobound1_eval,
     divergence,
+    verify_cocycle,
     exactness_witness,
     modular_multivector,
     verify_lsv,
@@ -224,6 +225,38 @@ class TestModularCocycle:
         for structure, volume in cases:
             if verify_lsv(structure, volume).passed:
                 assert verify_modular_cocycle(structure, volume).passed
+
+    def test_failing_cochain_reports_first_direct_failure(self, sum_r6):
+        # d1^d2 is not a cocycle on r6; the report must be the first pair of
+        # the direct scan over (x^g dx^I, dx^J) in basis x index-set order.
+        from nambu.poly import jet_exponents
+        from nambu.textio import format_tensor
+
+        m, n = sum_r6.m, sum_r6.n
+        cochain = TensorCochain1(dd(m, 1, 2))
+        index_sets = list(itertools.combinations(range(1, m + 1), n - 1))
+        expected = None
+        for exps in jet_exponents(m, 2):
+            for left in index_sets:
+                alpha = Form.basis(m, left) * Polynomial.monomial(exps)
+                for right in index_sets:
+                    beta = Form.basis(m, right)
+                    direct = cobound1_eval(sum_r6, cochain, alpha, beta)
+                    if not direct.is_zero():
+                        expected = alpha, beta, direct
+                        break
+                if expected is not None:
+                    break
+            if expected is not None:
+                break
+        assert expected is not None
+        alpha, beta, direct = expected
+
+        report = verify_cocycle(sum_r6, cochain, JetBasisConfig(max_degree=2))
+        assert not report.passed
+        assert report.check == "cocycle"
+        assert report.counterexample.inputs == (format_tensor(alpha), format_tensor(beta))
+        assert report.counterexample.residual == str(direct)
 
     def test_decomposed_residual_matches_direct(self, rng, scaled_r3, sum_r6):
         from nambu.cohomology import _cocycle_pair_residual
