@@ -17,15 +17,18 @@ basis of (n-1)-forms ``x^gamma dx^I``:
 
 Sweep strategy.  Enumerating all tuples of jet-basis forms is quadratic or
 cubic in a basis of several hundred elements, far beyond the runtime budget,
-so each verifier evaluates an exact decomposition of its residual instead.
-The decompositions follow from identities that hold for the implemented
+so each verifier sweeps an exact decomposition of its residual through the
+one scan-and-certify loop of ``sweep``, which also owns the jet basis, the
+degree cap and the reporting of the lexicographically first failure.  The
+decompositions follow from identities that hold for the implemented
 operations with *any* n-vector (no integrability assumed), chiefly
 
     lbracket(a, g*b) = g*lbracket(a, b) + sharp(a)(g) * b          (slot-2)
     lbracket(f*a, b) = f*lbracket(a, b) - i_{sharp a}(df ^ b)      (slot-1)
 
-and the factorization of the Leibniz residual through the anchor residual
-``A`` and sharp-d residual ``S``:
+which give the anchor residual the slot-1 rule of ``sweep``, and the
+factorization of the Leibniz residual through the anchor residual ``A`` and
+sharp-d residual ``S``:
 
     leibniz_residual(a, b, c) = lie_form(A(a,b), c) - (-1)^n * S(a,b) * c.
 
@@ -34,17 +37,8 @@ decomposition: it evaluates the same operations as the direct residual, but
 hoists every piece that depends on one slot out of the pair loop (the
 wedges of differentials, their exterior derivatives, the anchor and bracket
 scale of the left slot, and the brackets ``d{f.., g}``), so a pair costs
-only the pieces that need both slots.  Differentials of jet monomials are
-cached on the sweep basis, whose lifetime is one verifier call.
-
-Every decomposition is cross-checked against the direct defining formulas
-by the test suite on randomized inputs, and every reported counterexample is
-re-evaluated through the direct formula before it is returned; the hoisted
-exact-forms residual must moreover equal the direct one.  Residuals are
-multidifferential operators of order <= 2 per slot, so grids capped at
-coefficient degree 2 already certify the full configured degree; achievable
-grids run at the full degree.  The lexicographically first failing tuple is
-reported (basis order: coefficient monomial-major, then index set).
+only the pieces that need both slots.  The phi-morphism residual is the
+negated exact-forms residual, so the same sweep certifies it.
 """
 
 from __future__ import annotations
@@ -53,6 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .errors import ArityError, DegreeError
@@ -63,21 +58,24 @@ from .exterior import (
     contract_vec,
     differential,
     ext_d,
+    format_tensor,
     lie_form,
     lie_mv,
     pair,
     wedge,
 )
-from .poly import Polynomial, jet_exponents
-from .structure import (
-    CheckReport,
-    Counterexample,
-    JetBasisConfig,
-    NambuStructure,
-    nbracket,
-    sharp,
+from .poly import Polynomial
+from .structure import CheckReport, JetBasisConfig, NambuStructure, nbracket, sharp
+from .sweep import (
+    JetBasis,
+    certify,
+    certify_forms,
+    first_hit,
+    slot1_pairs,
+    slot1_residual,
+    slot1_sweep,
+    sweep_cache,
 )
-from .textio import format_tensor
 
 
 def _sign_n(structure: NambuStructure) -> int:
@@ -145,85 +143,7 @@ def leibniz_residual(
     )
 
 
-# -- jet basis of (n-1)-forms ----------------------------------------------------
-
-
-class _SweepBasis:
-    """Monomial jet basis of (n-1)-forms with the caches every sweep needs."""
-
-    def __init__(self, structure: NambuStructure, max_degree: int):
-        structure.require_order_at_least(3)
-        self.structure = structure
-        self.m = structure.m
-        self.exponents = jet_exponents(structure.m, max_degree)
-        self.monomials = [Polynomial.monomial(e) for e in self.exponents]
-        self.index_sets = list(
-            itertools.combinations(range(1, structure.m + 1), structure.n - 1)
-        )
-        self._d: dict[int, Form] = {}
-        self._sharp0: dict[tuple[int, ...], Multivector] = {}
-        self._bracket0: dict[tuple[tuple[int, ...], tuple[int, ...]], Form] = {}
-
-    def elements(self):
-        """Basis forms in the pinned lexicographic order."""
-        for g, monomial in enumerate(self.monomials):
-            for indices in self.index_sets:
-                yield g, indices
-
-    def form(self, g: int, indices: tuple[int, ...]) -> Form:
-        return Form.basis(self.m, indices) * self.monomials[g]
-
-    def size(self) -> int:
-        return len(self.monomials) * len(self.index_sets)
-
-    def d(self, g: int) -> Form:
-        """Differential of the jet monomial ``g``, computed once per basis."""
-        cached = self._d.get(g)
-        if cached is None:
-            cached = differential(self.monomials[g])
-            self._d[g] = cached
-        return cached
-
-    def sharp0(self, indices: tuple[int, ...]) -> Multivector:
-        cached = self._sharp0.get(indices)
-        if cached is None:
-            cached = sharp(self.structure, Form.basis(self.m, indices))
-            self._sharp0[indices] = cached
-        return cached
-
-    def bracket0(self, left: tuple[int, ...], right: tuple[int, ...]) -> Form:
-        key = (left, right)
-        cached = self._bracket0.get(key)
-        if cached is None:
-            cached = lbracket(
-                self.structure, Form.basis(self.m, left), Form.basis(self.m, right)
-            )
-            self._bracket0[key] = cached
-        return cached
-
-
 # -- anchor morphism -------------------------------------------------------------
-
-
-def _anchor_pair_residual(
-    basis: _SweepBasis, g: int, left: tuple[int, ...], right: tuple[int, ...],
-    core: Multivector,
-) -> Multivector:
-    """Exact value of the anchor residual on ``(x^gamma dx^I, dx^J)``.
-
-    Uses ``A(f a0, b0) = f A(a0, b0) - sharp(b0)(f) sharp(a0)
-                         + sharp(i_{sharp a0}(df ^ b0))``.
-    """
-    structure = basis.structure
-    f = basis.monomials[g]
-    residual = core * f
-    grad = apply_vec(basis.sharp0(right), f)
-    if not grad.is_zero():
-        residual = residual - basis.sharp0(left) * grad
-    lifted = contract_vec(basis.sharp0(left), wedge(basis.d(g), Form.basis(basis.m, right)))
-    if not lifted.is_zero():
-        residual = residual + sharp(structure, lifted)
-    return residual
 
 
 def verify_anchor_morphism(
@@ -231,48 +151,14 @@ def verify_anchor_morphism(
 ) -> CheckReport:
     """Certify the anchor identity over all jet-basis pairs.
 
-    The residual is linear over functions in its second slot, so the whole
-    grid reduces to the family ``A(x^gamma dx^I, dx^J)``, evaluated here in
-    decomposed form (see module docstring) at the full configured degree.
+    The residual obeys the slot-1 rule of ``sweep`` with ``act = sharp``,
+    so the family ``A(x^gamma dx^I, dx^J)`` covers the grid; it is swept at
+    the full configured degree.
     """
-    basis = _SweepBasis(structure, config.max_degree)
-    items = basis.size() ** 2
-    cores = {
-        (left, right): anchor_residual(
-            structure, Form.basis(basis.m, left), Form.basis(basis.m, right)
-        )
-        for left in basis.index_sets
-        for right in basis.index_sets
-    }
-    failing: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Multivector] = {}
-    for g in range(len(basis.monomials)):
-        for left in basis.index_sets:
-            for right in basis.index_sets:
-                residual = _anchor_pair_residual(basis, g, left, right, cores[(left, right)])
-                if not residual.is_zero():
-                    failing[(g, left, right)] = residual
-    if not failing:
-        return CheckReport(check="anchor", passed=True, items_checked=items)
-    # Lexicographically first failing ordered pair: the second slot's monomial
-    # never rescues a failure, so it is the constant.
-    for g, left in basis.elements():
-        for right in basis.index_sets:
-            if (g, left, right) in failing:
-                alpha = basis.form(g, left)
-                beta = Form.basis(basis.m, right)
-                direct = anchor_residual(structure, alpha, beta)
-                if direct.is_zero():  # pragma: no cover - decomposition guard
-                    raise AssertionError("anchor decomposition disagrees with direct value")
-                return CheckReport(
-                    check="anchor",
-                    passed=False,
-                    items_checked=items,
-                    counterexample=Counterexample(
-                        inputs=(format_tensor(alpha), format_tensor(beta)),
-                        residual=format_tensor(direct),
-                    ),
-                )
-    raise AssertionError("unreachable")  # pragma: no cover
+    basis = JetBasis(structure, config.max_degree)
+    return slot1_sweep(
+        basis, "anchor", partial(sharp, structure), partial(anchor_residual, structure)
+    )
 
 
 # -- sharp-d identity ------------------------------------------------------------
@@ -283,77 +169,53 @@ class _SharpDSweep:
 
     With ``a = f dx^I`` and ``b = g dx^J`` (f, g monomials) the residual
     splits into pieces depending on (f,I,J), (g,I,J) and one genuine cross
-    term; every piece is assembled from small cached tensors.
+    term; every piece is assembled from small tensors cached per sweep.
     """
 
-    def __init__(self, basis: _SweepBasis):
+    def __init__(self, basis: JetBasis):
         self.basis = basis
-        self.structure = basis.structure
         self.lam = basis.structure.nvector
-        self.sign = _sign_n(basis.structure)
-        self._u: dict = {}       # (g, J) -> <dg ^ dx^J, lam>
-        self._w: dict = {}       # (g, I) -> sharp0(I)(g)
-        self._T: dict = {}       # (f, I, J) -> i_{sharp0 I}(df ^ dx^J)
-        self._V: dict = {}       # (f, I, J) -> single-f piece
-        self._U: dict = {}       # (g, I, J) -> single-g piece
 
+    @sweep_cache
+    def bracket0(self, left: tuple[int, ...], right: tuple[int, ...]) -> Form:
+        """``lbracket(dx^I, dx^J)``."""
+        return lbracket(self.basis.structure, self.basis.units[left], self.basis.units[right])
+
+    @sweep_cache
     def u(self, g: int, right: tuple[int, ...]) -> Polynomial:
-        key = (g, right)
-        value = self._u.get(key)
-        if value is None:
-            value = pair(wedge(self.basis.d(g), Form.basis(self.basis.m, right)), self.lam)
-            self._u[key] = value
-        return value
+        """``<dg ^ dx^J, lam>``."""
+        return pair(wedge(self.basis.d(g), self.basis.units[right]), self.lam)
 
+    @sweep_cache
     def w(self, g: int, left: tuple[int, ...]) -> Polynomial:
-        key = (g, left)
-        value = self._w.get(key)
-        if value is None:
-            value = apply_vec(self.basis.sharp0(left), self.basis.monomials[g])
-            self._w[key] = value
-        return value
+        """``sharp(dx^I)(g)``."""
+        return apply_vec(self.basis.sharp0(left), self.basis.monomials[g])
 
+    @sweep_cache
     def T(self, f: int, left: tuple[int, ...], right: tuple[int, ...]) -> Form:
-        key = (f, left, right)
-        value = self._T.get(key)
-        if value is None:
-            value = contract_vec(
-                self.basis.sharp0(left), wedge(self.basis.d(f), Form.basis(self.basis.m, right))
-            )
-            self._T[key] = value
-        return value
+        """``i_{sharp dx^I}(df ^ dx^J)``."""
+        return contract_vec(
+            self.basis.sharp0(left), wedge(self.basis.d(f), self.basis.units[right])
+        )
 
+    @sweep_cache
     def single_f(self, f: int, left: tuple[int, ...], right: tuple[int, ...]) -> Polynomial:
         """Coefficient of ``g`` in the residual: pieces linear in the f-slot."""
-        key = (f, left, right)
-        value = self._V.get(key)
-        if value is None:
-            df = self.basis.d(f)
-            core = self.basis.bracket0(left, right)
-            value = pair(wedge(df, core), self.lam)
-            value = value - pair(ext_d(self.T(f, left, right)), self.lam)
-            value = value + apply_vec(
-                self.basis.sharp0(right),
-                pair(wedge(df, Form.basis(self.basis.m, left)), self.lam),
-            )
-            self._V[key] = value
-        return value
+        df = self.basis.d(f)
+        value = pair(wedge(df, self.bracket0(left, right)), self.lam)
+        value = value - pair(ext_d(self.T(f, left, right)), self.lam)
+        return value + apply_vec(
+            self.basis.sharp0(right), pair(wedge(df, self.basis.units[left]), self.lam)
+        )
 
+    @sweep_cache
     def single_g(self, g: int, left: tuple[int, ...], right: tuple[int, ...]) -> Polynomial:
         """Coefficient of ``f`` in the residual: pieces linear in the g-slot."""
-        key = (g, left, right)
-        value = self._U.get(key)
-        if value is None:
-            dg = self.basis.d(g)
-            core = self.basis.bracket0(left, right)
-            value = pair(wedge(dg, core), self.lam)
-            w = self.w(g, left)
-            value = value + pair(
-                wedge(differential(w), Form.basis(self.basis.m, right)), self.lam
-            )
-            value = value - apply_vec(self.basis.sharp0(left), self.u(g, right))
-            self._U[key] = value
-        return value
+        value = pair(wedge(self.basis.d(g), self.bracket0(left, right)), self.lam)
+        value = value + pair(
+            wedge(differential(self.w(g, left)), self.basis.units[right]), self.lam
+        )
+        return value - apply_vec(self.basis.sharp0(left), self.u(g, right))
 
     def residual(
         self, f: int, left: tuple[int, ...], g: int, right: tuple[int, ...]
@@ -367,57 +229,22 @@ class _SharpDSweep:
         return value + cross
 
 
-def _sweep_pairs_capped(basis: _SweepBasis, cap: int):
-    """Pairs of (monomial, index-set) with coefficient degree capped.
-
-    Degree-2 coefficients are a complete test set for residuals of
-    differential order <= 2 per slot; higher configured degrees add only
-    redundant rows, so they are certified without being enumerated.
-    """
-    limit = [g for g, e in enumerate(basis.exponents) if sum(e) <= cap]
-    for f in limit:
-        for left in basis.index_sets:
-            for g in limit:
-                for right in basis.index_sets:
-                    yield f, left, g, right
-
-
 def verify_sharp_d_identity(
     structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
 ) -> CheckReport:
-    """Certify the sharp-d identity over all jet-basis pairs."""
-    basis = _SweepBasis(structure, config.max_degree)
+    """Certify the sharp-d identity over all jet-basis pairs.
+
+    The capped pair grid certifies; a failure is reported at the first
+    failing pair of the full grid.
+    """
+    basis = JetBasis(structure, config.max_degree)
     sweep = _SharpDSweep(basis)
-    items = basis.size() ** 2
-    cap = min(config.max_degree, 2)
-    first_bad: tuple | None = None
-    for f, left, g, right in _sweep_pairs_capped(basis, cap):
-        if not sweep.residual(f, left, g, right).is_zero():
-            first_bad = (f, left, g, right)
-            break
-    if first_bad is None:
-        return CheckReport(check="sharp-d", passed=True, items_checked=items)
-    # Recover the lexicographically first failing pair at the full degree by
-    # scanning with the cheap decomposed evaluation, then certify directly.
-    for f, left in basis.elements():
-        for g, right in basis.elements():
-            if sweep.residual(f, left, g, right).is_zero():
-                continue
-            alpha = basis.form(f, left)
-            beta = basis.form(g, right)
-            direct = sharp_d_residual(structure, alpha, beta)
-            if direct.is_zero():  # pragma: no cover - decomposition guard
-                raise AssertionError("sharp-d decomposition disagrees with direct value")
-            return CheckReport(
-                check="sharp-d",
-                passed=False,
-                items_checked=items,
-                counterexample=Counterexample(
-                    inputs=(format_tensor(alpha), format_tensor(beta)),
-                    residual=str(direct),
-                ),
-            )
-    raise AssertionError("unreachable")  # pragma: no cover
+    capped = basis.capped()
+    hit = first_hit(basis.pairs(capped), sweep.residual)
+    if hit is not None and len(capped) < len(basis.monomials):
+        hit = first_hit(basis.pairs(), sweep.residual)
+    direct = partial(sharp_d_residual, structure)
+    return certify_forms(basis, "sharp-d", basis.size() ** 2, hit, direct)
 
 
 # -- Leibniz identity ------------------------------------------------------------
@@ -429,53 +256,31 @@ def verify_leibniz_identity(
     """Certify the Leibniz identity over all jet-basis triples.
 
     The residual factors exactly through the anchor and sharp-d residuals
-    (module docstring), so the triple grid is certified by the two pair
-    sweeps; a failing pair is lifted to the first failing triple by scanning
-    the third slot with the direct nested evaluation.
+    (module docstring), so the anchor slot-1 sweep and the capped sharp-d
+    sweep certify the triple grid.  A failure is located at the first pair
+    of the full grid where either residual is nonzero, and lifted to the
+    first failing triple by scanning the third slot with the direct nested
+    evaluation.
     """
-    basis = _SweepBasis(structure, config.max_degree)
-    items = basis.size() ** 3
-    anchor_report = verify_anchor_morphism(structure, config)
-    sharp_d_report = verify_sharp_d_identity(structure, config)
-    if anchor_report.passed and sharp_d_report.passed:
-        return CheckReport(check="leibniz", passed=True, items_checked=items)
-    sweep = _SharpDSweep(basis)
-    cores = {
-        (left, right): anchor_residual(
-            structure, Form.basis(basis.m, left), Form.basis(basis.m, right)
-        )
-        for left in basis.index_sets
-        for right in basis.index_sets
-    }
-    for f, left in basis.elements():
-        for g, right in basis.elements():
-            anchor_val = _anchor_pair_residual(basis, f, left, right, cores[(left, right)])
-            anchor_val = anchor_val * basis.monomials[g]
-            if anchor_val.is_zero() and sweep.residual(f, left, g, right).is_zero():
-                continue
-            alpha = basis.form(f, left)
-            beta = basis.form(g, right)
-            for h, third in basis.elements():
-                gamma = basis.form(h, third)
-                direct = leibniz_residual(structure, alpha, beta, gamma)
-                if not direct.is_zero():
-                    return CheckReport(
-                        check="leibniz",
-                        passed=False,
-                        items_checked=items,
-                        counterexample=Counterexample(
-                            inputs=(
-                                format_tensor(alpha),
-                                format_tensor(beta),
-                                format_tensor(gamma),
-                            ),
-                            residual=format_tensor(direct),
-                        ),
-                    )
-            raise AssertionError(  # pragma: no cover - factorization guard
-                "failing pair residuals without a failing triple"
-            )
-    raise AssertionError("unreachable")  # pragma: no cover
+    basis = JetBasis(structure, config.max_degree)
+    anchor = slot1_residual(basis, partial(sharp, structure), partial(anchor_residual, structure))
+    sharp_d = _SharpDSweep(basis)
+    direct = partial(leibniz_residual, structure)
+
+    def pair_residual(*point):
+        # A(f dx^I, g dx^J) = g A(f dx^I, dx^J), so the anchor part ignores g
+        value = anchor(*point)
+        return sharp_d.residual(*point) if value.is_zero() else value
+
+    def lift(hit):
+        located = first_hit(basis.pairs(), pair_residual)
+        triples = (located + third for third in basis.elements())
+        return first_hit(triples, lambda *point: direct(*basis.forms(point)))
+
+    hit = first_hit(slot1_pairs(basis), anchor) or first_hit(
+        basis.pairs(basis.capped()), sharp_d.residual
+    )
+    return certify_forms(basis, "leibniz", basis.size() ** 3, hit, direct, lift)
 
 
 # -- characterization ------------------------------------------------------------
@@ -514,17 +319,19 @@ def _wedge_of_differentials(functions: Sequence[Polynomial]) -> Form:
 
 
 def _first_exact_forms_failure(
-    basis: _SweepBasis, capped: Sequence[int]
+    basis: JetBasis,
 ) -> tuple[list[Polynomial], list[Polynomial], Form] | None:
     """First failing pair of the exact-forms rule in direct-scan order, or None.
 
-    Per pair only ``i_X d beta + d i_X beta``, the scale term and the n-1
-    replaced wedges are evaluated; the rest is computed once per tuple.  A
-    failure is returned with its residual recomputed by ``exact_forms_residual``.
+    The pairs are the increasing function tuples of capped degree.  Per pair
+    only ``i_X d beta + d i_X beta``, the scale term and the n-1 replaced
+    wedges are evaluated; the rest is computed once per tuple.  A failure is
+    returned as ``(fs, gs, residual)`` with the hoisted residual.
     """
     structure = basis.structure
     lam = structure.nvector
     sign = _sign_n(structure)
+    capped = basis.capped()
     tuples = list(itertools.combinations(capped, structure.n - 1))
     g_side = []
     for g_idx in tuples:
@@ -547,14 +354,16 @@ def _first_exact_forms_failure(
                 replaced = list(dgs)
                 replaced[i] = d_bracket[g]
                 residual = residual - _wedge_all(replaced)
-            if residual.is_zero():
-                continue
-            gs = [basis.monomials[i] for i in g_idx]
-            direct = exact_forms_residual(structure, fs, gs)
-            if direct != residual:  # pragma: no cover - hoisting guard
-                raise AssertionError("hoisted exact-forms residual disagrees with direct value")
-            return fs, gs, direct
+            if not residual.is_zero():
+                return fs, [basis.monomials[i] for i in g_idx], residual
     return None
+
+
+def _agreeing(direct: Form, hoisted: Form) -> Form:
+    """The direct residual, once it is checked to equal the hoisted one."""
+    if direct != hoisted:  # pragma: no cover - hoisting guard
+        raise AssertionError("hoisted exact-forms residual disagrees with direct value")
+    return direct
 
 
 def function_slot2_residual(
@@ -583,62 +392,44 @@ def verify_characterization(
     The two function-slot rules are exactly linear in the coefficients of
     both form slots (slot lemmas in the module docstring), so constant basis
     forms with a full-degree function slot cover the whole grid.  The
-    exact-forms rule is swept over pairs of increasing function tuples with
-    slot degrees capped at 2 (complete for an order-<=2 residual), in the
-    order of a direct scan: per pair only the pieces of the residual that
-    need both slots are evaluated, the rest is computed once per tuple.  The
-    first nonzero residual is recomputed by ``exact_forms_residual``, which
-    must agree, and the direct value is reported.
+    exact-forms rule is swept by ``_first_exact_forms_failure``; its first
+    nonzero residual is recomputed by ``exact_forms_residual``, which must
+    agree, and the direct value is reported.
     """
-    basis = _SweepBasis(structure, config.max_degree)
-    n, m = structure.n, structure.m
+    basis = JetBasis(structure, config.max_degree)
+    n = structure.n
     count_forms = basis.size()
     count_funcs = len(basis.monomials)
-    cap = min(config.max_degree, 2)
-    capped = [g for g, e in enumerate(basis.exponents) if sum(e) <= cap]
     items = (
         math.comb(count_funcs, n - 1) ** 2          # exact-forms rule
         + count_forms * count_funcs * count_forms   # slot-2 rule
         + count_funcs * count_forms * count_forms   # slot-1 rule
     )
 
-    failure = _first_exact_forms_failure(basis, capped)
-    if failure is not None:
-        fs, gs, residual = failure
-        inputs = ("exact-forms",) + tuple(str(p) for p in fs) + tuple(str(p) for p in gs)
-        return CheckReport(
-            check="characterization",
-            passed=False,
-            items_checked=items,
-            counterexample=Counterexample(inputs=inputs, residual=format_tensor(residual)),
+    hit = _first_exact_forms_failure(basis)
+    if hit is not None:
+        return certify(
+            "characterization",
+            items,
+            hit,
+            lambda fs, gs, hoisted: _agreeing(exact_forms_residual(structure, fs, gs), hoisted),
+            lambda fs, gs, _: ("exact-forms", *map(str, fs), *map(str, gs)),
         )
 
-    for rule, evaluator in (
-        ("slot-2", lambda a, f, b: function_slot2_residual(structure, a, f, b)),
-        ("slot-1", lambda a, f, b: function_slot1_residual(structure, f, a, b)),
-    ):
-        for left in basis.index_sets:
-            alpha = Form.basis(m, left)
-            for monomial in basis.monomials:
-                for right in basis.index_sets:
-                    beta = Form.basis(m, right)
-                    residual = evaluator(alpha, monomial, beta)
-                    if not residual.is_zero():
-                        return CheckReport(
-                            check="characterization",
-                            passed=False,
-                            items_checked=items,
-                            counterexample=Counterexample(
-                                inputs=(
-                                    rule,
-                                    format_tensor(alpha),
-                                    str(monomial),
-                                    format_tensor(beta),
-                                ),
-                                residual=format_tensor(residual),
-                            ),
-                        )
-    return CheckReport(check="characterization", passed=True, items_checked=items)
+    def residual(rule, left, g, right):
+        alpha, beta, f = basis.units[left], basis.units[right], basis.monomials[g]
+        if rule == "slot-2":
+            return function_slot2_residual(structure, alpha, f, beta)
+        return function_slot1_residual(structure, f, alpha, beta)
+
+    def inputs(rule, left, g, right):
+        alpha, beta = basis.units[left], basis.units[right]
+        return rule, format_tensor(alpha), str(basis.monomials[g]), format_tensor(beta)
+
+    grid = itertools.product(
+        ("slot-2", "slot-1"), basis.index_sets, range(count_funcs), basis.index_sets
+    )
+    return certify("characterization", items, first_hit(grid, residual), residual, inputs)
 
 
 # -- formal wedges of functions --------------------------------------------------
@@ -724,34 +515,26 @@ def verify_phi_morphism(
 ) -> CheckReport:
     """Certify ``phi({F, G}') = lbracket(phi F, phi G)`` over jet wedges.
 
-    The two sides follow genuinely different code paths (nested n-brackets
-    versus the form bracket).  Function slots are swept at degree cap 2,
-    complete for the order-<=2 residual; increasing tuples suffice since
-    both sides are alternating within each wedge.
+    On decomposable wedges ``phi({F, G}')`` is the sum of replaced wedges
+    that the exact-forms rule subtracts from ``lbracket(phi F, phi G)``, so
+    this residual is, by construction, the negated exact-forms residual, and
+    the exact-forms sweep certifies it on the same grid: increasing function
+    tuples with slot degrees capped at 2.  A hit is recomputed through
+    ``phi``, ``fbracket_prime`` and ``lbracket``, which must give the negated
+    swept residual, and that direct value is reported.
     """
-    basis = _SweepBasis(structure, config.max_degree)
-    arity = structure.n - 1
-    cap = min(config.max_degree, 2)
-    capped = [g for g, e in enumerate(basis.exponents) if sum(e) <= cap]
-    items = math.comb(len(basis.monomials), arity) ** 2
-    for f_idx in itertools.combinations(capped, arity):
-        left = FormalWedge.single([basis.monomials[i] for i in f_idx])
-        phi_left = phi(left)
-        for g_idx in itertools.combinations(capped, arity):
-            right = FormalWedge.single([basis.monomials[i] for i in g_idx])
-            residual = phi(fbracket_prime(structure, left, right)) - lbracket(
-                structure, phi_left, phi(right)
-            )
-            if not residual.is_zero():
-                inputs = tuple(str(basis.monomials[i]) for i in f_idx) + tuple(
-                    str(basis.monomials[i]) for i in g_idx
-                )
-                return CheckReport(
-                    check="phi-morphism",
-                    passed=False,
-                    items_checked=items,
-                    counterexample=Counterexample(
-                        inputs=inputs, residual=format_tensor(residual)
-                    ),
-                )
-    return CheckReport(check="phi-morphism", passed=True, items_checked=items)
+    basis = JetBasis(structure, config.max_degree)
+    items = math.comb(len(basis.monomials), structure.n - 1) ** 2
+
+    def direct(fs, gs, hoisted):
+        left, right = FormalWedge.single(fs), FormalWedge.single(gs)
+        value = phi(fbracket_prime(structure, left, right))
+        return _agreeing(value - lbracket(structure, phi(left), phi(right)), -hoisted)
+
+    return certify(
+        "phi-morphism",
+        items,
+        _first_exact_forms_failure(basis),
+        direct,
+        lambda fs, gs, _: tuple(str(p) for p in fs + gs),
+    )

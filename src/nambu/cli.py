@@ -1,9 +1,10 @@
 """Batch front-end: load a structure file, run verifiers, print reports.
 
 Exit codes: 0 when every requested computation/check succeeds, 1 on input
-errors (unreadable file, schema violation, bad expression), 2 when a
-requested check fails.  Output is deterministic: no timestamps, fixed
-ordering, canonical text for every tensor.
+errors (bad usage, unreadable file, schema violation, bad expression, an
+empty check list), 2 when a requested check fails.  Output is
+deterministic: no timestamps, fixed ordering, canonical text for every
+tensor.
 """
 
 from __future__ import annotations
@@ -75,8 +76,16 @@ DEFAULT_CHECKS = (
 ORDER2_DEFAULT_CHECKS = ("fundamental-identity", "invariance")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are input errors: exit 1."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nambu",
         description="Exact verification and computation for Nambu-Poisson "
         "structures given as polynomial structure files.",
@@ -157,8 +166,10 @@ def _resolve_config(options, loaded) -> JetBasisConfig:
 
 
 def _resolve_checks(options, loaded, structure) -> list[str]:
-    if getattr(options, "checks", None):
+    if getattr(options, "checks", None) is not None:
         names = [name.strip() for name in options.checks.split(",") if name.strip()]
+        if not names:
+            raise ParseError("--checks names no check")
     elif loaded.checks is not None:
         names = list(loaded.checks)
     else:

@@ -18,10 +18,11 @@ coboundary of a tensorial cochain c evaluates as
 
     sharp(a)(c(b)) - sharp(b)(c(a)) - c(lbracket(a, b)).
 
-Sweeps follow the same pattern as the algebroid verifiers: residuals are
-evaluated through exact slot decompositions (each cross-checked against the
-direct formulas by the test suite), and counterexamples are certified
-directly before being reported.
+The cocycle sweep runs on the engine of ``sweep``: the degree-1
+coboundary obeys its slot-1 rule with ``act = c``, the same rule as the
+anchor residual with ``act = sharp``, so ``verify_cocycle`` is one call of
+``slot1_sweep``, whose counterexamples are certified through
+``cobound1_eval`` before they are reported.
 """
 
 from __future__ import annotations
@@ -30,19 +31,19 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .algebroid import _SweepBasis, lbracket
+from .algebroid import lbracket
 from .errors import ChartMismatchError, DegreeError
 from .exterior import (
     Form,
     Multivector,
     apply_vec,
     contract_form,
-    contract_vec,
     differential,
     ext_d,
+    format_tensor,
     pair,
-    wedge,
 )
 from .poly import Polynomial, jet_exponents
 from .structure import (
@@ -53,7 +54,7 @@ from .structure import (
     hamiltonian,
     sharp,
 )
-from .textio import format_tensor
+from .sweep import JetBasis, slot1_sweep
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def verify_lsv(
     structure.require_order_at_least(3)
     _check_volume(structure, volume)
     modular = modular_multivector(structure, volume)
-    basis = _SweepBasis(structure, config.max_degree)
+    basis = JetBasis(structure, config.max_degree)
     items = 0
     for g, indices in basis.elements():
         items += 1
@@ -223,31 +224,6 @@ def verify_lsv(
 # -- cocycle sweep ---------------------------------------------------------------
 
 
-def _cocycle_pair_residual(
-    basis: _SweepBasis,
-    cochain: TensorCochain1,
-    cores: dict,
-    g: int,
-    left: tuple[int, ...],
-    right: tuple[int, ...],
-) -> Polynomial:
-    """Exact cocycle residual on ``(x^gamma dx^I, dx^J)``.
-
-    Uses ``rho(f a0, b0) = f rho(a0, b0) - sharp(b0)(f) c(a0)
-                           + c(i_{sharp a0}(df ^ b0))``;
-    the second slot is exactly linear over functions for tensorial cochains.
-    """
-    f = basis.monomials[g]
-    residual = cores[(left, right)] * f
-    grad = apply_vec(basis.sharp0(right), f)
-    if not grad.is_zero():
-        residual = residual - grad * cochain(Form.basis(basis.m, left))
-    lifted = contract_vec(basis.sharp0(left), wedge(basis.d(g), Form.basis(basis.m, right)))
-    if not lifted.is_zero():
-        residual = residual + cochain(lifted)
-    return residual
-
-
 def verify_cocycle(
     structure: NambuStructure,
     cochain: TensorCochain1,
@@ -256,41 +232,8 @@ def verify_cocycle(
 ) -> CheckReport:
     """Certify ``cobound1`` of a tensorial cochain vanishes on all jet pairs."""
     structure.require_order_at_least(3)
-    basis = _SweepBasis(structure, config.max_degree)
-    items = basis.size() ** 2
-    cores = {
-        (left, right): cobound1_eval(
-            structure, cochain, Form.basis(basis.m, left), Form.basis(basis.m, right)
-        )
-        for left in basis.index_sets
-        for right in basis.index_sets
-    }
-    failing = set()
-    for g in range(len(basis.monomials)):
-        for left in basis.index_sets:
-            for right in basis.index_sets:
-                if not _cocycle_pair_residual(basis, cochain, cores, g, left, right).is_zero():
-                    failing.add((g, left, right))
-    if not failing:
-        return CheckReport(check=check_name, passed=True, items_checked=items)
-    for g, left in basis.elements():
-        for right in basis.index_sets:
-            if (g, left, right) in failing:
-                alpha = basis.form(g, left)
-                beta = Form.basis(basis.m, right)
-                direct = cobound1_eval(structure, cochain, alpha, beta)
-                if direct.is_zero():  # pragma: no cover - decomposition guard
-                    raise AssertionError("cocycle decomposition disagrees with direct value")
-                return CheckReport(
-                    check=check_name,
-                    passed=False,
-                    items_checked=items,
-                    counterexample=Counterexample(
-                        inputs=(format_tensor(alpha), format_tensor(beta)),
-                        residual=str(direct),
-                    ),
-                )
-    raise AssertionError("unreachable")  # pragma: no cover
+    basis = JetBasis(structure, config.max_degree)
+    return slot1_sweep(basis, check_name, cochain, partial(cobound1_eval, structure, cochain))
 
 
 def verify_modular_cocycle(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import ChartMismatchError, DegreeError
-from .poly import Polynomial
+from .poly import Polynomial, format_polynomial
 
 _Scalar = Union[int, Fraction, Polynomial]
 
@@ -210,8 +210,6 @@ class _Alternating:
                      frozenset(self.components.items())))
 
     def __repr__(self) -> str:
-        from .textio import format_tensor
-
         return f"{type(self).__name__}({self.m}, {self.degree}, {format_tensor(self)!r})"
 
 
@@ -221,6 +219,40 @@ class Form(_Alternating):
 
 class Multivector(_Alternating):
     """Skew-symmetric k-vector field with polynomial coefficients."""
+
+
+# -- tensor printing ----------------------------------------------------------
+
+
+def format_tensor(tensor) -> str:
+    """Canonical text of a Form or Multivector."""
+    if tensor.is_zero():
+        return "0"
+    if tensor.degree == 0:
+        return format_polynomial(tensor.scalar())
+    prefix = "dx" if isinstance(tensor, Form) else "d"
+    pieces: list[str] = []
+    for indices in sorted(tensor.components):
+        blade = "^".join(f"{prefix}{i}" for i in indices)
+        body, negative = _coefficient_text(tensor.components[indices], blade)
+        if not pieces:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(pieces)
+
+
+def _coefficient_text(coeff: Polynomial, blade: str) -> tuple[str, bool]:
+    """Render one component; factor a single leading sign out when possible."""
+    if coeff == Polynomial.one(coeff.num_vars):
+        return blade, False
+    if coeff == -Polynomial.one(coeff.num_vars):
+        return blade, True
+    if len(coeff.terms) == 1:
+        [(exps, value)] = coeff.terms.items()
+        magnitude = Polynomial.monomial(exps, abs(value))
+        return f"{format_polynomial(magnitude)}*{blade}", value < 0
+    return f"({format_polynomial(coeff)})*{blade}", False
 
 
 def wedge(a, b):

@@ -31,7 +31,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ArityError, ChartMismatchError, DegreeError, OrderError
-from .exterior import Form, Multivector, contract_form, differential, lie_mv, pair, wedge
+from .exterior import (
+    Form, Multivector, contract_form, differential, format_tensor, lie_mv, pair, wedge,
+)
 from .poly import Polynomial, jet_exponents
 
 
@@ -221,8 +223,6 @@ def check_invariance(
     structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
 ) -> CheckReport:
     """Certify that every jet-basis Hamiltonian field preserves the n-vector."""
-    from .textio import format_tensor
-
     exps = jet_exponents(structure.m, config.max_degree)
     monomials = [Polynomial.monomial(e) for e in exps]
     f_tuples = itertools.combinations(range(len(monomials)), structure.n - 1)

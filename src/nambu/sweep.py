@@ -1,0 +1,204 @@
+"""The monomial jet basis of (n-1)-forms and the one scan-and-certify loop.
+
+Every pair verifier of ``algebroid`` and ``cohomology`` certifies the same
+way.  ``first_hit`` sweeps a grid of basis indices in the pinned
+lexicographic order (slot by slot: coefficient monomial-major, then index
+set) through a fast residual, an exact decomposition that the test suite
+cross-checks against the direct formula, and stops at the first nonzero one.
+``certify`` reports a pass when there is none.  Otherwise the hit may name
+a tuple other than the one to report: after a capped grid certifies, the
+caller rescans the full grid, and a Leibniz pair is lifted to a triple by
+``locate``.  The residual of the reported tuple is recomputed by the direct
+formula, and a zero one is refused.  Residuals are multidifferential operators of
+order <= 2 per slot, so grids capped at coefficient degree 2
+(``JetBasis.capped``) certify the full configured degree.
+
+The slot-1 rule.  A residual ``R`` that is linear over functions in its
+second slot and moves a function out of its first slot through a linear map
+``act`` as
+
+    R(f a0, b0) = f R(a0, b0) - sharp(b0)(f) act(a0) + act(i_{sharp a0}(df ^ b0))
+
+is determined on all jet-basis pairs by ``R(x^g dx^I, dx^J)``, and the first
+failing pair has the constant monomial in its second slot.  The anchor
+residual obeys it with ``act = sharp``, the coboundary of a tensorial
+1-cochain ``c`` with ``act = c``; both hold for any n-vector.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from typing import Callable, Iterable, Sequence
+
+from .exterior import (
+    Form, Multivector, apply_vec, contract_vec, differential, format_tensor, wedge,
+)
+from .poly import Polynomial, jet_exponents
+from .structure import CheckReport, Counterexample, NambuStructure, sharp
+
+
+def sweep_cache(method: Callable) -> Callable:
+    """Cache a method's values in a plain dict on its instance.
+
+    The instance lives for one sweep; no reference cycle keeps it longer.
+    """
+    attr = f"_{method.__name__}_cache"
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        store = self.__dict__.setdefault(attr, {})
+        value = store.get(args)
+        if value is None:
+            value = store[args] = method(self, *args)
+        return value
+
+    return cached
+
+
+class JetBasis:
+    """Monomial jet basis of (n-1)-forms ``x^g dx^I`` with per-sweep caches.
+
+    A basis form is a pair ``(g, I)`` of a monomial index and an index set;
+    monomial 0 is the constant.  A basis lives for one verifier call, and so
+    do its caches.
+    """
+
+    def __init__(self, structure: NambuStructure, max_degree: int):
+        structure.require_order_at_least(3)
+        self.structure = structure
+        self.exponents = jet_exponents(structure.m, max_degree)
+        self.monomials = [Polynomial.monomial(e) for e in self.exponents]
+        self.index_sets = list(
+            itertools.combinations(range(1, structure.m + 1), structure.n - 1)
+        )
+        self.units = {indices: Form.basis(structure.m, indices) for indices in self.index_sets}
+
+    def elements(self):
+        """Basis forms ``(g, I)`` in the pinned lexicographic order."""
+        return itertools.product(range(len(self.monomials)), self.index_sets)
+
+    def form(self, g: int, indices: tuple[int, ...]) -> Form:
+        return self.units[indices] * self.monomials[g]
+
+    def forms(self, point: tuple) -> list[Form]:
+        """The basis forms of a flat ``(g, I, h, J, ..)`` point."""
+        return [self.form(g, indices) for g, indices in zip(point[::2], point[1::2])]
+
+    def size(self) -> int:
+        return len(self.monomials) * len(self.index_sets)
+
+    def capped(self, cap: int = 2) -> list[int]:
+        """Indices of the monomials of degree <= cap."""
+        return [g for g, e in enumerate(self.exponents) if sum(e) <= cap]
+
+    def pairs(self, rows: Sequence[int] | None = None):
+        """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``."""
+        rows = range(len(self.monomials)) if rows is None else rows
+        return itertools.product(rows, self.index_sets, rows, self.index_sets)
+
+    @sweep_cache
+    def d(self, g: int) -> Form:
+        """Differential of the jet monomial ``g``."""
+        return differential(self.monomials[g])
+
+    @sweep_cache
+    def sharp0(self, indices: tuple[int, ...]) -> Multivector:
+        """Anchor of the unit form ``dx^I``."""
+        return sharp(self.structure, self.units[indices])
+
+
+# -- the scan-and-certify loop ---------------------------------------------------
+
+
+def first_hit(grid: Iterable[tuple], fast: Callable) -> tuple | None:
+    """First point of ``grid`` whose fast residual is nonzero, or None."""
+    for point in grid:
+        if not fast(*point).is_zero():
+            return point
+    return None
+
+
+def certify(
+    check: str,
+    items: int,
+    hit: tuple | None,
+    direct: Callable,
+    inputs: Callable[..., tuple[str, ...]],
+    locate: Callable[[tuple], tuple | None] | None = None,
+) -> CheckReport:
+    """The report of a sweep that stopped at ``hit`` (None when it passed).
+
+    ``locate`` maps the hit to the tuple to report; ``direct`` recomputes the
+    residual there and ``inputs`` renders the tuple.
+    """
+    if hit is None:
+        return CheckReport(check=check, passed=True, items_checked=items)
+    point = hit if locate is None else locate(hit)
+    value = None if point is None else direct(*point)
+    if value is None or value.is_zero():  # pragma: no cover - decomposition guard
+        raise AssertionError(
+            f"{check}: the sweep flagged {hit}, but the direct formula finds no failure"
+        )
+    text = str(value) if isinstance(value, Polynomial) else format_tensor(value)
+    return CheckReport(
+        check=check,
+        passed=False,
+        items_checked=items,
+        counterexample=Counterexample(inputs=inputs(*point), residual=text),
+    )
+
+
+def certify_forms(
+    basis: JetBasis, check: str, items: int, hit, direct: Callable, locate=None
+) -> CheckReport:
+    """``certify`` for points made of basis forms; ``direct`` takes the forms."""
+    return certify(
+        check,
+        items,
+        hit,
+        lambda *point: direct(*basis.forms(point)),
+        lambda *point: tuple(format_tensor(form) for form in basis.forms(point)),
+        locate,
+    )
+
+
+# -- the slot-1 rule ---------------------------------------------------------------
+
+
+def slot1_pairs(basis: JetBasis):
+    """The family ``(x^g dx^I, dx^J)`` as points ``(g, I, 0, J)``, in pinned order."""
+    rows = range(len(basis.monomials))
+    return itertools.product(rows, basis.index_sets, (0,), basis.index_sets)
+
+
+def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable:
+    """Fast ``R(x^g dx^I, dx^J)`` at the points of ``slot1_pairs``.
+
+    ``R`` obeys the slot-1 rule (module docstring) with the linear map
+    ``act``; ``direct(a, b)`` evaluates it on forms and supplies the cores
+    ``R(dx^I, dx^J)``.  The second monomial of a point is not read: the rule
+    is linear over functions in that slot.
+    """
+    units = basis.units
+    acted = {indices: act(unit) for indices, unit in units.items()}
+    cores = {(left, right): direct(units[left], units[right]) for left in units for right in units}
+
+    def residual(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]):
+        f = basis.monomials[g]
+        value = cores[(left, right)] * f
+        grad = apply_vec(basis.sharp0(right), f)
+        if not grad.is_zero():
+            value = value - acted[left] * grad
+        lifted = contract_vec(basis.sharp0(left), wedge(basis.d(g), units[right]))
+        if not lifted.is_zero():
+            value = value + act(lifted)
+        return value
+
+    return residual
+
+
+def slot1_sweep(basis: JetBasis, check: str, act: Callable, direct: Callable) -> CheckReport:
+    """Certify a slot-1 rule over all jet-basis pairs."""
+    hit = first_hit(slot1_pairs(basis), slot1_residual(basis, act, direct))
+    return certify_forms(basis, check, basis.size() ** 2, hit, direct)

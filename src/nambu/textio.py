@@ -10,8 +10,10 @@ Tensor grammar (parsing and canonical printing)::
 so ``d1^d2`` is the bivector on indices (1,2), ``x3*d3`` a vector field,
 ``x1*dx1^dx2 - dx3^dx4`` a 2-form combination.  A ``poly`` coefficient is
 any expression in the polynomial grammar; it must be parenthesized when it
-contains '+' or '-' at top level.  Canonical printing orders blades by their
-index tuples, omits unit coefficients, and prints the zero tensor as ``0``.
+contains '+' or '-' at top level.  Canonical printing (``format_tensor``,
+defined in ``exterior`` so that tensors can print themselves, and re-exported
+here) orders blades by their index tuples, omits unit coefficients, and
+prints the zero tensor as ``0``.
 
 Structure files are JSON documents with schema tag ``nambu-structure/1``::
 
@@ -35,50 +37,12 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ParseError
-from .exterior import Form, Multivector
-from .poly import Polynomial, format_polynomial, parse_polynomial
+from .cohomology import VolumeForm
+from .exterior import Form, Multivector, format_tensor
+from .poly import Polynomial, parse_polynomial
+from .structure import NambuStructure
 
 SCHEMA = "nambu-structure/1"
-
-
-# -- tensor printing ----------------------------------------------------------
-
-
-def _blade_text(indices: tuple[int, ...], kind: str) -> str:
-    prefix = "dx" if kind == "form" else "d"
-    return "^".join(f"{prefix}{i}" for i in indices)
-
-
-def format_tensor(tensor) -> str:
-    """Canonical text of a Form or Multivector."""
-    kind = "form" if isinstance(tensor, Form) else "mv"
-    if tensor.is_zero():
-        return "0"
-    if tensor.degree == 0:
-        return format_polynomial(tensor.scalar())
-    pieces: list[str] = []
-    for indices in sorted(tensor.components):
-        coeff = tensor.components[indices]
-        blade = _blade_text(indices, kind)
-        body, negative = _coefficient_text(coeff, blade)
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(pieces)
-
-
-def _coefficient_text(coeff: Polynomial, blade: str) -> tuple[str, bool]:
-    """Render one component; factor a single leading sign out when possible."""
-    if coeff == Polynomial.one(coeff.num_vars):
-        return blade, False
-    if coeff == -Polynomial.one(coeff.num_vars):
-        return blade, True
-    if len(coeff.terms) == 1:
-        [(exps, value)] = coeff.terms.items()
-        magnitude = Polynomial.monomial(exps, abs(value))
-        return f"{format_polynomial(magnitude)}*{blade}", value < 0
-    return f"({format_polynomial(coeff)})*{blade}", False
 
 
 # -- tensor parsing -----------------------------------------------------------
@@ -216,14 +180,10 @@ class StructureFile:
     checks: tuple[str, ...] | None
     jet_degree: int | None
 
-    def structure(self):
-        from .structure import NambuStructure
-
+    def structure(self) -> NambuStructure:
         return NambuStructure(self.dimension, self.order, self.nvector)
 
-    def volume(self):
-        from .cohomology import VolumeForm
-
+    def volume(self) -> VolumeForm:
         return VolumeForm(self.volume_constant, self.volume_exponent)
 
 
@@ -316,6 +276,8 @@ def load_structure_dict(doc: Any) -> StructureFile:
         raw = doc["checks"]
         if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
             raise ParseError("checks must be a list of strings", "$.checks")
+        if not raw:
+            raise ParseError("checks must name at least one check", "$.checks")
         checks = tuple(raw)
 
     jet_degree: int | None = None

@@ -98,9 +98,9 @@ def test_criterion_3_algebroid_sweeps(scaled_r3, volume_r3, normal_r4, normal_r5
     ok = ok and all(verify_leibniz_identity(s, config).passed for s in fixtures)
     # coboundary-squared sweep: d1(d0 f) = 0 over jet pairs on each fixture
     for structure in fixtures:
-        from nambu.algebroid import _SweepBasis
+        from nambu.sweep import JetBasis
 
-        basis = _SweepBasis(structure, 2)
+        basis = JetBasis(structure, 2)
         cochain = cobound0(structure, x(structure.m, 1) * x(structure.m, 2))
         for g, left in basis.elements():
             alpha = basis.form(g, left)
@@ -118,9 +118,9 @@ def test_criterion_4_skew_dichotomy(normal_r4, volume_r3):
     ok = lbracket(normal_r4, alpha, beta).is_zero()
     ok = ok and lbracket(normal_r4, beta, alpha) == Form.basis(4, (1, 4))
     # top-order case: the defect sweeps to zero over unordered jet pairs
-    from nambu.algebroid import _SweepBasis
+    from nambu.sweep import JetBasis
 
-    basis = _SweepBasis(volume_r3, 3)
+    basis = JetBasis(volume_r3, 3)
     elements = list(basis.elements())
     for i, (g1, left) in enumerate(elements):
         for g2, right in elements[i:]:

@@ -15,7 +15,6 @@ import pytest
 
 from nambu.algebroid import (
     FormalWedge,
-    _SweepBasis,
     anchor_residual,
     exact_forms_residual,
     fbracket_prime,
@@ -46,6 +45,7 @@ from nambu.exterior import (
 )
 from nambu.poly import Polynomial
 from nambu.structure import JetBasisConfig, NambuStructure, sharp
+from nambu.sweep import JetBasis, slot1_residual
 
 from conftest import random_form, random_polynomial
 
@@ -156,17 +156,18 @@ class TestDecompositionsAgainstDirect:
 
     def test_anchor_pair_decomposition(self, rng, scaled_r3, sum_r6, normal_r4):
         for structure in (scaled_r3, sum_r6, normal_r4):
-            basis = _SweepBasis(structure, 3)
-            from nambu.algebroid import _anchor_pair_residual
+            basis = JetBasis(structure, 3)
+            anchor = slot1_residual(
+                basis,
+                lambda a: sharp(structure, a),
+                lambda a, b: anchor_residual(structure, a, b),
+            )
 
             for _ in range(10):
                 g = rng.randrange(len(basis.monomials))
                 left = rng.choice(basis.index_sets)
                 right = rng.choice(basis.index_sets)
-                core = anchor_residual(
-                    structure, Form.basis(structure.m, left), Form.basis(structure.m, right)
-                )
-                fast = _anchor_pair_residual(basis, g, left, right, core)
+                fast = anchor(g, left, 0, right)
                 direct = anchor_residual(
                     structure, basis.form(g, left), Form.basis(structure.m, right)
                 )
@@ -187,7 +188,7 @@ class TestDecompositionsAgainstDirect:
         from nambu.algebroid import _SharpDSweep
 
         for structure in (scaled_r3, sum_r6, normal_r4):
-            basis = _SweepBasis(structure, 3)
+            basis = JetBasis(structure, 3)
             sweep = _SharpDSweep(basis)
             for _ in range(10):
                 f = rng.randrange(len(basis.monomials))
@@ -266,7 +267,7 @@ class TestVerifiers:
         # L_{sharp a} lam = (-1)^n <d a, lam> lam over the jet basis
         for structure in (scaled_r3, volume_r3):
             sign = -1 if structure.n % 2 else 1
-            basis = _SweepBasis(structure, 2)
+            basis = JetBasis(structure, 2)
             for g, indices in basis.elements():
                 alpha = basis.form(g, indices)
                 lhs = lie_mv(sharp(structure, alpha), structure.nvector)
@@ -300,7 +301,7 @@ class TestExactFormsRule:
             return value + x(m, 3) ** 2 if list(functions) == target else value
 
         monkeypatch.setattr(algebroid, "nbracket", perturbed)
-        basis = _SweepBasis(scaled_r3, 3)
+        basis = JetBasis(scaled_r3, 3)
         capped = [basis.monomials[g] for g, e in enumerate(basis.exponents) if sum(e) <= 2]
         expected = None
         for fs in itertools.combinations(capped, 2):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from nambu.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -170,6 +172,50 @@ class TestCheck:
         assert code == 0
         assert "invariance: pass" in out
         assert "anchor" not in out
+
+
+    def test_empty_check_list_is_an_input_error(self, capsys):
+        for flag in ("--checks=,", "--checks="):
+            code, out, err = run(capsys, ["check", R3_SCALED, flag])
+            assert code == 1
+            assert out == ""
+            assert err == "error: --checks names no check\n"
+
+    def test_empty_checks_field_is_an_input_error(self, capsys, tmp_path):
+        doc = json.loads(Path(R3_SCALED).read_text())
+        doc["checks"] = []
+        target = tmp_path / "no_checks.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["check", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: $.checks:")
+
+
+class TestUsageErrors:
+    """Parser errors are input errors: exit 1 with an ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", R3_SCALED, "--jet-degree=abc"],
+            ["witness", R3_SCALED, "--max-degree=x"],
+            ["frobnicate", R3_SCALED],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert any(line.startswith("error: ") for line in captured.err.splitlines())
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--help"])
+        assert info.value.code == 0
+        assert "--jet-degree" in capsys.readouterr().out
 
 
 class TestWitness:

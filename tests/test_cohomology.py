@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nambu.algebroid import _SweepBasis, anchor_residual
+from nambu.algebroid import anchor_residual
 from nambu.cohomology import (
     TensorCochain1,
     VolumeForm,
@@ -27,6 +27,7 @@ from nambu.errors import ChartMismatchError, OrderError
 from nambu.exterior import Form, Multivector, apply_vec, differential, pair, wedge
 from nambu.poly import Polynomial, jet_monomials
 from nambu.structure import JetBasisConfig, NambuStructure, hamiltonian, sharp
+from nambu.sweep import JetBasis, slot1_residual
 
 from conftest import random_form, random_polynomial
 
@@ -145,7 +146,7 @@ class TestCobound1:
         # requires the anchor identity, hence restricted to integrable fixtures
         for structure in (scaled_r3, volume_r3):
             cochain = cobound0(structure, x(3, 1) * x(3, 2))
-            basis = _SweepBasis(structure, 2)
+            basis = JetBasis(structure, 2)
             for g, left in basis.elements():
                 alpha = basis.form(g, left)
                 for right in basis.index_sets:
@@ -259,26 +260,19 @@ class TestModularCocycle:
         assert report.counterexample.residual == str(direct)
 
     def test_decomposed_residual_matches_direct(self, rng, scaled_r3, sum_r6):
-        from nambu.cohomology import _cocycle_pair_residual
-
         for structure in (scaled_r3, sum_r6):
-            basis = _SweepBasis(structure, 2)
+            basis = JetBasis(structure, 2)
             cochain = TensorCochain1(dd(structure.m, 1, 2))
-            cores = {
-                (left, right): cobound1_eval(
-                    structure,
-                    cochain,
-                    Form.basis(structure.m, left),
-                    Form.basis(structure.m, right),
-                )
-                for left in basis.index_sets
-                for right in basis.index_sets
-            }
+            cocycle = slot1_residual(
+                basis,
+                cochain,
+                lambda a, b: cobound1_eval(structure, cochain, a, b),
+            )
             for _ in range(8):
                 g = rng.randrange(len(basis.monomials))
                 left = rng.choice(basis.index_sets)
                 right = rng.choice(basis.index_sets)
-                fast = _cocycle_pair_residual(basis, cochain, cores, g, left, right)
+                fast = cocycle(g, left, 0, right)
                 direct = cobound1_eval(
                     structure,
                     cochain,

@@ -20,9 +20,12 @@ from record import GOLDEN, run_check  # noqa: E402
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize(
-    "case", CASES, ids=[f"{c['fixture']}:{c['args'][-1]}:{c['args'][0]}" for c in CASES]
-)
+def _case_id(case: dict) -> str:
+    checks = case["args"][-1].removeprefix("--checks=")
+    return f"{case['fixture']}-{checks}-{'json' if '--json' in case['args'] else 'text'}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
 def test_check_output_matches_golden(case):
     code, stdout = run_check(case["fixture"], case["args"])
     assert stdout == case["stdout"]

@@ -152,6 +152,13 @@ class TestStructureFiles:
             load_structure_dict(doc)
         assert location in str(info.value)
 
+    def test_empty_checks_rejected(self):
+        doc = self.good()
+        doc["checks"] = []
+        with pytest.raises(ParseError) as info:
+            load_structure_dict(doc)
+        assert "$.checks" in str(info.value)
+
     def test_duplicate_index_rejected(self):
         doc = self.good()
         doc["lambda"].append({"index": [1, 2, 3], "coeff": "1"})
