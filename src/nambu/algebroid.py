@@ -17,9 +17,9 @@ basis of (n-1)-forms ``x^gamma dx^I``:
 
 Sweep strategy.  Enumerating all tuples of jet-basis forms is quadratic or
 cubic in a basis of several hundred elements, far beyond the runtime budget,
-so each verifier sweeps an exact decomposition of its residual through the
-one scan-and-certify loop of ``sweep``, which also owns the jet basis, the
-degree cap and the reporting of the lexicographically first failure.  The
+so each verifier sweeps an exact decomposition of its residual over the jet
+basis and degree cap of ``sweep``, through the one scan-and-certify loop of
+``structure``, which reports the lexicographically first failure.  The
 decompositions follow from identities that hold for the implemented
 operations with *any* n-vector (no integrability assumed), chiefly
 
@@ -63,18 +63,14 @@ from .exterior import (
     lie_mv,
     pair,
     wedge,
+    wedge_all,
 )
 from .poly import Polynomial
-from .structure import CheckReport, JetBasisConfig, NambuStructure, nbracket, sharp
+from .structure import (
+    CheckReport, JetBasisConfig, NambuStructure, certify, first_hit, nbracket, sharp,
+)
 from .sweep import (
-    JetBasis,
-    certify,
-    certify_forms,
-    first_hit,
-    slot1_pairs,
-    slot1_residual,
-    slot1_sweep,
-    sweep_cache,
+    JetBasis, certify_forms, slot1_pairs, slot1_residual, slot1_sweep, sweep_cache,
 )
 
 
@@ -297,25 +293,13 @@ def exact_forms_residual(
     n = structure.n
     if len(fs) != n - 1 or len(gs) != n - 1:
         raise ArityError(f"exact-forms rule takes {n - 1} + {n - 1} functions")
-    alpha = _wedge_of_differentials(fs)
-    beta = _wedge_of_differentials(gs)
-    residual = lbracket(structure, alpha, beta)
+    dgs = [differential(g) for g in gs]
+    residual = lbracket(structure, wedge_all([differential(f) for f in fs]), wedge_all(dgs))
     for i in range(n - 1):
-        replaced = [differential(g) for g in gs]
+        replaced = list(dgs)
         replaced[i] = differential(nbracket(structure, list(fs) + [gs[i]]))
-        residual = residual - _wedge_all(replaced)
+        residual = residual - wedge_all(replaced)
     return residual
-
-
-def _wedge_all(factors: Sequence[Form]) -> Form:
-    omega = factors[0]
-    for factor in factors[1:]:
-        omega = wedge(omega, factor)
-    return omega
-
-
-def _wedge_of_differentials(functions: Sequence[Polynomial]) -> Form:
-    return _wedge_all([differential(f) for f in functions])
 
 
 def _first_exact_forms_failure(
@@ -336,11 +320,11 @@ def _first_exact_forms_failure(
     g_side = []
     for g_idx in tuples:
         dgs = [basis.d(g) for g in g_idx]
-        beta = _wedge_all(dgs)
+        beta = wedge_all(dgs)
         g_side.append((g_idx, dgs, beta, ext_d(beta)))
     for f_idx in tuples:
         fs = [basis.monomials[i] for i in f_idx]
-        alpha = _wedge_all([basis.d(f) for f in f_idx])
+        alpha = wedge_all([basis.d(f) for f in f_idx])
         anchor = sharp(structure, alpha)
         scale = pair(ext_d(alpha), lam) * sign
         d_bracket = {
@@ -353,7 +337,7 @@ def _first_exact_forms_failure(
             for i, g in enumerate(g_idx):
                 replaced = list(dgs)
                 replaced[i] = d_bracket[g]
-                residual = residual - _wedge_all(replaced)
+                residual = residual - wedge_all(replaced)
             if not residual.is_zero():
                 return fs, [basis.monomials[i] for i in g_idx], residual
     return None
@@ -481,8 +465,7 @@ def phi(wedge_elt: FormalWedge) -> Form:
     """Linear map sending ``f_1 ^ .. ^ f_{n-1}`` to ``df_1 ^ .. ^ df_{n-1}``."""
     result = Form.zero(wedge_elt.m, wedge_elt.arity)
     for coeff, factors in wedge_elt.terms:
-        term = _wedge_of_differentials(factors)
-        result = result + term * coeff
+        result = result + wedge_all([differential(f) for f in factors]) * coeff
     return result
 
 

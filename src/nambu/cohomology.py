@@ -51,10 +51,11 @@ from .structure import (
     Counterexample,
     JetBasisConfig,
     NambuStructure,
+    first_hit,
     hamiltonian,
     sharp,
 )
-from .sweep import JetBasis, slot1_sweep
+from .sweep import JetBasis, certify_forms, slot1_sweep
 
 
 @dataclass(frozen=True)
@@ -199,26 +200,20 @@ def verify_lsv(
     volume: VolumeForm,
     config: JetBasisConfig = JetBasisConfig(),
 ) -> CheckReport:
-    """Sweep the volume identity over the full jet basis of (n-1)-forms."""
-    structure.require_order_at_least(3)
-    _check_volume(structure, volume)
+    """Sweep the volume identity over the full jet basis of (n-1)-forms.
+
+    ``items_checked`` counts the basis forms swept, up to the first failure.
+    """
     modular = modular_multivector(structure, volume)
     basis = JetBasis(structure, config.max_degree)
-    items = 0
-    for g, indices in basis.elements():
-        items += 1
-        alpha = basis.form(g, indices)
-        residual = lsv_residual(structure, volume, alpha, modular)
-        if not residual.is_zero():
-            return CheckReport(
-                check="lsv",
-                passed=False,
-                items_checked=items,
-                counterexample=Counterexample(
-                    inputs=(format_tensor(alpha),), residual=str(residual)
-                ),
-            )
-    return CheckReport(check="lsv", passed=True, items_checked=items)
+    elements = list(basis.elements())
+
+    def residual(alpha: Form) -> Polynomial:
+        return lsv_residual(structure, volume, alpha, modular)
+
+    hit = first_hit(elements, lambda *point: residual(*basis.forms(point)))
+    items = len(elements) if hit is None else elements.index(hit) + 1
+    return certify_forms(basis, "lsv", items, hit, residual)
 
 
 # -- cocycle sweep ---------------------------------------------------------------

@@ -20,7 +20,8 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import reduce
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, DegreeError
 from .poly import Polynomial, format_polynomial
@@ -283,6 +284,11 @@ def wedge(a, b):
     # Degree overflow (> m) makes every index pair overlap, so the result is
     # the exact zero of the nominal degree.
     return type(a)._wrap(a.m, degree, result)
+
+
+def wedge_all(factors: Sequence):
+    """Wedge product ``factors[0] ^ factors[1] ^ ..`` of one or more tensors."""
+    return reduce(wedge, factors)
 
 
 def pair(omega: Form, mv: Multivector) -> Polynomial:

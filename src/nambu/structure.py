@@ -5,6 +5,12 @@ bracket ``{f_1, .., f_n} = <df_1 ^ .. ^ df_n, lam>``.  Construction does not
 presume the fundamental identity; ``check_fundamental_identity`` and
 ``check_invariance`` certify it explicitly over a finite monomial jet basis.
 
+This module also holds the one scan-and-certify loop that every verifier
+runs: ``first_hit`` stops at the first point of a grid, in pinned
+lexicographic order, whose fast residual is nonzero, and ``certify`` turns
+that hit into a report, recomputing the residual of the reported tuple by
+the direct formula and refusing a zero one.
+
 Sweep strategy.  Both check residuals are multidifferential operators of
 order <= 2 in each functional slot, so vanishing on all monomials of degree
 <= 2 already forces identical vanishing; the configured degree (default 3)
@@ -13,12 +19,11 @@ the invariance defect:
 
     R(f_1..f_{n-1}; g_1..g_n) = <dg_1 ^ .. ^ dg_n, L_{X_f} lam>
 
-(an identity of the implemented operations, certified by the test suite),
-so the verifier evaluates one Lie derivative per Hamiltonian tuple instead
-of enumerating the full tuple grid, and any reported counterexample is
-re-evaluated through the direct nested-bracket formula before it is
-returned.  Sweeps are pure and order-independent; the first counterexample
-in lexicographic tuple order is reported regardless of evaluation order.
+(an identity of the implemented operations, certified by the test suite).
+So both checks are one sweep of the f-tuples through ``invariance_defect``.
+The fundamental identity lifts its hit to the first g-tuple whose pairing
+with the defect is nonzero, the first failing tuple of the full grid, and
+only that tuple is evaluated by the direct nested-bracket formula.
 """
 
 from __future__ import annotations
@@ -28,13 +33,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArityError, ChartMismatchError, DegreeError, OrderError
 from .exterior import (
-    Form, Multivector, contract_form, differential, format_tensor, lie_mv, pair, wedge,
+    Form, Multivector, contract_form, differential, format_tensor, lie_mv, pair, wedge_all,
 )
-from .poly import Polynomial, jet_exponents
+from .poly import Polynomial, jet_monomials
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,47 @@ class PluckerVerdict(enum.Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
+# -- the scan-and-certify loop ---------------------------------------------------
+
+
+def first_hit(grid: Iterable[tuple], fast: Callable) -> tuple | None:
+    """First point of ``grid`` whose fast residual is nonzero, or None."""
+    for point in grid:
+        if not fast(*point).is_zero():
+            return point
+    return None
+
+
+def certify(
+    check: str,
+    items: int,
+    hit: tuple | None,
+    direct: Callable,
+    inputs: Callable[..., tuple[str, ...]],
+    locate: Callable[[tuple], tuple | None] | None = None,
+) -> CheckReport:
+    """The report of a sweep that stopped at ``hit`` (None when it passed).
+
+    ``locate`` maps the hit to the tuple to report; ``direct`` recomputes the
+    residual there and ``inputs`` renders the tuple.
+    """
+    if hit is None:
+        return CheckReport(check=check, passed=True, items_checked=items)
+    point = hit if locate is None else locate(hit)
+    value = None if point is None else direct(*point)
+    if value is None or value.is_zero():  # pragma: no cover - decomposition guard
+        raise AssertionError(
+            f"{check}: the sweep flagged {hit}, but the direct formula finds no failure"
+        )
+    text = str(value) if isinstance(value, Polynomial) else format_tensor(value)
+    return CheckReport(
+        check=check,
+        passed=False,
+        items_checked=items,
+        counterexample=Counterexample(inputs=inputs(*point), residual=text),
+    )
+
+
 # -- bracket operations -------------------------------------------------------
 
 
@@ -110,10 +156,7 @@ def nbracket(structure: NambuStructure, functions: Sequence[Polynomial]) -> Poly
     """The n-bracket ``{f_1, .., f_n}``."""
     if len(functions) != structure.n:
         raise ArityError(f"bracket takes {structure.n} functions, got {len(functions)}")
-    omega = differential(functions[0])
-    for f in functions[1:]:
-        omega = wedge(omega, differential(f))
-    return pair(omega, structure.nvector)
+    return pair(wedge_all([differential(f) for f in functions]), structure.nvector)
 
 
 def sharp(structure: NambuStructure, alpha: Form) -> Multivector:
@@ -131,12 +174,7 @@ def hamiltonian(structure: NambuStructure, functions: Sequence[Polynomial]) -> M
         raise ArityError(
             f"hamiltonian takes {structure.n - 1} functions, got {len(functions)}"
         )
-    if not functions:
-        raise ArityError("hamiltonian requires at least one function")
-    omega = differential(functions[0])
-    for f in functions[1:]:
-        omega = wedge(omega, differential(f))
-    return sharp(structure, omega)
+    return sharp(structure, wedge_all([differential(f) for f in functions]))
 
 
 # -- direct residual evaluators ----------------------------------------------
@@ -175,73 +213,64 @@ def invariance_defect(
 # -- verifiers ----------------------------------------------------------------
 
 
+def _invariance_sweep(structure: NambuStructure, config: JetBasisConfig):
+    """The f-tuples of jet monomials, their defect, and the first nonzero one."""
+    monomials = jet_monomials(structure.m, config.max_degree)
+    f_tuples = list(itertools.combinations(monomials, structure.n - 1))
+
+    def defect(*fs: Polynomial) -> Multivector:
+        return invariance_defect(structure, fs)
+
+    return monomials, f_tuples, defect, first_hit(f_tuples, defect)
+
+
+def _texts(*functions: Polynomial) -> tuple[str, ...]:
+    return tuple(map(str, functions))
+
+
 def check_fundamental_identity(
     structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
 ) -> CheckReport:
     """Certify the fundamental identity over the monomial jet basis.
 
     The residual is alternating in the f-slots and in the g-slots, so
-    strictly increasing tuples cover the full grid.  Each Hamiltonian tuple
-    is certified through its invariance defect (see module docstring); a
-    nonzero defect is converted into the lexicographically first failing
-    g-tuple, whose residual is recomputed with the direct nested-bracket
-    formula.
+    strictly increasing tuples cover the full grid.  The f-tuples are swept
+    through their invariance defect (module docstring); the first nonzero
+    defect is lifted to the first g-tuple whose pairing with it is nonzero,
+    and that tuple's residual is recomputed by ``fi_residual``.
     """
-    exps = jet_exponents(structure.m, config.max_degree)
-    monomials = [Polynomial.monomial(e) for e in exps]
-    f_tuples = list(itertools.combinations(range(len(monomials)), structure.n - 1))
-    g_count = math.comb(len(monomials), structure.n)
-    items = len(f_tuples) * g_count
-    for f_idx in f_tuples:
-        fs = [monomials[i] for i in f_idx]
-        defect = invariance_defect(structure, fs)
-        if defect.is_zero():
-            continue
-        # Scan g-tuples in lexicographic order with the direct formula; a
-        # coordinate tuple hitting a nonzero defect component guarantees one.
-        for g_idx in itertools.combinations(range(len(monomials)), structure.n):
-            gs = [monomials[i] for i in g_idx]
-            residual = fi_residual(structure, fs, gs)
-            if not residual.is_zero():
-                inputs = tuple(str(monomials[i]) for i in f_idx) + tuple(
-                    str(monomials[i]) for i in g_idx
-                )
-                return CheckReport(
-                    check="fundamental-identity",
-                    passed=False,
-                    items_checked=items,
-                    counterexample=Counterexample(inputs=inputs, residual=str(residual)),
-                )
-        raise AssertionError(
-            "nonzero invariance defect without a bracket counterexample; "
-            "the factorization identity is violated"
+    monomials, f_tuples, defect, hit = _invariance_sweep(structure, config)
+    n = structure.n
+
+    def locate(fs: tuple) -> tuple | None:
+        lie = defect(*fs)
+        d = {g: differential(g) for g in monomials}
+        gs = first_hit(
+            itertools.combinations(monomials, n),
+            lambda *g_tuple: pair(wedge_all([d[g] for g in g_tuple]), lie),
         )
-    return CheckReport(check="fundamental-identity", passed=True, items_checked=items)
+        return None if gs is None else fs + gs
+
+    return certify(
+        "fundamental-identity",
+        len(f_tuples) * math.comb(len(monomials), n),
+        hit,
+        lambda *point: fi_residual(structure, point[: n - 1], point[n - 1 :]),
+        _texts,
+        locate,
+    )
 
 
 def check_invariance(
     structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
 ) -> CheckReport:
-    """Certify that every jet-basis Hamiltonian field preserves the n-vector."""
-    exps = jet_exponents(structure.m, config.max_degree)
-    monomials = [Polynomial.monomial(e) for e in exps]
-    f_tuples = itertools.combinations(range(len(monomials)), structure.n - 1)
-    items = 0
-    for f_idx in f_tuples:
-        items += 1
-        fs = [monomials[i] for i in f_idx]
-        defect = invariance_defect(structure, fs)
-        if not defect.is_zero():
-            inputs = tuple(str(monomials[i]) for i in f_idx)
-            return CheckReport(
-                check="invariance",
-                passed=False,
-                items_checked=items,
-                counterexample=Counterexample(
-                    inputs=inputs, residual=format_tensor(defect)
-                ),
-            )
-    return CheckReport(check="invariance", passed=True, items_checked=items)
+    """Certify that every jet-basis Hamiltonian field preserves the n-vector.
+
+    ``items_checked`` counts the f-tuples swept, up to the first failure.
+    """
+    _, f_tuples, defect, hit = _invariance_sweep(structure, config)
+    items = len(f_tuples) if hit is None else f_tuples.index(hit) + 1
+    return certify("invariance", items, hit, defect, _texts)
 
 
 # -- pointwise decomposability -------------------------------------------------

@@ -1,17 +1,20 @@
-"""The monomial jet basis of (n-1)-forms and the one scan-and-certify loop.
+"""The monomial jet basis of (n-1)-forms and the sweeps over it.
 
-Every pair verifier of ``algebroid`` and ``cohomology`` certifies the same
-way.  ``first_hit`` sweeps a grid of basis indices in the pinned
-lexicographic order (slot by slot: coefficient monomial-major, then index
-set) through a fast residual, an exact decomposition that the test suite
+Every verifier certifies through the one scan-and-certify loop of
+``structure``.  ``first_hit`` sweeps a grid in the pinned lexicographic
+order (here slot by slot: coefficient monomial-major, then index set)
+through a fast residual, an exact decomposition that the test suite
 cross-checks against the direct formula, and stops at the first nonzero one.
 ``certify`` reports a pass when there is none.  Otherwise the hit may name
 a tuple other than the one to report: after a capped grid certifies, the
-caller rescans the full grid, and a Leibniz pair is lifted to a triple by
-``locate``.  The residual of the reported tuple is recomputed by the direct
-formula, and a zero one is refused.  Residuals are multidifferential operators of
-order <= 2 per slot, so grids capped at coefficient degree 2
-(``JetBasis.capped``) certify the full configured degree.
+caller rescans the full grid; a Leibniz pair is lifted to a triple, and a
+fundamental-identity f-tuple to its first failing g-tuple, by ``locate``.
+The residual of the reported tuple is recomputed by the direct formula, and
+a zero one is refused.  Residuals are multidifferential operators of order
+<= 2 per slot, so grids capped at coefficient degree 2 (``JetBasis.capped``)
+certify the full configured degree.  ``certify_forms`` is ``certify`` for
+points made of basis forms; the volume identity (``verify_lsv``) sweeps
+``JetBasis.elements`` through it.
 
 The slot-1 rule.  A residual ``R`` that is linear over functions in its
 second slot and moves a function out of its first slot through a linear map
@@ -29,13 +32,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .exterior import (
     Form, Multivector, apply_vec, contract_vec, differential, format_tensor, wedge,
 )
 from .poly import Polynomial, jet_exponents
-from .structure import CheckReport, Counterexample, NambuStructure, sharp
+from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
 
 
 def sweep_cache(method: Callable) -> Callable:
@@ -108,45 +111,7 @@ class JetBasis:
         return sharp(self.structure, self.units[indices])
 
 
-# -- the scan-and-certify loop ---------------------------------------------------
-
-
-def first_hit(grid: Iterable[tuple], fast: Callable) -> tuple | None:
-    """First point of ``grid`` whose fast residual is nonzero, or None."""
-    for point in grid:
-        if not fast(*point).is_zero():
-            return point
-    return None
-
-
-def certify(
-    check: str,
-    items: int,
-    hit: tuple | None,
-    direct: Callable,
-    inputs: Callable[..., tuple[str, ...]],
-    locate: Callable[[tuple], tuple | None] | None = None,
-) -> CheckReport:
-    """The report of a sweep that stopped at ``hit`` (None when it passed).
-
-    ``locate`` maps the hit to the tuple to report; ``direct`` recomputes the
-    residual there and ``inputs`` renders the tuple.
-    """
-    if hit is None:
-        return CheckReport(check=check, passed=True, items_checked=items)
-    point = hit if locate is None else locate(hit)
-    value = None if point is None else direct(*point)
-    if value is None or value.is_zero():  # pragma: no cover - decomposition guard
-        raise AssertionError(
-            f"{check}: the sweep flagged {hit}, but the direct formula finds no failure"
-        )
-    text = str(value) if isinstance(value, Polynomial) else format_tensor(value)
-    return CheckReport(
-        check=check,
-        passed=False,
-        items_checked=items,
-        counterexample=Counterexample(inputs=inputs(*point), residual=text),
-    )
+# -- certifying basis forms ----------------------------------------------------------
 
 
 def certify_forms(

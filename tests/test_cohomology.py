@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from nambu import cohomology
 from nambu.algebroid import anchor_residual
 from nambu.cohomology import (
     TensorCochain1,
@@ -17,6 +18,7 @@ from nambu.cohomology import (
     divergence,
     verify_cocycle,
     exactness_witness,
+    lsv_residual,
     modular_multivector,
     verify_lsv,
     verify_modular_cocycle,
@@ -24,7 +26,9 @@ from nambu.cohomology import (
     volume_structure,
 )
 from nambu.errors import ChartMismatchError, OrderError
-from nambu.exterior import Form, Multivector, apply_vec, differential, pair, wedge
+from nambu.exterior import (
+    Form, Multivector, apply_vec, differential, format_tensor, pair, wedge,
+)
 from nambu.poly import Polynomial, jet_monomials
 from nambu.structure import JetBasisConfig, NambuStructure, hamiltonian, sharp
 from nambu.sweep import JetBasis, slot1_residual
@@ -201,6 +205,27 @@ class TestLsv:
         assert verify_lsv(scaled_r3, nu3.rescaled(x(3, 1))).passed
         assert verify_lsv(volume_r3, nu3).passed
         assert verify_lsv(normal_r4, VolumeForm.standard(4)).passed
+
+    def test_forced_failure_matches_direct_scan(self, monkeypatch, scaled_r3, nu3):
+        # A modular multivector off by x1*d2^d3 breaks the identity on every
+        # form with a dx2^dx3 part; the report must be the first failure of
+        # the direct scan, with the running item count.
+        wrong = modular_multivector(scaled_r3, nu3) + x(3, 1) * dd(3, 2, 3)
+        monkeypatch.setattr(cohomology, "modular_multivector", lambda *_: wrong)
+        expected = None
+        grid = itertools.product(jet_monomials(3, 3), itertools.combinations((1, 2, 3), 2))
+        for items, (g, indices) in enumerate(grid, start=1):
+            alpha = dx(3, *indices) * g
+            residual = lsv_residual(scaled_r3, nu3, alpha, wrong)
+            if not residual.is_zero():
+                expected = (format_tensor(alpha),), str(residual), items
+                break
+        assert expected is not None and expected[2] > 1
+
+        report = verify_lsv(scaled_r3, nu3)
+        assert not report.passed
+        found = report.counterexample
+        assert (found.inputs, found.residual, report.items_checked) == expected
 
 
 class TestModularCocycle:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,47 @@ from oracles import oracle_nbracket, oracle_plucker_fail
 
 def x(m, i):
     return Polynomial.variable(m, i)
+
+
+def seeded_coefficient(rng, m):
+    """A nonzero seeded polynomial on an m-chart."""
+    while True:
+        f = random_polynomial(rng, m, 2, 3)
+        if not f.is_zero():
+            return f
+
+
+def seeded_points(rng, m, count=4):
+    return [
+        [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)]
+        for _ in range(count)
+    ]
+
+
+def two_blades_r5(rng):
+    """c1 * d1^d2^d3 + c2 * d3^d4^d5 with seeded coefficients: not integrable."""
+    first = seeded_coefficient(rng, 5) * Multivector.basis(5, (1, 2, 3))
+    second = seeded_coefficient(rng, 5) * Multivector.basis(5, (3, 4, 5))
+    return NambuStructure(5, 3, first + second)
+
+
+def direct_fi_scan(structure, max_degree):
+    """First fundamental-identity failure by nested brackets, with the item count.
+
+    Every f-tuple with a nonzero invariance defect is scanned over all
+    g-tuples in lexicographic order through ``fi_residual``.
+    """
+    monomials = jet_monomials(structure.m, max_degree)
+    f_tuples = list(itertools.combinations(monomials, structure.n - 1))
+    items = len(f_tuples) * math.comb(len(monomials), structure.n)
+    for fs in f_tuples:
+        if invariance_defect(structure, list(fs)).is_zero():
+            continue
+        for gs in itertools.combinations(monomials, structure.n):
+            residual = fi_residual(structure, list(fs), list(gs))
+            if not residual.is_zero():
+                return tuple(str(p) for p in fs + gs), str(residual), items
+    return None
 
 
 class TestConstruction:
@@ -196,6 +238,16 @@ class TestFundamentalIdentity:
                 break
         assert hits
 
+    def test_counterexample_matches_direct_scan(self, rng, sum_r6):
+        config = JetBasisConfig(max_degree=2)
+        for structure in (sum_r6, two_blades_r5(rng), two_blades_r5(rng)):
+            report = check_fundamental_identity(structure, config)
+            assert not report.passed
+            expected = direct_fi_scan(structure, 2)
+            assert expected is not None
+            found = report.counterexample
+            assert (found.inputs, found.residual, report.items_checked) == expected
+
     def test_factorization_identity(self, rng, scaled_r3, sum_r6):
         # residual == <dg1 ^ .. ^ dgn, invariance defect>, exactly
         for structure in (scaled_r3, sum_r6):
@@ -236,6 +288,37 @@ class TestInvariance:
             inv = check_invariance(structure, config)
             if fi.passed:
                 assert inv.passed
+
+
+class TestDecomposabilityOracle:
+    """For n >= 3 a Nambu-Poisson tensor is decomposable wherever it is
+    nonzero (Gautheron 1996), a test independent of the bracket formulas."""
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (4, 3), (5, 3), (5, 4)])
+    def test_scaled_coordinate_blade_passes_both(self, rng, m, n):
+        config = JetBasisConfig(max_degree=2)
+        for _ in range(2):
+            blade = tuple(sorted(rng.sample(range(1, m + 1), n)))
+            nvector = seeded_coefficient(rng, m) * Multivector.basis(m, blade)
+            structure = NambuStructure(m, n, nvector)
+            assert check_fundamental_identity(structure, config).passed
+            for point in seeded_points(rng, m):
+                assert plucker_at(structure, point) is PluckerVerdict.PASS
+
+    def test_sum_of_disjoint_blades_fails_both(self, rng):
+        config = JetBasisConfig(max_degree=2)
+        for _ in range(2):
+            first = tuple(sorted(rng.sample(range(1, 7), 3)))
+            second = tuple(i for i in range(1, 7) if i not in first)
+            f, g = seeded_coefficient(rng, 6), seeded_coefficient(rng, 6)
+            nvector = f * Multivector.basis(6, first) + g * Multivector.basis(6, second)
+            structure = NambuStructure(6, 3, nvector)
+            assert not check_fundamental_identity(structure, config).passed
+            # where one blade vanishes the tensor is decomposable
+            points = [p for p in seeded_points(rng, 6) if f.evaluate(p) and g.evaluate(p)]
+            assert points
+            for point in points:
+                assert plucker_at(structure, point) is PluckerVerdict.FAIL
 
 
 class TestPlucker:
