@@ -32,13 +32,17 @@ sharp-d residual ``S``:
 
     leibniz_residual(a, b, c) = lie_form(A(a,b), c) - (-1)^n * S(a,b) * c.
 
-The exact-forms rule is swept over pairs of function tuples without a
-decomposition: it evaluates the same operations as the direct residual, but
-hoists every piece that depends on one slot out of the pair loop (the
-wedges of differentials, their exterior derivatives, the anchor and bracket
-scale of the left slot, and the brackets ``d{f.., g}``), so a pair costs
-only the pieces that need both slots.  The phi-morphism residual is the
-negated exact-forms residual, so the same sweep certifies it.
+The exact-forms rule splits too.  With ``a = df_1^..^df_{n-1}`` and
+``b = dg_1^..^dg_{n-1}`` both closed, ``<d a, lam> = 0`` and
+``lbracket(a, b) = L_X b`` for ``X = X_F = sharp(a)``.  The derivation part
+``L_X b - sum_i dg_1^..^d(X g_i)^..^dg_{n-1}`` vanishes for any vector field,
+so the exact-forms residual is
+
+    sum_i dg_1 ^ .. ^ d(X_F(g_i) - {F, g_i}) ^ .. ^ dg_{n-1},
+
+and the linear sweep of the consistency 1-forms ``d(X_F(g) - {F, g})``
+certifies the quadratic grid of tuple pairs.  The phi-morphism residual is
+the negated exact-forms residual, so the same sweep certifies it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ArityError, DegreeError
 from .exterior import (
@@ -67,15 +71,12 @@ from .exterior import (
 )
 from .poly import Polynomial
 from .structure import (
-    CheckReport, JetBasisConfig, NambuStructure, certify, first_hit, nbracket, sharp,
+    CheckReport, JetBasisConfig, NambuStructure, certify, first_hit, hamiltonian, nbracket,
+    sharp,
 )
 from .sweep import (
     JetBasis, certify_forms, slot1_pairs, slot1_residual, slot1_sweep, sweep_cache,
 )
-
-
-def _sign_n(structure: NambuStructure) -> int:
-    return -1 if structure.n % 2 else 1
 
 
 def _check_section(structure: NambuStructure, form: Form, name: str) -> None:
@@ -100,7 +101,7 @@ def lbracket(structure: NambuStructure, alpha: Form, beta: Form) -> Form:
     scale = pair(ext_d(alpha), structure.nvector)
     if not scale.is_zero():
         correction = beta * scale
-        if _sign_n(structure) < 0:
+        if structure.n % 2:
             correction = -correction
         result = result + correction
     return result
@@ -302,52 +303,31 @@ def exact_forms_residual(
     return residual
 
 
-def _first_exact_forms_failure(
-    basis: JetBasis,
-) -> tuple[list[Polynomial], list[Polynomial], Form] | None:
-    """First failing pair of the exact-forms rule in direct-scan order, or None.
+def _exact_forms_sweep(
+    basis: JetBasis, check: str, items: int, direct: Callable, inputs: Callable
+) -> CheckReport:
+    """Certify the exact-forms rule over pairs of capped function tuples.
 
-    The pairs are the increasing function tuples of capped degree.  Per pair
-    only ``i_X d beta + d i_X beta``, the scale term and the n-1 replaced
-    wedges are evaluated; the rest is computed once per tuple.  A failure is
-    returned as ``(fs, gs, residual)`` with the hoisted residual.
+    ``direct(fs, gs)`` is the calling verifier's residual and ``inputs``
+    renders a pair.  The residual is the wedge sum of the consistency
+    1-forms ``d(X_F(g) - {F, g})`` (module docstring), so the linear grid
+    ``(F, g)`` certifies the pair grid; a hit is located at the first pair,
+    from the hit's f-tuple on, whose direct residual is nonzero.
     """
     structure = basis.structure
-    lam = structure.nvector
-    sign = _sign_n(structure)
-    capped = basis.capped()
+    capped = [basis.monomials[g] for g in basis.capped()]
     tuples = list(itertools.combinations(capped, structure.n - 1))
-    g_side = []
-    for g_idx in tuples:
-        dgs = [basis.d(g) for g in g_idx]
-        beta = wedge_all(dgs)
-        g_side.append((g_idx, dgs, beta, ext_d(beta)))
-    for f_idx in tuples:
-        fs = [basis.monomials[i] for i in f_idx]
-        alpha = wedge_all([basis.d(f) for f in f_idx])
-        anchor = sharp(structure, alpha)
-        scale = pair(ext_d(alpha), lam) * sign
-        d_bracket = {
-            g: differential(nbracket(structure, fs + [basis.monomials[g]])) for g in capped
-        }
-        for g_idx, dgs, beta, d_beta in g_side:
-            residual = contract_vec(anchor, d_beta) + ext_d(contract_vec(anchor, beta))
-            if not scale.is_zero():
-                residual = residual + beta * scale
-            for i, g in enumerate(g_idx):
-                replaced = list(dgs)
-                replaced[i] = d_bracket[g]
-                residual = residual - wedge_all(replaced)
-            if not residual.is_zero():
-                return fs, [basis.monomials[i] for i in g_idx], residual
-    return None
+    fields = {fs: hamiltonian(structure, fs) for fs in tuples}
 
+    def consistency(fs, g):
+        return differential(apply_vec(fields[fs], g) - nbracket(structure, [*fs, g]))
 
-def _agreeing(direct: Form, hoisted: Form) -> Form:
-    """The direct residual, once it is checked to equal the hoisted one."""
-    if direct != hoisted:  # pragma: no cover - hoisting guard
-        raise AssertionError("hoisted exact-forms residual disagrees with direct value")
-    return direct
+    def locate(hit):
+        rows = tuples[tuples.index(hit[0]):]
+        return first_hit(itertools.product(rows, tuples), direct)
+
+    hit = first_hit(itertools.product(tuples, capped), consistency)
+    return certify(check, items, hit, direct, inputs, locate)
 
 
 def function_slot2_residual(
@@ -376,9 +356,8 @@ def verify_characterization(
     The two function-slot rules are exactly linear in the coefficients of
     both form slots (slot lemmas in the module docstring), so constant basis
     forms with a full-degree function slot cover the whole grid.  The
-    exact-forms rule is swept by ``_first_exact_forms_failure``; its first
-    nonzero residual is recomputed by ``exact_forms_residual``, which must
-    agree, and the direct value is reported.
+    exact-forms rule is certified by ``_exact_forms_sweep``, which locates a
+    failure with ``exact_forms_residual`` and reports its direct value.
     """
     basis = JetBasis(structure, config.max_degree)
     n = structure.n
@@ -390,15 +369,15 @@ def verify_characterization(
         + count_funcs * count_forms * count_forms   # slot-1 rule
     )
 
-    hit = _first_exact_forms_failure(basis)
-    if hit is not None:
-        return certify(
-            "characterization",
-            items,
-            hit,
-            lambda fs, gs, hoisted: _agreeing(exact_forms_residual(structure, fs, gs), hoisted),
-            lambda fs, gs, _: ("exact-forms", *map(str, fs), *map(str, gs)),
-        )
+    report = _exact_forms_sweep(
+        basis,
+        "characterization",
+        items,
+        partial(exact_forms_residual, structure),
+        lambda fs, gs: ("exact-forms", *map(str, fs), *map(str, gs)),
+    )
+    if not report.passed:
+        return report
 
     def residual(rule, left, g, right):
         alpha, beta, f = basis.units[left], basis.units[right], basis.monomials[g]
@@ -501,23 +480,18 @@ def verify_phi_morphism(
     On decomposable wedges ``phi({F, G}')`` is the sum of replaced wedges
     that the exact-forms rule subtracts from ``lbracket(phi F, phi G)``, so
     this residual is, by construction, the negated exact-forms residual, and
-    the exact-forms sweep certifies it on the same grid: increasing function
-    tuples with slot degrees capped at 2.  A hit is recomputed through
-    ``phi``, ``fbracket_prime`` and ``lbracket``, which must give the negated
-    swept residual, and that direct value is reported.
+    ``_exact_forms_sweep`` certifies it on the same grid: increasing function
+    tuples with slot degrees capped at 2.  A failure is located, and its
+    value reported, through ``phi``, ``fbracket_prime`` and ``lbracket``.
     """
     basis = JetBasis(structure, config.max_degree)
     items = math.comb(len(basis.monomials), structure.n - 1) ** 2
 
-    def direct(fs, gs, hoisted):
+    def direct(fs, gs):
         left, right = FormalWedge.single(fs), FormalWedge.single(gs)
         value = phi(fbracket_prime(structure, left, right))
-        return _agreeing(value - lbracket(structure, phi(left), phi(right)), -hoisted)
+        return value - lbracket(structure, phi(left), phi(right))
 
-    return certify(
-        "phi-morphism",
-        items,
-        _first_exact_forms_failure(basis),
-        direct,
-        lambda fs, gs, _: tuple(str(p) for p in fs + gs),
+    return _exact_forms_sweep(
+        basis, "phi-morphism", items, direct, lambda fs, gs: tuple(map(str, fs + gs))
     )

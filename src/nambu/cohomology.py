@@ -42,15 +42,14 @@ from .exterior import (
     contract_form,
     differential,
     ext_d,
-    format_tensor,
     pair,
 )
 from .poly import Polynomial, jet_exponents
 from .structure import (
     CheckReport,
-    Counterexample,
     JetBasisConfig,
     NambuStructure,
+    certify,
     first_hit,
     hamiltonian,
     sharp,
@@ -261,18 +260,13 @@ def verify_volume_change(
         )
     before = modular_multivector(structure, volume)
     after = modular_multivector(structure, volume.rescaled(q))
-    shift = cobound0(structure, q).w
-    residual = after - before - shift
-    items = math.comb(structure.m, structure.n - 1)
-    if residual.is_zero():
-        return CheckReport(check="volume-change", passed=True, items_checked=items)
-    return CheckReport(
-        check="volume-change",
-        passed=False,
-        items_checked=items,
-        counterexample=Counterexample(
-            inputs=(str(q),), residual=format_tensor(residual)
-        ),
+    residual = after - before - cobound0(structure, q).w
+    return certify(
+        "volume-change",
+        math.comb(structure.m, structure.n - 1),
+        None if residual.is_zero() else (q,),
+        lambda _: residual,
+        lambda q: (str(q),),
     )
 
 

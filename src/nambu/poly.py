@@ -28,6 +28,7 @@ terms by graded lexicographic order, highest first (``x1`` dominates).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -174,8 +175,9 @@ class Polynomial:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def _wrap(self, terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
@@ -312,6 +314,12 @@ def format_polynomial(poly: Polynomial) -> str:
 # Each open parenthesis costs five nested parser calls; this bound keeps the
 # recursion far below the interpreter's limit.
 _MAX_NESTING = 100
+# Bounds that stop a short input from asking for an unbounded computation:
+# the exponent of a power, the number of terms a power or a product may
+# produce, and the coefficient size in bits a power may produce.
+_MAX_EXPONENT = 100
+_MAX_TERMS = 1000
+_MAX_BITS = 100_000
 
 
 class _Tokenizer:
@@ -320,8 +328,9 @@ class _Tokenizer:
         self.pos = 0
         self.depth = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, location=f"column {self.pos + 1}")
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        column = (self.pos if pos is None else pos) + 1
+        return ParseError(message, location=f"column {column}")
 
     def peek(self) -> str | None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -376,8 +385,12 @@ def _parse_term(tok: _Tokenizer, num_vars: int) -> Polynomial:
     while True:
         ch = tok.peek()
         if ch == "*":
+            star = tok.pos
             tok.pos += 1
-            result = result * _parse_factor(tok, num_vars)
+            factor = _parse_factor(tok, num_vars)
+            if len(result.terms) * len(factor.terms) > _MAX_TERMS:
+                raise tok.error(f"product may exceed {_MAX_TERMS} terms", star)
+            result = result * factor
         elif ch == "/":
             tok.pos += 1
             divisor = _parse_factor(tok, num_vars)
@@ -393,12 +406,25 @@ def _parse_term(tok: _Tokenizer, num_vars: int) -> Polynomial:
 
 def _parse_factor(tok: _Tokenizer, num_vars: int) -> Polynomial:
     base = _parse_base(tok, num_vars)
-    if tok.peek() == "^":
-        tok.pos += 1
-        if tok.peek() is None or not tok.text[tok.pos].isdigit():
-            raise tok.error("exponent must be a non-negative integer")
-        return base ** tok.take_int()
-    return base
+    if tok.peek() != "^":
+        return base
+    caret = tok.pos
+    tok.pos += 1
+    if tok.peek() is None or not tok.text[tok.pos].isdigit():
+        raise tok.error("exponent must be a non-negative integer")
+    exponent = tok.take_int()
+    if exponent > _MAX_EXPONENT:
+        raise tok.error(f"exponent {exponent} exceeds {_MAX_EXPONENT}", caret)
+    # a t-term base has at most C(t+e-1, e) terms in its e-th power
+    if math.comb(max(len(base.terms), 1) + exponent - 1, exponent) > _MAX_TERMS:
+        raise tok.error(f"power may exceed {_MAX_TERMS} terms", caret)
+    bits = max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in base.terms.values()),
+        default=0,
+    )
+    if exponent * bits > _MAX_BITS:
+        raise tok.error(f"power may exceed {_MAX_BITS}-bit coefficients", caret)
+    return base ** exponent
 
 
 def _parse_base(tok: _Tokenizer, num_vars: int) -> Polynomial:

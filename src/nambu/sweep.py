@@ -7,8 +7,10 @@ through a fast residual, an exact decomposition that the test suite
 cross-checks against the direct formula, and stops at the first nonzero one.
 ``certify`` reports a pass when there is none.  Otherwise the hit may name
 a tuple other than the one to report: after a capped grid certifies, the
-caller rescans the full grid; a Leibniz pair is lifted to a triple, and a
-fundamental-identity f-tuple to its first failing g-tuple, by ``locate``.
+caller rescans the full grid; a Leibniz pair is lifted to a triple, a
+fundamental-identity f-tuple to its first failing g-tuple, and an
+exact-forms consistency hit ``(F, g)`` to the first failing pair of function
+tuples from ``F`` on, by ``locate``.
 The residual of the reported tuple is recomputed by the direct formula, and
 a zero one is refused.  Residuals are multidifferential operators of order
 <= 2 per slot, so grids capped at coefficient degree 2 (``JetBasis.capped``)

@@ -21,9 +21,9 @@ from nambu.cli import CHECKS, main
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).with_name("check.json")
+# Every check runs on every fixture.  characterization and phi-morphism pass
+# on r6_nonexample too: they certify rules that hold for any n-vector.
 FIXTURES = ("r3_scaled", "r3_volume", "r4_normal_form", "r6_nonexample")
-# Both pass on every input; on r6 they cost minutes, not seconds.
-SKIPPED = {("r6_nonexample", "characterization"), ("r6_nonexample", "phi-morphism")}
 TEXT_CASES = (
     ("r6_nonexample", "fundamental-identity,invariance,anchor,sharp-d,leibniz"),
 )
@@ -33,8 +33,7 @@ def cases() -> list[tuple[str, list[str]]]:
     found = []
     for fixture in FIXTURES:
         for check in sorted(CHECKS):
-            if (fixture, check) not in SKIPPED:
-                found.append((fixture, ["--json", "--jet-degree=2", f"--checks={check}"]))
+            found.append((fixture, ["--json", "--jet-degree=2", f"--checks={check}"]))
     for fixture, checks in TEXT_CASES:
         found.append((fixture, ["--jet-degree=2", f"--checks={checks}"]))
     return found

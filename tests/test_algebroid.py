@@ -364,6 +364,66 @@ class TestExactFormsRule:
         assert report.counterexample.inputs == tuple(str(p) for p in fs + gs)
         assert report.counterexample.residual == format_tensor(residual)
 
+    def test_residual_splits_into_consistency_defects(self, monkeypatch, rng, scaled_r3, sum_r6):
+        # For closed alpha = dF the residual is
+        #   sum_i dg_1 ^ .. ^ d(X_F(g_i) - {F, g_i}) ^ .. ^ dg_{n-1},
+        # for any n-vector; a perturbed bracket makes the defects nonzero.
+        from nambu import algebroid
+        from nambu.exterior import apply_vec, wedge_all
+        from nambu.structure import hamiltonian, nbracket
+
+        extra: dict[tuple[Polynomial, ...], Polynomial] = {}
+
+        def perturbed(structure, functions):
+            value = nbracket(structure, functions)
+            return value + extra.get(tuple(functions), Polynomial.zero(structure.m))
+
+        def split(structure, fs, gs):
+            field = hamiltonian(structure, fs)
+            dgs = [differential(g) for g in gs]
+            total = Form.zero(structure.m, structure.n - 1)
+            for i, g in enumerate(gs):
+                defect = apply_vec(field, g) - algebroid.nbracket(structure, [*fs, g])
+                total = total + wedge_all(dgs[:i] + [differential(defect)] + dgs[i + 1 :])
+            return total
+
+        monkeypatch.setattr(algebroid, "nbracket", perturbed)
+        m = 3
+        extra[(x(m, 1), x(m, 3), x(m, 1) * x(m, 2))] = x(m, 3) ** 2
+        extra[(x(m, 2), x(m, 1) ** 2, x(m, 3))] = x(m, 1) * x(m, 2) - x(m, 3)
+        extra[(Polynomial.one(m), x(m, 2) * x(m, 3), x(m, 2))] = x(m, 2) ** 2 * 3
+        capped = [Polynomial.monomial(e) for e in JetBasis(scaled_r3, 2).exponents]
+        tuples = list(itertools.combinations(capped, 2))
+        cases = [(scaled_r3, fs, gs) for fs in tuples for gs in tuples]
+        for _ in range(6):
+            fs = [random_polynomial(rng, 6, 2, 3) for _ in range(2)]
+            gs = [random_polynomial(rng, 6, 2, 3) for _ in range(2)]
+            extra[(*fs, gs[rng.randrange(2)])] = random_polynomial(rng, 6, 2, 3) * x(6, 4)
+            cases.append((sum_r6, fs, gs))
+        nonzero = 0
+        for structure, fs, gs in cases:
+            residual = exact_forms_residual(structure, fs, gs)
+            assert residual == split(structure, fs, gs)
+            nonzero += not residual.is_zero()
+        assert nonzero
+
+    def test_constant_bracket_perturbation_is_invisible(self, monkeypatch, scaled_r3):
+        # d kills a constant, so both rules still hold: the sweep must test
+        # the differential of the consistency defect, not the defect itself.
+        from nambu import algebroid
+        from nambu.structure import nbracket
+
+        m = 3
+        target = [x(m, 1), x(m, 3), x(m, 1) * x(m, 2)]
+
+        def perturbed(structure, functions):
+            value = nbracket(structure, functions)
+            return value + 5 if list(functions) == target else value
+
+        monkeypatch.setattr(algebroid, "nbracket", perturbed)
+        assert verify_characterization(scaled_r3).passed
+        assert verify_phi_morphism(scaled_r3).passed
+
     def test_frozen_instance(self, scaled_r3):
         # [[d(x1)^d(x2), d(x2)^d(x3)]] = d{x1,x2,x2}^dx3 + dx2^d{x1,x2,x3}
         #                              = dx2 ^ d(x3) rescaled by the bracket

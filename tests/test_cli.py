@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,14 @@ class TestCompute:
         code, _, err = run(capsys, ["compute", R3_SCALED, "sharp", "dx1^dx9"])
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("expression", ["(x1+x2+x3+1)^200", "3^99999999"])
+    def test_oversized_power_is_a_parse_error(self, capsys, expression):
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["compute", R3_SCALED, "hamiltonian", expression, "x2"])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "column" in err
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, ["compute", R3_SCALED, "modular", "--json"])

@@ -194,6 +194,27 @@ class TestGrammar:
     def test_nesting_within_bound_parses(self):
         assert parse_polynomial("(" * 100 + "x1" + ")" * 100, M) == x(1)
 
+    @pytest.mark.parametrize(
+        ("text", "column"),
+        [
+            ("3^99999999", "column 2"),  # exponent bound
+            ("(x1+x2+x3+1)^20", "column 13"),  # C(23, 20) = 1771 terms
+            ("(x1+x2+x3+1)^30", "column 13"),
+            ("(x1+x2+x3+1)^9*(x1+x2+x3+1)^9", "column 15"),  # 220 * 220 terms
+            ("((3^100)^100)^100", "column 14"),  # 1.6 million coefficient bits
+        ],
+    )
+    def test_oversized_power_or_product_is_a_parse_error(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, M)
+        assert info.value.location == column
+
+    def test_powers_within_bounds_parse(self):
+        assert len(parse_polynomial("(x1+x2+x3+1)^15", M).terms) == 816
+        assert parse_polynomial("x1^100", M) == x(1) ** 100
+        assert parse_polynomial("(3^100)^100", M) == Polynomial.constant(M, 3**10000)
+        assert parse_polynomial("(x1+1)^0*0^0", M) == Polynomial.one(M)
+
     def test_long_sign_chain_parses(self):
         assert parse_polynomial("-" * 5001 + "x1", M) == -x(1)
 
