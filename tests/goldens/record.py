@@ -1,13 +1,17 @@
-"""Record the ``nambu check`` goldens compared by ``tests/test_goldens.py``.
+"""Record the goldens compared by ``tests/test_goldens.py``.
 
 Run from anywhere:
 
     PYTHONPATH=src python tests/goldens/record.py
 
-Each case runs ``nambu check`` in-process at jet degree 2 and stores the
-fixture, the arguments, the exit code and the exact stdout in
-``tests/goldens/check.json``.  Re-record only when an output change is
-intended, and say in the change log which commit the goldens come from.
+Each case runs ``nambu check`` or ``nambu witness`` in-process and stores
+the fixture, the arguments, the exit code and the exact stdout:
+``nambu check`` at jet degree 2 in ``tests/goldens/check.json``, and
+``nambu witness`` over a range of ``--max-degree`` in
+``tests/goldens/witness.json``.  A witness case may plant a volume
+exponent into its fixture, so that the witness is nonzero.  Re-record only
+when an output change is intended, and say in the change log which commit
+the goldens come from.
 """
 
 from __future__ import annotations
@@ -15,18 +19,30 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 from nambu.cli import CHECKS, main
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).with_name("check.json")
+WITNESS_GOLDEN = Path(__file__).with_name("witness.json")
 # Every check runs on every fixture.  characterization and phi-morphism pass
 # on r6_nonexample too: they certify rules that hold for any n-vector.
 FIXTURES = ("r3_scaled", "r3_volume", "r4_normal_form", "r6_nonexample")
 TEXT_CASES = (
     ("r6_nonexample", "fundamental-identity,invariance,anchor,sharp-d,leibniz"),
 )
+WITNESS_FIXTURES = (
+    "r3_scaled", "r3_volume", "r4_normal_form", "r5_normal_form", "r6_nonexample",
+)
+# Degree 8 on r6_nonexample is left out: the dense solver this golden was
+# first recorded against needed minutes for it.
+WITNESS_DEGREE8_FIXTURES = WITNESS_FIXTURES[:-1]
+# With volume e^p the modular class of a constant blade is cobound0(p), so
+# these variants have a nonzero witness.
+PLANTED_EXPONENT = "x1*x2 + x3^2"
+PLANTED_FIXTURES = ("r4_normal_form", "r5_normal_form")
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -39,13 +55,47 @@ def cases() -> list[tuple[str, list[str]]]:
     return found
 
 
+def witness_cases() -> list[tuple[str, str | None, list[str]]]:
+    """(fixture, planted volume exponent or None, arguments) per case."""
+    found = []
+    for fixture in WITNESS_FIXTURES:
+        for degree in range(7):
+            for style in ([], ["--json"]):
+                found.append((fixture, None, [*style, f"--max-degree={degree}"]))
+    for fixture in WITNESS_DEGREE8_FIXTURES:
+        found.append((fixture, None, ["--max-degree=8"]))
+    for fixture in PLANTED_FIXTURES:
+        for degree in (1, 4):
+            for style in ([], ["--json"]):
+                found.append((fixture, PLANTED_EXPONENT, [*style, f"--max-degree={degree}"]))
+    return found
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 def run_check(fixture: str, args: list[str]) -> tuple[int, str]:
     """Exit code and stdout of ``nambu check`` on one fixture."""
     path = ROOT / "fixtures" / f"{fixture}.json"
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["check", str(path), *args])
-    return code, out.getvalue()
+    return _run(["check", str(path), *args])
+
+
+def run_witness(fixture: str, exponent: str | None, args: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``nambu witness`` on one fixture, with the
+    volume ``e^exponent`` planted into it when an exponent is given."""
+    path = ROOT / "fixtures" / f"{fixture}.json"
+    if exponent is None:
+        return _run(["witness", str(path), *args])
+    document = json.loads(path.read_text(encoding="utf-8"))
+    document["volume"] = {"constant": "1", "exponent": exponent}
+    with tempfile.TemporaryDirectory() as tmp:
+        planted = Path(tmp) / path.name
+        planted.write_text(json.dumps(document), encoding="utf-8")
+        return _run(["witness", str(planted), *args])
 
 
 def record() -> None:
@@ -55,6 +105,15 @@ def record() -> None:
         entries.append({"fixture": fixture, "args": args, "exit": code, "stdout": stdout})
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(entries)} cases in {GOLDEN}")
+    entries = []
+    for fixture, exponent, args in witness_cases():
+        code, stdout = run_witness(fixture, exponent, args)
+        entries.append({
+            "fixture": fixture, "exponent": exponent, "args": args,
+            "exit": code, "stdout": stdout,
+        })
+    WITNESS_GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(entries)} cases in {WITNESS_GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
-"""Byte-for-byte goldens of ``nambu check`` on the committed fixtures.
+"""Byte-for-byte goldens of ``nambu check`` and ``nambu witness`` on the
+committed fixtures.
 
-The goldens in ``tests/goldens/check.json`` were recorded with
+The goldens in ``tests/goldens/check.json`` and
+``tests/goldens/witness.json`` were recorded with
 ``tests/goldens/record.py``; any change to a verdict, a counterexample,
-``items_checked`` or the output format shows up here as a diff.
+``items_checked``, a witness or the output format shows up here as a diff.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import pytest
 
 GOLDENS = Path(__file__).with_name("goldens")
 sys.path.insert(0, str(GOLDENS))
-from record import GOLDEN, run_check  # noqa: E402
+from record import GOLDEN, WITNESS_GOLDEN, run_check, run_witness  # noqa: E402
 
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
+WITNESS_CASES = json.loads(WITNESS_GOLDEN.read_text(encoding="utf-8"))
 
 
 def _case_id(case: dict) -> str:
@@ -28,5 +31,20 @@ def _case_id(case: dict) -> str:
 @pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
 def test_check_output_matches_golden(case):
     code, stdout = run_check(case["fixture"], case["args"])
+    assert stdout == case["stdout"]
+    assert code == case["exit"]
+
+
+def _witness_case_id(case: dict) -> str:
+    planted = "-planted" if case["exponent"] is not None else ""
+    degree = case["args"][-1].removeprefix("--max-degree=")
+    return f"{case['fixture']}{planted}-D{degree}-{'json' if '--json' in case['args'] else 'text'}"
+
+
+@pytest.mark.parametrize(
+    "case", WITNESS_CASES, ids=[_witness_case_id(c) for c in WITNESS_CASES]
+)
+def test_witness_output_matches_golden(case):
+    code, stdout = run_witness(case["fixture"], case["exponent"], case["args"])
     assert stdout == case["stdout"]
     assert code == case["exit"]
