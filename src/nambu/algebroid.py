@@ -236,10 +236,7 @@ def verify_sharp_d_identity(
     """
     basis = JetBasis(structure, config.max_degree)
     sweep = _SharpDSweep(basis)
-    capped = basis.capped()
-    hit = first_hit(basis.pairs(capped), sweep.residual)
-    if hit is not None and len(capped) < len(basis.monomials):
-        hit = first_hit(basis.pairs(), sweep.residual)
+    hit = basis.capped_first_hit(basis.pairs, sweep.residual)
     direct = partial(sharp_d_residual, structure)
     return certify_forms(basis, "sharp-d", basis.size() ** 2, hit, direct)
 
@@ -354,10 +351,11 @@ def verify_characterization(
     """Certify the three characterizing rules of the bracket.
 
     The two function-slot rules are exactly linear in the coefficients of
-    both form slots (slot lemmas in the module docstring), so constant basis
-    forms with a full-degree function slot cover the whole grid.  The
-    exact-forms rule is certified by ``_exact_forms_sweep``, which locates a
-    failure with ``exact_forms_residual`` and reports its direct value.
+    both form slots (slot lemmas in the module docstring), so unit forms
+    cover the whole grid; each rule is then first-order in the function,
+    so the capped monomials certify it.  The exact-forms rule is certified
+    by ``_exact_forms_sweep``, which locates a failure with
+    ``exact_forms_residual`` and reports its direct value.
     """
     basis = JetBasis(structure, config.max_degree)
     n = structure.n
@@ -389,10 +387,11 @@ def verify_characterization(
         alpha, beta = basis.units[left], basis.units[right]
         return rule, format_tensor(alpha), str(basis.monomials[g]), format_tensor(beta)
 
-    grid = itertools.product(
-        ("slot-2", "slot-1"), basis.index_sets, range(count_funcs), basis.index_sets
-    )
-    return certify("characterization", items, first_hit(grid, residual), residual, inputs)
+    def grid(rows):
+        return itertools.product(("slot-2", "slot-1"), basis.index_sets, rows, basis.index_sets)
+
+    hit = basis.capped_first_hit(grid, residual)
+    return certify("characterization", items, hit, residual, inputs)
 
 
 # -- formal wedges of functions --------------------------------------------------

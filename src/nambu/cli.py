@@ -2,15 +2,16 @@
 
 Exit codes: 0 when every requested computation/check succeeds, 1 on input
 errors (bad usage, unreadable file, schema violation, bad expression, an
-empty check list), 2 when a requested check fails.  Output is
-deterministic: no timestamps, fixed ordering, canonical text for every
-tensor.
+empty check list, a request above a size budget), 2 when a requested check
+fails.  Output is deterministic: no timestamps, fixed ordering, canonical
+text for every tensor.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -74,6 +75,13 @@ DEFAULT_CHECKS = (
 
 # Order-2 structures support only the bracket-level checks.
 ORDER2_DEFAULT_CHECKS = ("fundamental-identity", "invariance")
+
+# Size budgets, compared with an estimate before anything is built: the
+# jet-basis forms C(m+D, D) * C(m, n-1) of a check and the monomial columns
+# C(m+D, D) of a witness search.  Both admit every shipped fixture at jet
+# degree 3 and witness degree 8 with room to spare.
+MAX_JET_FORMS = 20_000
+MAX_WITNESS_COLUMNS = 20_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,13 +164,23 @@ class _Emitter:
             print(json.dumps(payload, indent=2))
 
 
-def _resolve_config(options, loaded) -> JetBasisConfig:
-    degree = getattr(options, "jet_degree", None)
+def _resolve_config(options, loaded, structure) -> JetBasisConfig:
+    degree, source = options.jet_degree, "--jet-degree"
     if degree is None:
-        degree = loaded.jet_degree
+        degree, source = loaded.jet_degree, "$.jet_degree"
     if degree is None:
-        return JetBasisConfig()
-    return JetBasisConfig(max_degree=degree)
+        degree, source = JetBasisConfig().max_degree, "default jet degree"
+    config = JetBasisConfig(max_degree=degree)
+    forms = math.comb(structure.m + degree, degree) * math.comb(structure.m, structure.n - 1)
+    _check_budget(source, degree, forms, MAX_JET_FORMS, "jet-basis forms")
+    return config
+
+
+def _check_budget(source: str, value: int, estimate: int, budget: int, what: str) -> None:
+    if estimate > budget:
+        raise ParseError(
+            f"{source} {value} needs {estimate:,} {what}, above the budget of {budget:,}"
+        )
 
 
 def _resolve_checks(options, loaded, structure) -> list[str]:
@@ -183,7 +201,7 @@ def _resolve_checks(options, loaded, structure) -> list[str]:
 
 
 def _cmd_check(options, loaded, structure, volume, emit: _Emitter) -> int:
-    config = _resolve_config(options, loaded)
+    config = _resolve_config(options, loaded, structure)
     names = _resolve_checks(options, loaded, structure)
     reports = [CHECKS[name](structure, volume, config) for name in names]
     failed = [r for r in reports if not r.passed]
@@ -269,7 +287,10 @@ def _expect_args(what: str, args: Sequence[str], count: int) -> None:
 def _cmd_witness(options, structure, volume, emit: _Emitter) -> int:
     if options.max_degree < 0:
         raise ParseError("--max-degree must be non-negative")
-    report = exactness_witness(structure, volume, options.max_degree)
+    degree = options.max_degree
+    columns = math.comb(structure.m + degree, degree)
+    _check_budget("--max-degree", degree, columns, MAX_WITNESS_COLUMNS, "witness columns")
+    report = exactness_witness(structure, volume, degree)
     if options.json:
         emit.json(
             {

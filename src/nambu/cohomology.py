@@ -302,6 +302,10 @@ def exactness_witness(
     (degree-uniform infeasibility); when additionally ``M^C`` survives
     setting one of those obstructing variables to zero, no smooth f can
     work either, since the left side vanishes identically there.
+
+    The witness is the solution whose free monomial coefficients are zero,
+    with pivots in ``jet_exponents`` order; that solution is unique, so it
+    does not depend on how ``_solve_linear`` picks its pivot rows.
     """
     structure.require_order_at_least(3)
     _check_volume(structure, volume)
@@ -327,7 +331,7 @@ def exactness_witness(
 
     exponents = jet_exponents(m, search_degree)
     columns = [cobound0(structure, Polynomial.monomial(e)).w for e in exponents]
-    solution = _solve_linear(columns, target, m)
+    solution = _solve_linear(columns, target)
     if solution is None:
         return WitnessReport(feasible=False, witness=None, search_degree=search_degree)
     witness = Polynomial(
@@ -406,60 +410,46 @@ def _equation_term(coeff: Polynomial, j: int) -> str:
 
 
 def _solve_linear(
-    columns: list[Multivector], target: Multivector, m: int
+    columns: list[Multivector], target: Multivector
 ) -> list[Fraction] | None:
-    """Exact Gaussian elimination for ``sum_k u_k columns[k] = target``.
+    """Exact sparse Gauss-Jordan elimination for ``sum_k u_k columns[k] = target``.
 
-    Returns one solution with free variables set to zero, or None.
+    One equation per (index set, exponent) term, with the target as the
+    last column.  Pivot columns are taken in column order, each from the
+    live row with the fewest entries.  Returns the solution with free
+    variables set to zero, or None when a row left without a pivot keeps a
+    nonzero target entry.  The pivot columns are the columns outside the
+    span of the earlier ones, and the reduced system has one solution with
+    zero free variables, so the pivot rows chosen do not change the result.
     """
-    row_keys: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-    def key_id(key) -> int:
-        if key not in row_keys:
-            row_keys[key] = len(row_keys)
-        return row_keys[key]
-
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, mv in enumerate(columns):
+    last = len(columns)
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows_of: list[set[tuple]] = [set() for _ in range(last + 1)]
+    for col, mv in enumerate([*columns, target]):
         for indices, poly in mv.components.items():
             for exps, value in poly.terms.items():
-                entries[(key_id((indices, exps)), col)] = value
-    rhs: dict[int, Fraction] = {}
-    for indices, poly in target.components.items():
-        for exps, value in poly.terms.items():
-            rhs[key_id((indices, exps))] = value
-
-    rows = len(row_keys)
-    cols = len(columns)
-    matrix = [[Fraction(0)] * cols for _ in range(rows)]
-    for (r, c), value in entries.items():
-        matrix[r][c] = value
-    vector = [rhs.get(r, Fraction(0)) for r in range(rows)]
-
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if matrix[r][col]), None)
-        if pivot is None:
+                rows.setdefault((indices, exps), {})[col] = value
+                rows_of[col].add((indices, exps))
+    live, pivot_of = set(rows), {}
+    for col in range(last):
+        candidates = rows_of[col] & live
+        if not candidates:
             continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        vector[row], vector[pivot] = vector[pivot], vector[row]
-        inv = 1 / matrix[row][col]
-        matrix[row] = [v * inv for v in matrix[row]]
-        vector[row] = vector[row] * inv
-        for r in range(rows):
-            if r != row and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row])]
-                vector[r] = vector[r] - factor * vector[row]
-        pivot_cols.append(col)
-        row += 1
-        if row == rows:
-            break
-    for r in range(row, rows):
-        if vector[r]:
-            return None
-    solution = [Fraction(0)] * cols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = vector[r]
-    return solution
+        key = pivot_of[col] = min(candidates, key=lambda k: len(rows[k]))
+        live.discard(key)
+        pivot = rows[key]
+        for other in rows_of[col] - {key}:
+            row = rows[other]
+            factor = row[col] / pivot[col]
+            for c, value in pivot.items():
+                updated = row.get(c, 0) - factor * value
+                if updated:
+                    row[c] = updated
+                    rows_of[c].add(other)
+                else:
+                    del row[c]
+                    rows_of[c].discard(other)
+    if rows_of[last] & live:
+        return None
+    values = {c: rows[key].get(last, 0) / rows[key][c] for c, key in pivot_of.items()}
+    return [values.get(c, Fraction(0)) for c in range(last)]

@@ -6,11 +6,11 @@ order (here slot by slot: coefficient monomial-major, then index set)
 through a fast residual, an exact decomposition that the test suite
 cross-checks against the direct formula, and stops at the first nonzero one.
 ``certify`` reports a pass when there is none.  Otherwise the hit may name
-a tuple other than the one to report: after a capped grid certifies, the
-caller rescans the full grid; a Leibniz pair is lifted to a triple, a
-fundamental-identity f-tuple to its first failing g-tuple, and an
-exact-forms consistency hit ``(F, g)`` to the first failing pair of function
-tuples from ``F`` on, by ``locate``.
+a tuple other than the one to report: a hit on a capped grid is replaced
+by the first of the full grid (``JetBasis.capped_first_hit``); a Leibniz
+pair is lifted to a triple, a fundamental-identity f-tuple to its first
+failing g-tuple, and an exact-forms consistency hit ``(F, g)`` to the first
+failing pair of function tuples from ``F`` on, by ``locate``.
 The residual of the reported tuple is recomputed by the direct formula, and
 a zero one is refused.  Residuals are multidifferential operators of order
 <= 2 per slot, so grids capped at coefficient degree 2 (``JetBasis.capped``)
@@ -96,6 +96,15 @@ class JetBasis:
     def capped(self, cap: int = 2) -> list[int]:
         """Indices of the monomials of degree <= cap."""
         return [g for g, e in enumerate(self.exponents) if sum(e) <= cap]
+
+    def capped_first_hit(self, grid: Callable, residual: Callable):
+        """First hit of ``residual`` over ``grid(rows)``: the capped rows
+        certify, and a hit there is replaced by the first over all rows."""
+        capped = self.capped()
+        hit = first_hit(grid(capped), residual)
+        if hit is not None and len(capped) < len(self.monomials):
+            hit = first_hit(grid(range(len(self.monomials))), residual)
+        return hit
 
     def pairs(self, rows: Sequence[int] | None = None):
         """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``."""

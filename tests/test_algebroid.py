@@ -255,6 +255,44 @@ class TestVerifiers:
         for structure in (scaled_r3, volume_r3, normal_r4):
             assert verify_characterization(structure).passed
 
+    def test_characterization_slot_failure_is_first_of_full_grid(self, monkeypatch, scaled_r3):
+        # The perturbed slot-1 residual fails at x2 on the last index set
+        # and at every cubic on the first.  The capped sweep hits the former;
+        # the report must be the first failure of the direct full-grid scan.
+        from nambu import algebroid
+        from nambu.exterior import format_tensor
+
+        basis = JetBasis(scaled_r3, 3)
+        first, last = (dx(3, *basis.index_sets[i]) for i in (0, -1))
+
+        def perturbed(structure, f, alpha, beta):
+            value = function_slot1_residual(structure, f, alpha, beta)
+            if (alpha == first and f.total_degree() == 3) or (alpha == last and f == x(3, 2)):
+                value = value + beta * x(3, 1)
+            return value
+
+        monkeypatch.setattr(algebroid, "function_slot1_residual", perturbed)
+        expected = None
+        for rule, left, f, right in itertools.product(
+            ("slot-2", "slot-1"), basis.index_sets, basis.monomials, basis.index_sets
+        ):
+            alpha, beta = dx(3, *left), dx(3, *right)
+            if rule == "slot-2":
+                value = function_slot2_residual(scaled_r3, alpha, f, beta)
+            else:
+                value = perturbed(scaled_r3, f, alpha, beta)
+            if not value.is_zero():
+                expected = (rule, format_tensor(alpha), str(f), format_tensor(beta)), value
+                break
+        assert expected is not None
+        inputs, value = expected
+        assert inputs[:3] == ("slot-1", "dx1^dx2", "x1^3")
+
+        report = verify_characterization(scaled_r3)
+        assert not report.passed
+        assert report.counterexample.inputs == inputs
+        assert report.counterexample.residual == format_tensor(value)
+
     def test_anchor_spot_instance(self, scaled_r3):
         # [x3 d3, x3 d1] = x3 d1 = sharp of [[dx1^dx2, dx2^dx3]]
         a = dx(3, 1, 2)

@@ -138,6 +138,31 @@ class TestCheck:
         assert out == ""
         assert "max_degree >= 2" in err
 
+    def test_jet_degree_above_budget_is_rejected_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["check", R6_SUM, "--checks=lsv", "--jet-degree=12"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --jet-degree 12 needs 278,460 jet-basis forms")
+
+    def test_file_jet_degree_above_budget_is_rejected(self, capsys, tmp_path):
+        doc = json.loads(Path(R6_SUM).read_text())
+        doc["jet_degree"] = 12
+        target = tmp_path / "deep.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["check", str(target), "--checks=lsv"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $.jet_degree 12 needs 278,460 jet-basis forms")
+
+    def test_default_jet_degree_is_budgeted_too(self, capsys, tmp_path):
+        doc = {"schema": "nambu-structure/1", "dimension": 12, "order": 3,
+               "lambda": [{"index": [1, 2, 3], "coeff": "1"}]}
+        target = tmp_path / "wide.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["check", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: default jet degree 3 needs 30,030 jet-basis forms")
+
     def test_deeply_nested_coefficient(self, capsys, tmp_path):
         doc = json.loads(Path(R3_SCALED).read_text())
         doc["lambda"][0]["coeff"] = "(" * 5000 + "x3" + ")" * 5000
@@ -249,6 +274,13 @@ class TestWitness:
         code, out, _ = run(capsys, ["witness", str(target), "--max-degree=3"])
         assert code == 0
         assert out.splitlines()[0] == "feasible: witness = x1*x2"
+
+    def test_max_degree_above_budget_is_rejected_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["witness", R6_SUM, "--max-degree=40"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --max-degree 40 needs 9,366,819 witness columns")
 
     def test_json_roundtrip(self, capsys):
         code, raw, _ = run(capsys, ["witness", R3_SCALED, "--json", "--max-degree=2"])

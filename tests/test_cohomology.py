@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from nambu.errors import ChartMismatchError, OrderError
 from nambu.exterior import (
     Form, Multivector, apply_vec, differential, format_tensor, pair, wedge,
 )
-from nambu.poly import Polynomial, jet_monomials
+from nambu.poly import Polynomial, jet_exponents, jet_monomials
 from nambu.structure import JetBasisConfig, NambuStructure, hamiltonian, sharp
 from nambu.sweep import JetBasis, slot1_residual
 
@@ -374,3 +375,80 @@ class TestExactnessWitness:
     def test_volume_chart_guard(self, scaled_r3):
         with pytest.raises(ChartMismatchError):
             exactness_witness(scaled_r3, VolumeForm.standard(4), 2)
+
+
+def _row_multivector(m, keys, values):
+    """Degree-1 multivector with ``value`` at each (index set, exponent) key."""
+    components = {}
+    for (indices, exps), value in zip(keys, values):
+        if value:
+            components.setdefault(indices, {})[exps] = value
+    return Multivector(m, 1, {ind: Polynomial(m, terms) for ind, terms in components.items()})
+
+
+class TestSolveLinearOracle:
+    """``_solve_linear`` against sympy's reduced row echelon form."""
+
+    KEYS = [((i,), e) for i in (1, 2, 3) for e in jet_exponents(3, 2)]
+
+    @staticmethod
+    def _system(rng, kind):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        keys = rng.sample(TestSolveLinearOracle.KEYS, rows)
+
+        def entry(density):
+            if rng.random() >= density:
+                return Fraction(0)
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+
+        matrix = [[entry(0.35) for _ in range(cols)] for _ in range(rows)]
+        if kind == "rank-deficient" and cols >= 3:
+            # one column repeats a combination of two others, one is zero
+            a, b, c = rng.sample(range(cols), 3)
+            for row in matrix:
+                row[c] = 2 * row[a] - Fraction(1, 3) * row[b]
+            zero = rng.randrange(cols)
+            if zero not in (a, b):
+                for row in matrix:
+                    row[zero] = Fraction(0)
+        if kind in ("consistent", "rank-deficient"):
+            u = [entry(0.6) for _ in range(cols)]
+            rhs = [sum(r * v for r, v in zip(row, u)) for row in matrix]
+        else:
+            rhs = [entry(0.7) for _ in range(rows)]
+        if kind == "untouched":
+            row = rng.randrange(rows)
+            matrix[row] = [Fraction(0)] * cols
+            rhs[row] = Fraction(rng.randint(1, 7), rng.randint(1, 3))
+        columns = [
+            _row_multivector(3, keys, [row[c] for row in matrix]) for c in range(cols)
+        ]
+        return matrix, rhs, columns, _row_multivector(3, keys, rhs)
+
+    @pytest.mark.parametrize("kind", ["consistent", "rank-deficient", "inconsistent", "untouched"])
+    def test_matches_sympy_rref(self, kind):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"solve-linear:{kind}")
+        outcomes = set()
+        for _ in range(60):
+            matrix, rhs, columns, target = self._system(rng, kind)
+            cols = len(columns)
+            augmented = sympy.Matrix(
+                [[sympy.Rational(v.numerator, v.denominator) for v in [*row, b]]
+                 for row, b in zip(matrix, rhs)]
+            )
+            reduced, pivots = augmented.rref()
+            solution = cohomology._solve_linear(columns, target)
+            outcomes.add(solution is not None)
+            if cols in pivots:
+                assert solution is None
+                continue
+            expected = [Fraction(0)] * cols
+            for row, col in enumerate(pivots):
+                value = reduced[row, cols]
+                expected[col] = Fraction(int(value.p), int(value.q))
+            assert solution == expected
+        assert outcomes == {
+            "consistent": {True}, "rank-deficient": {True},
+            "inconsistent": {False, True}, "untouched": {False},
+        }[kind]
