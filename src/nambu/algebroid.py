@@ -32,11 +32,13 @@ sharp-d residual ``S``:
 
     leibniz_residual(a, b, c) = lie_form(A(a,b), c) - (-1)^n * S(a,b) * c.
 
-The exact-forms rule splits too.  With ``a = df_1^..^df_{n-1}`` and
-``b = dg_1^..^dg_{n-1}`` both closed, ``<d a, lam> = 0`` and
-``lbracket(a, b) = L_X b`` for ``X = X_F = sharp(a)``.  The derivation part
-``L_X b - sum_i dg_1^..^d(X g_i)^..^dg_{n-1}`` vanishes for any vector field,
-so the exact-forms residual is
+On basis pairs ``S`` splits into single-slot pieces and a term bilinear in
+``(df, dg)``, certified on a linear family of capped pairs (``_SharpDSweep``).
+The exact-forms rule splits too.  With closed
+``a = df_1^..^df_{n-1}`` and ``b = dg_1^..^dg_{n-1}``, ``<d a, lam> = 0``
+and ``lbracket(a, b) = L_X b`` for ``X = X_F = sharp(a)``.  The derivation
+part ``L_X b - sum_i dg_1^..^d(X g_i)^..^dg_{n-1}`` vanishes for any vector
+field, so the exact-forms residual is
 
     sum_i dg_1 ^ .. ^ d(X_F(g_i) - {F, g_i}) ^ .. ^ dg_{n-1},
 
@@ -149,8 +151,8 @@ def verify_anchor_morphism(
     """Certify the anchor identity over all jet-basis pairs.
 
     The residual obeys the slot-1 rule of ``sweep`` with ``act = sharp``,
-    so the family ``A(x^gamma dx^I, dx^J)`` covers the grid; it is swept at
-    the full configured degree.
+    so the family ``A(x^gamma dx^I, dx^J)`` covers the grid, and capped
+    monomials certify it.
     """
     basis = JetBasis(structure, config.max_degree)
     return slot1_sweep(
@@ -164,9 +166,15 @@ def verify_anchor_morphism(
 class _SharpDSweep:
     """Decomposed evaluation of the sharp-d residual on basis pairs.
 
-    With ``a = f dx^I`` and ``b = g dx^J`` (f, g monomials) the residual
-    splits into pieces depending on (f,I,J), (g,I,J) and one genuine cross
-    term; every piece is assembled from small tensors cached per sweep.
+    With ``a0 = dx^I``, ``b0 = dx^J`` and monomials f, g the residual is
+    ``S(f a0, g b0) = f single_g(g) + g single_f(f) + cross(f, g)``.  The
+    singles ``S(a0, g b0)``, ``S(f a0, b0)`` are of order <= 2 and ``cross``
+    is bilinear over functions in ``(df, dg)``, so ``S`` vanishes on the grid
+    once the singles do on capped monomials and ``cross`` on coordinates;
+    ``split_hit`` sweeps single_g, cross, single_f, in that order (early on
+    the seeded failures).  A nonzero piece is a value of ``S`` on a capped
+    pair: ``cross(x_k, x_l) = S(x_k a0, x_l b0) - x_k single_g(x_l) - x_l
+    single_f(x_k)``.  Pieces use tensors cached per sweep.
     """
 
     def __init__(self, basis: JetBasis):
@@ -214,16 +222,26 @@ class _SharpDSweep:
         )
         return value - apply_vec(self.basis.sharp0(left), self.u(g, right))
 
+    def cross(self, f: int, left: tuple[int, ...], g: int, right: tuple[int, ...]) -> Polynomial:
+        """The part of the residual bilinear in ``(df, dg)``."""
+        value = self.w(g, left) * self.u(f, right)
+        return value - pair(wedge(self.basis.d(g), self.T(f, left, right)), self.lam)
+
     def residual(
         self, f: int, left: tuple[int, ...], g: int, right: tuple[int, ...]
     ) -> Polynomial:
-        mono_f = self.basis.monomials[f]
-        mono_g = self.basis.monomials[g]
-        value = mono_f * self.single_g(g, left, right)
-        value = value + mono_g * self.single_f(f, left, right)
-        cross = self.w(g, left) * self.u(f, right)
-        cross = cross - pair(wedge(self.basis.d(g), self.T(f, left, right)), self.lam)
-        return value + cross
+        value = self.basis.monomials[f] * self.single_g(g, left, right)
+        value = value + self.basis.monomials[g] * self.single_f(f, left, right)
+        return value + self.cross(f, left, g, right)
+
+    def split_hit(self) -> tuple | None:
+        sets = self.basis.index_sets
+        singles = list(itertools.product(self.basis.capped(), sets, sets))
+        return (
+            first_hit(singles, self.single_g)
+            or first_hit(self.basis.pairs(self.basis.capped(1)[1:]), self.cross)
+            or first_hit(singles, self.single_f)
+        )
 
 
 def verify_sharp_d_identity(
@@ -231,12 +249,12 @@ def verify_sharp_d_identity(
 ) -> CheckReport:
     """Certify the sharp-d identity over all jet-basis pairs.
 
-    The capped pair grid certifies; a failure is reported at the first
-    failing pair of the full grid.
+    The split of ``_SharpDSweep`` certifies; a failure is reported at the
+    first failing pair of the full grid, found through the capped pair grid.
     """
     basis = JetBasis(structure, config.max_degree)
     sweep = _SharpDSweep(basis)
-    hit = basis.capped_first_hit(basis.pairs, sweep.residual)
+    hit = sweep.split_hit() and basis.capped_first_hit(basis.pairs, sweep.residual)
     direct = partial(sharp_d_residual, structure)
     return certify_forms(basis, "sharp-d", basis.size() ** 2, hit, direct)
 
@@ -250,8 +268,8 @@ def verify_leibniz_identity(
     """Certify the Leibniz identity over all jet-basis triples.
 
     The residual factors exactly through the anchor and sharp-d residuals
-    (module docstring), so the anchor slot-1 sweep and the capped sharp-d
-    sweep certify the triple grid.  A failure is located at the first pair
+    (module docstring), so the capped anchor slot-1 sweep and the sharp-d
+    split certify the triple grid.  A failure is located at the first pair
     of the full grid where either residual is nonzero, and lifted to the
     first failing triple by scanning the third slot with the direct nested
     evaluation.
@@ -271,9 +289,7 @@ def verify_leibniz_identity(
         triples = (located + third for third in basis.elements())
         return first_hit(triples, lambda *point: direct(*basis.forms(point)))
 
-    hit = first_hit(slot1_pairs(basis), anchor) or first_hit(
-        basis.pairs(basis.capped()), sharp_d.residual
-    )
+    hit = first_hit(slot1_pairs(basis, basis.capped()), anchor) or sharp_d.split_hit()
     return certify_forms(basis, "leibniz", basis.size() ** 3, hit, direct, lift)
 
 

@@ -13,9 +13,9 @@ the direct formula and refusing a zero one.
 
 Sweep strategy.  Both check residuals are multidifferential operators of
 order <= 2 in each functional slot, so vanishing on all monomials of degree
-<= 2 already forces identical vanishing; the configured degree (default 3)
-only adds margin.  The fundamental-identity residual factors exactly through
-the invariance defect:
+<= 2 forces identical vanishing: capped f-tuples certify, and the configured
+degree (default 3) only locates failures (``capped_first_hit``).  The
+fundamental-identity residual factors exactly through the invariance defect:
 
     R(f_1..f_{n-1}; g_1..g_n) = <dg_1 ^ .. ^ dg_n, L_{X_f} lam>
 
@@ -29,6 +29,7 @@ only that tuple is evaluated by the direct nested-bracket formula.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -117,6 +118,16 @@ def first_hit(grid: Iterable[tuple], fast: Callable) -> tuple | None:
         if not fast(*point).is_zero():
             return point
     return None
+
+
+def capped_first_hit(grid: Callable, fast: Callable, rows: Sequence, degree: Callable):
+    """First hit of ``fast`` over ``grid(rows)``: the rows of ``degree`` <= 2
+    certify, and a hit there is replaced by the first over all rows."""
+    capped = [row for row in rows if degree(row) <= 2]
+    hit = first_hit(grid(capped), fast)
+    if hit is not None and len(capped) < len(rows):
+        hit = first_hit(grid(rows), fast)
+    return hit
 
 
 def certify(
@@ -216,12 +227,13 @@ def invariance_defect(
 def _invariance_sweep(structure: NambuStructure, config: JetBasisConfig):
     """The f-tuples of jet monomials, their defect, and the first nonzero one."""
     monomials = jet_monomials(structure.m, config.max_degree)
-    f_tuples = list(itertools.combinations(monomials, structure.n - 1))
+    grid = functools.partial(itertools.combinations, r=structure.n - 1)
 
     def defect(*fs: Polynomial) -> Multivector:
         return invariance_defect(structure, fs)
 
-    return monomials, f_tuples, defect, first_hit(f_tuples, defect)
+    hit = capped_first_hit(grid, defect, monomials, Polynomial.total_degree)
+    return monomials, list(grid(monomials)), defect, hit
 
 
 def _texts(*functions: Polynomial) -> tuple[str, ...]:

@@ -7,14 +7,16 @@ through a fast residual, an exact decomposition that the test suite
 cross-checks against the direct formula, and stops at the first nonzero one.
 ``certify`` reports a pass when there is none.  Otherwise the hit may name
 a tuple other than the one to report: a hit on a capped grid is replaced
-by the first of the full grid (``JetBasis.capped_first_hit``); a Leibniz
+by the first of the full grid (``structure.capped_first_hit``); a Leibniz
 pair is lifted to a triple, a fundamental-identity f-tuple to its first
 failing g-tuple, and an exact-forms consistency hit ``(F, g)`` to the first
 failing pair of function tuples from ``F`` on, by ``locate``.
 The residual of the reported tuple is recomputed by the direct formula, and
 a zero one is refused.  Residuals are multidifferential operators of order
 <= 2 per slot, so grids capped at coefficient degree 2 (``JetBasis.capped``)
-certify the full configured degree.  ``certify_forms`` is ``certify`` for
+certify the full configured degree; every sweep but lsv's is capped: the
+invariance defect, the slot-1 rule, sharp-d and its split, and the
+function-slot and exact-forms rules.  ``certify_forms`` is ``certify`` for
 points made of basis forms; the volume identity (``verify_lsv``) sweeps
 ``JetBasis.elements`` through it.
 
@@ -25,7 +27,9 @@ second slot and moves a function out of its first slot through a linear map
     R(f a0, b0) = f R(a0, b0) - sharp(b0)(f) act(a0) + act(i_{sharp a0}(df ^ b0))
 
 is determined on all jet-basis pairs by ``R(x^g dx^I, dx^J)``, and the first
-failing pair has the constant monomial in its second slot.  The anchor
+failing pair has the constant monomial in its second slot.  It is
+first-order in f, so capped monomials certify it, and as they come first in
+the pinned order, a hit among them is the first of all pairs.  The anchor
 residual obeys it with ``act = sharp``, the coboundary of a tensorial
 1-cochain ``c`` with ``act = c``; both hold for any n-vector.
 """
@@ -40,7 +44,7 @@ from .exterior import (
     Form, Multivector, apply_vec, contract_vec, differential, format_tensor, wedge,
 )
 from .poly import Polynomial, jet_exponents
-from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
+from .structure import CheckReport, NambuStructure, capped_first_hit, certify, first_hit, sharp
 
 
 def sweep_cache(method: Callable) -> Callable:
@@ -98,13 +102,9 @@ class JetBasis:
         return [g for g, e in enumerate(self.exponents) if sum(e) <= cap]
 
     def capped_first_hit(self, grid: Callable, residual: Callable):
-        """First hit of ``residual`` over ``grid(rows)``: the capped rows
-        certify, and a hit there is replaced by the first over all rows."""
-        capped = self.capped()
-        hit = first_hit(grid(capped), residual)
-        if hit is not None and len(capped) < len(self.monomials):
-            hit = first_hit(grid(range(len(self.monomials))), residual)
-        return hit
+        """``structure.capped_first_hit`` over the monomial rows."""
+        rows = range(len(self.monomials))
+        return capped_first_hit(grid, residual, rows, lambda g: sum(self.exponents[g]))
 
     def pairs(self, rows: Sequence[int] | None = None):
         """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``."""
@@ -142,9 +142,8 @@ def certify_forms(
 # -- the slot-1 rule ---------------------------------------------------------------
 
 
-def slot1_pairs(basis: JetBasis):
-    """The family ``(x^g dx^I, dx^J)`` as points ``(g, I, 0, J)``, in pinned order."""
-    rows = range(len(basis.monomials))
+def slot1_pairs(basis: JetBasis, rows: Sequence[int]):
+    """The family ``(x^g dx^I, dx^J)``, g in ``rows``, as points ``(g, I, 0, J)``."""
     return itertools.product(rows, basis.index_sets, (0,), basis.index_sets)
 
 
@@ -175,6 +174,6 @@ def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable
 
 
 def slot1_sweep(basis: JetBasis, check: str, act: Callable, direct: Callable) -> CheckReport:
-    """Certify a slot-1 rule over all jet-basis pairs."""
-    hit = first_hit(slot1_pairs(basis), slot1_residual(basis, act, direct))
+    """Certify a slot-1 rule over all jet-basis pairs on the capped rows."""
+    hit = first_hit(slot1_pairs(basis, basis.capped()), slot1_residual(basis, act, direct))
     return certify_forms(basis, check, basis.size() ** 2, hit, direct)

@@ -36,6 +36,7 @@ from nambu.exterior import (
     Form,
     Multivector,
     contract_vec,
+    format_tensor,
     differential,
     ext_d,
     lie_form,
@@ -200,6 +201,16 @@ class TestDecompositionsAgainstDirect:
                     structure, basis.form(f, left), basis.form(g, right)
                 )
                 assert fast == direct
+                # the split: the singles are S with one monomial set to 1
+                mono_f, mono_g = basis.monomials[f], basis.monomials[g]
+                single_g = sweep.single_g(g, left, right)
+                single_f = sweep.single_f(f, left, right)
+                cross = sweep.cross(f, left, g, right)
+                assert direct == mono_f * single_g + mono_g * single_f + cross
+                unit_left, unit_right = basis.form(0, left), basis.form(0, right)
+                assert single_g == sharp_d_residual(structure, unit_left, basis.form(g, right))
+                assert single_f == sharp_d_residual(structure, basis.form(f, left), unit_right)
+                assert cross == expand_cross(sweep, mono_f, left, mono_g, right)
 
     def test_leibniz_factorization(self, rng, scaled_r3, sum_r6, normal_r4):
         # residual(a,b,c) = lie_form(A(a,b), c) - (-1)^n S(a,b) c, any tensor
@@ -214,6 +225,40 @@ class TestDecompositionsAgainstDirect:
                 scalar = sharp_d_residual(structure, alpha, beta)
                 predicted = lie_form(anchor, gamma) - (gamma * scalar) * sign
                 assert leibniz_residual(structure, alpha, beta, gamma) == predicted
+
+
+def coordinate_rows(basis):
+    """Coordinate index k -> the basis row of the monomial x_k."""
+    return {e.index(1) + 1: g for g, e in enumerate(basis.exponents) if sum(e) == 1}
+
+
+def expand_cross(sweep, f, left, g, right):
+    """``sum_{k,l} d_k f d_l g cross(x_k, I, x_l, J)``: the cross term of
+    functions f, g if it is bilinear over functions in ``(df, dg)``."""
+    basis = sweep.basis
+    total = Polynomial.zero(basis.structure.m)
+    for (k, row_k), (l, row_l) in itertools.product(coordinate_rows(basis).items(), repeat=2):
+        weight = f.diff(k) * g.diff(l)
+        if not weight.is_zero():
+            total = total + weight * sweep.cross(row_k, left, row_l, right)
+    return total
+
+
+def cross_only_r5():
+    """d1^d2^d3 + d3^d4^d5: not integrable.  Its sharp-d singles vanish on
+    the jet basis and only the cross term fails, as on sum_r6."""
+    return NambuStructure(5, 3, dd(5, 1, 2, 3) + dd(5, 3, 4, 5))
+
+
+def first_direct_failure(basis, grid, direct):
+    """Rendered inputs and residual of the first grid point failing ``direct``."""
+    for point in grid:
+        forms = basis.forms(point)
+        value = direct(*forms)
+        if not value.is_zero():
+            text = str(value) if isinstance(value, Polynomial) else format_tensor(value)
+            return tuple(map(format_tensor, forms)), text
+    return None
 
 
 class TestVerifiers:
@@ -254,6 +299,61 @@ class TestVerifiers:
     def test_characterization_passes(self, scaled_r3, volume_r3, normal_r4):
         for structure in (scaled_r3, volume_r3, normal_r4):
             assert verify_characterization(structure).passed
+
+    def test_split_hit_matches_the_pair_grid(self, scaled_r3, normal_r4, sum_r6):
+        from nambu.algebroid import _SharpDSweep
+
+        for structure in (scaled_r3, normal_r4):
+            assert _SharpDSweep(JetBasis(structure, 3)).split_hit() is None
+        # on sum_r6 every single vanishes and the first nonzero piece is cross
+        basis = JetBasis(sum_r6, 2)
+        sweep = _SharpDSweep(basis)
+        assert sweep.split_hit() == (1, (2, 3), 4, (5, 6))
+        assert not sweep.cross(1, (2, 3), 4, (5, 6)).is_zero()
+
+    def test_cross_only_failure_is_first_of_direct_scan(self):
+        from nambu.algebroid import _SharpDSweep
+
+        structure = cross_only_r5()
+        config = JetBasisConfig(max_degree=2)
+        basis = JetBasis(structure, 2)
+        sweep = _SharpDSweep(basis)
+        singles = itertools.product(basis.capped(), basis.index_sets, basis.index_sets)
+        assert all(
+            sweep.single_g(*point).is_zero() and sweep.single_f(*point).is_zero()
+            for point in singles
+        )
+        hit = sweep.split_hit()
+        assert hit is not None and not sweep.cross(*hit).is_zero()
+
+        expected = first_direct_failure(
+            basis, basis.pairs(), lambda a, b: sharp_d_residual(structure, a, b)
+        )
+        report = verify_sharp_d_identity(structure, config)
+        assert not report.passed
+        assert (report.counterexample.inputs, report.counterexample.residual) == expected
+
+        # Leibniz: every triple of a pair with zero anchor and sharp-d
+        # residuals vanishes (test_leibniz_factorization), so the direct
+        # triple scan skips those pairs instead of evaluating them.
+        def vanishing_pair(point):
+            a, b = basis.forms(point)
+            return anchor_residual(structure, a, b).is_zero() and sharp_d_residual(
+                structure, a, b
+            ).is_zero()
+
+        triples = (
+            pair_point + third
+            for pair_point in basis.pairs()
+            if not vanishing_pair(pair_point)
+            for third in basis.elements()
+        )
+        expected = first_direct_failure(
+            basis, triples, lambda a, b, c: leibniz_residual(structure, a, b, c)
+        )
+        report = verify_leibniz_identity(structure, config)
+        assert not report.passed
+        assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
     def test_characterization_slot_failure_is_first_of_full_grid(self, monkeypatch, scaled_r3):
         # The perturbed slot-1 residual fails at x2 on the last index set

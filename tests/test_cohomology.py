@@ -285,6 +285,47 @@ class TestModularCocycle:
         assert report.counterexample.inputs == (format_tensor(alpha), format_tensor(beta))
         assert report.counterexample.residual == str(direct)
 
+    def test_seeded_non_cocycles_report_first_direct_failure(self, rng, scaled_r3, normal_r4):
+        # Cochains with polynomial coefficients of degree 2-3 and the default
+        # jet degree 3: the capped rows certify, and the report must be the
+        # first failure of the direct scan over every row of slot1_pairs.  On
+        # normal_r4 coefficients in x4 alone pass every constant pair (the
+        # anchors of constant forms are d1, d2, d3), so failures sit in later rows.
+        from nambu.sweep import slot1_pairs
+
+        later_rows = 0
+        for structure in (scaled_r3, normal_r4) * 3:
+            m, n = structure.m, structure.n
+            basis = JetBasis(structure, 3)
+            w = Multivector.zero(m, n - 1)
+            for indices in rng.sample(basis.index_sets, 2):
+                if m == 4:
+                    degree = rng.choice((2, 3))
+                    coefficient = sum(
+                        (x(4, 4) ** k * rng.randint(1, 5) for k in range(1, degree + 1)),
+                        Polynomial.zero(4),
+                    )
+                else:
+                    coefficient = random_polynomial(rng, m, rng.choice((2, 3)), 3)
+                w = w + dd(m, *indices) * coefficient
+            cochain = TensorCochain1(w)
+            expected = None
+            for g, left, zero, right in slot1_pairs(basis, range(len(basis.monomials))):
+                alpha, beta = basis.form(g, left), basis.form(zero, right)
+                direct = cobound1_eval(structure, cochain, alpha, beta)
+                if not direct.is_zero():
+                    expected = (format_tensor(alpha), format_tensor(beta)), str(direct)
+                    assert g > 0 or m == 3
+                    later_rows += g > 0
+                    break
+            report = verify_cocycle(structure, cochain)
+            assert report.passed == (expected is None)
+            if expected is not None:
+                found = report.counterexample
+                assert (found.inputs, found.residual) == expected
+                assert report.items_checked == basis.size() ** 2
+        assert later_rows
+
     def test_decomposed_residual_matches_direct(self, rng, scaled_r3, sum_r6):
         for structure in (scaled_r3, sum_r6):
             basis = JetBasis(structure, 2)

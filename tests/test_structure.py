@@ -279,6 +279,44 @@ class TestInvariance:
         assert check_fundamental_identity(poisson, config).passed
         assert check_invariance(poisson, config).passed
 
+    @pytest.mark.parametrize("order", [3, 2])
+    def test_capped_hit_is_located_on_the_full_grid(self, monkeypatch, scaled_r3, order):
+        # A planted defect of order 3 is nonzero at the last capped f-tuple
+        # and at the first f-tuple holding a cubic.  The capped sweep hits
+        # the former; the report must be the first nonzero defect of a
+        # direct scan over all f-tuples, with its running item count.  At
+        # order 2 the f-tuples are single monomials and every cubic comes
+        # after every capped one.
+        from nambu import structure as module
+        from nambu.exterior import format_tensor
+
+        if order == 3:
+            nambu = scaled_r3
+        else:
+            nambu = NambuStructure(3, 2, x(3, 3) * Multivector.basis(3, (1, 2)))
+        f_tuples = list(itertools.combinations(jet_monomials(3, 3), order - 1))
+        capped = [fs for fs in f_tuples if max(f.total_degree() for f in fs) <= 2]
+        cubic = next(fs for fs in f_tuples if fs not in capped)
+        planted, bump = {capped[-1], cubic}, Multivector.basis(3, (1, 2, 3)[:order])
+
+        def planted_defect(structure, fs):
+            defect = invariance_defect(structure, fs)
+            return defect + bump if tuple(fs) in planted else defect
+
+        monkeypatch.setattr(module, "invariance_defect", planted_defect)
+        position = next(
+            i for i, fs in enumerate(f_tuples) if not planted_defect(nambu, fs).is_zero()
+        )
+        assert f_tuples[position] == (cubic if order == 3 else capped[-1])
+
+        report = check_invariance(nambu, JetBasisConfig(max_degree=3))
+        assert not report.passed
+        assert report.counterexample.inputs == tuple(map(str, f_tuples[position]))
+        assert report.counterexample.residual == format_tensor(
+            planted_defect(nambu, f_tuples[position])
+        )
+        assert report.items_checked == position + 1
+
     def test_fi_implies_invariance_on_fixtures(
         self, scaled_r3, volume_r3, normal_r4, normal_r5, sum_r6
     ):
