@@ -174,7 +174,9 @@ class _SharpDSweep:
     ``split_hit`` sweeps single_g, cross, single_f, in that order (early on
     the seeded failures).  A nonzero piece is a value of ``S`` on a capped
     pair: ``cross(x_k, x_l) = S(x_k a0, x_l b0) - x_k single_g(x_l) - x_l
-    single_f(x_k)``.  Pieces use tensors cached per sweep.
+    single_f(x_k)``.  ``residual`` assembles ``S`` from the pieces; sharp-d
+    and Leibniz sweep it over the capped pair grid to locate a failure (the
+    ``sweep`` docstring).  Pieces use tensors cached per sweep.
     """
 
     def __init__(self, basis: JetBasis):
@@ -249,14 +251,17 @@ def verify_sharp_d_identity(
 ) -> CheckReport:
     """Certify the sharp-d identity over all jet-basis pairs.
 
-    The split of ``_SharpDSweep`` certifies; a failure is reported at the
-    first failing pair of the full grid, found through the capped pair grid.
+    The split of ``_SharpDSweep`` certifies.  A failure is located by its
+    residual on the capped pair grid, whose first failure is the first of
+    the full grid (``sweep`` docstring), and reported there.
     """
     basis = JetBasis(structure, config.max_degree)
     sweep = _SharpDSweep(basis)
-    hit = sweep.split_hit() and basis.capped_first_hit(basis.pairs, sweep.residual)
     direct = partial(sharp_d_residual, structure)
-    return certify_forms(basis, "sharp-d", basis.size() ** 2, hit, direct)
+    return certify_forms(
+        basis, "sharp-d", basis.size() ** 2, sweep.split_hit(), direct,
+        lambda _: first_hit(basis.pairs(basis.capped()), sweep.residual),
+    )
 
 
 # -- Leibniz identity ------------------------------------------------------------
@@ -270,9 +275,11 @@ def verify_leibniz_identity(
     The residual factors exactly through the anchor and sharp-d residuals
     (module docstring), so the capped anchor slot-1 sweep and the sharp-d
     split certify the triple grid.  A failure is located at the first pair
-    of the full grid where either residual is nonzero, and lifted to the
-    first failing triple by scanning the third slot with the direct nested
-    evaluation.
+    where either residual is nonzero, scanning the capped pair grid: both
+    residuals are of order <= 2 per function slot, so that is the first
+    such pair of the full grid (``sweep`` docstring).  The pair is lifted to
+    the first failing triple by scanning the third slot, all basis forms,
+    with the direct nested evaluation.
     """
     basis = JetBasis(structure, config.max_degree)
     anchor = slot1_residual(basis, partial(sharp, structure), partial(anchor_residual, structure))
@@ -285,7 +292,7 @@ def verify_leibniz_identity(
         return sharp_d.residual(*point) if value.is_zero() else value
 
     def lift(hit):
-        located = first_hit(basis.pairs(), pair_residual)
+        located = first_hit(basis.pairs(basis.capped()), pair_residual)
         triples = (located + third for third in basis.elements())
         return first_hit(triples, lambda *point: direct(*basis.forms(point)))
 

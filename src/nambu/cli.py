@@ -77,10 +77,13 @@ DEFAULT_CHECKS = (
 ORDER2_DEFAULT_CHECKS = ("fundamental-identity", "invariance")
 
 # Size budgets, compared with an estimate before anything is built: the
-# jet-basis forms C(m+D, D) * C(m, n-1) of a check and the monomial columns
-# C(m+D, D) of a witness search.  Both admit every shipped fixture at jet
-# degree 3 and witness degree 8 with room to spare.
+# jet-basis forms C(m+D, D) * C(m, n-1) of a check and the capped function
+# tuples C(C(m+2, 2), n-1) that the fundamental-identity, invariance and
+# exact-forms sweeps run over, and the monomial columns C(m+D, D) of a
+# witness search.  All admit every shipped fixture at jet degree 3 and
+# witness degree 8 with room to spare.
 MAX_JET_FORMS = 20_000
+MAX_F_TUPLES = 20_000
 MAX_WITNESS_COLUMNS = 20_000
 
 
@@ -171,8 +174,11 @@ def _resolve_config(options, loaded, structure) -> JetBasisConfig:
     if degree is None:
         degree, source = JetBasisConfig().max_degree, "default jet degree"
     config = JetBasisConfig(max_degree=degree)
-    forms = math.comb(structure.m + degree, degree) * math.comb(structure.m, structure.n - 1)
+    m, n = structure.m, structure.n
+    forms = math.comb(m + degree, degree) * math.comb(m, n - 1)
     _check_budget(source, degree, forms, MAX_JET_FORMS, "jet-basis forms")
+    f_tuples = math.comb(math.comb(m + 2, 2), n - 1)
+    _check_budget("$.order", n, f_tuples, MAX_F_TUPLES, "capped function tuples")
     return config
 
 

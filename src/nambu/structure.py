@@ -38,7 +38,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ArityError, ChartMismatchError, DegreeError, OrderError
 from .exterior import (
-    Form, Multivector, contract_form, differential, format_tensor, lie_mv, pair, wedge_all,
+    Form, Multivector, apply_vec, contract_form, differential, format_tensor, lie_mv, pair,
+    wedge_all,
 )
 from .poly import Polynomial, jet_monomials
 
@@ -249,7 +250,11 @@ def check_fundamental_identity(
     strictly increasing tuples cover the full grid.  The f-tuples are swept
     through their invariance defect (module docstring); the first nonzero
     defect is lifted to the first g-tuple whose pairing with it is nonzero,
-    and that tuple's residual is recomputed by ``fi_residual``.
+    and that tuple's residual is recomputed by ``fi_residual``.  The pairing
+    ``<dg_1^..^dg_n, L>`` is evaluated as ``dg_n(i(dg_1^..^dg_{n-1}) L)``,
+    exact by ``contract_form``'s defining identity, with the contraction
+    cached per head ``g_1..g_{n-1}``.  The g-tuples run over all jet
+    monomials: their combination grid is no product (``sweep`` docstring).
     """
     monomials, f_tuples, defect, hit = _invariance_sweep(structure, config)
     n = structure.n
@@ -257,10 +262,14 @@ def check_fundamental_identity(
     def locate(fs: tuple) -> tuple | None:
         lie = defect(*fs)
         d = {g: differential(g) for g in monomials}
-        gs = first_hit(
-            itertools.combinations(monomials, n),
-            lambda *g_tuple: pair(wedge_all([d[g] for g in g_tuple]), lie),
-        )
+        heads: dict[tuple, Multivector] = {}
+
+        def pairing(*gs: Polynomial) -> Polynomial:
+            if gs[:-1] not in heads:
+                heads[gs[:-1]] = contract_form(wedge_all([d[g] for g in gs[:-1]]), lie)
+            return apply_vec(heads[gs[:-1]], gs[-1])
+
+        gs = first_hit(itertools.combinations(monomials, n), pairing)
         return None if gs is None else fs + gs
 
     return certify(

@@ -6,19 +6,31 @@ order (here slot by slot: coefficient monomial-major, then index set)
 through a fast residual, an exact decomposition that the test suite
 cross-checks against the direct formula, and stops at the first nonzero one.
 ``certify`` reports a pass when there is none.  Otherwise the hit may name
-a tuple other than the one to report: a hit on a capped grid is replaced
-by the first of the full grid (``structure.capped_first_hit``); a Leibniz
-pair is lifted to a triple, a fundamental-identity f-tuple to its first
-failing g-tuple, and an exact-forms consistency hit ``(F, g)`` to the first
-failing pair of function tuples from ``F`` on, by ``locate``.
-The residual of the reported tuple is recomputed by the direct formula, and
-a zero one is refused.  Residuals are multidifferential operators of order
-<= 2 per slot, so grids capped at coefficient degree 2 (``JetBasis.capped``)
-certify the full configured degree; every sweep but lsv's is capped: the
-invariance defect, the slot-1 rule, sharp-d and its split, and the
-function-slot and exact-forms rules.  ``certify_forms`` is ``certify`` for
-points made of basis forms; the volume identity (``verify_lsv``) sweeps
-``JetBasis.elements`` through it.
+a tuple other than the one to report: a Leibniz pair is lifted to a triple,
+a fundamental-identity f-tuple to its first failing g-tuple, and an
+exact-forms consistency hit ``(F, g)`` to the first failing pair of function
+tuples from ``F`` on, by ``locate``.  The residual of the reported tuple is
+recomputed by the direct formula, and a zero one is refused.  Residuals are
+multidifferential operators of order <= 2 per slot, so grids capped at
+coefficient degree 2 (``JetBasis.capped``) certify the full configured
+degree; every sweep but lsv's is capped: the invariance defect, the slot-1
+rule, sharp-d and its split, and the function-slot and exact-forms rules.
+``certify_forms`` is ``certify`` for points made of basis forms; the volume
+identity (``verify_lsv``) sweeps ``JetBasis.elements`` through it.
+
+Locating on capped grids.  The first failing pair of the full pair grid is
+the first of the capped pair grid ``pairs(capped())``, so sharp-d and the
+pair that Leibniz lifts are located there without a rescan.  The monomials
+come in graded order, so capped rows come first; with the other slots
+fixed the residual is of order <= 2 in each function slot, so a first
+failure with a cubic f would need every capped f row, and hence every row,
+to vanish, and the same holds for g within the block of the failing f and
+``I``.  The slot-1 sweep relies on the same argument.  Combination grids
+are no products: a tuple with a cubic entry may precede a capped one, so
+fundamental identity and invariance replace a capped hit by the first over
+all f-tuples (``structure.capped_first_hit``, a rescan).  Characterization's
+slot rules keep that rescan too, so a fault that breaks the order argument
+is still reported at the first failure of the full grid.
 
 The slot-1 rule.  A residual ``R`` that is linear over functions in its
 second slot and moves a function out of its first slot through a linear map
@@ -106,9 +118,8 @@ class JetBasis:
         rows = range(len(self.monomials))
         return capped_first_hit(grid, residual, rows, lambda g: sum(self.exponents[g]))
 
-    def pairs(self, rows: Sequence[int] | None = None):
+    def pairs(self, rows: Sequence[int]):
         """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``."""
-        rows = range(len(self.monomials)) if rows is None else rows
         return itertools.product(rows, self.index_sets, rows, self.index_sets)
 
     @sweep_cache

@@ -44,6 +44,12 @@ from .structure import NambuStructure
 
 SCHEMA = "nambu-structure/1"
 
+# Every polynomial stores one exponent per variable, so the dimension is
+# bounded before any is built.  From m = 34 on even the smallest check,
+# order 2 at jet degree 2, needs C(m+2, 2) * m > 20,000 jet-basis forms,
+# above the check budget of ``cli``, so this bound loses no admitted check.
+MAX_DIMENSION = 64
+
 
 # -- tensor parsing -----------------------------------------------------------
 
@@ -218,8 +224,8 @@ def load_structure_dict(doc: Any) -> StructureFile:
         raise ParseError(f"unsupported schema {schema!r}, expected {SCHEMA!r}", "$.schema")
     m = _require(doc, "dimension", int, "$")
     n = _require(doc, "order", int, "$")
-    if m < 1:
-        raise ParseError("dimension must be positive", "$.dimension")
+    if not 1 <= m <= MAX_DIMENSION:
+        raise ParseError(f"dimension must lie in 1..{MAX_DIMENSION}, got {m}", "$.dimension")
     if not 2 <= n <= m:
         raise ParseError(f"order must satisfy 2 <= n <= dimension, got {n}", "$.order")
     entries = _require(doc, "lambda", list, "$")

@@ -250,6 +250,11 @@ def cross_only_r5():
     return NambuStructure(5, 3, dd(5, 1, 2, 3) + dd(5, 3, 4, 5))
 
 
+def full_pairs(basis):
+    """All jet-basis pairs, in the pinned order."""
+    return basis.pairs(range(len(basis.monomials)))
+
+
 def first_direct_failure(basis, grid, direct):
     """Rendered inputs and residual of the first grid point failing ``direct``."""
     for point in grid:
@@ -327,7 +332,7 @@ class TestVerifiers:
         assert hit is not None and not sweep.cross(*hit).is_zero()
 
         expected = first_direct_failure(
-            basis, basis.pairs(), lambda a, b: sharp_d_residual(structure, a, b)
+            basis, full_pairs(basis), lambda a, b: sharp_d_residual(structure, a, b)
         )
         report = verify_sharp_d_identity(structure, config)
         assert not report.passed
@@ -344,7 +349,7 @@ class TestVerifiers:
 
         triples = (
             pair_point + third
-            for pair_point in basis.pairs()
+            for pair_point in full_pairs(basis)
             if not vanishing_pair(pair_point)
             for third in basis.elements()
         )
@@ -353,6 +358,60 @@ class TestVerifiers:
         )
         report = verify_leibniz_identity(structure, config)
         assert not report.passed
+        assert (report.counterexample.inputs, report.counterexample.residual) == expected
+
+    @pytest.mark.parametrize(
+        "structure,sharp_d_inputs,leibniz_inputs",
+        [
+            # single_g fails at f = 1: the first failure is in the constant-f row
+            (
+                NambuStructure(4, 3, x(4, 2) * dd(4, 1, 2, 4) + x(4, 3) * dd(4, 2, 3, 4)),
+                ("dx1^dx4", "x2*dx3^dx4"),
+                ("dx1^dx4", "dx2^dx3", "dx1^dx4"),
+            ),
+            # the singles vanish and only cross fails: a later row
+            (
+                cross_only_r5(),
+                ("x1*dx2^dx3", "x3*dx4^dx5"),
+                ("x1*dx2^dx3", "dx3^dx4", "x5*dx1^dx2"),
+            ),
+        ],
+        ids=["constant-f-row", "later-row"],
+    )
+    def test_located_failure_is_first_of_direct_scan_at_jet_degree_3(
+        self, structure, sharp_d_inputs, leibniz_inputs
+    ):
+        # At jet degree 3 the capped pair grid that locates a failure is a
+        # proper part of the full grid; both reports must be the first
+        # failure of a direct full-grid scan.
+        config = JetBasisConfig(max_degree=3)
+        basis = JetBasis(structure, 3)
+        expected = first_direct_failure(
+            basis, full_pairs(basis), lambda a, b: sharp_d_residual(structure, a, b)
+        )
+        assert expected[0] == sharp_d_inputs
+        report = verify_sharp_d_identity(structure, config)
+        assert (report.counterexample.inputs, report.counterexample.residual) == expected
+
+        # pairs with zero anchor and sharp-d residuals are skipped, as in
+        # test_cross_only_failure_is_first_of_direct_scan
+        def failing_pair(point):
+            a, b = basis.forms(point)
+            return not (
+                anchor_residual(structure, a, b).is_zero()
+                and sharp_d_residual(structure, a, b).is_zero()
+            )
+
+        triples = (
+            pair_point + third
+            for pair_point in filter(failing_pair, full_pairs(basis))
+            for third in basis.elements()
+        )
+        expected = first_direct_failure(
+            basis, triples, lambda a, b, c: leibniz_residual(structure, a, b, c)
+        )
+        assert expected[0] == leibniz_inputs
+        report = verify_leibniz_identity(structure, config)
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
     def test_characterization_slot_failure_is_first_of_full_grid(self, monkeypatch, scaled_r3):

@@ -163,6 +163,32 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err.startswith("error: default jet degree 3 needs 30,030 jet-basis forms")
 
+    def test_capped_function_tuples_are_budgeted(self, capsys, tmp_path):
+        # 168 jet-basis forms at jet degree 2, but C(28, 5) = 98,280 capped
+        # f-tuples for the fundamental-identity, invariance and exact-forms sweeps
+        doc = {"schema": "nambu-structure/1", "dimension": 6, "order": 6,
+               "lambda": [{"index": [1, 2, 3, 4, 5, 6], "coeff": "x1"}]}
+        target = tmp_path / "top.json"
+        target.write_text(json.dumps(doc))
+        for argv in (["--jet-degree=2"], ["--checks=invariance", "--jet-degree=2"], []):
+            start = time.perf_counter()
+            code, out, err = run(capsys, ["check", str(target), *argv])
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (1, "")
+            assert err.startswith("error: $.order 6 needs 98,280 capped function tuples")
+
+    @pytest.mark.parametrize("command", [["check"], ["witness"], ["compute", "modular"]])
+    def test_huge_dimension_is_rejected_before_allocation(self, capsys, tmp_path, command):
+        doc = {"schema": "nambu-structure/1", "dimension": 10**9, "order": 3,
+               "lambda": [{"index": [1, 2, 3], "coeff": "x1 + 1"}]}
+        target = tmp_path / "huge.json"
+        target.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command[0], str(target), *command[1:]])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $.dimension: dimension must lie in 1..64")
+
     def test_deeply_nested_coefficient(self, capsys, tmp_path):
         doc = json.loads(Path(R3_SCALED).read_text())
         doc["lambda"][0]["coeff"] = "(" * 5000 + "x3" + ")" * 5000

@@ -23,6 +23,7 @@ from nambu.exterior import (
     lie_mv,
     pair,
     wedge,
+    wedge_all,
 )
 from nambu.poly import Polynomial
 
@@ -154,6 +155,18 @@ class TestContractForm:
                 assert contracted == oracle_contract_form(alpha, mv)
                 gamma = random_form(rng, m, k - j)
                 assert pair(gamma, contracted) == pair(wedge(alpha, gamma), mv)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_head_contraction_evaluates_the_bracket_pairing(self, rng, n):
+        # <dg_1^..^dg_n, P> = dg_n(i(dg_1^..^dg_{n-1}) P), as the
+        # fundamental-identity locator evaluates it with a cached head
+        m = 5
+        for _ in range(5):
+            mv = random_multivector(rng, m, n)
+            gs = [random_polynomial(rng, m) for _ in range(n)]
+            dg = [differential(g) for g in gs]
+            head = contract_form(wedge_all(dg[:-1]), mv)
+            assert apply_vec(head, gs[-1]) == pair(wedge_all(dg), mv)
 
     def test_degree_underflow(self):
         with pytest.raises(DegreeError):

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from nambu.cli import MAX_JET_FORMS
 from nambu.errors import ParseError
 from nambu.exterior import Form, Multivector
 from nambu.poly import Polynomial
 from nambu.textio import (
+    MAX_DIMENSION,
     SCHEMA,
     format_tensor,
     load_structure_dict,
@@ -151,6 +154,23 @@ class TestStructureFiles:
         with pytest.raises(ParseError) as info:
             load_structure_dict(doc)
         assert location in str(info.value)
+
+    @pytest.mark.parametrize("dimension", [0, MAX_DIMENSION + 1, 10**9])
+    def test_dimension_is_bounded(self, dimension):
+        doc = self.good()
+        doc["dimension"] = dimension
+        with pytest.raises(ParseError) as info:
+            load_structure_dict(doc)
+        assert info.value.location == "$.dimension"
+
+    def test_dimension_bound_loses_no_admitted_check(self):
+        # the smallest check, order 2 at jet degree 2, needs C(m+2, 2) * m
+        # jet-basis forms; above MAX_DIMENSION that is past the check budget
+        m = MAX_DIMENSION + 1
+        assert math.comb(m + 2, 2) * m > MAX_JET_FORMS
+        doc = {"schema": SCHEMA, "dimension": MAX_DIMENSION, "order": 2,
+               "lambda": [{"index": [1, MAX_DIMENSION], "coeff": f"x{MAX_DIMENSION}"}]}
+        assert load_structure_dict(doc).dimension == MAX_DIMENSION
 
     def test_empty_checks_rejected(self):
         doc = self.good()
