@@ -17,24 +17,31 @@ basis of (n-1)-forms ``x^gamma dx^I``:
 
 Sweep strategy.  Enumerating all tuples of jet-basis forms is quadratic or
 cubic in a basis of several hundred elements, far beyond the runtime budget,
-so each verifier sweeps an exact decomposition of its residual over the jet
-basis and degree cap of ``sweep``, through the one scan-and-certify loop of
-``structure``, which reports the lexicographically first failure.  The
-decompositions follow from identities that hold for the implemented
-operations with *any* n-vector (no integrability assumed), chiefly
+so each verifier sweeps its residual, or an exact decomposition of it, over
+the capped jet-basis grids of ``sweep``, through the one scan-and-certify
+loop of ``structure``, which reports the lexicographically first failure.
+The sweeps rest on identities that hold for the implemented operations with
+*any* n-vector (no integrability assumed), chiefly
 
     lbracket(a, g*b) = g*lbracket(a, b) + sharp(a)(g) * b          (slot-2)
     lbracket(f*a, b) = f*lbracket(a, b) - i_{sharp a}(df ^ b)      (slot-1)
 
-which give the anchor residual the slot-1 rule of ``sweep``, and the
-factorization of the Leibniz residual through the anchor residual ``A`` and
-sharp-d residual ``S``:
+which give the anchor residual ``A`` the slot-1 rule of ``sweep``, and the
+factorization of the Leibniz residual through ``A`` and the sharp-d
+residual ``S``:
 
     leibniz_residual(a, b, c) = lie_form(A(a,b), c) - (-1)^n * S(a,b) * c.
 
-On basis pairs ``S`` splits into single-slot pieces and a term bilinear in
-``(df, dg)``, certified on a linear family of capped pairs (``_SharpDSweep``).
-The exact-forms rule splits too.  With closed
+``A`` and ``S`` are first-order in each function slot: ``A`` obeys the
+slot-1 rule and is linear over functions in its second slot.  In
+``S(f a, b)`` the Hessian terms ``-sum d_i d_j f X_a^i <dx^j ^ b, lam>`` and
+``+sum d_k d_j f X_b^k <dx^j ^ a, lam>`` cancel, the Hessian being
+symmetric; in ``S(a, g b)`` those of ``<d(X_a g) ^ b, lam>`` and
+``X_a <dg ^ b, lam>`` do (the test suite checks ``D(fh) = f D(h) +
+h D(f) - fh D(1)`` for each slot of both).  So the pair grid capped at
+degree 1 certifies sharp-d and the pair part of Leibniz (``sweep``).
+
+The exact-forms rule splits into consistency forms.  With closed
 ``a = df_1^..^df_{n-1}`` and ``b = dg_1^..^dg_{n-1}``, ``<d a, lam> = 0``
 and ``lbracket(a, b) = L_X b`` for ``X = X_F = sharp(a)``.  The derivation
 part ``L_X b - sum_i dg_1^..^d(X g_i)^..^dg_{n-1}`` vanishes for any vector
@@ -73,12 +80,10 @@ from .exterior import (
 )
 from .poly import Polynomial
 from .structure import (
-    CheckReport, JetBasisConfig, NambuStructure, certify, first_hit, hamiltonian, nbracket,
-    sharp,
+    CheckReport, JetBasisConfig, NambuStructure, capped_first_hit, certify, first_hit,
+    hamiltonian, nbracket, sharp,
 )
-from .sweep import (
-    JetBasis, certify_forms, slot1_pairs, slot1_residual, slot1_sweep, sweep_cache,
-)
+from .sweep import JetBasis, certify_forms, slot1_residual, slot1_sweep
 
 
 def _check_section(structure: NambuStructure, form: Form, name: str) -> None:
@@ -151,8 +156,8 @@ def verify_anchor_morphism(
     """Certify the anchor identity over all jet-basis pairs.
 
     The residual obeys the slot-1 rule of ``sweep`` with ``act = sharp``,
-    so the family ``A(x^gamma dx^I, dx^J)`` covers the grid, and capped
-    monomials certify it.
+    so the family ``A(x^gamma dx^I, dx^J)`` covers the grid, and, being
+    first-order in the function, the monomials of degree <= 1 certify it.
     """
     basis = JetBasis(structure, config.max_degree)
     return slot1_sweep(
@@ -163,105 +168,19 @@ def verify_anchor_morphism(
 # -- sharp-d identity ------------------------------------------------------------
 
 
-class _SharpDSweep:
-    """Decomposed evaluation of the sharp-d residual on basis pairs.
-
-    With ``a0 = dx^I``, ``b0 = dx^J`` and monomials f, g the residual is
-    ``S(f a0, g b0) = f single_g(g) + g single_f(f) + cross(f, g)``.  The
-    singles ``S(a0, g b0)``, ``S(f a0, b0)`` are of order <= 2 and ``cross``
-    is bilinear over functions in ``(df, dg)``, so ``S`` vanishes on the grid
-    once the singles do on capped monomials and ``cross`` on coordinates;
-    ``split_hit`` sweeps single_g, cross, single_f, in that order (early on
-    the seeded failures).  A nonzero piece is a value of ``S`` on a capped
-    pair: ``cross(x_k, x_l) = S(x_k a0, x_l b0) - x_k single_g(x_l) - x_l
-    single_f(x_k)``.  ``residual`` assembles ``S`` from the pieces; sharp-d
-    and Leibniz sweep it over the capped pair grid to locate a failure (the
-    ``sweep`` docstring).  Pieces use tensors cached per sweep.
-    """
-
-    def __init__(self, basis: JetBasis):
-        self.basis = basis
-        self.lam = basis.structure.nvector
-
-    @sweep_cache
-    def bracket0(self, left: tuple[int, ...], right: tuple[int, ...]) -> Form:
-        """``lbracket(dx^I, dx^J)``."""
-        return lbracket(self.basis.structure, self.basis.units[left], self.basis.units[right])
-
-    @sweep_cache
-    def u(self, g: int, right: tuple[int, ...]) -> Polynomial:
-        """``<dg ^ dx^J, lam>``."""
-        return pair(wedge(self.basis.d(g), self.basis.units[right]), self.lam)
-
-    @sweep_cache
-    def w(self, g: int, left: tuple[int, ...]) -> Polynomial:
-        """``sharp(dx^I)(g)``."""
-        return apply_vec(self.basis.sharp0(left), self.basis.monomials[g])
-
-    @sweep_cache
-    def T(self, f: int, left: tuple[int, ...], right: tuple[int, ...]) -> Form:
-        """``i_{sharp dx^I}(df ^ dx^J)``."""
-        return contract_vec(
-            self.basis.sharp0(left), wedge(self.basis.d(f), self.basis.units[right])
-        )
-
-    @sweep_cache
-    def single_f(self, f: int, left: tuple[int, ...], right: tuple[int, ...]) -> Polynomial:
-        """Coefficient of ``g`` in the residual: pieces linear in the f-slot."""
-        df = self.basis.d(f)
-        value = pair(wedge(df, self.bracket0(left, right)), self.lam)
-        value = value - pair(ext_d(self.T(f, left, right)), self.lam)
-        return value + apply_vec(
-            self.basis.sharp0(right), pair(wedge(df, self.basis.units[left]), self.lam)
-        )
-
-    @sweep_cache
-    def single_g(self, g: int, left: tuple[int, ...], right: tuple[int, ...]) -> Polynomial:
-        """Coefficient of ``f`` in the residual: pieces linear in the g-slot."""
-        value = pair(wedge(self.basis.d(g), self.bracket0(left, right)), self.lam)
-        value = value + pair(
-            wedge(differential(self.w(g, left)), self.basis.units[right]), self.lam
-        )
-        return value - apply_vec(self.basis.sharp0(left), self.u(g, right))
-
-    def cross(self, f: int, left: tuple[int, ...], g: int, right: tuple[int, ...]) -> Polynomial:
-        """The part of the residual bilinear in ``(df, dg)``."""
-        value = self.w(g, left) * self.u(f, right)
-        return value - pair(wedge(self.basis.d(g), self.T(f, left, right)), self.lam)
-
-    def residual(
-        self, f: int, left: tuple[int, ...], g: int, right: tuple[int, ...]
-    ) -> Polynomial:
-        value = self.basis.monomials[f] * self.single_g(g, left, right)
-        value = value + self.basis.monomials[g] * self.single_f(f, left, right)
-        return value + self.cross(f, left, g, right)
-
-    def split_hit(self) -> tuple | None:
-        sets = self.basis.index_sets
-        singles = list(itertools.product(self.basis.capped(), sets, sets))
-        return (
-            first_hit(singles, self.single_g)
-            or first_hit(self.basis.pairs(self.basis.capped(1)[1:]), self.cross)
-            or first_hit(singles, self.single_f)
-        )
-
-
 def verify_sharp_d_identity(
     structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
 ) -> CheckReport:
     """Certify the sharp-d identity over all jet-basis pairs.
 
-    The split of ``_SharpDSweep`` certifies.  A failure is located by its
-    residual on the capped pair grid, whose first failure is the first of
-    the full grid (``sweep`` docstring), and reported there.
+    The residual is first-order in each function slot (module docstring),
+    so one direct scan of the pair grid capped at degree 1 certifies it and
+    locates its first failure (``sweep`` docstring).
     """
     basis = JetBasis(structure, config.max_degree)
-    sweep = _SharpDSweep(basis)
     direct = partial(sharp_d_residual, structure)
-    return certify_forms(
-        basis, "sharp-d", basis.size() ** 2, sweep.split_hit(), direct,
-        lambda _: first_hit(basis.pairs(basis.capped()), sweep.residual),
-    )
+    hit = first_hit(basis.pairs(basis.capped(1)), lambda *point: direct(*basis.forms(point)))
+    return certify_forms(basis, "sharp-d", basis.size() ** 2, hit, direct)
 
 
 # -- Leibniz identity ------------------------------------------------------------
@@ -273,30 +192,27 @@ def verify_leibniz_identity(
     """Certify the Leibniz identity over all jet-basis triples.
 
     The residual factors exactly through the anchor and sharp-d residuals
-    (module docstring), so the capped anchor slot-1 sweep and the sharp-d
-    split certify the triple grid.  A failure is located at the first pair
-    where either residual is nonzero, scanning the capped pair grid: both
-    residuals are of order <= 2 per function slot, so that is the first
-    such pair of the full grid (``sweep`` docstring).  The pair is lifted to
-    the first failing triple by scanning the third slot, all basis forms,
-    with the direct nested evaluation.
+    (module docstring), both first-order in each function slot, so one scan
+    of the pair grid capped at degree 1 certifies and stops at the first
+    pair of the full grid where either is nonzero (``sweep`` docstring).
+    That pair is lifted to the first failing triple by scanning the third
+    slot, all basis forms, with the direct nested evaluation.
     """
     basis = JetBasis(structure, config.max_degree)
     anchor = slot1_residual(basis, partial(sharp, structure), partial(anchor_residual, structure))
-    sharp_d = _SharpDSweep(basis)
+    sharp_d = partial(sharp_d_residual, structure)
     direct = partial(leibniz_residual, structure)
 
     def pair_residual(*point):
         # A(f dx^I, g dx^J) = g A(f dx^I, dx^J), so the anchor part ignores g
         value = anchor(*point)
-        return sharp_d.residual(*point) if value.is_zero() else value
+        return sharp_d(*basis.forms(point)) if value.is_zero() else value
 
     def lift(hit):
-        located = first_hit(basis.pairs(basis.capped()), pair_residual)
-        triples = (located + third for third in basis.elements())
+        triples = (hit + third for third in basis.elements())
         return first_hit(triples, lambda *point: direct(*basis.forms(point)))
 
-    hit = first_hit(slot1_pairs(basis, basis.capped()), anchor) or sharp_d.split_hit()
+    hit = first_hit(basis.pairs(basis.capped(1)), pair_residual)
     return certify_forms(basis, "leibniz", basis.size() ** 3, hit, direct, lift)
 
 
@@ -335,7 +251,7 @@ def _exact_forms_sweep(
     from the hit's f-tuple on, whose direct residual is nonzero.
     """
     structure = basis.structure
-    capped = [basis.monomials[g] for g in basis.capped()]
+    capped = [basis.monomials[g] for g in basis.capped(2)]
     tuples = list(itertools.combinations(capped, structure.n - 1))
     fields = {fs: hamiltonian(structure, fs) for fs in tuples}
 
@@ -375,10 +291,11 @@ def verify_characterization(
 
     The two function-slot rules are exactly linear in the coefficients of
     both form slots (slot lemmas in the module docstring), so unit forms
-    cover the whole grid; each rule is then first-order in the function,
-    so the capped monomials certify it.  The exact-forms rule is certified
-    by ``_exact_forms_sweep``, which locates a failure with
-    ``exact_forms_residual`` and reports its direct value.
+    cover the whole grid; each rule is then first-order in the function, so
+    the monomials of degree <= 1 certify it, and a hit there is replaced by
+    the first failure of the full grid (a rescan; ``sweep`` docstring).  The
+    exact-forms rule is certified by ``_exact_forms_sweep``, which locates a
+    failure with ``exact_forms_residual`` and reports its direct value.
     """
     basis = JetBasis(structure, config.max_degree)
     n = structure.n
@@ -413,7 +330,7 @@ def verify_characterization(
     def grid(rows):
         return itertools.product(("slot-2", "slot-1"), basis.index_sets, rows, basis.index_sets)
 
-    hit = basis.capped_first_hit(grid, residual)
+    hit = capped_first_hit(grid, residual, range(len(basis.monomials)), basis.capped(1))
     return certify("characterization", items, hit, residual, inputs)
 
 

@@ -316,10 +316,11 @@ def format_polynomial(poly: Polynomial) -> str:
 _MAX_NESTING = 100
 # Bounds that stop a short input from asking for an unbounded computation:
 # the exponent of a power, the number of terms a power or a product may
-# produce, and the coefficient size in bits a power may produce.
+# produce, and the coefficient size in bits a power (or, in ``textio``, a
+# volume constant) may produce.
 _MAX_EXPONENT = 100
 _MAX_TERMS = 1000
-_MAX_BITS = 100_000
+MAX_BITS = 100_000
 
 
 class _Tokenizer:
@@ -422,8 +423,8 @@ def _parse_factor(tok: _Tokenizer, num_vars: int) -> Polynomial:
         (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in base.terms.values()),
         default=0,
     )
-    if exponent * bits > _MAX_BITS:
-        raise tok.error(f"power may exceed {_MAX_BITS}-bit coefficients", caret)
+    if exponent * bits > MAX_BITS:
+        raise tok.error(f"power may exceed {MAX_BITS}-bit coefficients", caret)
     return base ** exponent
 
 

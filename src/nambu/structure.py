@@ -121,10 +121,10 @@ def first_hit(grid: Iterable[tuple], fast: Callable) -> tuple | None:
     return None
 
 
-def capped_first_hit(grid: Callable, fast: Callable, rows: Sequence, degree: Callable):
-    """First hit of ``fast`` over ``grid(rows)``: the rows of ``degree`` <= 2
-    certify, and a hit there is replaced by the first over all rows."""
-    capped = [row for row in rows if degree(row) <= 2]
+def capped_first_hit(grid: Callable, fast: Callable, rows: Sequence, capped: Sequence):
+    """First hit of ``fast`` over ``grid(rows)``: the ``capped`` rows, those
+    of degree at most the residual's order, certify, and a hit there is
+    replaced by the first over all rows (a rescan)."""
     hit = first_hit(grid(capped), fast)
     if hit is not None and len(capped) < len(rows):
         hit = first_hit(grid(rows), fast)
@@ -233,7 +233,8 @@ def _invariance_sweep(structure: NambuStructure, config: JetBasisConfig):
     def defect(*fs: Polynomial) -> Multivector:
         return invariance_defect(structure, fs)
 
-    hit = capped_first_hit(grid, defect, monomials, Polynomial.total_degree)
+    capped = [g for g in monomials if g.total_degree() <= 2]
+    hit = capped_first_hit(grid, defect, monomials, capped)
     return monomials, list(grid(monomials)), defect, hit
 
 

@@ -2,35 +2,39 @@
 
 Every verifier certifies through the one scan-and-certify loop of
 ``structure``.  ``first_hit`` sweeps a grid in the pinned lexicographic
-order (here slot by slot: coefficient monomial-major, then index set)
-through a fast residual, an exact decomposition that the test suite
-cross-checks against the direct formula, and stops at the first nonzero one.
-``certify`` reports a pass when there is none.  Otherwise the hit may name
-a tuple other than the one to report: a Leibniz pair is lifted to a triple,
-a fundamental-identity f-tuple to its first failing g-tuple, and an
-exact-forms consistency hit ``(F, g)`` to the first failing pair of function
-tuples from ``F`` on, by ``locate``.  The residual of the reported tuple is
-recomputed by the direct formula, and a zero one is refused.  Residuals are
-multidifferential operators of order <= 2 per slot, so grids capped at
-coefficient degree 2 (``JetBasis.capped``) certify the full configured
-degree; every sweep but lsv's is capped: the invariance defect, the slot-1
-rule, sharp-d and its split, and the function-slot and exact-forms rules.
-``certify_forms`` is ``certify`` for points made of basis forms; the volume
-identity (``verify_lsv``) sweeps ``JetBasis.elements`` through it.
+order (here slot by slot: coefficient monomial-major, then index set) and
+stops at the first nonzero residual; ``certify`` reports a pass when there
+is none.  Otherwise the hit may name a tuple other than the one to report:
+a Leibniz pair is lifted to a triple, a fundamental-identity f-tuple to its
+first failing g-tuple, and an exact-forms consistency hit ``(F, g)`` to the
+first failing pair of function tuples from ``F`` on, by ``locate``.  The
+residual of the reported tuple is recomputed by the direct formula, and a
+zero one is refused.  ``certify_forms`` is ``certify`` for points made of
+basis forms; the volume identity (``verify_lsv``) sweeps
+``JetBasis.elements`` through it.
 
-Locating on capped grids.  The first failing pair of the full pair grid is
-the first of the capped pair grid ``pairs(capped())``, so sharp-d and the
-pair that Leibniz lifts are located there without a rescan.  The monomials
-come in graded order, so capped rows come first; with the other slots
-fixed the residual is of order <= 2 in each function slot, so a first
-failure with a cubic f would need every capped f row, and hence every row,
-to vanish, and the same holds for g within the block of the failing f and
-``I``.  The slot-1 sweep relies on the same argument.  Combination grids
-are no products: a tuple with a cubic entry may precede a capped one, so
-fundamental identity and invariance replace a capped hit by the first over
-all f-tuples (``structure.capped_first_hit``, a rescan).  Characterization's
-slot rules keep that rescan too, so a fault that breaks the order argument
-is still reported at the first failure of the full grid.
+Capped grids.  A residual that is a differential operator of order <= k in
+a function slot, the other slots fixed, vanishes identically once it
+vanishes on the monomials of degree <= k (``JetBasis.capped(k)``), and the
+monomials come in graded order, so those rows come first.  On a product
+grid in the pinned order the first failure therefore lies on the capped
+rows of every function slot: a row of higher degree would leave a capped
+row, at an earlier point, failing too.  One scan of the capped product grid
+certifies the configured degree and locates a failure.
+
+* Order <= 1, ``capped(1)``: the anchor and sharp-d residuals (so Leibniz's
+  pair residual), the slot-1 rule and the function-slot rules, for any
+  n-vector (``algebroid`` docstring).
+* Order <= 2, ``capped(2)``: the invariance defect ``L_{X_f} lam`` of FI
+  and invariance, and the exact-forms consistency form
+  ``d(X_F(g) - {F, g})``.
+
+FI and invariance sweep combinations of f-tuples, which are no product: a
+tuple with a cubic entry may precede a capped one, so a capped hit is
+replaced by the first over all f-tuples (``structure.capped_first_hit``, a
+rescan).  Characterization's function-slot rules keep that rescan too, so a
+fault that breaks the order argument is still reported at the first failure
+of the full grid.
 
 The slot-1 rule.  A residual ``R`` that is linear over functions in its
 second slot and moves a function out of its first slot through a linear map
@@ -39,9 +43,7 @@ second slot and moves a function out of its first slot through a linear map
     R(f a0, b0) = f R(a0, b0) - sharp(b0)(f) act(a0) + act(i_{sharp a0}(df ^ b0))
 
 is determined on all jet-basis pairs by ``R(x^g dx^I, dx^J)``, and the first
-failing pair has the constant monomial in its second slot.  It is
-first-order in f, so capped monomials certify it, and as they come first in
-the pinned order, a hit among them is the first of all pairs.  The anchor
+failing pair has the constant monomial in its second slot.  The anchor
 residual obeys it with ``act = sharp``, the coboundary of a tensorial
 1-cochain ``c`` with ``act = c``; both hold for any n-vector.
 """
@@ -56,7 +58,7 @@ from .exterior import (
     Form, Multivector, apply_vec, contract_vec, differential, format_tensor, wedge,
 )
 from .poly import Polynomial, jet_exponents
-from .structure import CheckReport, NambuStructure, capped_first_hit, certify, first_hit, sharp
+from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
 
 
 def sweep_cache(method: Callable) -> Callable:
@@ -109,14 +111,9 @@ class JetBasis:
     def size(self) -> int:
         return len(self.monomials) * len(self.index_sets)
 
-    def capped(self, cap: int = 2) -> list[int]:
+    def capped(self, cap: int) -> list[int]:
         """Indices of the monomials of degree <= cap."""
         return [g for g, e in enumerate(self.exponents) if sum(e) <= cap]
-
-    def capped_first_hit(self, grid: Callable, residual: Callable):
-        """``structure.capped_first_hit`` over the monomial rows."""
-        rows = range(len(self.monomials))
-        return capped_first_hit(grid, residual, rows, lambda g: sum(self.exponents[g]))
 
     def pairs(self, rows: Sequence[int]):
         """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``."""
@@ -185,6 +182,6 @@ def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable
 
 
 def slot1_sweep(basis: JetBasis, check: str, act: Callable, direct: Callable) -> CheckReport:
-    """Certify a slot-1 rule over all jet-basis pairs on the capped rows."""
-    hit = first_hit(slot1_pairs(basis, basis.capped()), slot1_residual(basis, act, direct))
+    """Certify a slot-1 rule over all jet-basis pairs on the rows of degree <= 1."""
+    hit = first_hit(slot1_pairs(basis, basis.capped(1)), slot1_residual(basis, act, direct))
     return certify_forms(basis, check, basis.size() ** 2, hit, direct)

@@ -31,6 +31,7 @@ Structure files are JSON documents with schema tag ``nambu-structure/1``::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +40,7 @@ from typing import Any
 from .errors import ParseError
 from .cohomology import VolumeForm
 from .exterior import Form, Multivector, format_tensor
-from .poly import Polynomial, parse_polynomial
+from .poly import MAX_BITS, Polynomial, parse_polynomial
 from .structure import NambuStructure
 
 SCHEMA = "nambu-structure/1"
@@ -235,7 +236,7 @@ def load_structure_dict(doc: Any) -> StructureFile:
         if not isinstance(entry, dict):
             raise ParseError("component must be an object", location)
         index = _require(entry, "index", list, location)
-        if len(index) != n or not all(isinstance(i, int) for i in index):
+        if len(index) != n or not all(type(i) is int for i in index):
             raise ParseError(f"index must list {n} integers", f"{location}.index")
         if any(a >= b for a, b in zip(index, index[1:])):
             raise ParseError("index must be strictly increasing", f"{location}.index")
@@ -262,6 +263,13 @@ def load_structure_dict(doc: Any) -> StructureFile:
             text = volume["constant"]
             if not isinstance(text, str):
                 raise ParseError("volume constant must be a string", "$.volume.constant")
+            # Fraction expands a decimal exponent eagerly: bound the digits first
+            digits = len(text)
+            power = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+            if power.isdecimal():
+                digits += int(power) if len(power) < 10 else MAX_BITS
+            if digits * math.log2(10) > MAX_BITS:
+                raise ParseError(f"volume constant may exceed {MAX_BITS} bits", "$.volume.constant")
             try:
                 constant = Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:

@@ -189,6 +189,17 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err.startswith("error: $.dimension: dimension must lie in 1..64")
 
+    def test_huge_volume_constant_is_rejected_before_expansion(self, capsys, tmp_path):
+        doc = json.loads(Path(R3_SCALED).read_text())
+        doc["volume"] = {"constant": "1e20000000"}
+        target = tmp_path / "huge_constant.json"
+        target.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["compute", str(target), "modular"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $.volume.constant: volume constant may exceed")
+
     def test_deeply_nested_coefficient(self, capsys, tmp_path):
         doc = json.loads(Path(R3_SCALED).read_text())
         doc["lambda"][0]["coeff"] = "(" * 5000 + "x3" + ")" * 5000

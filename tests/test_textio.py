@@ -142,8 +142,13 @@ class TestStructureFiles:
             (lambda d: d["lambda"][0].update(index=[1, 1, 2]), "$.lambda[0].index"),
             (lambda d: d["lambda"][0].update(index=[1, 2]), "$.lambda[0].index"),
             (lambda d: d["lambda"][0].update(index=[1, 2, 9]), "$.lambda[0].index"),
+            (lambda d: d["lambda"][0].update(index=[True, 2, 3]), "$.lambda[0].index"),
             (lambda d: d["lambda"][0].update(coeff="x9"), "$.lambda[0].coeff"),
             (lambda d: d.update(volume={"constant": "0"}), "$.volume.constant"),
+            (lambda d: d.update(volume={"constant": "1e20000000"}), "$.volume.constant"),
+            (lambda d: d.update(volume={"constant": "1e5000000"}), "$.volume.constant"),
+            (lambda d: d.update(volume={"constant": "-2e-31000"}), "$.volume.constant"),
+            (lambda d: d.update(volume={"constant": "1e" + "9" * 5000}), "$.volume.constant"),
             (lambda d: d.update(jet_degree=1), "$.jet_degree"),
             (lambda d: d.update(checks=[3]), "$.checks"),
         ],
@@ -154,6 +159,16 @@ class TestStructureFiles:
         with pytest.raises(ParseError) as info:
             load_structure_dict(doc)
         assert location in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("2", 2), ("-3/4", Fraction(-3, 4)), ("0.5", Fraction(1, 2)), ("1e3", 1000),
+         ("1e-3", Fraction(1, 1000))],
+    )
+    def test_volume_constant_values(self, text, value):
+        doc = self.good()
+        doc["volume"] = {"constant": text}
+        assert load_structure_dict(doc).volume_constant == value
 
     @pytest.mark.parametrize("dimension", [0, MAX_DIMENSION + 1, 10**9])
     def test_dimension_is_bounded(self, dimension):
