@@ -279,8 +279,25 @@ def _format_monomial(exponents: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
+# Below the smallest int <-> str limit an interpreter may set (640 digits,
+# ``sys.set_int_max_str_digits``): literals are bounded by it, ints print in chunks.
+MAX_DIGITS = 600
+_CHUNK = 10**MAX_DIGITS
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal text of a non-negative int."""
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(str(low).zfill(MAX_DIGITS))
+    return str(value) + "".join(reversed(chunks))
+
+
 def _format_coefficient(coeff: Fraction) -> str:
-    return str(coeff)  # Fraction prints "a/b" or "a", already in lowest terms
+    """``a/b``, or ``a`` for an integer, of a positive Fraction (lowest terms)."""
+    text = _decimal(coeff.numerator)
+    return text if coeff.denominator == 1 else f"{text}/{_decimal(coeff.denominator)}"
 
 
 def format_polynomial(poly: Polynomial) -> str:
@@ -346,6 +363,8 @@ class _Tokenizer:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
+        if self.pos - start > MAX_DIGITS:
+            raise self.error(f"integer literal exceeds {MAX_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
 

@@ -124,11 +124,13 @@ def first_hit(grid: Iterable[tuple], fast: Callable) -> tuple | None:
 def capped_first_hit(grid: Callable, fast: Callable, rows: Sequence, capped: Sequence):
     """First hit of ``fast`` over ``grid(rows)``: the ``capped`` rows, those
     of degree at most the residual's order, certify, and a hit there is
-    replaced by the first over all rows (a rescan)."""
+    replaced by the first over all rows (a rescan; no point is evaluated twice)."""
     hit = first_hit(grid(capped), fast)
-    if hit is not None and len(capped) < len(rows):
-        hit = first_hit(grid(rows), fast)
-    return hit
+    if hit is None or len(capped) == len(rows):
+        return hit
+    cleared = set(itertools.takewhile(hit.__ne__, grid(capped)))
+    rescan = (point for point in grid(rows) if point not in cleared)
+    return next(point for point in rescan if point == hit or not fast(*point).is_zero())
 
 
 def certify(

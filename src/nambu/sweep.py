@@ -55,7 +55,7 @@ import itertools
 from typing import Callable, Sequence
 
 from .exterior import (
-    Form, Multivector, apply_vec, contract_vec, differential, format_tensor, wedge,
+    Form, Multivector, apply_vec, contract_vec, differential, format_tensor, pair, wedge,
 )
 from .poly import Polynomial, jet_exponents
 from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
@@ -129,6 +129,12 @@ class JetBasis:
         """Anchor of the unit form ``dx^I``."""
         return sharp(self.structure, self.units[indices])
 
+    @sweep_cache
+    def sharp_d_pieces(self, g: int, indices: tuple[int, ...]):
+        """``sharp(a)``, ``d a`` and ``<d a, lam>`` of the basis form ``a = x^g dx^I``."""
+        da = wedge(self.d(g), self.units[indices])
+        return self.sharp0(indices) * self.monomials[g], da, pair(da, self.structure.nvector)
+
 
 # -- certifying basis forms ----------------------------------------------------------
 
@@ -160,16 +166,17 @@ def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable
 
     ``R`` obeys the slot-1 rule (module docstring) with the linear map
     ``act``; ``direct(a, b)`` evaluates it on forms and supplies the cores
-    ``R(dx^I, dx^J)``.  The second monomial of a point is not read: the rule
-    is linear over functions in that slot.
+    ``R(dx^I, dx^J)``, each built when a point first needs it.  The second
+    monomial of a point is not read: the rule is linear over functions in
+    that slot.
     """
     units = basis.units
     acted = {indices: act(unit) for indices, unit in units.items()}
-    cores = {(left, right): direct(units[left], units[right]) for left in units for right in units}
+    core = functools.cache(lambda left, right: direct(units[left], units[right]))
 
     def residual(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]):
         f = basis.monomials[g]
-        value = cores[(left, right)] * f
+        value = core(left, right) * f
         grad = apply_vec(basis.sharp0(right), f)
         if not grad.is_zero():
             value = value - acted[left] * grad

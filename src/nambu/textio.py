@@ -40,7 +40,7 @@ from typing import Any
 from .errors import ParseError
 from .cohomology import VolumeForm
 from .exterior import Form, Multivector, format_tensor
-from .poly import MAX_BITS, Polynomial, parse_polynomial
+from .poly import MAX_BITS, MAX_DIGITS, Polynomial, parse_polynomial
 from .structure import NambuStructure
 
 SCHEMA = "nambu-structure/1"
@@ -159,9 +159,10 @@ def _parse_blade(text: str, m: int, cls) -> tuple[int, ...]:
     for axis in text.split("^"):
         axis = axis.strip()
         prefix = "dx" if cls is Form else "d"
-        if not axis.startswith(prefix) or not axis[len(prefix) :].isdigit():
+        digits = axis[len(prefix) :]
+        if not axis.startswith(prefix) or not digits.isdigit() or len(digits) > MAX_DIGITS:
             raise ParseError(f"malformed basis axis {axis!r}")
-        index = int(axis[len(prefix) :])
+        index = int(digits)
         if not 1 <= index <= m:
             raise ParseError(f"axis index {index} outside chart of dimension {m}")
         indices.append(index)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,6 +24,7 @@ from nambu.algebroid import (
     lbracket,
     leibniz_residual,
     phi,
+    reduced_sharp_d,
     sharp_d_residual,
     skew_defect,
     verify_anchor_morphism,
@@ -45,8 +47,8 @@ from nambu.exterior import (
     wedge,
 )
 from nambu.poly import Polynomial
-from nambu.structure import JetBasisConfig, NambuStructure, sharp
-from nambu.sweep import JetBasis, slot1_residual
+from nambu.structure import JetBasisConfig, NambuStructure, first_hit, sharp
+from nambu.sweep import JetBasis, slot1_pairs, slot1_residual
 
 from conftest import random_form, random_multivector, random_polynomial
 
@@ -213,6 +215,44 @@ class TestDecompositionsAgainstDirect:
                     assert value == D(h) * f + D(f) * h - D(one) * (f * h)
                     nonzero += not value.is_zero()
         assert nonzero >= 24
+
+    def test_reduced_sharp_d_equals_direct_residual(self, rng, sum_r6):
+        # The sharp-d and Leibniz sweeps evaluate the reduced identity; it
+        # must equal the direct residual as a polynomial for any n-vector, so
+        # none of these is Nambu-Poisson.  The three capped(2) pair grids
+        # hold 228,600 pairs; a seeded sample of each keeps the test short.
+        structures = [
+            NambuStructure(4, 3, random_multivector(rng, 4, 3)),
+            NambuStructure(5, 4, random_multivector(rng, 5, 4, 0.4)),
+            sum_r6,
+        ]
+        nonzero = 0
+        for structure in structures:
+            basis = JetBasis(structure, 2)
+            for point in rng.sample(list(basis.pairs(basis.capped(2))), 1500):
+                value = reduced_sharp_d(basis, *point)
+                assert value == sharp_d_residual(structure, *basis.forms(point))
+                nonzero += not value.is_zero()
+        assert nonzero >= 100
+
+    def test_slot1_cores_are_built_on_demand(self, normal_r4):
+        # A sweep failing on the constant row stops before it needs every
+        # core R(dx^I, dx^J); a passing one builds each exactly once.
+        failing = NambuStructure(4, 3, x(4, 2) * dd(4, 1, 2, 4) + x(4, 3) * dd(4, 2, 3, 4))
+        for structure, passes in ((failing, False), (normal_r4, True)):
+            basis = JetBasis(structure, 2)
+            built = []
+
+            def direct(a, b):
+                built.append((a, b))
+                return anchor_residual(structure, a, b)
+
+            fast = slot1_residual(basis, partial(sharp, structure), direct)
+            hit = first_hit(slot1_pairs(basis, basis.capped(1)), fast)
+            assert (hit is None) == passes
+            cores = len(basis.index_sets) ** 2
+            assert len(built) == len(set(built))
+            assert len(built) == cores if passes else len(built) < cores
 
     def test_leibniz_factorization(self, rng, scaled_r3, sum_r6, normal_r4):
         # residual(a,b,c) = lie_form(A(a,b), c) - (-1)^n S(a,b) c, any tensor

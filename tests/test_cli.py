@@ -18,6 +18,12 @@ R4_NF = str(FIXTURES / "r4_normal_form.json")
 R6_SUM = str(FIXTURES / "r6_nonexample.json")
 
 
+def _structure_text(coeff: str) -> str:
+    """A structure file on R^3 with the 3-vector ``coeff * d1^d2^d3``."""
+    lam = [{"index": [1, 2, 3], "coeff": coeff}]
+    return json.dumps({"schema": "nambu-structure/1", "dimension": 3, "order": 3, "lambda": lam})
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -67,6 +73,28 @@ class TestCompute:
         assert time.perf_counter() - start < 1
         assert code == 1
         assert "column" in err
+
+    def test_coefficient_beyond_the_int_str_limit_prints_exactly(self, capsys, tmp_path):
+        # 2^90000 has 27,093 digits, above Python's default limit of 4,300
+        # for int-to-str conversion but within the parser's coefficient bits
+        target = tmp_path / "big.json"
+        target.write_text(_structure_text("((2^100)^100)^9*x3"), encoding="utf-8")
+        code, out, err = run(capsys, ["compute", str(target), "sharp", "dx1^dx2"])
+        assert (code, err) == (0, "")
+        digits, _, rest = out.partition("*")
+        assert (len(digits), rest) == (27093, "x3*d3\n")
+        value = 0
+        for start in range(0, len(digits), 500):
+            chunk = digits[start : start + 500]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == 2**90000
+
+    def test_oversized_literal_coefficient_is_located(self, capsys, tmp_path):
+        target = tmp_path / "literal.json"
+        target.write_text(_structure_text("2*" + "1" * 5000 + "*x3"), encoding="utf-8")
+        code, out, err = run(capsys, ["compute", str(target), "sharp", "dx1^dx2"])
+        assert (code, out) == (1, "")
+        assert err == "error: $.lambda[0].coeff: column 3: integer literal exceeds 600 digits\n"
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, ["compute", R3_SCALED, "modular", "--json"])

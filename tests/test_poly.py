@@ -215,6 +215,22 @@ class TestGrammar:
         assert parse_polynomial("(3^100)^100", M) == Polynomial.constant(M, 3**10000)
         assert parse_polynomial("(x1+1)^0*0^0", M) == Polynomial.one(M)
 
+    def test_integer_literals_are_bounded_in_digits(self):
+        assert parse_polynomial("9" * 600, M) == Polynomial.constant(M, 10**600 - 1)
+        for text, column in (("2*" + "7" * 601, "column 3"), ("x" + "1" * 5000, "column 2")):
+            with pytest.raises(ParseError) as info:
+                parse_polynomial(text, M)
+            assert info.value.location == column
+
+    def test_coefficients_print_exactly_beyond_the_int_str_limit(self):
+        # 3^9000 / 7^6000 has 4,295 + 5,071 digits; printing a coefficient
+        # must not depend on the interpreter's int-to-str limit
+        coeff = Fraction(3**9000, 7**6000)
+        text = format_polynomial(Polynomial.constant(M, coeff) * Polynomial.variable(M, 1))
+        numerator, denominator = text.removesuffix("*x1").split("/")
+        assert (numerator[:6], len(numerator), len(denominator)) == ("123393", 4295, 5071)
+        assert Fraction(_int(numerator), _int(denominator)) == coeff
+
     def test_long_sign_chain_parses(self):
         assert parse_polynomial("-" * 5001 + "x1", M) == -x(1)
 
@@ -234,3 +250,12 @@ class TestJetBasis:
         # degree <= 3 in 5 variables: C(8, 3) monomials of each degree summed
         assert len(jet_exponents(5, 3)) == 56
         assert len(jet_exponents(3, 3)) == 20
+
+
+def _int(digits: str) -> int:
+    """Exact int of a decimal string of any length, read 500 digits at a time."""
+    value = 0
+    for start in range(0, len(digits), 500):
+        chunk = digits[start : start + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from nambu.structure import (
     JetBasisConfig,
     NambuStructure,
     PluckerVerdict,
+    capped_first_hit,
     check_fundamental_identity,
     check_invariance,
     fi_residual,
@@ -316,6 +318,25 @@ class TestInvariance:
             planted_defect(nambu, f_tuples[position])
         )
         assert report.items_checked == position + 1
+
+    @pytest.mark.parametrize(
+        "failing,expected",
+        [({(0, 4), (1, 2)}, (0, 4)), ({(1, 2)}, (1, 2)), ({(3, 4)}, None)],
+        ids=["later-row-first", "capped-hit-first", "capped-rows-pass"],
+    )
+    def test_capped_first_hit_evaluates_each_point_once(self, failing, expected):
+        # rows 0..5, rows 0..2 capped, over pairs: the capped sweep stops at
+        # (1, 2) when it fails; the rescan skips the capped points found
+        # zero and returns the hit without evaluating it again.
+        evaluated = []
+
+        def fast(a, b):
+            evaluated.append((a, b))
+            return Polynomial.constant(1, int((a, b) in failing))
+
+        grid = functools.partial(itertools.combinations, r=2)
+        assert capped_first_hit(grid, fast, range(6), range(3)) == expected
+        assert len(evaluated) == len(set(evaluated))
 
     def test_fi_implies_invariance_on_fixtures(
         self, scaled_r3, volume_r3, normal_r4, normal_r5, sum_r6

@@ -92,6 +92,7 @@ class TestTensorGrammar:
             ("dx1", 2),
             ("d1^d2", 2),
             ("dx9", 1),
+            pytest.param("dx" + "1" * 5000, 1, id="5000-digit-axis"),
             ("x1*", 1),
             ("", 1),
         ],
