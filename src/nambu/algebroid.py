@@ -59,6 +59,16 @@ field, so the exact-forms residual is
 and the linear sweep of the consistency 1-forms ``d(X_F(g) - {F, g})``
 certifies the quadratic grid of tuple pairs.  The phi-morphism residual is
 the negated exact-forms residual, so the same sweep certifies it.
+
+Characterization and phi-morphism are blind to integrability: they pass
+for every n-vector, Nambu-Poisson or not.  The function-slot rules are the
+slot lemmas above, and the consistency defect
+
+    X_F(g) - {F, g} = <dg, i(dF) lam> - <dF ^ dg, lam>,   dF = df_1^..^df_{n-1},
+
+is zero by ``contract_form``'s defining identity.  A pass of either check
+says that the bracket agrees with its definitions; whether ``lam`` is
+Nambu-Poisson is what the fundamental-identity check decides.
 """
 
 from __future__ import annotations

@@ -94,7 +94,7 @@ def volume_structure(volume: VolumeForm, m: int) -> NambuStructure:
         raise ChartMismatchError(f"volume on {volume.m} variables, chart has {m}")
     if not volume.p.is_zero():
         raise ValueError("volume_structure requires a constant volume (zero exponent)")
-    top = Multivector.basis(m, tuple(range(1, m + 1))) * (1 / volume.c)
+    top = Multivector.basis(m, tuple(range(1, m + 1))) * Fraction(1, volume.c)
     return NambuStructure(m, m, top)
 
 
@@ -440,7 +440,7 @@ def _solve_linear(
         pivot = rows[key]
         for other in rows_of[col] - {key}:
             row = rows[other]
-            factor = row[col] / pivot[col]
+            factor = Fraction(row[col], pivot[col])
             for c, value in pivot.items():
                 updated = row.get(c, 0) - factor * value
                 if updated:
@@ -451,5 +451,5 @@ def _solve_linear(
                     rows_of[c].discard(other)
     if rows_of[last] & live:
         return None
-    values = {c: rows[key].get(last, 0) / rows[key][c] for c, key in pivot_of.items()}
+    values = {c: Fraction(rows[key].get(last, 0), rows[key][c]) for c, key in pivot_of.items()}
     return [values.get(c, Fraction(0)) for c in range(last)]

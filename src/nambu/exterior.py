@@ -160,10 +160,11 @@ class _Alternating:
 
     def __mul__(self, scalar: _Scalar):
         """Multiplication by a rational or polynomial scalar."""
-        if isinstance(scalar, (int, Fraction)):
-            scalar = Polynomial.constant(self.m, scalar)
-        if not isinstance(scalar, Polynomial):
-            return NotImplemented
+        if type(scalar) is not Polynomial:
+            if isinstance(scalar, (int, Fraction)):
+                scalar = Polynomial.constant(self.m, scalar)
+            elif not isinstance(scalar, Polynomial):
+                return NotImplemented
         if scalar.num_vars != self.m:
             raise ChartMismatchError(
                 f"scalar on {scalar.num_vars} variables, chart has {self.m}"
@@ -379,7 +380,7 @@ def differential(f: Polynomial) -> Form:
     components: dict[tuple[int, ...], Polynomial] = {}
     for j in range(1, m + 1):
         partial = f.diff(j)
-        if partial:
+        if partial.terms:
             components[(j,)] = partial
     return Form._wrap(m, 1, components)
 

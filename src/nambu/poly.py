@@ -1,14 +1,23 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial on an ``m``-dimensional chart is a finite map from exponent
-vectors (tuples of ``m`` non-negative ints) to nonzero ``Fraction``
+vectors (tuples of ``m`` non-negative ints) to nonzero exact rational
 coefficients.  The zero polynomial is the empty map.  All operations
 normalize their result (no stored zero coefficient), so two polynomials are
-equal iff their stored representations are identical.
+equal iff their stored representations are equal.
 
-Rational scalars are ``fractions.Fraction`` values: the stdlib type already
-enforces the contract this package needs (lowest terms, positive
-denominator, zero is 0/1).  It is re-exported as ``Rational``.
+A coefficient is an ``int`` or a ``fractions.Fraction``, never a float or a
+bool.  The constructor and scalar multiplication store an integral value as
+``int``, so integer arithmetic, the common case, skips ``Fraction``'s gcd.  A
+``Fraction`` that an operation makes integral may stay a ``Fraction``: since
+``3 == Fraction(3)`` and their hashes agree, equality and hashing do not
+depend on which type holds a value.  ``Fraction`` enforces the rest of the
+contract (lowest terms, positive denominator) and is re-exported as
+``Rational``.  Code that divides coefficients divides through ``Fraction``,
+because ``int / int`` is a float.
+
+Each polynomial memoises its partial derivatives: ``diff(j)`` computes the
+j-th partial once per instance and returns the same object afterwards.
 
 Variables are positional and 1-based: ``x1`` .. ``xm``.  A chart context
 fixes ``m`` for every object participating in a computation.
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, ParseError
@@ -39,20 +49,36 @@ Rational = Fraction
 _Scalar = Union[int, Fraction]
 
 
+def _exact(value: _Scalar) -> _Scalar:
+    """``value`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
+    raise ValueError(f"coefficient {value!r} is not an int or a Fraction")
+
+
 def _grlex_key(exponents: tuple[int, ...]) -> tuple:
     # Ascending order: constants first, x1 before x2, x1^2 before x1*x2.
     return (sum(exponents), tuple(-e for e in exponents))
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("num_vars", "terms", "_hash")
+    ``terms`` maps exponent tuples to nonzero ``int`` or ``Fraction``
+    coefficients.  ``_partials`` holds the memoised ``diff`` results; it
+    stays ``None`` until the first ``diff`` call.
+    """
+
+    __slots__ = ("num_vars", "terms", "_hash", "_partials")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], _Scalar] | None = None):
         if num_vars < 1:
             raise ValueError(f"num_vars must be positive, got {num_vars}")
-        normalized: dict[tuple[int, ...], Fraction] = {}
+        normalized: dict[tuple[int, ...], _Scalar] = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != num_vars:
                 raise ChartMismatchError(
@@ -60,14 +86,13 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if not isinstance(coeff, (int, Fraction)):
-                raise ValueError(f"coefficient {coeff!r} is not an int or a Fraction")
-            value = Fraction(coeff)
+            value = _exact(coeff)
             if value:
                 normalized[tuple(exps)] = value
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", normalized)
-        object.__setattr__(self, "_hash", None)
+        _set_num_vars(self, num_vars)
+        _set_terms(self, normalized)
+        _set_hash(self, None)
+        _set_partials(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -93,7 +118,7 @@ class Polynomial:
             raise ChartMismatchError(f"variable index {index} outside 1..{num_vars}")
         exps = [0] * num_vars
         exps[index - 1] = 1
-        return cls(num_vars, {tuple(exps): Fraction(1)})
+        return cls(num_vars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], coeff: _Scalar = 1) -> Polynomial:
@@ -108,10 +133,11 @@ class Polynomial:
             )
 
     def __add__(self, other: Polynomial | _Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.num_vars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                other = Polynomial.constant(self.num_vars, other)
+            elif not isinstance(other, Polynomial):
+                return NotImplemented
         self._check_chart(other)
         result = dict(self.terms)
         for exps, coeff in other.terms.items():
@@ -132,28 +158,30 @@ class Polynomial:
         return self._wrap({exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other: Polynomial | _Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.num_vars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                other = Polynomial.constant(self.num_vars, other)
+            elif not isinstance(other, Polynomial):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: _Scalar) -> Polynomial:
         return (-self) + other
 
     def __mul__(self, other: Polynomial | _Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            if not scalar:
-                return Polynomial.zero(self.num_vars)
-            return self._wrap({e: c * scalar for e, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                scalar = _exact(other)
+                if not scalar:
+                    return Polynomial.zero(self.num_vars)
+                return self._wrap({e: c * scalar for e, c in self.terms.items()})
+            if not isinstance(other, Polynomial):
+                return NotImplemented
         self._check_chart(other)
-        result: dict[tuple[int, ...], Fraction] = {}
+        result: dict[tuple[int, ...], _Scalar] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 acc = result.get(key)
                 if acc is None:
                     result[key] = ca * cb
@@ -180,28 +208,40 @@ class Polynomial:
                 base = base * base
         return result
 
-    def _wrap(self, terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
+    def _wrap(self, terms: dict[tuple[int, ...], _Scalar]) -> Polynomial:
         # Internal fast path: ``terms`` is already normalized.
-        poly = Polynomial.__new__(Polynomial)
-        object.__setattr__(poly, "num_vars", self.num_vars)
-        object.__setattr__(poly, "terms", terms)
-        object.__setattr__(poly, "_hash", None)
+        poly = _new(Polynomial)
+        _set_num_vars(poly, self.num_vars)
+        _set_terms(poly, terms)
+        _set_hash(poly, None)
+        _set_partials(poly, None)
         return poly
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, index: int) -> Polynomial:
-        """Formal partial derivative with respect to ``x<index>`` (1-based)."""
+        """Formal partial derivative with respect to ``x<index>`` (1-based).
+
+        Computed once per instance and index; later calls return the same
+        (immutable) polynomial.
+        """
         if not 1 <= index <= self.num_vars:
             raise ChartMismatchError(f"variable index {index} outside 1..{self.num_vars}")
+        partials = self._partials
+        if partials is None:
+            partials = [None] * self.num_vars
+            _set_partials(self, partials)
         i = index - 1
-        result: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1 :]
-                result[key] = coeff * e
-        return self._wrap(result)
+        derivative = partials[i]
+        if derivative is None:
+            result: dict[tuple[int, ...], _Scalar] = {}
+            for exps, coeff in self.terms.items():
+                e = exps[i]
+                if e:
+                    key = exps[:i] + (e - 1,) + exps[i + 1 :]
+                    result[key] = coeff * e
+            derivative = partials[i] = self._wrap(result)
+        return derivative
 
     def evaluate(self, point: Sequence[_Scalar]) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -227,10 +267,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(exps) for exps in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> _Scalar:
         """Value of a constant polynomial."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         [(exps, coeff)] = self.terms.items()
         if any(exps):
             raise ValueError(f"{self} is not constant")
@@ -243,17 +283,18 @@ class Polynomial:
         return max(sum(exps) for exps in self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.num_vars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                other = Polynomial.constant(self.num_vars, other)
+            elif not isinstance(other, Polynomial):
+                return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.num_vars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __bool__(self) -> bool:
@@ -264,6 +305,14 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_polynomial(self)
+
+
+# ``__setattr__`` refuses assignment, so the methods above write the slots
+# through their descriptors, which is cheaper than ``object.__setattr__``.
+_new = Polynomial.__new__
+_set_num_vars, _set_terms, _set_hash, _set_partials = (
+    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
+)
 
 
 # -- canonical printing ------------------------------------------------------
@@ -294,8 +343,8 @@ def _decimal(value: int) -> str:
     return str(value) + "".join(reversed(chunks))
 
 
-def _format_coefficient(coeff: Fraction) -> str:
-    """``a/b``, or ``a`` for an integer, of a positive Fraction (lowest terms)."""
+def _format_coefficient(coeff: _Scalar) -> str:
+    """``a/b``, or ``a`` for an integer, of a positive int or Fraction (lowest terms)."""
     text = _decimal(coeff.numerator)
     return text if coeff.denominator == 1 else f"{text}/{_decimal(coeff.denominator)}"
 
@@ -419,7 +468,7 @@ def _parse_term(tok: _Tokenizer, num_vars: int) -> Polynomial:
             value = divisor.constant_value()
             if not value:
                 raise tok.error("division by zero")
-            result = result * (1 / value)
+            result = result * Fraction(1, value)
         else:
             return result
 

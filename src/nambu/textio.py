@@ -195,9 +195,25 @@ class StructureFile:
         return VolumeForm(self.volume_constant, self.volume_exponent)
 
 
+# Stands in for a JSON integer literal of more than ``MAX_DIGITS`` digits:
+# ``json`` converts integers before any schema check runs, and converting a
+# long one fails with no location, so the schema checks reject this marker
+# at its JSON path instead.
+_LONG_LITERAL = object()
+
+
+def _parse_json_int(text: str) -> int | object:
+    return _LONG_LITERAL if len(text.lstrip("-")) > MAX_DIGITS else int(text)
+
+
+def _check_literal(value: Any, location: str) -> None:
+    if value is _LONG_LITERAL:
+        raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", location)
+
+
 def load_structure_text(text: str) -> StructureFile:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return load_structure_dict(doc)
@@ -211,6 +227,7 @@ def _require(doc: dict, key: str, kind, location: str):
     if key not in doc:
         raise ParseError(f"missing required field {key!r}", location=location)
     value = doc[key]
+    _check_literal(value, f"{location}.{key}")
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ParseError(
             f"field {key!r} must be of type {kind.__name__}", location=f"{location}.{key}"
@@ -237,6 +254,8 @@ def load_structure_dict(doc: Any) -> StructureFile:
         if not isinstance(entry, dict):
             raise ParseError("component must be an object", location)
         index = _require(entry, "index", list, location)
+        for i in index:
+            _check_literal(i, f"{location}.index")
         if len(index) != n or not all(type(i) is int for i in index):
             raise ParseError(f"index must list {n} integers", f"{location}.index")
         if any(a >= b for a, b in zip(index, index[1:])):
@@ -298,6 +317,7 @@ def load_structure_dict(doc: Any) -> StructureFile:
     jet_degree: int | None = None
     if "jet_degree" in doc:
         raw = doc["jet_degree"]
+        _check_literal(raw, "$.jet_degree")
         if not isinstance(raw, int) or isinstance(raw, bool) or raw < 2:
             raise ParseError("jet_degree must be an integer >= 2", "$.jet_degree")
         jet_degree = raw

@@ -47,7 +47,13 @@ from nambu.exterior import (
     wedge,
 )
 from nambu.poly import Polynomial
-from nambu.structure import JetBasisConfig, NambuStructure, first_hit, sharp
+from nambu.structure import (
+    JetBasisConfig,
+    NambuStructure,
+    check_fundamental_identity,
+    first_hit,
+    sharp,
+)
 from nambu.sweep import JetBasis, slot1_pairs, slot1_residual
 
 from conftest import random_form, random_multivector, random_polynomial
@@ -623,6 +629,17 @@ class TestExactFormsRule:
         monkeypatch.setattr(algebroid, "nbracket", perturbed)
         assert verify_characterization(scaled_r3).passed
         assert verify_phi_morphism(scaled_r3).passed
+
+    def test_characterization_and_phi_morphism_ignore_integrability(self, rng):
+        # Both checks certify identities of the definitions, which hold for
+        # every n-vector (module docstring of ``algebroid``): they pass on
+        # seeded n-vectors that are not Nambu-Poisson.
+        config = JetBasisConfig(max_degree=2)
+        for m, n, density in ((4, 3, 0.6), (5, 3, 0.4), (5, 4, 0.4)):
+            structure = NambuStructure(m, n, random_multivector(rng, m, n, density))
+            assert not check_fundamental_identity(structure, config).passed
+            assert verify_characterization(structure, config).passed
+            assert verify_phi_morphism(structure, config).passed
 
     def test_frozen_instance(self, scaled_r3):
         # [[d(x1)^d(x2), d(x2)^d(x3)]] = d{x1,x2,x2}^dx3 + dx2^d{x1,x2,x3}

@@ -217,6 +217,31 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err.startswith("error: $.dimension: dimension must lie in 1..64")
 
+    @pytest.mark.parametrize(
+        "field, location",
+        [
+            ("dimension", "$.dimension"),
+            ("order", "$.order"),
+            ("index", "$.lambda[0].index"),
+            ("jet_degree", "$.jet_degree"),
+        ],
+    )
+    def test_oversized_json_integer_is_located(self, capsys, tmp_path, field, location):
+        doc = json.loads(Path(R3_SCALED).read_text())
+        literal = "7" * 5000
+        if field == "index":
+            doc["lambda"][0]["index"] = [1, 2, 0]
+            text = json.dumps(doc).replace("[1, 2, 0]", f"[1, 2, {literal}]")
+        else:
+            doc[field] = 0
+            text = json.dumps(doc).replace(f'"{field}": 0', f'"{field}": -{literal}')
+        assert literal in text
+        target = tmp_path / "long_literal.json"
+        target.write_text(text)
+        code, out, err = run(capsys, ["check", str(target)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {location}: integer literal exceeds 600 digits\n"
+
     def test_huge_volume_constant_is_rejected_before_expansion(self, capsys, tmp_path):
         doc = json.loads(Path(R3_SCALED).read_text())
         doc["volume"] = {"constant": "1e20000000"}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,26 @@ def test_witness_output_matches_golden(case):
     code, stdout = run_witness(case["fixture"], case["exponent"], case["args"])
     assert stdout == case["stdout"]
     assert code == case["exit"]
+
+
+def test_witness_solutions_are_fractions(monkeypatch):
+    # Integral coefficients are ints, and int / int is a float: the solver
+    # must still return exact Fractions on every golden witness system.
+    from nambu import cohomology
+
+    solve = cohomology._solve_linear
+    solutions = []
+
+    def recording(columns, target):
+        solution = solve(columns, target)
+        solutions.append(solution)
+        return solution
+
+    monkeypatch.setattr(cohomology, "_solve_linear", recording)
+    for case in WITNESS_CASES:
+        if "--json" not in case["args"]:
+            result = run_witness(case["fixture"], case["exponent"], case["args"])
+            assert result == (case["exit"], case["stdout"])
+    values = [value for solution in solutions if solution is not None for value in solution]
+    assert any(values)
+    assert all(type(value) is Fraction for value in values)

@@ -30,6 +30,24 @@ def x(i: int, m: int = M) -> Polynomial:
     return Polynomial.variable(m, i)
 
 
+# ints (bools among them) and Fractions, integral or not
+scalar_strategy = st.one_of(
+    st.integers(-6, 6),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+def mixed_poly_strategy(m: int = M, max_degree: int = 3):
+    exponent = st.tuples(*[st.integers(0, max_degree) for _ in range(m)])
+    return st.dictionaries(exponent, scalar_strategy, max_size=5).map(lambda t: Polynomial(m, t))
+
+
+def exact_types(p: Polynomial) -> bool:
+    """Every coefficient is an int or a Fraction: no float, no bool."""
+    return all(type(c) in (int, Fraction) for c in p.terms.values())
+
+
 class TestConstruction:
     def test_zero_coefficients_pruned(self):
         p = Polynomial(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
@@ -233,6 +251,84 @@ class TestGrammar:
 
     def test_long_sign_chain_parses(self):
         assert parse_polynomial("-" * 5001 + "x1", M) == -x(1)
+
+
+class TestExactCoefficients:
+    @given(mixed_poly_strategy())
+    def test_integral_coefficients_are_stored_as_int(self, p):
+        assert exact_types(p)
+        assert all(type(c) is int for c in p.terms.values() if c.denominator == 1)
+
+    @given(
+        mixed_poly_strategy(),
+        mixed_poly_strategy(),
+        scalar_strategy,
+        st.integers(0, 3),
+        st.integers(1, M),
+    )
+    def test_operations_keep_coefficients_exact(self, a, b, s, k, i):
+        results = [
+            a + b, a - b, -a, a * b, a * s, s * a, a + s, s + a, a - s, s - a,
+            a**k, a.diff(i), (a * b).diff(i),
+        ]
+        for p in results:
+            assert exact_types(p)
+
+    @pytest.mark.parametrize(
+        ("text", "expected"),
+        [
+            ("x1/2", Fraction(1, 2) * x(1)),
+            ("(x1+1)/2", Fraction(1, 2) * (x(1) + 1)),
+            ("3/(4/2)", Polynomial.constant(M, Fraction(3, 2))),
+            ("6/3*x2", 2 * x(2)),
+            ("(x1/3)*3 - 1/(1/x3^0)", x(1) - 1),
+            ("-(x1^2 - 4)/2", 2 - Fraction(1, 2) * x(1) ** 2),
+        ],
+    )
+    def test_parsed_coefficients_are_exact(self, text, expected):
+        p = parse_polynomial(text, M)
+        assert exact_types(p)
+        assert p == expected
+
+    @given(poly_strategy())
+    def test_parsed_canonical_text_is_exact(self, p):
+        assert exact_types(parse_polynomial(format_polynomial(p), M))
+
+    def test_int_and_integral_fraction_coefficients_agree(self):
+        # an operation may leave an integral Fraction; it must not matter
+        via_fraction = Polynomial.constant(M, Fraction(3, 2)) * x(1) * 2
+        via_int = 3 * x(1)
+        [stored] = via_fraction.terms.values()
+        assert type(stored) is Fraction and type(via_int.terms[(1, 0, 0)]) is int
+        assert via_fraction == via_int
+        assert hash(via_fraction) == hash(via_int)
+        assert len({via_fraction, via_int}) == 1
+        assert format_polynomial(via_fraction) == format_polynomial(via_int) == "3*x1"
+
+    @given(mixed_poly_strategy(), st.lists(st.integers(1, M), min_size=1, max_size=6))
+    def test_memoised_diff_equals_a_fresh_computation(self, p, indices):
+        for i in indices:
+            fresh = Polynomial(
+                M,
+                {
+                    e[: i - 1] + (e[i - 1] - 1,) + e[i:]: c * e[i - 1]
+                    for e, c in p.terms.items()
+                    if e[i - 1]
+                },
+            )
+            first = p.diff(i)
+            assert first == fresh
+            assert p.diff(i) is first
+            assert first.diff(i) == fresh.diff(i)
+
+    def test_memo_leaves_the_polynomial_immutable(self):
+        p = x(1) ** 2 * x(2)
+        assert p.diff(1) == 2 * x(1) * x(2)
+        for name in ("num_vars", "terms", "_hash", "_partials"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+        assert p.diff(1) == 2 * x(1) * x(2)
+        assert p.diff(2) == x(1) ** 2
 
 
 class TestJetBasis:
