@@ -15,6 +15,9 @@ Conventions (fixed once, used everywhere):
   applied to ``f`` equals the full bracket pairing with no extra sign;
 * interior product by a vector field is evaluation in the first slot:
   ``contract_vec(X, omega)(Y1, ..) = omega(X, Y1, ..)``.
+
+Operation results are canonical (no stored zero coefficient), and
+``_accumulate`` is the one place where a sum that cancels is dropped.
 """
 
 from __future__ import annotations
@@ -37,6 +40,19 @@ def check_multi_index(indices: tuple[int, ...], m: int) -> None:
         raise DegreeError(f"multi-index {indices} outside chart range 1..{m}")
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise DegreeError(f"multi-index {indices} is not strictly increasing")
+
+
+def _accumulate(
+    result: dict[tuple[int, ...], Polynomial], key: tuple[int, ...], value: Polynomial
+) -> None:
+    """Add ``value`` into ``result[key]``; drop the key when the sum is zero."""
+    acc = result.get(key)
+    if acc is not None:
+        value = acc + value
+    if value.terms:
+        result[key] = value
+    else:
+        result.pop(key, None)
 
 
 def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -94,6 +110,10 @@ class _Alternating:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return type(self), (self.m, self.degree, self.components)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -140,15 +160,7 @@ class _Alternating:
         self._check_compatible(other)
         result = dict(self.components)
         for indices, coeff in other.components.items():
-            acc = result.get(indices)
-            if acc is None:
-                result[indices] = coeff
-            else:
-                acc = acc + coeff
-                if acc.is_zero():
-                    del result[indices]
-                else:
-                    result[indices] = acc
+            _accumulate(result, indices, coeff)
         return self._wrap(self.m, self.degree, result)
 
     def __neg__(self):
@@ -271,17 +283,7 @@ def wedge(a, b):
             if sign == 0:
                 continue
             product = ca * cb
-            if sign < 0:
-                product = -product
-            acc = result.get(merged)
-            if acc is None:
-                acc = product
-            else:
-                acc = acc + product
-            if acc.is_zero():
-                result.pop(merged, None)
-            else:
-                result[merged] = acc
+            _accumulate(result, merged, -product if sign < 0 else product)
     # Degree overflow (> m) makes every index pair overlap, so the result is
     # the exact zero of the nominal degree.
     return type(a)._wrap(a.m, degree, result)
@@ -334,14 +336,7 @@ def contract_form(alpha: Form, mv: Multivector) -> Multivector:
             rest = tuple(i for i in ib if i not in index_set)
             sign, _ = merge_sign(ia, rest)
             product = ca * cb
-            if sign < 0:
-                product = -product
-            acc = result.get(rest)
-            acc = product if acc is None else acc + product
-            if acc.is_zero():
-                result.pop(rest, None)
-            else:
-                result[rest] = acc
+            _accumulate(result, rest, -product if sign < 0 else product)
     return Multivector._wrap(mv.m, mv.degree - alpha.degree, result)
 
 
@@ -363,14 +358,7 @@ def contract_vec(vector: Multivector, omega: Form) -> Form:
                 continue
             rest = indices[:position] + indices[position + 1 :]
             product = coeff * xj
-            if position % 2:
-                product = -product
-            acc = result.get(rest)
-            acc = product if acc is None else acc + product
-            if acc.is_zero():
-                result.pop(rest, None)
-            else:
-                result[rest] = acc
+            _accumulate(result, rest, -product if position % 2 else product)
     return Form._wrap(omega.m, omega.degree - 1, result)
 
 
@@ -398,14 +386,7 @@ def ext_d(omega: Form) -> Form:
             sign, merged = merge_sign((j,), indices)
             if sign == 0:
                 continue
-            if sign < 0:
-                derivative = -derivative
-            acc = result.get(merged)
-            acc = derivative if acc is None else acc + derivative
-            if acc.is_zero():
-                result.pop(merged, None)
-            else:
-                result[merged] = acc
+            _accumulate(result, merged, -derivative if sign < 0 else derivative)
     return Form._wrap(omega.m, omega.degree + 1, result)
 
 
@@ -434,7 +415,8 @@ def lie_mv(vector: Multivector, mv: Multivector) -> Multivector:
 
     ``(L_X P)^I = X(P^I) - sum_s sum_j (d_j X^{i_s}) P^{i_1 .. j .. i_k}``
     where the replaced index string is re-sorted with its skew sign.
-    For degree 1 this is the bracket of vector fields.
+    For degree 1 this is the bracket of vector fields; for degree 0, with no
+    index to swap, it is ``X(P)``.
     """
     if not isinstance(vector, Multivector) or vector.degree != 1:
         raise DegreeError("lie_mv expects a degree-1 multivector")
@@ -444,23 +426,6 @@ def lie_mv(vector: Multivector, mv: Multivector) -> Multivector:
         raise ChartMismatchError(f"chart dimension mismatch: {vector.m} vs {mv.m}")
     m = mv.m
     result: dict[tuple[int, ...], Polynomial] = {}
-
-    def accumulate(indices: tuple[int, ...], value: Polynomial) -> None:
-        if value.is_zero():
-            return
-        acc = result.get(indices)
-        acc = value if acc is None else acc + value
-        if acc.is_zero():
-            result.pop(indices, None)
-        else:
-            result[indices] = acc
-
-    if mv.degree == 0:
-        scalar = mv.components.get(())
-        if scalar is not None:
-            accumulate((), apply_vec(vector, scalar))
-        return Multivector._wrap(m, 0, result)
-
     # derivatives[(j, i)] = d(X^i)/dx^j, nonzero entries only
     derivatives: dict[tuple[int, int], Polynomial] = {}
     for (i,), coeff in vector.components.items():
@@ -469,7 +434,7 @@ def lie_mv(vector: Multivector, mv: Multivector) -> Multivector:
             if not partial.is_zero():
                 derivatives[(j, i)] = partial
     for indices, coeff in mv.components.items():
-        accumulate(indices, apply_vec(vector, coeff))
+        _accumulate(result, indices, apply_vec(vector, coeff))
         # Stored component P^B feeds every output component obtained by
         # swapping one index ``old`` of B for a new index ``t``, weighted by
         # -d(X^t)/dx^old and the two re-sorting signs.
@@ -484,7 +449,5 @@ def lie_mv(vector: Multivector, mv: Multivector) -> Multivector:
                 if sign_t == 0:
                     continue
                 value = partial * coeff
-                if sign_old * sign_t > 0:
-                    value = -value
-                accumulate(merged, value)
+                _accumulate(result, merged, -value if sign_old * sign_t > 0 else value)
     return Multivector._wrap(m, mv.degree, result)

@@ -97,6 +97,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return Polynomial, (self.num_vars, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

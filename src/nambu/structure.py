@@ -228,7 +228,8 @@ def invariance_defect(
 
 
 def _invariance_sweep(structure: NambuStructure, config: JetBasisConfig):
-    """The f-tuples of jet monomials, their defect, and the first nonzero one."""
+    """The jet monomials, the defect of an f-tuple of them, and the first
+    f-tuple whose defect is nonzero."""
     monomials = jet_monomials(structure.m, config.max_degree)
     grid = functools.partial(itertools.combinations, r=structure.n - 1)
 
@@ -237,7 +238,7 @@ def _invariance_sweep(structure: NambuStructure, config: JetBasisConfig):
 
     capped = [g for g in monomials if g.total_degree() <= 2]
     hit = capped_first_hit(grid, defect, monomials, capped)
-    return monomials, list(grid(monomials)), defect, hit
+    return monomials, defect, hit
 
 
 def _texts(*functions: Polynomial) -> tuple[str, ...]:
@@ -259,7 +260,7 @@ def check_fundamental_identity(
     cached per head ``g_1..g_{n-1}``.  The g-tuples run over all jet
     monomials: their combination grid is no product (``sweep`` docstring).
     """
-    monomials, f_tuples, defect, hit = _invariance_sweep(structure, config)
+    monomials, defect, hit = _invariance_sweep(structure, config)
     n = structure.n
 
     def locate(fs: tuple) -> tuple | None:
@@ -277,7 +278,7 @@ def check_fundamental_identity(
 
     return certify(
         "fundamental-identity",
-        len(f_tuples) * math.comb(len(monomials), n),
+        math.comb(len(monomials), n - 1) * math.comb(len(monomials), n),
         hit,
         lambda *point: fi_residual(structure, point[: n - 1], point[n - 1 :]),
         _texts,
@@ -292,8 +293,12 @@ def check_invariance(
 
     ``items_checked`` counts the f-tuples swept, up to the first failure.
     """
-    _, f_tuples, defect, hit = _invariance_sweep(structure, config)
-    items = len(f_tuples) if hit is None else f_tuples.index(hit) + 1
+    monomials, defect, hit = _invariance_sweep(structure, config)
+    if hit is None:
+        items = math.comb(len(monomials), structure.n - 1)
+    else:
+        f_tuples = itertools.combinations(monomials, structure.n - 1)
+        items = sum(1 for _ in itertools.takewhile(hit.__ne__, f_tuples)) + 1
     return certify("invariance", items, hit, defect, _texts)
 
 

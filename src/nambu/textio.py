@@ -64,30 +64,40 @@ def parse_multivector(text: str, m: int, degree: int) -> Multivector:
 
 
 def _parse_tensor(text: str, m: int, degree: int, cls):
-    text = text.strip()
-    if not text:
+    if not text.strip():
         raise ParseError("empty tensor expression")
     result = cls.zero(m, degree)
-    for sign, chunk in _split_terms(text):
-        if chunk.strip() == "0":
+    for sign, start, chunk in _split_terms(text):
+        if chunk == "0":
             continue
-        term = _parse_term(chunk.strip(), m, degree, cls)
+        try:
+            term = _parse_term(chunk, m, degree, cls)
+        except ParseError as exc:
+            # count the column within the argument, not within the term
+            column = int(exc.location.removeprefix("column ")) + start
+            message = str(exc).removeprefix(f"{exc.location}: ")
+            raise ParseError(message, f"column {column}") from None
         result = result + (term if sign > 0 else -term)
     return result
 
 
-def _split_terms(text: str):
-    """Split on top-level '+' and '-' (outside parentheses)."""
+def _split_terms(text: str) -> list[tuple[int, int, str]]:
+    """Split on top-level '+' and '-' (outside parentheses) into
+    ``(sign, start, term)``: the term without surrounding blanks, starting at
+    0-based position ``start`` of ``text``."""
     depth = 0
     sign = 1
-    start = 0
-    terms: list[tuple[int, str]] = []
-    i = 0
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        start = 1
-        i = 1
-    while i < len(text):
+    start = len(text) - len(text.lstrip())
+    terms: list[tuple[int, int, str]] = []
+
+    def term(end: int) -> tuple[int, int, str]:
+        chunk = text[start:end]
+        return sign, end - len(chunk.lstrip()), chunk.strip()
+
+    if text[start] in "+-":
+        sign = -1 if text[start] == "-" else 1
+        start += 1
+    for i in range(start, len(text)):
         ch = text[i]
         if ch == "(":
             depth += 1
@@ -96,19 +106,19 @@ def _split_terms(text: str):
             if depth < 0:
                 raise ParseError("unbalanced ')'", location=f"column {i + 1}")
         elif ch in "+-" and depth == 0:
-            terms.append((sign, text[start:i]))
+            terms.append(term(i))
             sign = -1 if ch == "-" else 1
             start = i + 1
-        i += 1
     if depth:
         raise ParseError("unbalanced '('")
-    terms.append((sign, text[start:]))
+    terms.append(term(len(text)))
     return terms
 
 
 def _parse_term(chunk: str, m: int, degree: int, cls):
+    """Parse one stripped term; every error is located by a column in it."""
     if not chunk:
-        raise ParseError("empty term in tensor expression")
+        raise ParseError("empty term in tensor expression", "column 1")
     # Split coefficient from the blade: the blade is the trailing run of
     # axis factors joined by '^'; everything before the '*' that precedes
     # the first axis symbol is the polynomial coefficient.
@@ -116,24 +126,25 @@ def _parse_term(chunk: str, m: int, degree: int, cls):
     if blade_start is None:
         if degree != 0:
             raise ParseError(
-                f"term {chunk!r} has no basis blade but tensor degree is {degree}"
+                f"term {chunk!r} has no basis blade but tensor degree is {degree}",
+                "column 1",
             )
         return cls.from_scalar(parse_polynomial(chunk, m))
     coeff_text = chunk[:blade_start].rstrip()
     if coeff_text.endswith("*"):
         coeff_text = coeff_text[:-1].rstrip()
     coeff = parse_polynomial(coeff_text, m) if coeff_text else Polynomial.one(m)
-    indices = _parse_blade(chunk[blade_start:], m, cls)
+    indices = _parse_blade(chunk, blade_start, m, cls)
     if len(indices) != degree:
         raise ParseError(
-            f"blade {chunk[blade_start:]!r} has degree {len(indices)}, expected {degree}"
+            f"blade {chunk[blade_start:]!r} has degree {len(indices)}, expected {degree}",
+            f"column {blade_start + 1}",
         )
     return cls.basis(m, indices) * coeff
 
 
 def _find_blade(chunk: str, cls) -> int | None:
     """Index where the trailing blade starts, or None for a pure scalar."""
-    marker = "dx" if cls is Form else "d"
     depth = 0
     for i, ch in enumerate(chunk):
         if ch == "(":
@@ -154,22 +165,29 @@ def _digits_follow(chunk: str, i: int) -> bool:
     return i < len(chunk) and chunk[i].isdigit()
 
 
-def _parse_blade(text: str, m: int, cls) -> tuple[int, ...]:
+def _parse_blade(chunk: str, start: int, m: int, cls) -> tuple[int, ...]:
+    """Indices of the blade ``chunk[start:]``; errors give a column in ``chunk``."""
+    text = chunk[start:]
+    prefix = "dx" if cls is Form else "d"
     indices: list[int] = []
+    position = start  # of the current axis, leading blanks included
     for axis in text.split("^"):
+        column = f"column {position + 1 + len(axis) - len(axis.lstrip())}"
+        position += len(axis) + 1
         axis = axis.strip()
-        prefix = "dx" if cls is Form else "d"
         digits = axis[len(prefix) :]
         if not axis.startswith(prefix) or not digits.isdigit() or len(digits) > MAX_DIGITS:
-            raise ParseError(f"malformed basis axis {axis!r}")
+            raise ParseError(f"malformed basis axis {axis!r}", column)
         index = int(digits)
         if not 1 <= index <= m:
-            raise ParseError(f"axis index {index} outside chart of dimension {m}")
+            raise ParseError(f"axis index {index} outside chart of dimension {m}", column)
         indices.append(index)
     if len(set(indices)) != len(indices):
-        raise ParseError(f"repeated index in blade {text!r}")
+        raise ParseError(f"repeated index in blade {text!r}", f"column {start + 1}")
     if indices != sorted(indices):
-        raise ParseError(f"blade indices must be strictly increasing in {text!r}")
+        raise ParseError(
+            f"blade indices must be strictly increasing in {text!r}", f"column {start + 1}"
+        )
     return tuple(indices)
 
 

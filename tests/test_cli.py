@@ -96,6 +96,19 @@ class TestCompute:
         assert (code, out) == (1, "")
         assert err == "error: $.lambda[0].coeff: column 3: integer literal exceeds 600 digits\n"
 
+    @pytest.mark.parametrize(
+        "tensor,message",
+        [
+            ("dx1^dx2 + (x1+)*dx2^dx3", "column 15: unexpected character ')'"),
+            ("  dx1^dx2 + x1^^2*dx2^dx3", "column 16: exponent must be a non-negative integer"),
+            ("dx1^dx2 + x1*dx2^ dy3", "column 19: malformed basis axis 'dy3'"),
+            (" dx1^dx2 - dx1^ dx9", "column 17: axis index 9 outside chart of dimension 4"),
+        ],
+    )
+    def test_tensor_error_column_counts_within_the_argument(self, capsys, tensor, message):
+        code, out, err = run(capsys, ["compute", R4_NF, "bracket", tensor, "dx1^dx2"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, ["compute", R3_SCALED, "modular", "--json"])
         assert code == 0

@@ -6,7 +6,9 @@ oracles in ``oracles.py`` and asserted against both routes.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -381,6 +383,13 @@ class TestTrustedResults:
                 lie_mv(field, random_multivector(rng, m, 2)),
                 lie_mv(field, random_multivector(rng, m, 0)),
                 lie_mv(field, field),
+                # an accumulated sum cancels at a key
+                one_form + (-one_form),
+                field - field,
+                ext_d(differential(random_polynomial(rng, m))),
+                contract_vec(dd(m, 1) + dd(m, 2), dx(m, 1, 3) - dx(m, 2, 3)),
+                contract_form(dx(m, 1) + dx(m, 2), dd(m, 1, 3) - dd(m, 2, 3)),
+                lie_mv(field, Multivector.from_scalar(Polynomial.constant(m, 5))),
             ]
             for result in results:
                 self.assert_canonical(result)
@@ -395,6 +404,16 @@ class TestTrustedResults:
         assert set(d.components) == {(1,), (3,)}
         self.assert_canonical(d)
         assert differential(Polynomial.constant(4, 5)).components == {}
+
+
+class TestCopies:
+    def test_copies_round_trip(self, rng):
+        for tensor in (random_form(rng, 4, 2), random_multivector(rng, 4, 3), dd(4, 1)):
+            for clone in (
+                copy.copy(tensor), copy.deepcopy(tensor), pickle.loads(pickle.dumps(tensor))
+            ):
+                assert type(clone) is type(tensor)
+                assert clone == tensor and hash(clone) == hash(tensor)
 
 
 class TestApplyVec:

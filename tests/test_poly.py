@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,14 @@ class TestConstruction:
         p = Polynomial.one(2)
         with pytest.raises(AttributeError):
             p.num_vars = 5
+
+    def test_copies_round_trip(self):
+        p = Fraction(1, 2) * x(1) ** 2 * x(3) - 4
+        p.diff(1)  # a filled memo is not part of the value
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(clone) is Polynomial
+            assert clone == p and hash(clone) == hash(p)
+            assert clone.diff(1) == p.diff(1)
 
     @pytest.mark.parametrize(
         "build",

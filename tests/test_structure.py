@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,10 @@ class TestConstruction:
             NambuStructure(2, 3, Multivector.basis(2, (1, 2)))
         with pytest.raises(DegreeError):
             NambuStructure(3, 3, Multivector.basis(3, (1, 2)))
+
+    def test_deep_copy(self, scaled_r3):
+        clone = copy.deepcopy(scaled_r3)
+        assert clone == scaled_r3 and clone.nvector is not scaled_r3.nvector
 
     def test_no_integrability_assumed(self, sum_r6):
         # the failing fixture constructs fine; verification is explicit
@@ -268,6 +274,23 @@ class TestInvariance:
     def test_passes_on_nambu_fixtures(self, scaled_r3, volume_r3, normal_r4):
         for structure in (scaled_r3, volume_r3, normal_r4):
             assert check_invariance(structure).passed
+
+    def test_items_are_counted_without_building_the_grid(self):
+        # 210 jet monomials of degree <= 6 on R^4: C(210, 3) = 1,521,520
+        # f-tuples, about 110 MB as a list of tuples
+        top = NambuStructure(4, 4, x(4, 1) * Multivector.basis(4, (1, 2, 3, 4)))
+        config = JetBasisConfig(max_degree=6)
+        tracemalloc.start()
+        try:
+            invariance = check_invariance(top, config)
+            fi = check_fundamental_identity(top, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert invariance.passed and fi.passed
+        assert invariance.items_checked == math.comb(210, 3)
+        assert fi.items_checked == math.comb(210, 3) * math.comb(210, 4)
+        assert peak < 10_000_000
 
     def test_fails_on_r6(self, sum_r6):
         report = check_invariance(sum_r6, JetBasisConfig(max_degree=2))
