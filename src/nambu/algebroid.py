@@ -17,11 +17,10 @@ basis of (n-1)-forms ``x^gamma dx^I``:
 
 Sweep strategy.  Enumerating all tuples of jet-basis forms is quadratic or
 cubic in a basis of several hundred elements, far beyond the runtime budget,
-so each verifier sweeps its residual, or an exact decomposition of it, over
-the capped jet-basis grids of ``sweep``, through the one scan-and-certify
-loop of ``structure``, which reports the lexicographically first failure.
-The sweeps rest on identities that hold for the implemented operations with
-*any* n-vector (no integrability assumed), chiefly
+so each verifier sweeps its residual, or an exact decomposition of it, on
+the capped rows of ``sweep``.  The sweeps rest on identities that hold for
+the implemented operations with *any* n-vector (no integrability assumed),
+chiefly
 
     lbracket(a, g*b) = g*lbracket(a, b) + sharp(a)(g) * b          (slot-2)
     lbracket(f*a, b) = f*lbracket(a, b) - i_{sharp a}(df ^ b)      (slot-1)
@@ -38,13 +37,13 @@ slot-1 rule and is linear over functions in its second slot.  In
 ``+sum d_k d_j f X_b^k <dx^j ^ a, lam>`` cancel, the Hessian being
 symmetric; in ``S(a, g b)`` those of ``<d(X_a g) ^ b, lam>`` and
 ``X_a <dg ^ b, lam>`` do (the test suite checks ``D(fh) = f D(h) +
-h D(f) - fh D(1)`` for each slot of both).  So the pair grid capped at
-degree 1 certifies sharp-d and the pair part of Leibniz (``sweep``).
+h D(f) - fh D(1)`` for each slot of both).
 
-Both sweeps evaluate ``S`` by the identity, for any n-vector, ``S(a, b) =
-<d(i_{X_a} db), lam> + (-1)^n s_a s_b - X_a(s_b)`` (``reduced_sharp_d``), whose
-pieces ``X_a = sharp(a)``, ``d a`` and ``s_a = <d a, lam>`` are cached per basis
-form.  Cartan's formula and ``d^2 = 0`` give ``d L_X b = d i_X db``; then
+The sharp-d scan, shared by the sharp-d and Leibniz checks, evaluates ``S``
+by the identity, for any n-vector, ``S(a, b) = <d(i_{X_a} db), lam> +
+(-1)^n s_a s_b - X_a(s_b)`` (``reduced_sharp_d``), whose pieces ``X_a =
+sharp(a)``, ``d a`` and ``s_a = <d a, lam>`` are cached per basis form.
+Cartan's formula and ``d^2 = 0`` give ``d L_X b = d i_X db``; then
 ``d(s_a b) = ds_a ^ b + s_a db``, and ``<ds_a ^ b, lam> = (-1)^(n-1) X_b(s_a)``
 (``contract_form``'s defining identity) cancels the direct ``+X_b(s_a)``.
 
@@ -100,7 +99,7 @@ from .structure import (
     CheckReport, JetBasisConfig, NambuStructure, capped_first_hit, certify, first_hit,
     hamiltonian, nbracket, sharp,
 )
-from .sweep import JetBasis, certify_forms, slot1_residual, slot1_sweep
+from .sweep import JetBasis, certify_forms, slot1_hit
 
 
 def _check_section(structure: NambuStructure, form: Form, name: str) -> None:
@@ -174,43 +173,40 @@ def leibniz_residual(
     )
 
 
-# -- anchor morphism -------------------------------------------------------------
+# -- anchor, sharp-d and Leibniz sweeps -----------------------------------------
+
+
+def _anchor_hit(basis: JetBasis) -> tuple | None:
+    """First failing pair ``(f, I, 0, J)`` of the anchor's slot-1 family."""
+    structure = basis.structure
+    return slot1_hit(basis, partial(sharp, structure), partial(anchor_residual, structure))
+
+
+def _sharp_d_hit(basis: JetBasis, bound: tuple | None) -> tuple | None:
+    """First pair of the capped pair grid, before ``bound`` unless it is
+    None, where ``reduced_sharp_d`` is nonzero."""
+    grid = basis.pairs(basis.capped(1))
+    if bound is not None:
+        grid = itertools.takewhile(bound.__gt__, grid)
+    return first_hit(grid, partial(reduced_sharp_d, basis))
 
 
 def verify_anchor_morphism(
     structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
 ) -> CheckReport:
-    """Certify the anchor identity over all jet-basis pairs.
-
-    The residual obeys the slot-1 rule of ``sweep`` with ``act = sharp``,
-    so the family ``A(x^gamma dx^I, dx^J)`` covers the grid, and, being
-    first-order in the function, the monomials of degree <= 1 certify it.
-    """
+    """Certify the anchor identity over all jet-basis pairs by the slot-1 rule."""
     basis = JetBasis(structure, config.max_degree)
-    return slot1_sweep(
-        basis, "anchor", partial(sharp, structure), partial(anchor_residual, structure)
-    )
-
-
-# -- sharp-d identity ------------------------------------------------------------
+    direct = partial(anchor_residual, structure)
+    return certify_forms(basis, "anchor", basis.size() ** 2, _anchor_hit(basis), direct)
 
 
 def verify_sharp_d_identity(
     structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
 ) -> CheckReport:
-    """Certify the sharp-d identity over all jet-basis pairs.
-
-    The residual is first-order in each function slot (module docstring),
-    so one scan of the pair grid capped at degree 1 by ``reduced_sharp_d``
-    certifies it and locates its first failure (``sweep`` docstring).
-    """
+    """Certify the sharp-d identity over all jet-basis pairs."""
     basis = JetBasis(structure, config.max_degree)
     direct = partial(sharp_d_residual, structure)
-    hit = first_hit(basis.pairs(basis.capped(1)), partial(reduced_sharp_d, basis))
-    return certify_forms(basis, "sharp-d", basis.size() ** 2, hit, direct)
-
-
-# -- Leibniz identity ------------------------------------------------------------
+    return certify_forms(basis, "sharp-d", basis.size() ** 2, _sharp_d_hit(basis, None), direct)
 
 
 def verify_leibniz_identity(
@@ -219,26 +215,21 @@ def verify_leibniz_identity(
     """Certify the Leibniz identity over all jet-basis triples.
 
     The residual factors exactly through the anchor and sharp-d residuals
-    (module docstring), both first-order in each function slot, so one scan
-    of the pair grid capped at degree 1 certifies and stops at the first
-    pair of the full grid where either is nonzero (``sweep`` docstring; the
-    sharp-d part by ``reduced_sharp_d``).  That pair is lifted to the first
+    (module docstring), so its first failing pair is the earlier of the
+    anchor hit and the sharp-d hit.  The anchor residual is linear over
+    functions in slot 2, so its first failing pair has ``g = 0``; points
+    compare as tuples in grid order.  That pair is lifted to the first
     failing triple by scanning the third slot with the direct formula.
     """
     basis = JetBasis(structure, config.max_degree)
-    anchor = slot1_residual(basis, partial(sharp, structure), partial(anchor_residual, structure))
     direct = partial(leibniz_residual, structure)
-
-    def pair_residual(*point):
-        # A(f dx^I, g dx^J) = g A(f dx^I, dx^J), so the anchor part ignores g
-        value = anchor(*point)
-        return reduced_sharp_d(basis, *point) if value.is_zero() else value
+    anchor = _anchor_hit(basis)
+    hit = _sharp_d_hit(basis, anchor) or anchor
 
     def lift(hit):
         triples = (hit + third for third in basis.elements())
         return first_hit(triples, lambda *point: direct(*basis.forms(point)))
 
-    hit = first_hit(basis.pairs(basis.capped(1)), pair_residual)
     return certify_forms(basis, "leibniz", basis.size() ** 3, hit, direct, lift)
 
 

@@ -173,7 +173,10 @@ def _resolve_config(options, loaded, structure) -> JetBasisConfig:
         degree, source = loaded.jet_degree, "$.jet_degree"
     if degree is None:
         degree, source = JetBasisConfig().max_degree, "default jet degree"
-    config = JetBasisConfig(max_degree=degree)
+    try:
+        config = JetBasisConfig(max_degree=degree)
+    except ValueError as exc:
+        raise ParseError(f"{source} {degree}: {exc}") from None
     m, n = structure.m, structure.n
     forms = math.comb(m + degree, degree) * math.comb(m, n - 1)
     _check_budget(source, degree, forms, MAX_JET_FORMS, "jet-basis forms")

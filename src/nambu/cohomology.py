@@ -20,9 +20,15 @@ coboundary of a tensorial cochain c evaluates as
 
 The cocycle sweep runs on the engine of ``sweep``: the degree-1
 coboundary obeys its slot-1 rule with ``act = c``, the same rule as the
-anchor residual with ``act = sharp``, so ``verify_cocycle`` is one call of
-``slot1_sweep``, whose counterexamples are certified through
-``cobound1_eval`` before they are reported.
+anchor residual with ``act = sharp``, so ``verify_cocycle`` certifies the
+hit of ``slot1_hit`` through ``cobound1_eval``.
+
+The volume identity ``lsv_residual`` is zero for every n-vector, Nambu-Poisson
+or not: with ``a = f dx^I`` and ``X_I = sharp(dx^I)``, ``div(f X_I) =
+f div(X_I) + X_I(f)``, and ``X_I(f) = (-1)^(n-1) <d a, lam>`` since ``d a =
+df ^ dx^I``.  Like characterization, it says that the modular multivector
+agrees with its definition.  It is first-order in ``f``, so ``verify_lsv``
+sweeps the rows of degree <= 1 (``sweep``).
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .structure import (
     hamiltonian,
     sharp,
 )
-from .sweep import JetBasis, certify_forms, slot1_sweep
+from .sweep import JetBasis, certify_forms, slot1_hit
 
 
 @dataclass(frozen=True)
@@ -199,19 +205,22 @@ def verify_lsv(
     volume: VolumeForm,
     config: JetBasisConfig = JetBasisConfig(),
 ) -> CheckReport:
-    """Sweep the volume identity over the full jet basis of (n-1)-forms.
+    """Certify the volume identity over the jet basis of (n-1)-forms.
 
-    ``items_checked`` counts the basis forms swept, up to the first failure.
+    The residual is first-order in the coefficient, so the basis forms on
+    the rows of degree <= 1, a prefix of the full order, certify it and
+    locate its first failure (``sweep`` docstring).  ``items_checked``
+    counts the basis forms certified, up to the first failure.
     """
     modular = modular_multivector(structure, volume)
     basis = JetBasis(structure, config.max_degree)
-    elements = list(basis.elements())
+    rows = list(itertools.product(basis.capped(1), basis.index_sets))
 
     def residual(alpha: Form) -> Polynomial:
         return lsv_residual(structure, volume, alpha, modular)
 
-    hit = first_hit(elements, lambda *point: residual(*basis.forms(point)))
-    items = len(elements) if hit is None else elements.index(hit) + 1
+    hit = first_hit(rows, lambda *point: residual(*basis.forms(point)))
+    items = basis.size() if hit is None else rows.index(hit) + 1
     return certify_forms(basis, "lsv", items, hit, residual)
 
 
@@ -227,7 +236,10 @@ def verify_cocycle(
     """Certify ``cobound1`` of a tensorial cochain vanishes on all jet pairs."""
     structure.require_order_at_least(3)
     basis = JetBasis(structure, config.max_degree)
-    return slot1_sweep(basis, check_name, cochain, partial(cobound1_eval, structure, cochain))
+    direct = partial(cobound1_eval, structure, cochain)
+    return certify_forms(
+        basis, check_name, basis.size() ** 2, slot1_hit(basis, cochain, direct), direct
+    )
 
 
 def verify_modular_cocycle(

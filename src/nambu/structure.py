@@ -12,10 +12,9 @@ that hit into a report, recomputing the residual of the reported tuple by
 the direct formula and refusing a zero one.
 
 Sweep strategy.  Both check residuals are multidifferential operators of
-order <= 2 in each functional slot, so vanishing on all monomials of degree
-<= 2 forces identical vanishing: capped f-tuples certify, and the configured
-degree (default 3) only locates failures (``capped_first_hit``).  The
-fundamental-identity residual factors exactly through the invariance defect:
+order <= 2 in each functional slot, swept on the capped rows of ``sweep``.
+The fundamental-identity residual factors exactly through the invariance
+defect:
 
     R(f_1..f_{n-1}; g_1..g_n) = <dg_1 ^ .. ^ dg_n, L_{X_f} lam>
 

@@ -10,24 +10,30 @@ first failing g-tuple, and an exact-forms consistency hit ``(F, g)`` to the
 first failing pair of function tuples from ``F`` on, by ``locate``.  The
 residual of the reported tuple is recomputed by the direct formula, and a
 zero one is refused.  ``certify_forms`` is ``certify`` for points made of
-basis forms; the volume identity (``verify_lsv``) sweeps
-``JetBasis.elements`` through it.
+basis forms.
 
-Capped grids.  A residual that is a differential operator of order <= k in
+Capped rows.  A residual that is a differential operator of order <= k in
 a function slot, the other slots fixed, vanishes identically once it
 vanishes on the monomials of degree <= k (``JetBasis.capped(k)``), and the
 monomials come in graded order, so those rows come first.  On a product
 grid in the pinned order the first failure therefore lies on the capped
 rows of every function slot: a row of higher degree would leave a capped
-row, at an earlier point, failing too.  One scan of the capped product grid
-certifies the configured degree and locates a failure.
+row, at an earlier point, failing too.  So every sweep scans only its
+capped rows, which certify the configured degree and locate a failure.
+Each residual below has its order for any n-vector (``algebroid`` and
+``cohomology`` docstrings):
 
-* Order <= 1, ``capped(1)``: the anchor and sharp-d residuals (so Leibniz's
-  pair residual), the slot-1 rule and the function-slot rules, for any
-  n-vector (``algebroid`` docstring).
+* Order <= 1, ``capped(1)``:
+  - anchor: the slot-1 family ``(x^g dx^I, dx^J)`` (below);
+  - sharp-d: the pair grid, by ``reduced_sharp_d``;
+  - Leibniz: the anchor scan, then the sharp-d scan over the pairs before
+    the anchor hit; the earlier hit is lifted to a triple;
+  - characterization's function-slot rules, on unit forms;
+  - modular cocycle: the slot-1 family of the modular cochain;
+  - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.
 * Order <= 2, ``capped(2)``: the invariance defect ``L_{X_f} lam`` of FI
   and invariance, and the exact-forms consistency form
-  ``d(X_F(g) - {F, g})``.
+  ``d(X_F(g) - {F, g})`` of characterization and phi-morphism.
 
 FI and invariance sweep combinations of f-tuples, which are no product: a
 tuple with a cubic entry may precede a capped one, so a capped hit is
@@ -55,36 +61,19 @@ import itertools
 from typing import Callable, Sequence
 
 from .exterior import (
-    Form, Multivector, apply_vec, contract_vec, differential, format_tensor, pair, wedge,
+    Form, apply_vec, contract_vec, differential, format_tensor, pair, wedge,
 )
 from .poly import Polynomial, jet_exponents
 from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
 
 
-def sweep_cache(method: Callable) -> Callable:
-    """Cache a method's values in a plain dict on its instance.
-
-    The instance lives for one sweep; no reference cycle keeps it longer.
-    """
-    attr = f"_{method.__name__}_cache"
-
-    @functools.wraps(method)
-    def cached(self, *args):
-        store = self.__dict__.setdefault(attr, {})
-        value = store.get(args)
-        if value is None:
-            value = store[args] = method(self, *args)
-        return value
-
-    return cached
-
-
 class JetBasis:
-    """Monomial jet basis of (n-1)-forms ``x^g dx^I`` with per-sweep caches.
+    """Monomial jet basis of (n-1)-forms ``x^g dx^I`` with per-sweep tables.
 
     A basis form is a pair ``(g, I)`` of a monomial index and an index set;
     monomial 0 is the constant.  A basis lives for one verifier call, and so
-    do its caches.
+    do its tables: the unit forms ``dx^I``, their anchors, and the sharp-d
+    pieces of each basis form a sweep reads.
     """
 
     def __init__(self, structure: NambuStructure, max_degree: int):
@@ -96,6 +85,8 @@ class JetBasis:
             itertools.combinations(range(1, structure.m + 1), structure.n - 1)
         )
         self.units = {indices: Form.basis(structure.m, indices) for indices in self.index_sets}
+        self.anchors = {indices: sharp(structure, unit) for indices, unit in self.units.items()}
+        self._pieces: dict[tuple, tuple] = {}
 
     def elements(self):
         """Basis forms ``(g, I)`` in the pinned lexicographic order."""
@@ -119,21 +110,15 @@ class JetBasis:
         """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``."""
         return itertools.product(rows, self.index_sets, rows, self.index_sets)
 
-    @sweep_cache
-    def d(self, g: int) -> Form:
-        """Differential of the jet monomial ``g``."""
-        return differential(self.monomials[g])
-
-    @sweep_cache
-    def sharp0(self, indices: tuple[int, ...]) -> Multivector:
-        """Anchor of the unit form ``dx^I``."""
-        return sharp(self.structure, self.units[indices])
-
-    @sweep_cache
     def sharp_d_pieces(self, g: int, indices: tuple[int, ...]):
         """``sharp(a)``, ``d a`` and ``<d a, lam>`` of the basis form ``a = x^g dx^I``."""
-        da = wedge(self.d(g), self.units[indices])
-        return self.sharp0(indices) * self.monomials[g], da, pair(da, self.structure.nvector)
+        pieces = self._pieces.get((g, indices))
+        if pieces is None:
+            da = wedge(differential(self.monomials[g]), self.units[indices])
+            pieces = self._pieces[g, indices] = (
+                self.anchors[indices] * self.monomials[g], da, pair(da, self.structure.nvector)
+            )
+        return pieces
 
 
 # -- certifying basis forms ----------------------------------------------------------
@@ -177,10 +162,10 @@ def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable
     def residual(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]):
         f = basis.monomials[g]
         value = core(left, right) * f
-        grad = apply_vec(basis.sharp0(right), f)
+        grad = apply_vec(basis.anchors[right], f)
         if not grad.is_zero():
             value = value - acted[left] * grad
-        lifted = contract_vec(basis.sharp0(left), wedge(basis.d(g), units[right]))
+        lifted = contract_vec(basis.anchors[left], wedge(differential(f), units[right]))
         if not lifted.is_zero():
             value = value + act(lifted)
         return value
@@ -188,7 +173,7 @@ def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable
     return residual
 
 
-def slot1_sweep(basis: JetBasis, check: str, act: Callable, direct: Callable) -> CheckReport:
-    """Certify a slot-1 rule over all jet-basis pairs on the rows of degree <= 1."""
-    hit = first_hit(slot1_pairs(basis, basis.capped(1)), slot1_residual(basis, act, direct))
-    return certify_forms(basis, check, basis.size() ** 2, hit, direct)
+def slot1_hit(basis: JetBasis, act: Callable, direct: Callable) -> tuple | None:
+    """First failing pair of a slot-1 rule over all jet-basis pairs: its
+    family on the rows of degree <= 1 certifies and locates it."""
+    return first_hit(slot1_pairs(basis, basis.capped(1)), slot1_residual(basis, act, direct))

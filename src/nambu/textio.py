@@ -85,7 +85,7 @@ def _split_terms(text: str) -> list[tuple[int, int, str]]:
     """Split on top-level '+' and '-' (outside parentheses) into
     ``(sign, start, term)``: the term without surrounding blanks, starting at
     0-based position ``start`` of ``text``."""
-    depth = 0
+    opened: list[int] = []
     sign = 1
     start = len(text) - len(text.lstrip())
     terms: list[tuple[int, int, str]] = []
@@ -100,17 +100,17 @@ def _split_terms(text: str) -> list[tuple[int, int, str]]:
     for i in range(start, len(text)):
         ch = text[i]
         if ch == "(":
-            depth += 1
+            opened.append(i)
         elif ch == ")":
-            depth -= 1
-            if depth < 0:
+            if not opened:
                 raise ParseError("unbalanced ')'", location=f"column {i + 1}")
-        elif ch in "+-" and depth == 0:
+            opened.pop()
+        elif ch in "+-" and not opened:
             terms.append(term(i))
             sign = -1 if ch == "-" else 1
             start = i + 1
-    if depth:
-        raise ParseError("unbalanced '('")
+    if opened:
+        raise ParseError("unbalanced '('", location=f"column {opened[0] + 1}")
     terms.append(term(len(text)))
     return terms
 

@@ -33,6 +33,7 @@ from nambu.algebroid import (
     verify_phi_morphism,
     verify_sharp_d_identity,
 )
+from nambu.cohomology import VolumeForm, lsv_residual, modular_multivector, verify_lsv
 from nambu.errors import ArityError, DegreeError, OrderError
 from nambu.exterior import (
     Form,
@@ -195,9 +196,9 @@ class TestDecompositionsAgainstDirect:
 
     def test_residuals_are_first_order_in_each_function_slot(self, rng, sum_r6):
         # D(f h) = f D(h) + h D(f) - f h D(1) holds exactly for operators of
-        # order <= 1: the sweeps of anchor, sharp-d and Leibniz on the rows
-        # of degree <= 1 rest on it.  It must hold for any n-vector, so none
-        # of these is Nambu-Poisson.
+        # order <= 1: the sweeps of anchor, sharp-d, Leibniz and lsv on the
+        # rows of degree <= 1 rest on it.  It must hold for any n-vector, so
+        # none of these is Nambu-Poisson.
         structures = [
             NambuStructure(4, 3, random_multivector(rng, 4, 3)),
             NambuStructure(5, 4, random_multivector(rng, 5, 4, 0.4)),
@@ -207,6 +208,13 @@ class TestDecompositionsAgainstDirect:
         for structure in structures:
             m, n = structure.m, structure.n
             one = Polynomial.one(m)
+            # lsv vanishes for any n-vector, so give it a modular multivector
+            # off by a polynomial on every component
+            volume = VolumeForm(Fraction(2), x(m, 1) * x(m, 2))
+            off = x(m, 1) * x(m, 3) + one
+            wrong = modular_multivector(structure, volume) + Multivector(
+                m, n - 1, {I: off for I in itertools.combinations(range(1, m + 1), n - 1)}
+            )
             for _ in range(4):
                 a, b = (random_form(rng, m, n - 1, 0.4) for _ in range(2))
                 f, h = (random_polynomial(rng, m, 2, 3) for _ in range(2))
@@ -215,6 +223,7 @@ class TestDecompositionsAgainstDirect:
                     lambda u: sharp_d_residual(structure, a, b * u),
                     lambda u: anchor_residual(structure, a * u, b),
                     lambda u: anchor_residual(structure, a, b * u),
+                    lambda u: lsv_residual(structure, volume, a * u, wrong),
                 )
                 for D in operators:
                     value = D(f * h)
@@ -420,6 +429,66 @@ class TestVerifiers:
             basis, triples, lambda a, b, c: leibniz_residual(structure, a, b, c)
         )
         assert expected[0] == leibniz_inputs
+        report = verify_leibniz_identity(structure, config)
+        assert (report.counterexample.inputs, report.counterexample.residual) == expected
+
+    @pytest.mark.parametrize(
+        "structure,anchor_passes",
+        [
+            # the anchor first fails at (dx1^dx4, dx2^dx3), after the plant
+            (NambuStructure(4, 3, x(4, 2) * dd(4, 1, 2, 4) + x(4, 3) * dd(4, 2, 3, 4)), False),
+            (NambuStructure(4, 3, dd(4, 1, 2, 3)), True),
+        ],
+        ids=["sharp-d-before-anchor", "anchor-passes"],
+    )
+    def test_planted_sharp_d_fault_is_first_of_direct_scan(
+        self, monkeypatch, structure, anchor_passes
+    ):
+        # No natural input has its first Leibniz failure in the sharp-d
+        # part, so plant one: x4 is added to S at (dx1^dx3, x1*dx2^dx4), in
+        # the reduced identity and, through the factorization, in the
+        # direct Leibniz residual.  The report must be the first failure of
+        # the direct scan.
+        from nambu import algebroid
+
+        basis = JetBasis(structure, 2)
+        target = (0, (1, 3), basis.monomials.index(x(4, 1)), (2, 4))
+        forms = tuple(basis.forms(target))
+        fault = x(4, 4)
+        sign = -1 if structure.n % 2 else 1
+
+        def planted_sharp_d(a, b):
+            value = sharp_d_residual(structure, a, b)
+            return value + fault if (a, b) == forms else value
+
+        def planted_reduced(basis, *point):
+            value = reduced_sharp_d(basis, *point)
+            return value + fault if point == target else value
+
+        def planted_leibniz(structure, a, b, c):
+            value = leibniz_residual(structure, a, b, c)
+            return value - (c * fault) * sign if (a, b) == forms else value
+
+        monkeypatch.setattr(algebroid, "reduced_sharp_d", planted_reduced)
+        monkeypatch.setattr(algebroid, "leibniz_residual", planted_leibniz)
+        config = JetBasisConfig(max_degree=2)
+        assert verify_anchor_morphism(structure, config).passed == anchor_passes
+
+        def failing_pair(point):
+            a, b = basis.forms(point)
+            return not (
+                anchor_residual(structure, a, b).is_zero() and planted_sharp_d(a, b).is_zero()
+            )
+
+        triples = (
+            pair_point + third
+            for pair_point in filter(failing_pair, full_pairs(basis))
+            for third in basis.elements()
+        )
+        expected = first_direct_failure(
+            basis, triples, lambda a, b, c: planted_leibniz(structure, a, b, c)
+        )
+        assert expected[0] == ("dx1^dx3", "x1*dx2^dx4", "dx1^dx2")
         report = verify_leibniz_identity(structure, config)
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
@@ -631,15 +700,18 @@ class TestExactFormsRule:
         assert verify_phi_morphism(scaled_r3).passed
 
     def test_characterization_and_phi_morphism_ignore_integrability(self, rng):
-        # Both checks certify identities of the definitions, which hold for
-        # every n-vector (module docstring of ``algebroid``): they pass on
-        # seeded n-vectors that are not Nambu-Poisson.
+        # These checks certify identities of the definitions, which hold for
+        # every n-vector (module docstrings of ``algebroid`` and
+        # ``cohomology``): they pass on seeded n-vectors that are not
+        # Nambu-Poisson.
         config = JetBasisConfig(max_degree=2)
         for m, n, density in ((4, 3, 0.6), (5, 3, 0.4), (5, 4, 0.4)):
             structure = NambuStructure(m, n, random_multivector(rng, m, n, density))
             assert not check_fundamental_identity(structure, config).passed
             assert verify_characterization(structure, config).passed
             assert verify_phi_morphism(structure, config).passed
+            volume = VolumeForm(Fraction(2), x(m, 1) * x(m, 2))
+            assert verify_lsv(structure, volume, config).passed
 
     def test_frozen_instance(self, scaled_r3):
         # [[d(x1)^d(x2), d(x2)^d(x3)]] = d{x1,x2,x2}^dx3 + dx2^d{x1,x2,x3}

@@ -103,6 +103,7 @@ class TestCompute:
             ("  dx1^dx2 + x1^^2*dx2^dx3", "column 16: exponent must be a non-negative integer"),
             ("dx1^dx2 + x1*dx2^ dy3", "column 19: malformed basis axis 'dy3'"),
             (" dx1^dx2 - dx1^ dx9", "column 17: axis index 9 outside chart of dimension 4"),
+            ("dx1^dx2 + ((x1+1)*dx2^dx3", "column 11: unbalanced '('"),
         ],
     )
     def test_tensor_error_column_counts_within_the_argument(self, capsys, tensor, message):
@@ -170,8 +171,11 @@ class TestCheck:
         assert "unknown check" in err
 
     def test_jet_degree_floor(self, capsys):
-        code, _, err = run(capsys, ["check", R3_SCALED, "--jet-degree=1"])
+        code, out, err = run(capsys, ["check", R3_SCALED, "--jet-degree=1"])
         assert code == 1
+        assert (out, err) == (
+            "", "error: --jet-degree 1: identity certification requires max_degree >= 2\n"
+        )
 
     def test_jet_degree_zero_is_rejected_not_defaulted(self, capsys):
         code, out, err = run(capsys, ["check", R3_SCALED, "--jet-degree=0"])

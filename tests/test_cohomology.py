@@ -228,6 +228,27 @@ class TestLsv:
         found = report.counterexample
         assert (found.inputs, found.residual, report.items_checked) == expected
 
+    def test_planted_fault_on_a_linear_row_is_first_of_direct_scan(
+        self, monkeypatch, scaled_r3, nu3
+    ):
+        # The sweep scans only the rows of degree <= 1; a fault planted at
+        # x2*dx1^dx3, past the constant row, must be reported with the item
+        # count of the direct scan over the full basis.
+        planted = dx(3, 1, 3) * x(3, 2)
+
+        def residual(structure, volume, alpha, modular=None):
+            value = lsv_residual(structure, volume, alpha, modular)
+            return value + x(3, 1) if alpha == planted else value
+
+        monkeypatch.setattr(cohomology, "lsv_residual", residual)
+        grid = itertools.product(jet_monomials(3, 3), itertools.combinations((1, 2, 3), 2))
+        items = next(i for i, (g, I) in enumerate(grid, start=1) if dx(3, *I) * g == planted)
+        report = verify_lsv(scaled_r3, nu3)
+        found = report.counterexample
+        assert (found.inputs, found.residual, report.items_checked) == (
+            ("x2*dx1^dx3",), "x1", items
+        )
+
 
 class TestModularCocycle:
     def test_sweeps_pass(self, scaled_r3, volume_r3, normal_r5, nu3):
