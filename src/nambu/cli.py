@@ -124,7 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "what", choices=("modular", "bracket", "hamiltonian", "sharp")
     )
-    p_compute.add_argument("args", nargs="*", help="expression arguments")
+    p_compute.add_argument(
+        "args", nargs="*",
+        help="expression arguments; write -- before them when one begins with '-'"
+        " (options go before --)",
+    )
 
     p_witness = sub.add_parser(
         "witness", help="search for an exactness witness of the modular class"
@@ -193,18 +197,25 @@ def _check_budget(source: str, value: int, estimate: int, budget: int, what: str
 
 
 def _resolve_checks(options, loaded, structure) -> list[str]:
+    """The checks to run, each refused with its source when it cannot run."""
     if getattr(options, "checks", None) is not None:
         names = [name.strip() for name in options.checks.split(",") if name.strip()]
         if not names:
             raise ParseError("--checks names no check")
+        sources = ["--checks"] * len(names)
     elif loaded.checks is not None:
         names = list(loaded.checks)
+        sources = [f"$.checks[{i}]" for i in range(len(names))]
     else:
-        names = list(DEFAULT_CHECKS if structure.n >= 3 else ORDER2_DEFAULT_CHECKS)
-    for name in names:
+        return list(DEFAULT_CHECKS if structure.n >= 3 else ORDER2_DEFAULT_CHECKS)
+    for name, source in zip(names, sources):
         if name not in CHECKS:
             raise ParseError(
-                f"unknown check {name!r} (available: {', '.join(sorted(CHECKS))})"
+                f"unknown check {name!r} (available: {', '.join(sorted(CHECKS))})", source
+            )
+        if structure.n < 3 and name not in ORDER2_DEFAULT_CHECKS:
+            raise ParseError(
+                f"{name} requires order >= 3, structure has n={structure.n}", source
             )
     return names
 

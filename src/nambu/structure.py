@@ -20,9 +20,11 @@ defect:
 
 (an identity of the implemented operations, certified by the test suite).
 So both checks are one sweep of the f-tuples through ``invariance_defect``.
-The fundamental identity lifts its hit to the first g-tuple whose pairing
-with the defect is nonzero, the first failing tuple of the full grid, and
-only that tuple is evaluated by the direct nested-bracket formula.
+The fundamental identity reads its failing g-tuple off the defect ``L``:
+the pairing is an alternating derivation in each g-slot, so the first
+failing g-tuple is the coordinate tuple ``x_I`` of the first component
+``L^I`` (``check_fundamental_identity``), and only that tuple is evaluated
+by the direct nested-bracket formula.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ArityError, ChartMismatchError, DegreeError, OrderError
 from .exterior import (
-    Form, Multivector, apply_vec, contract_form, differential, format_tensor, lie_mv, pair,
+    Form, Multivector, contract_form, differential, format_tensor, lie_mv, pair, wedge,
     wedge_all,
 )
 from .poly import Polynomial, jet_monomials
@@ -251,29 +253,25 @@ def check_fundamental_identity(
 
     The residual is alternating in the f-slots and in the g-slots, so
     strictly increasing tuples cover the full grid.  The f-tuples are swept
-    through their invariance defect (module docstring); the first nonzero
-    defect is lifted to the first g-tuple whose pairing with it is nonzero,
-    and that tuple's residual is recomputed by ``fi_residual``.  The pairing
-    ``<dg_1^..^dg_n, L>`` is evaluated as ``dg_n(i(dg_1^..^dg_{n-1}) L)``,
-    exact by ``contract_form``'s defining identity, with the contraction
-    cached per head ``g_1..g_{n-1}``.  The g-tuples run over all jet
-    monomials: their combination grid is no product (``sweep`` docstring).
+    through their invariance defect ``L`` (module docstring); the first
+    failing g-tuple for the first nonzero defect is read off ``L``, and only
+    its residual is recomputed by ``fi_residual``.
+
+    The residual ``<dg_1^..^dg_n, L>`` is a derivation in each g-slot, so a
+    constant entry gives 0, and it is alternating.  If a failing g-tuple had
+    an entry of degree >= 2, swapping it for a coordinate ``x_j`` at which
+    that slot's derivation has a nonzero coefficient keeps the tuple failing
+    (``x_j`` is no other entry, or the pairing would vanish) and sorts it
+    earlier, because the coordinates precede every monomial of degree >= 2.
+    So the first failing g-tuple is the coordinate tuple ``x_I`` of the
+    first index set ``I`` with ``L^I != 0``, where the pairing is ``L^I``;
+    ``monomials[i]`` is ``x_i``, so coordinate tuples sort as their index sets.
     """
     monomials, defect, hit = _invariance_sweep(structure, config)
     n = structure.n
 
-    def locate(fs: tuple) -> tuple | None:
-        lie = defect(*fs)
-        d = {g: differential(g) for g in monomials}
-        heads: dict[tuple, Multivector] = {}
-
-        def pairing(*gs: Polynomial) -> Polynomial:
-            if gs[:-1] not in heads:
-                heads[gs[:-1]] = contract_form(wedge_all([d[g] for g in gs[:-1]]), lie)
-            return apply_vec(heads[gs[:-1]], gs[-1])
-
-        gs = first_hit(itertools.combinations(monomials, n), pairing)
-        return None if gs is None else fs + gs
+    def locate(fs: tuple) -> tuple:
+        return fs + tuple(monomials[i] for i in min(defect(*fs).components))
 
     return certify(
         "fundamental-identity",
@@ -309,8 +307,11 @@ def plucker_at(
 ) -> PluckerVerdict:
     """Check the Plucker relations of the n-vector evaluated at a point.
 
-    The zero tensor counts as decomposable.  Only defined for n >= 3; order
-    2 reports NOT_APPLICABLE.
+    The constant n-vector ``P`` at the point is decomposable exactly when
+    ``i(dx^I)P ^ P = 0`` for every (n-1)-set ``I``; the J-component of that
+    (n+1)-vector is ``sum_k (-1)^k P^{I j_k} P^{J - j_k}``.  The zero tensor
+    counts as decomposable.  Only defined for n >= 3; order 2 reports
+    NOT_APPLICABLE.
     """
     if len(point) != structure.m:
         raise ChartMismatchError(
@@ -318,41 +319,12 @@ def plucker_at(
         )
     if structure.n < 3:
         return PluckerVerdict.NOT_APPLICABLE
-    values: dict[tuple[int, ...], Fraction] = {}
-    for indices, coeff in structure.nvector.components.items():
-        value = coeff.evaluate(point)
-        if value:
-            values[indices] = value
-    if not values:
-        return PluckerVerdict.PASS
-
-    def component(indices: tuple[int, ...]) -> Fraction:
-        # skew interpretation of an arbitrary index string
-        if len(set(indices)) != len(indices):
-            return Fraction(0)
-        ordered = tuple(sorted(indices))
-        inversions = sum(
-            1
-            for a in range(len(indices))
-            for b in range(a + 1, len(indices))
-            if indices[a] > indices[b]
-        )
-        value = values.get(ordered, Fraction(0))
-        return -value if inversions % 2 else value
-
-    n, m = structure.n, structure.m
-    for i_tuple in itertools.combinations(range(1, m + 1), n - 1):
-        for j_tuple in itertools.combinations(range(1, m + 1), n + 1):
-            total = Fraction(0)
-            for k in range(n + 1):
-                left = component(i_tuple + (j_tuple[k],))
-                if not left:
-                    continue
-                right = component(j_tuple[:k] + j_tuple[k + 1 :])
-                if not right:
-                    continue
-                term = left * right
-                total += -term if k % 2 else term
-            if total:
-                return PluckerVerdict.FAIL
+    m = structure.m
+    at_point = Multivector(m, structure.n, {
+        indices: Polynomial.constant(m, coeff.evaluate(point))
+        for indices, coeff in structure.nvector.components.items()
+    })
+    for indices in itertools.combinations(range(1, m + 1), structure.n - 1):
+        if wedge(contract_form(Form.basis(m, indices), at_point), at_point):
+            return PluckerVerdict.FAIL
     return PluckerVerdict.PASS

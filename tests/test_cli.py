@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nambu.cli import main
+from nambu.cli import CHECKS, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -55,6 +55,15 @@ class TestCompute:
             capsys, ["compute", R4_NF, "bracket", "x1*dx1^dx2", "dx3^dx4"]
         )
         assert code == 0 and out == "dx1^dx4\n"
+
+    def test_leading_minus_argument_after_double_dash(self, capsys):
+        argv = ["compute", R4_NF, "bracket", "-x1*dx1^dx2", "dx3^dx4"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, _ = run(capsys, [*argv[:3], "--", *argv[3:]])
+        assert (code, out) == (0, "-dx1^dx4\n")
 
     def test_arity_error(self, capsys):
         code, _, err = run(capsys, ["compute", R3_SCALED, "hamiltonian", "x1"])
@@ -169,6 +178,35 @@ class TestCheck:
         code, _, err = run(capsys, ["check", R3_SCALED, "--checks=bogus"])
         assert code == 1
         assert "unknown check" in err
+
+    def test_unknown_check_name_is_located(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["check", R3_SCALED, "--checks=bogus"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --checks: unknown check 'bogus' (available: ")
+        doc = json.loads(Path(R3_SCALED).read_text())
+        doc["checks"] = ["bogus"]
+        target = tmp_path / "bogus_check.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["check", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $.checks[0]: unknown check 'bogus' (available: ")
+
+    def test_order_two_check_is_refused_before_any_check_runs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        lam = [{"index": [1, 2], "coeff": "x3"}]
+        doc = {"schema": "nambu-structure/1", "dimension": 3, "order": 2, "lambda": lam}
+        target = tmp_path / "poisson.json"
+        target.write_text(json.dumps(doc))
+
+        def must_not_run(*args):
+            raise AssertionError("a check ran before the check list was resolved")
+
+        monkeypatch.setitem(CHECKS, "fundamental-identity", must_not_run)
+        argv = ["check", str(target), "--checks=fundamental-identity,anchor"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: --checks: anchor requires order >= 3, structure has n=2\n"
 
     def test_jet_degree_floor(self, capsys):
         code, out, err = run(capsys, ["check", R3_SCALED, "--jet-degree=1"])

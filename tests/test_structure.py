@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from nambu.errors import ArityError, ChartMismatchError, DegreeError, OrderError
-from nambu.exterior import Form, Multivector, apply_vec, differential, pair, wedge
+from nambu.exterior import Form, Multivector, apply_vec, differential, pair, wedge, wedge_all
 from nambu.poly import Polynomial, jet_monomials
 from nambu.structure import (
     CheckReport,
@@ -31,7 +31,7 @@ from nambu.structure import (
     sharp,
 )
 
-from conftest import random_polynomial
+from conftest import random_multivector, random_polynomial
 from oracles import oracle_nbracket, oracle_plucker_fail
 
 
@@ -247,11 +247,17 @@ class TestFundamentalIdentity:
         assert hits
 
     def test_counterexample_matches_direct_scan(self, rng, sum_r6):
-        config = JetBasisConfig(max_degree=2)
-        for structure in (sum_r6, two_blades_r5(rng), two_blades_r5(rng)):
-            report = check_fundamental_identity(structure, config)
+        cases = [(s, 2) for s in (sum_r6, two_blades_r5(rng), two_blades_r5(rng))]
+        # dense random n-vectors: the first failing defect has several
+        # components, so the reported g-tuple is the first of several
+        cases += [
+            (NambuStructure(m, n, random_multivector(rng, m, n)), degree)
+            for m, n, degree in ((4, 2, 2), (5, 4, 2), (5, 3, 3))
+        ]
+        for structure, degree in cases:
+            report = check_fundamental_identity(structure, JetBasisConfig(max_degree=degree))
             assert not report.passed
-            expected = direct_fi_scan(structure, 2)
+            expected = direct_fi_scan(structure, degree)
             assert expected is not None
             found = report.counterexample
             assert (found.inputs, found.residual, report.items_checked) == expected
@@ -438,6 +444,29 @@ class TestPlucker:
         for structure in (scaled_r3, normal_r4, normal_r5):
             for point in points[structure.m]:
                 assert plucker_at(structure, point) is PluckerVerdict.PASS
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_oracle_on_seeded_points(self, rng, n):
+        # a third of the n-vectors are wedges of vectors, so both verdicts occur
+        verdicts = set()
+        for trial in range(30):
+            m = rng.randint(n, 7)
+            if trial % 3 == 0:
+                vectors = [
+                    Multivector(m, 1, {(j,): random_polynomial(rng, m, 1, 2) for j in range(1, m + 1)})
+                    for _ in range(n)
+                ]
+                nvector = wedge_all(vectors)
+            else:
+                nvector = random_multivector(rng, m, n, density=0.4)
+            structure = NambuStructure(m, n, nvector)
+            for point in seeded_points(rng, m, count=2):
+                values = {i: c.evaluate(point) for i, c in nvector.components.items()}
+                verdict = plucker_at(structure, point)
+                fails = oracle_plucker_fail(values, m, n)
+                assert verdict is (PluckerVerdict.FAIL if fails else PluckerVerdict.PASS)
+                verdicts.add(verdict)
+        assert verdicts == {PluckerVerdict.PASS, PluckerVerdict.FAIL}
 
     def test_order_two_not_applicable(self):
         poisson = NambuStructure(3, 2, Multivector.basis(3, (1, 2)))
