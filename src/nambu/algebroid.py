@@ -55,9 +55,20 @@ field, so the exact-forms residual is
 
     sum_i dg_1 ^ .. ^ d(X_F(g_i) - {F, g_i}) ^ .. ^ dg_{n-1},
 
-and the linear sweep of the consistency 1-forms ``d(X_F(g) - {F, g})``
-certifies the quadratic grid of tuple pairs.  The phi-morphism residual is
-the negated exact-forms residual, so the same sweep certifies it.
+and the consistency 1-forms ``d D(F, g)``, ``D(F, g) = X_F(g) - {F, g}``,
+certify the quadratic grid of tuple pairs.  ``hamiltonian`` and ``nbracket``
+read F only through ``dF = sum_I J_I(F) dx^I``, linearly over polynomials,
+so ``D(F, g) = sum_I J_I(F) D(x_I, g)``; D is a derivation in g, so
+``d D(x_I, g) = 0`` on ``g = x_j, x_j^2`` forces ``D(x_I, .) = 0``.  The
+sweep runs on the coordinate f-tuples ``x_I`` times ``capped(2)``.  A
+capped f-tuple before ``x_I`` has ``dF = 0`` or only ``dx^J`` sorting
+before ``I`` (the swap argument of ``check_fundamental_identity``), so a
+failure is located on the capped tuple pairs from the first failing ``x_I``
+on.  The phi-morphism residual is the negated exact-forms residual, so the
+same sweep certifies it.  Like the capped rows of ``sweep``, this rests on
+identities of the implemented kernels, pinned by the test suite: a fault
+planted in ``nbracket`` at a non-coordinate f-tuple breaks tensoriality and
+goes unseen, as one at a cubic g does on the capped grid.
 
 Characterization and phi-morphism are blind to integrability: they pass
 for every n-vector, Nambu-Poisson or not.  The function-slot rules are the
@@ -97,7 +108,7 @@ from .exterior import (
 from .poly import Polynomial
 from .structure import (
     CheckReport, JetBasisConfig, NambuStructure, capped_first_hit, certify, first_hit,
-    hamiltonian, nbracket, sharp,
+    nbracket, sharp,
 )
 from .sweep import JetBasis, certify_forms, slot1_hit
 
@@ -262,24 +273,25 @@ def _exact_forms_sweep(
     """Certify the exact-forms rule over pairs of capped function tuples.
 
     ``direct(fs, gs)`` is the calling verifier's residual and ``inputs``
-    renders a pair.  The residual is the wedge sum of the consistency
-    1-forms ``d(X_F(g) - {F, g})`` (module docstring), so the linear grid
-    ``(F, g)`` certifies the pair grid; a hit is located at the first pair,
-    from the hit's f-tuple on, whose direct residual is nonzero.
+    renders a pair.  The consistency 1-forms ``d(X_F(g) - {F, g})`` are
+    swept on the coordinate f-tuples ``x_I``, whose ``X_F`` is the anchor of
+    ``dx^I``, times ``capped(2)`` (module docstring); a hit is located at the
+    first pair of capped tuples, from ``x_I`` on, with a nonzero ``direct``.
     """
     structure = basis.structure
-    capped = [basis.monomials[g] for g in basis.capped(2)]
-    tuples = list(itertools.combinations(capped, structure.n - 1))
-    fields = {fs: hamiltonian(structure, fs) for fs in tuples}
+    monomials = basis.monomials
+    capped = [monomials[g] for g in basis.capped(2)]
 
-    def consistency(fs, g):
-        return differential(apply_vec(fields[fs], g) - nbracket(structure, [*fs, g]))
+    def consistency(indices, g):
+        fs = [monomials[i] for i in indices]
+        return differential(apply_vec(basis.anchors[indices], g) - nbracket(structure, [*fs, g]))
 
     def locate(hit):
-        rows = tuples[tuples.index(hit[0]):]
-        return first_hit(itertools.product(rows, tuples), direct)
+        tuples = list(itertools.combinations(capped, structure.n - 1))
+        start = tuples.index(tuple(monomials[i] for i in hit[0]))
+        return first_hit(itertools.product(tuples[start:], tuples), direct)
 
-    hit = first_hit(itertools.product(tuples, capped), consistency)
+    hit = first_hit(itertools.product(basis.index_sets, capped), consistency)
     return certify(check, items, hit, direct, inputs, locate)
 
 
@@ -436,9 +448,10 @@ def verify_phi_morphism(
     On decomposable wedges ``phi({F, G}')`` is the sum of replaced wedges
     that the exact-forms rule subtracts from ``lbracket(phi F, phi G)``, so
     this residual is, by construction, the negated exact-forms residual, and
-    ``_exact_forms_sweep`` certifies it on the same grid: increasing function
-    tuples with slot degrees capped at 2.  A failure is located, and its
-    value reported, through ``phi``, ``fbracket_prime`` and ``lbracket``.
+    ``_exact_forms_sweep`` certifies it on the same grid: coordinate
+    f-tuples, by tensoriality, against g in ``capped(2)``.  A failure is
+    located on the increasing capped tuple pairs, and its value reported,
+    through ``phi``, ``fbracket_prime`` and ``lbracket``.
     """
     basis = JetBasis(structure, config.max_degree)
     items = math.comb(len(basis.monomials), structure.n - 1) ** 2

@@ -78,10 +78,10 @@ ORDER2_DEFAULT_CHECKS = ("fundamental-identity", "invariance")
 
 # Size budgets, compared with an estimate before anything is built: the
 # jet-basis forms C(m+D, D) * C(m, n-1) of a check and the capped function
-# tuples C(C(m+2, 2), n-1) that the fundamental-identity, invariance and
-# exact-forms sweeps run over, and the monomial columns C(m+D, D) of a
-# witness search.  All admit every shipped fixture at jet degree 3 and
-# witness degree 8 with room to spare.
+# tuples C(C(m+2, 2), n-1) that the fundamental-identity and invariance
+# sweeps run over and the exact-forms rule locates a failure on, and the
+# monomial columns C(m+D, D) of a witness search.  All admit every shipped
+# fixture at jet degree 3 and witness degree 8 with room to spare.
 MAX_JET_FORMS = 20_000
 MAX_F_TUPLES = 20_000
 MAX_WITNESS_COLUMNS = 20_000
@@ -213,11 +213,14 @@ def _resolve_checks(options, loaded, structure) -> list[str]:
             raise ParseError(
                 f"unknown check {name!r} (available: {', '.join(sorted(CHECKS))})", source
             )
-        if structure.n < 3 and name not in ORDER2_DEFAULT_CHECKS:
-            raise ParseError(
-                f"{name} requires order >= 3, structure has n={structure.n}", source
-            )
+        if name not in ORDER2_DEFAULT_CHECKS:
+            _require_order_3(structure, name, source)
     return names
+
+
+def _require_order_3(structure, what: str, source: str = "$.order") -> None:
+    if structure.n < 3:
+        raise ParseError(f"{what} requires order >= 3, structure has n={structure.n}", source)
 
 
 def _cmd_check(options, loaded, structure, volume, emit: _Emitter) -> int:
@@ -267,6 +270,8 @@ def _cmd_compute(options, structure, volume, emit: _Emitter) -> int:
     what = options.what
     args = options.args
     m, n = structure.m, structure.n
+    if what in ("modular", "bracket"):
+        _require_order_3(structure, f"compute {what}")
     if what == "modular":
         _expect_args(what, args, 0)
         result = format_tensor(modular_multivector(structure, volume))
@@ -305,6 +310,7 @@ def _expect_args(what: str, args: Sequence[str], count: int) -> None:
 
 
 def _cmd_witness(options, structure, volume, emit: _Emitter) -> int:
+    _require_order_3(structure, "witness")
     if options.max_degree < 0:
         raise ParseError("--max-degree must be non-negative")
     degree = options.max_degree

@@ -6,8 +6,9 @@ order (here slot by slot: coefficient monomial-major, then index set) and
 stops at the first nonzero residual; ``certify`` reports a pass when there
 is none.  Otherwise the hit may name a tuple other than the one to report:
 a Leibniz pair is lifted to a triple, a fundamental-identity f-tuple to its
-first failing g-tuple, and an exact-forms consistency hit ``(F, g)`` to the
-first failing pair of function tuples from ``F`` on, by ``locate``.  The
+first failing g-tuple, and an exact-forms consistency hit ``(x_I, g)`` to
+the first failing pair of capped function tuples from ``x_I`` on, by
+``locate``.  The
 residual of the reported tuple is recomputed by the direct formula, and a
 zero one is refused.  ``certify_forms`` is ``certify`` for points made of
 basis forms.
@@ -33,7 +34,8 @@ Each residual below has its order for any n-vector (``algebroid`` and
   - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.
 * Order <= 2, ``capped(2)``: the invariance defect ``L_{X_f} lam`` of FI
   and invariance, and the exact-forms consistency form
-  ``d(X_F(g) - {F, g})`` of characterization and phi-morphism.
+  ``d(X_F(g) - {F, g})`` of characterization and phi-morphism in g; F
+  runs on the coordinate f-tuples, by tensoriality (``algebroid``).
 
 FI and invariance sweep combinations of f-tuples, which are no product: a
 tuple with a cubic entry may precede a capped one, so a capped hit is

@@ -14,7 +14,9 @@ from nambu.algebroid import (
     lbracket,
     skew_defect,
     verify_anchor_morphism,
+    verify_characterization,
     verify_leibniz_identity,
+    verify_phi_morphism,
 )
 from nambu.cohomology import (
     VolumeForm,
@@ -37,6 +39,7 @@ from nambu.exterior import (
 from nambu.poly import Polynomial
 from nambu.structure import (
     JetBasisConfig,
+    NambuStructure,
     check_fundamental_identity,
     fi_residual,
     hamiltonian,
@@ -203,3 +206,15 @@ def test_criterion_7_property_suites(scaled_r3):
         rhs = fs[0] * nbracket(scaled_r3, [g, fs[1], fs[2]]) + g * base
         ok = ok and lhs == rhs
     _verdict(7, ok, "randomized exterior, ring, and bracket law suites, seed recorded")
+
+
+def test_criterion_8_exact_forms_rule_at_top_degree():
+    # x1 * d1^..^d5: order m = n = 5 at the default jet degree, where the
+    # exact-forms sweep has C(21, 4) capped f-tuples and 5 coordinate ones.
+    structure = NambuStructure(5, 5, x(5, 1) * Multivector.basis(5, (1, 2, 3, 4, 5)))
+    ok = True
+    for verify in (verify_characterization, verify_phi_morphism):
+        start = time.monotonic()
+        report = verify(structure, JetBasisConfig())
+        ok = ok and report.passed and time.monotonic() - start < 10.0
+    _verdict(8, ok, "characterization and phi-morphism at m = n = 5, < 10 s each")

@@ -38,6 +38,7 @@ from nambu.errors import ArityError, DegreeError, OrderError
 from nambu.exterior import (
     Form,
     Multivector,
+    apply_vec,
     contract_vec,
     format_tensor,
     differential,
@@ -46,13 +47,16 @@ from nambu.exterior import (
     lie_mv,
     pair,
     wedge,
+    wedge_all,
 )
-from nambu.poly import Polynomial
+from nambu.poly import Polynomial, jet_exponents
 from nambu.structure import (
     JetBasisConfig,
     NambuStructure,
     check_fundamental_identity,
     first_hit,
+    hamiltonian,
+    nbracket,
     sharp,
 )
 from nambu.sweep import JetBasis, slot1_pairs, slot1_residual
@@ -70,6 +74,45 @@ def dx(m, *indices):
 
 def dd(m, *indices):
     return Multivector.basis(m, indices)
+
+
+def phi_morphism_residual(structure, fs, gs):
+    left, right = FormalWedge.single(fs), FormalWedge.single(gs)
+    return phi(fbracket_prime(structure, left, right)) - lbracket(structure, phi(left), phi(right))
+
+
+def first_tuple_pair_failure(structure, residual, max_degree=2):
+    """The first pair ``(fs, gs)`` of increasing capped tuples, in grid
+    order, whose direct residual is nonzero, with that residual; or None."""
+    capped = [Polynomial.monomial(e) for e in jet_exponents(structure.m, max_degree) if sum(e) <= 2]
+    tuples = list(itertools.combinations(capped, structure.n - 1))
+    for fs in tuples:
+        for gs in tuples:
+            value = residual(structure, fs, gs)
+            if not value.is_zero():
+                return fs, gs, value
+    return None
+
+
+def assert_reports_first_direct_failure(structure, max_degree=2):
+    """Both exact-forms reports equal the brute-force scan of the full capped grid."""
+    config = JetBasisConfig(max_degree=max_degree)
+    verdicts = []
+    for verify, residual, label in (
+        (verify_characterization, exact_forms_residual, ("exact-forms",)),
+        (verify_phi_morphism, phi_morphism_residual, ()),
+    ):
+        report = verify(structure, config)
+        expected = first_tuple_pair_failure(structure, residual, max_degree)
+        if expected is None:
+            assert report.passed
+        else:
+            fs, gs, value = expected
+            assert not report.passed
+            assert report.counterexample.inputs == label + tuple(map(str, fs + gs))
+            assert report.counterexample.residual == format_tensor(value)
+        verdicts.append(report.passed)
+    return verdicts
 
 
 class TestBracketValues:
@@ -698,6 +741,82 @@ class TestExactFormsRule:
         monkeypatch.setattr(algebroid, "nbracket", perturbed)
         assert verify_characterization(scaled_r3).passed
         assert verify_phi_morphism(scaled_r3).passed
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (4, 4), (5, 3), (5, 4)])
+    def test_consistency_defect_is_tensorial_in_dF(self, rng, m, n):
+        # The exact-forms sweep evaluates D(F, g) = X_F(g) - {F, g} at
+        # coordinate f-tuples x_I only.  That is exact because both kernels
+        # read F through dF = sum_I J_I(F) dx^I, linearly over polynomials,
+        # so each term, and D, is the J_I(F)-combination of its values at
+        # x_I; and each term is a derivation in g.
+        structure = NambuStructure(m, n, random_multivector(rng, m, n))
+
+        def terms(fs, g):
+            return apply_vec(hamiltonian(structure, fs), g), nbracket(structure, [*fs, g])
+
+        cases = nonzero = 0
+        while cases < 4:
+            fs = [random_polynomial(rng, m, 3, 4) for _ in range(n - 1)]
+            df = wedge_all([differential(f) for f in fs])
+            if len(df.components) < 2:
+                continue
+            cases += 1
+            g, h = random_polynomial(rng, m, 2, 3), random_polynomial(rng, m, 2, 3)
+            field, bracket = terms(fs, g)
+            nonzero += not field.is_zero()
+            combined = [Polynomial.zero(m), Polynomial.zero(m)]
+            for indices, jacobian in df.components.items():
+                coordinates = [x(m, i) for i in indices]
+                for k, value in enumerate(terms(coordinates, g)):
+                    combined[k] = combined[k] + jacobian * value
+                for product, left, right in zip(
+                    terms(coordinates, g * h), terms(coordinates, g), terms(coordinates, h)
+                ):
+                    assert product == h * left + g * right
+            assert [field, bracket] == combined
+            assert field - bracket == combined[0] - combined[1]
+        assert nonzero
+
+    @pytest.mark.parametrize(
+        "m, n, density",
+        [(3, 3, 0.0), (3, 3, 1.0), (4, 3, 0.3), (5, 3, 0.3)],
+    )
+    def test_tensorial_perturbation_reports_first_direct_failure(
+        self, monkeypatch, rng, m, n, density
+    ):
+        # {f_1..f_n} gains <df_1^..^df_n, mu>: D stays tensorial in dF and a
+        # derivation in g, so the coordinate f-tuples certify and locate it.
+        # Both reports must equal the first failure of the full capped grid
+        # of tuple pairs; density 0 gives mu = 0 and a pass.
+        from nambu import algebroid
+
+        structure = NambuStructure(m, n, random_multivector(rng, m, n))
+        mu = random_multivector(rng, m, n, density)
+
+        def perturbed(structure, functions):
+            extra = pair(wedge_all([differential(f) for f in functions]), mu)
+            return nbracket(structure, functions) + extra
+
+        monkeypatch.setattr(algebroid, "nbracket", perturbed)
+        verdicts = assert_reports_first_direct_failure(structure)
+        assert verdicts == [mu.is_zero()] * 2
+
+    def test_fault_at_the_last_coordinate_tuple_is_reported(self, monkeypatch, normal_r4):
+        # The only failing f-tuple is the last coordinate tuple (x3, x4), so
+        # a sweep that skipped any coordinate tuple would pass here.
+        from nambu import algebroid
+
+        m = 4
+        target = [x(m, 3), x(m, 4), x(m, 1) * x(m, 2)]
+
+        def perturbed(structure, functions):
+            value = nbracket(structure, functions)
+            return value + x(m, 1) if list(functions) == target else value
+
+        monkeypatch.setattr(algebroid, "nbracket", perturbed)
+        assert assert_reports_first_direct_failure(normal_r4) == [False, False]
+        report = verify_phi_morphism(normal_r4, JetBasisConfig(max_degree=2))
+        assert report.counterexample.inputs == ("x3", "x4", "x2", "x1*x2")
 
     def test_characterization_and_phi_morphism_ignore_integrability(self, rng):
         # These checks certify identities of the definitions, which hold for

@@ -30,6 +30,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def order_two(tmp_path) -> str:
+    """A Poisson structure file: ``x2 * d1^d2`` on R^2, order 2."""
+    lam = [{"index": [1, 2], "coeff": "x2"}]
+    doc = {"schema": "nambu-structure/1", "dimension": 2, "order": 2, "lambda": lam}
+    target = tmp_path / "poisson.json"
+    target.write_text(json.dumps(doc))
+    return str(target)
+
+
 class TestCompute:
     def test_modular(self, capsys):
         code, out, _ = run(capsys, ["compute", R3_SCALED, "modular"])
@@ -126,6 +136,36 @@ class TestCompute:
         assert payload["schema"] == "nambu-report/1"
         assert payload["result"] == "d1^d2"
         assert payload["exit"] == 0
+
+
+class TestOrderTwo:
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["compute", "FILE", "bracket", "dx1", "dx2"], "compute bracket"),
+            (["compute", "FILE", "bracket"], "compute bracket"),
+            (["compute", "FILE", "modular", "--json"], "compute modular"),
+            (["witness", "FILE"], "witness"),
+            (["witness", "FILE", "--max-degree=-1"], "witness"),
+        ],
+    )
+    def test_bracket_level_commands_are_refused_with_the_order_location(
+        self, capsys, order_two, argv, what
+    ):
+        argv = [order_two if arg == "FILE" else arg for arg in argv]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: $.order: {what} requires order >= 3, structure has n=2\n"
+
+    @pytest.mark.parametrize("what, arg", [("sharp", "dx1"), ("hamiltonian", "x1")])
+    def test_sharp_and_hamiltonian_still_run(self, capsys, order_two, what, arg):
+        code, out, err = run(capsys, ["compute", order_two, what, arg])
+        assert (code, out, err) == (0, "x2*d2\n", "")
+
+    def test_default_check_still_runs(self, capsys, order_two):
+        code, out, _ = run(capsys, ["check", order_two])
+        assert code == 0
+        assert out.splitlines()[-1] == "result: pass"
 
 
 class TestCheck:

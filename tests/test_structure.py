@@ -31,7 +31,11 @@ from nambu.structure import (
     sharp,
 )
 
-from conftest import random_multivector, random_polynomial
+from nambu.algebroid import verify_phi_morphism
+from nambu.cli import CHECKS, DEFAULT_CHECKS
+from nambu.cohomology import VolumeForm, modular_multivector
+
+from conftest import jacobian_nvector, random_multivector, random_polynomial
 from oracles import oracle_nbracket, oracle_plucker_fail
 
 
@@ -376,6 +380,23 @@ class TestInvariance:
             inv = check_invariance(structure, config)
             if fi.passed:
                 assert inv.passed
+
+
+class TestJacobianStructures:
+    """Jacobian n-vectors are Nambu-Poisson for any F and divergence-free:
+    a curved positive control built without the bracket."""
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (5, 3), (5, 4)])
+    def test_every_default_check_passes_and_the_modular_class_vanishes(self, rng, m, n):
+        nvector = jacobian_nvector(rng, m, n)
+        assert any(coeff.total_degree() > 0 for coeff in nvector.components.values())
+        structure = NambuStructure(m, n, nvector)
+        volume = VolumeForm(Fraction(1), Polynomial.zero(m))
+        config = JetBasisConfig(max_degree=2)
+        for name in DEFAULT_CHECKS:
+            assert CHECKS[name](structure, volume, config).passed, name
+        assert verify_phi_morphism(structure, config).passed
+        assert modular_multivector(structure, volume).is_zero()
 
 
 class TestDecomposabilityOracle:
