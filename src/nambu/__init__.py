@@ -30,7 +30,6 @@ from .exterior import (
 from .structure import (
     CheckReport,
     Counterexample,
-    JetBasisConfig,
     NambuStructure,
     PluckerVerdict,
     check_fundamental_identity,
@@ -42,6 +41,7 @@ from .structure import (
     plucker_at,
     sharp,
 )
+from .sweep import JetBasis
 from .algebroid import (
     FormalWedge,
     fbracket_prime,

@@ -39,10 +39,11 @@ symmetric; in ``S(a, g b)`` those of ``<d(X_a g) ^ b, lam>`` and
 ``X_a <dg ^ b, lam>`` do (the test suite checks ``D(fh) = f D(h) +
 h D(f) - fh D(1)`` for each slot of both).
 
-The sharp-d scan, shared by the sharp-d and Leibniz checks, evaluates ``S``
-by the identity, for any n-vector, ``S(a, b) = <d(i_{X_a} db), lam> +
-(-1)^n s_a s_b - X_a(s_b)`` (``reduced_sharp_d``), whose pieces ``X_a =
-sharp(a)``, ``d a`` and ``s_a = <d a, lam>`` are cached per basis form.
+The sharp-d scan, shared by the sharp-d and Leibniz checks and computed
+once on the run's basis (as the anchor scan is), evaluates ``S`` by the
+identity, for any n-vector, ``S(a, b) = <d(i_{X_a} db), lam> + (-1)^n s_a
+s_b - X_a(s_b)`` (``reduced_sharp_d``), whose pieces ``X_a = sharp(a)``,
+``d a`` and ``s_a = <d a, lam>`` are cached per basis form.
 Cartan's formula and ``d^2 = 0`` give ``d L_X b = d i_X db``; then
 ``d(s_a b) = ds_a ^ b + s_a db``, and ``<ds_a ^ b, lam> = (-1)^(n-1) X_b(s_a)``
 (``contract_form``'s defining identity) cancels the direct ``+X_b(s_a)``.
@@ -107,8 +108,7 @@ from .exterior import (
 )
 from .poly import Polynomial
 from .structure import (
-    CheckReport, JetBasisConfig, NambuStructure, capped_first_hit, certify, first_hit,
-    nbracket, sharp,
+    CheckReport, NambuStructure, capped_first_hit, certify, first_hit, nbracket, sharp,
 )
 from .sweep import JetBasis, certify_forms, slot1_hit
 
@@ -193,49 +193,37 @@ def _anchor_hit(basis: JetBasis) -> tuple | None:
     return slot1_hit(basis, partial(sharp, structure), partial(anchor_residual, structure))
 
 
-def _sharp_d_hit(basis: JetBasis, bound: tuple | None) -> tuple | None:
-    """First pair of the capped pair grid, before ``bound`` unless it is
-    None, where ``reduced_sharp_d`` is nonzero."""
-    grid = basis.pairs(basis.capped(1))
-    if bound is not None:
-        grid = itertools.takewhile(bound.__gt__, grid)
-    return first_hit(grid, partial(reduced_sharp_d, basis))
+def _sharp_d_hit(basis: JetBasis) -> tuple | None:
+    """First pair of the capped pair grid where ``reduced_sharp_d`` is nonzero."""
+    return first_hit(basis.pairs(basis.capped(1)), partial(reduced_sharp_d, basis))
 
 
-def verify_anchor_morphism(
-    structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
-) -> CheckReport:
+def verify_anchor_morphism(basis: JetBasis) -> CheckReport:
     """Certify the anchor identity over all jet-basis pairs by the slot-1 rule."""
-    basis = JetBasis(structure, config.max_degree)
-    direct = partial(anchor_residual, structure)
-    return certify_forms(basis, "anchor", basis.size() ** 2, _anchor_hit(basis), direct)
+    direct = partial(anchor_residual, basis.structure)
+    return certify_forms(basis, "anchor", basis.size() ** 2, basis.once(_anchor_hit), direct)
 
 
-def verify_sharp_d_identity(
-    structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
-) -> CheckReport:
+def verify_sharp_d_identity(basis: JetBasis) -> CheckReport:
     """Certify the sharp-d identity over all jet-basis pairs."""
-    basis = JetBasis(structure, config.max_degree)
-    direct = partial(sharp_d_residual, structure)
-    return certify_forms(basis, "sharp-d", basis.size() ** 2, _sharp_d_hit(basis, None), direct)
+    direct = partial(sharp_d_residual, basis.structure)
+    return certify_forms(basis, "sharp-d", basis.size() ** 2, basis.once(_sharp_d_hit), direct)
 
 
-def verify_leibniz_identity(
-    structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
-) -> CheckReport:
+def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
     """Certify the Leibniz identity over all jet-basis triples.
 
     The residual factors exactly through the anchor and sharp-d residuals
     (module docstring), so its first failing pair is the earlier of the
-    anchor hit and the sharp-d hit.  The anchor residual is linear over
+    anchor hit and the sharp-d hit, the scans that the anchor and sharp-d
+    checks of the run share.  The anchor residual is linear over
     functions in slot 2, so its first failing pair has ``g = 0``; points
     compare as tuples in grid order.  That pair is lifted to the first
     failing triple by scanning the third slot with the direct formula.
     """
-    basis = JetBasis(structure, config.max_degree)
-    direct = partial(leibniz_residual, structure)
-    anchor = _anchor_hit(basis)
-    hit = _sharp_d_hit(basis, anchor) or anchor
+    direct = partial(leibniz_residual, basis.structure)
+    hits = [basis.once(_anchor_hit), basis.once(_sharp_d_hit)]
+    hit = min((hit for hit in hits if hit is not None), default=None)
 
     def lift(hit):
         triples = (hit + third for third in basis.elements())
@@ -313,9 +301,7 @@ def function_slot1_residual(
     return residual + contract_vec(sharp(structure, alpha), wedge(differential(f), beta))
 
 
-def verify_characterization(
-    structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
-) -> CheckReport:
+def verify_characterization(basis: JetBasis) -> CheckReport:
     """Certify the three characterizing rules of the bracket.
 
     The two function-slot rules are exactly linear in the coefficients of
@@ -326,7 +312,7 @@ def verify_characterization(
     exact-forms rule is certified by ``_exact_forms_sweep``, which locates a
     failure with ``exact_forms_residual`` and reports its direct value.
     """
-    basis = JetBasis(structure, config.max_degree)
+    structure = basis.structure
     n = structure.n
     count_forms = basis.size()
     count_funcs = len(basis.monomials)
@@ -440,9 +426,7 @@ def fbracket_prime(
     return FormalWedge(structure.m, arity, tuple(terms))
 
 
-def verify_phi_morphism(
-    structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
-) -> CheckReport:
+def verify_phi_morphism(basis: JetBasis) -> CheckReport:
     """Certify ``phi({F, G}') = lbracket(phi F, phi G)`` over jet wedges.
 
     On decomposable wedges ``phi({F, G}')`` is the sum of replaced wedges
@@ -453,7 +437,7 @@ def verify_phi_morphism(
     located on the increasing capped tuple pairs, and its value reported,
     through ``phi``, ``fbracket_prime`` and ``lbracket``.
     """
-    basis = JetBasis(structure, config.max_degree)
+    structure = basis.structure
     items = math.comb(len(basis.monomials), structure.n - 1) ** 2
 
     def direct(fs, gs):

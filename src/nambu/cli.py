@@ -33,13 +33,12 @@ from .cohomology import (
 from .errors import NambuError, ParseError
 from .structure import (
     CheckReport,
-    JetBasisConfig,
-    NambuStructure,
     check_fundamental_identity,
     check_invariance,
     hamiltonian,
     sharp,
 )
+from .sweep import JetBasis, require_jet_degree
 from .textio import (
     format_tensor,
     load_structure_file,
@@ -49,18 +48,18 @@ from .poly import parse_polynomial
 
 REPORT_SCHEMA = "nambu-report/1"
 
-_CheckRunner = Callable[[NambuStructure, VolumeForm, JetBasisConfig], CheckReport]
+_CheckRunner = Callable[[JetBasis, VolumeForm], CheckReport]
 
 CHECKS: dict[str, _CheckRunner] = {
-    "fundamental-identity": lambda s, v, c: check_fundamental_identity(s, c),
-    "invariance": lambda s, v, c: check_invariance(s, c),
-    "anchor": lambda s, v, c: verify_anchor_morphism(s, c),
-    "leibniz": lambda s, v, c: verify_leibniz_identity(s, c),
-    "characterization": lambda s, v, c: verify_characterization(s, c),
-    "sharp-d": lambda s, v, c: verify_sharp_d_identity(s, c),
-    "phi-morphism": lambda s, v, c: verify_phi_morphism(s, c),
-    "lsv": lambda s, v, c: verify_lsv(s, v, c),
-    "modular-cocycle": lambda s, v, c: verify_modular_cocycle(s, v, c),
+    "fundamental-identity": lambda b, v: check_fundamental_identity(b),
+    "invariance": lambda b, v: check_invariance(b),
+    "anchor": lambda b, v: verify_anchor_morphism(b),
+    "leibniz": lambda b, v: verify_leibniz_identity(b),
+    "characterization": lambda b, v: verify_characterization(b),
+    "sharp-d": lambda b, v: verify_sharp_d_identity(b),
+    "phi-morphism": lambda b, v: verify_phi_morphism(b),
+    "lsv": lambda b, v: verify_lsv(b, v),
+    "modular-cocycle": lambda b, v: verify_modular_cocycle(b, v),
 }
 
 DEFAULT_CHECKS = (
@@ -72,6 +71,8 @@ DEFAULT_CHECKS = (
     "lsv",
     "modular-cocycle",
 )
+
+DEFAULT_JET_DEGREE = 3
 
 # Order-2 structures support only the bracket-level checks.
 ORDER2_DEFAULT_CHECKS = ("fundamental-identity", "invariance")
@@ -171,14 +172,14 @@ class _Emitter:
             print(json.dumps(payload, indent=2))
 
 
-def _resolve_config(options, loaded, structure) -> JetBasisConfig:
+def _resolve_degree(options, loaded, structure) -> int:
     degree, source = options.jet_degree, "--jet-degree"
     if degree is None:
         degree, source = loaded.jet_degree, "$.jet_degree"
     if degree is None:
-        degree, source = JetBasisConfig().max_degree, "default jet degree"
+        degree, source = DEFAULT_JET_DEGREE, "default jet degree"
     try:
-        config = JetBasisConfig(max_degree=degree)
+        require_jet_degree(degree)
     except ValueError as exc:
         raise ParseError(f"{source} {degree}: {exc}") from None
     m, n = structure.m, structure.n
@@ -186,7 +187,7 @@ def _resolve_config(options, loaded, structure) -> JetBasisConfig:
     _check_budget(source, degree, forms, MAX_JET_FORMS, "jet-basis forms")
     f_tuples = math.comb(math.comb(m + 2, 2), n - 1)
     _check_budget("$.order", n, f_tuples, MAX_F_TUPLES, "capped function tuples")
-    return config
+    return degree
 
 
 def _check_budget(source: str, value: int, estimate: int, budget: int, what: str) -> None:
@@ -224,9 +225,10 @@ def _require_order_3(structure, what: str, source: str = "$.order") -> None:
 
 
 def _cmd_check(options, loaded, structure, volume, emit: _Emitter) -> int:
-    config = _resolve_config(options, loaded, structure)
+    degree = _resolve_degree(options, loaded, structure)
     names = _resolve_checks(options, loaded, structure)
-    reports = [CHECKS[name](structure, volume, config) for name in names]
+    basis = JetBasis(structure, degree)
+    reports = [CHECKS[name](basis, volume) for name in names]
     failed = [r for r in reports if not r.passed]
     exit_code = 2 if failed else 0
     if options.json:
@@ -234,7 +236,7 @@ def _cmd_check(options, loaded, structure, volume, emit: _Emitter) -> int:
             {
                 "schema": REPORT_SCHEMA,
                 "command": "check",
-                "jet_degree": config.max_degree,
+                "jet_degree": basis.max_degree,
                 "results": [_report_dict(r) for r in reports],
                 "exit": exit_code,
             }

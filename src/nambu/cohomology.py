@@ -53,7 +53,6 @@ from .exterior import (
 from .poly import Polynomial, jet_exponents
 from .structure import (
     CheckReport,
-    JetBasisConfig,
     NambuStructure,
     certify,
     first_hit,
@@ -200,11 +199,7 @@ def lsv_residual(
     return value - correction
 
 
-def verify_lsv(
-    structure: NambuStructure,
-    volume: VolumeForm,
-    config: JetBasisConfig = JetBasisConfig(),
-) -> CheckReport:
+def verify_lsv(basis: JetBasis, volume: VolumeForm) -> CheckReport:
     """Certify the volume identity over the jet basis of (n-1)-forms.
 
     The residual is first-order in the coefficient, so the basis forms on
@@ -212,8 +207,8 @@ def verify_lsv(
     locate its first failure (``sweep`` docstring).  ``items_checked``
     counts the basis forms certified, up to the first failure.
     """
+    structure = basis.structure
     modular = modular_multivector(structure, volume)
-    basis = JetBasis(structure, config.max_degree)
     rows = list(itertools.product(basis.capped(1), basis.index_sets))
 
     def residual(alpha: Form) -> Polynomial:
@@ -228,40 +223,25 @@ def verify_lsv(
 
 
 def verify_cocycle(
-    structure: NambuStructure,
-    cochain: TensorCochain1,
-    config: JetBasisConfig = JetBasisConfig(),
-    check_name: str = "cocycle",
+    basis: JetBasis, cochain: TensorCochain1, check_name: str = "cocycle"
 ) -> CheckReport:
     """Certify ``cobound1`` of a tensorial cochain vanishes on all jet pairs."""
-    structure.require_order_at_least(3)
-    basis = JetBasis(structure, config.max_degree)
-    direct = partial(cobound1_eval, structure, cochain)
+    direct = partial(cobound1_eval, basis.structure, cochain)
     return certify_forms(
         basis, check_name, basis.size() ** 2, slot1_hit(basis, cochain, direct), direct
     )
 
 
-def verify_modular_cocycle(
-    structure: NambuStructure,
-    volume: VolumeForm,
-    config: JetBasisConfig = JetBasisConfig(),
-) -> CheckReport:
+def verify_modular_cocycle(basis: JetBasis, volume: VolumeForm) -> CheckReport:
     """Certify that the modular cochain is a 1-cocycle."""
-    _check_volume(structure, volume)
+    _check_volume(basis.structure, volume)
     return verify_cocycle(
-        structure,
-        modular_cochain(structure, volume),
-        config,
-        check_name="modular-cocycle",
+        basis, modular_cochain(basis.structure, volume), check_name="modular-cocycle"
     )
 
 
 def verify_volume_change(
-    structure: NambuStructure,
-    volume: VolumeForm,
-    q: Polynomial,
-    config: JetBasisConfig = JetBasisConfig(),
+    structure: NambuStructure, volume: VolumeForm, q: Polynomial
 ) -> CheckReport:
     """Check that rescaling the volume by ``e^q`` shifts the modular
     multivector by exactly the degree-0 coboundary of ``q``."""

@@ -19,7 +19,9 @@ defect:
     R(f_1..f_{n-1}; g_1..g_n) = <dg_1 ^ .. ^ dg_n, L_{X_f} lam>
 
 (an identity of the implemented operations, certified by the test suite).
-So both checks are one sweep of the f-tuples through ``invariance_defect``.
+So both checks are one sweep of the f-tuples through ``invariance_defect``,
+which a run computes once on the jet basis both take (``sweep.JetBasis``,
+read here by its attributes, since ``sweep`` imports this module).
 The fundamental identity reads its failing g-tuple off the defect ``L``:
 the pairing is an alternating derivation in each g-slot, so the first
 failing g-tuple is the coordinate tuple ``x_I`` of the first component
@@ -42,7 +44,7 @@ from .exterior import (
     Form, Multivector, contract_form, differential, format_tensor, lie_mv, pair, wedge,
     wedge_all,
 )
-from .poly import Polynomial, jet_monomials
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -68,17 +70,6 @@ class NambuStructure:
     def require_order_at_least(self, n: int) -> None:
         if self.n < n:
             raise OrderError(f"operation requires order >= {n}, structure has n={self.n}")
-
-
-@dataclass(frozen=True)
-class JetBasisConfig:
-    """Degree bound for the monomial jet basis used by all verifiers."""
-
-    max_degree: int = 3
-
-    def __post_init__(self):
-        if self.max_degree < 2:
-            raise ValueError("identity certification requires max_degree >= 2")
 
 
 @dataclass(frozen=True)
@@ -228,28 +219,25 @@ def invariance_defect(
 # -- verifiers ----------------------------------------------------------------
 
 
-def _invariance_sweep(structure: NambuStructure, config: JetBasisConfig):
-    """The jet monomials, the defect of an f-tuple of them, and the first
-    f-tuple whose defect is nonzero."""
-    monomials = jet_monomials(structure.m, config.max_degree)
+def _invariance_sweep(basis):
+    """The defect of an f-tuple of jet monomials and the first f-tuple whose
+    defect is nonzero; a run computes it once, through ``basis.once``."""
+    structure, monomials = basis.structure, basis.monomials
     grid = functools.partial(itertools.combinations, r=structure.n - 1)
 
     def defect(*fs: Polynomial) -> Multivector:
         return invariance_defect(structure, fs)
 
-    capped = [g for g in monomials if g.total_degree() <= 2]
-    hit = capped_first_hit(grid, defect, monomials, capped)
-    return monomials, defect, hit
+    capped = [monomials[g] for g in basis.capped(2)]
+    return defect, capped_first_hit(grid, defect, monomials, capped)
 
 
 def _texts(*functions: Polynomial) -> tuple[str, ...]:
     return tuple(map(str, functions))
 
 
-def check_fundamental_identity(
-    structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
-) -> CheckReport:
-    """Certify the fundamental identity over the monomial jet basis.
+def check_fundamental_identity(basis) -> CheckReport:
+    """Certify the fundamental identity over the run's jet basis.
 
     The residual is alternating in the f-slots and in the g-slots, so
     strictly increasing tuples cover the full grid.  The f-tuples are swept
@@ -267,7 +255,8 @@ def check_fundamental_identity(
     first index set ``I`` with ``L^I != 0``, where the pairing is ``L^I``;
     ``monomials[i]`` is ``x_i``, so coordinate tuples sort as their index sets.
     """
-    monomials, defect, hit = _invariance_sweep(structure, config)
+    structure, monomials = basis.structure, basis.monomials
+    defect, hit = basis.once(_invariance_sweep)
     n = structure.n
 
     def locate(fs: tuple) -> tuple:
@@ -283,18 +272,17 @@ def check_fundamental_identity(
     )
 
 
-def check_invariance(
-    structure: NambuStructure, config: JetBasisConfig = JetBasisConfig()
-) -> CheckReport:
+def check_invariance(basis) -> CheckReport:
     """Certify that every jet-basis Hamiltonian field preserves the n-vector.
 
     ``items_checked`` counts the f-tuples swept, up to the first failure.
     """
-    monomials, defect, hit = _invariance_sweep(structure, config)
+    monomials, n = basis.monomials, basis.structure.n
+    defect, hit = basis.once(_invariance_sweep)
     if hit is None:
-        items = math.comb(len(monomials), structure.n - 1)
+        items = math.comb(len(monomials), n - 1)
     else:
-        f_tuples = itertools.combinations(monomials, structure.n - 1)
+        f_tuples = itertools.combinations(monomials, n - 1)
         items = sum(1 for _ in itertools.takewhile(hit.__ne__, f_tuples)) + 1
     return certify("invariance", items, hit, defect, _texts)
 

@@ -1,5 +1,10 @@
 """The monomial jet basis of (n-1)-forms and the sweeps over it.
 
+One ``JetBasis`` serves a whole ``check`` run: every verifier takes it,
+and a scan that two checks share runs once per run, through
+``JetBasis.once`` (the invariance sweep of FI and invariance; the anchor
+and sharp-d scans of anchor, sharp-d and Leibniz).
+
 Every verifier certifies through the one scan-and-certify loop of
 ``structure``.  ``first_hit`` sweeps a grid in the pinned lexicographic
 order (here slot by slot: coefficient monomial-major, then index set) and
@@ -27,8 +32,8 @@ Each residual below has its order for any n-vector (``algebroid`` and
 * Order <= 1, ``capped(1)``:
   - anchor: the slot-1 family ``(x^g dx^I, dx^J)`` (below);
   - sharp-d: the pair grid, by ``reduced_sharp_d``;
-  - Leibniz: the anchor scan, then the sharp-d scan over the pairs before
-    the anchor hit; the earlier hit is lifted to a triple;
+  - Leibniz: the earlier of the anchor and sharp-d hits, lifted to a
+    triple;
   - characterization's function-slot rules, on unit forms;
   - modular cocycle: the slot-1 family of the modular cochain;
   - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.
@@ -63,32 +68,50 @@ import itertools
 from typing import Callable, Sequence
 
 from .exterior import (
-    Form, apply_vec, contract_vec, differential, format_tensor, pair, wedge,
+    Form, Multivector, apply_vec, contract_vec, differential, format_tensor, pair, wedge,
 )
 from .poly import Polynomial, jet_exponents
 from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
 
 
 class JetBasis:
-    """Monomial jet basis of (n-1)-forms ``x^g dx^I`` with per-sweep tables.
+    """Monomial jet basis of (n-1)-forms ``x^g dx^I`` with the tables of one run.
 
     A basis form is a pair ``(g, I)`` of a monomial index and an index set;
-    monomial 0 is the constant.  A basis lives for one verifier call, and so
-    do its tables: the unit forms ``dx^I``, their anchors, and the sharp-d
-    pieces of each basis form a sweep reads.
+    monomial 0 is the constant.  A basis lives for one run: every verifier
+    of a ``check`` reads the same basis and its tables, each built on first
+    use (the unit forms ``dx^I``, their anchors, the sharp-d pieces of each
+    basis form a sweep reads, and each scan that two checks share, through
+    ``once``).  The form tables need order >= 3, so an order-2 basis serves
+    only the fundamental-identity and invariance checks.
     """
 
     def __init__(self, structure: NambuStructure, max_degree: int):
-        structure.require_order_at_least(3)
+        require_jet_degree(max_degree)
         self.structure = structure
+        self.max_degree = max_degree
         self.exponents = jet_exponents(structure.m, max_degree)
         self.monomials = [Polynomial.monomial(e) for e in self.exponents]
         self.index_sets = list(
             itertools.combinations(range(1, structure.m + 1), structure.n - 1)
         )
-        self.units = {indices: Form.basis(structure.m, indices) for indices in self.index_sets}
-        self.anchors = {indices: sharp(structure, unit) for indices, unit in self.units.items()}
         self._pieces: dict[tuple, tuple] = {}
+        self._scans: dict[Callable, object] = {}
+
+    @functools.cached_property
+    def units(self) -> dict[tuple[int, ...], Form]:
+        self.structure.require_order_at_least(3)
+        return {indices: Form.basis(self.structure.m, indices) for indices in self.index_sets}
+
+    @functools.cached_property
+    def anchors(self) -> dict[tuple[int, ...], Multivector]:
+        return {indices: sharp(self.structure, unit) for indices, unit in self.units.items()}
+
+    def once(self, scan: Callable[[JetBasis], object]):
+        """``scan(self)``, computed on the first call of the run only."""
+        if scan not in self._scans:
+            self._scans[scan] = scan(self)
+        return self._scans[scan]
 
     def elements(self):
         """Basis forms ``(g, I)`` in the pinned lexicographic order."""
@@ -121,6 +144,12 @@ class JetBasis:
                 self.anchors[indices] * self.monomials[g], da, pair(da, self.structure.nvector)
             )
         return pieces
+
+
+def require_jet_degree(max_degree: int) -> None:
+    """Refuse a jet degree below 2, which would certify no identity."""
+    if max_degree < 2:
+        raise ValueError("identity certification requires max_degree >= 2")
 
 
 # -- certifying basis forms ----------------------------------------------------------

@@ -60,19 +60,22 @@ def random_multivector(
     return Multivector(m, degree, components)
 
 
-def jacobian_nvector(rng: random.Random, m: int, n: int) -> Multivector:
-    """``i(dF_1 ^ .. ^ dF_{m-n}) d1^..^dm`` for seeded F_k, built without the bracket.
+def jacobian_nvector(
+    rng: random.Random, m: int, n: int
+) -> tuple[Multivector, list[Polynomial]]:
+    """``i(dF_1 ^ .. ^ dF_{m-n}) d1^..^dm`` for seeded F_k, built without the
+    bracket, and the F_k.
 
     Its bracket is the Jacobian ``{g_1..g_n} = +-det d(F, g)/d(x)``, Nambu-Poisson
-    for any F (Takhtajan 1994; Gautheron 1996).  Each F_k gets a quadratic
-    term, so the n-vector is not constant.
+    for any F (Takhtajan 1994; Gautheron 1996), and each F_k is a Casimir.
+    Each F_k gets a quadratic term, so the n-vector is not constant.
     """
     functions = [
         random_polynomial(rng, m, 3, 3) + x(m, rng.randint(1, m)) * x(m, k)
         for k in range(1, m - n + 1)
     ]
     volume = Multivector.basis(m, tuple(range(1, m + 1)))
-    return contract_form(wedge_all([differential(f) for f in functions]), volume)
+    return contract_form(wedge_all([differential(f) for f in functions]), volume), functions
 
 
 def x(m: int, i: int) -> Polynomial:

@@ -38,13 +38,13 @@ from nambu.exterior import (
 )
 from nambu.poly import Polynomial
 from nambu.structure import (
-    JetBasisConfig,
     NambuStructure,
     check_fundamental_identity,
     fi_residual,
     hamiltonian,
     nbracket,
 )
+from nambu.sweep import JetBasis
 from nambu.textio import format_tensor
 
 from conftest import SEED, random_form, random_multivector, random_polynomial
@@ -71,15 +71,14 @@ def test_criterion_1_golden_values(scaled_r3):
 
 
 def test_criterion_2_fundamental_identity(scaled_r3, normal_r5, sum_r6):
-    config = JetBasisConfig(max_degree=3)
     ok = True
     for structure, expected in ((scaled_r3, True), (normal_r5, True)):
         start = time.monotonic()
-        report = check_fundamental_identity(structure, config)
+        report = check_fundamental_identity(JetBasis(structure, 3))
         elapsed = time.monotonic() - start
         ok = ok and report.passed is expected and elapsed < 10.0
     start = time.monotonic()
-    failing = check_fundamental_identity(sum_r6, config)
+    failing = check_fundamental_identity(JetBasis(sum_r6, 3))
     elapsed = time.monotonic() - start
     ok = ok and not failing.passed and elapsed < 10.0
     ok = ok and failing.counterexample is not None
@@ -95,14 +94,11 @@ def test_criterion_2_fundamental_identity(scaled_r3, normal_r5, sum_r6):
 
 
 def test_criterion_3_algebroid_sweeps(scaled_r3, volume_r3, normal_r4, normal_r5):
-    config = JetBasisConfig(max_degree=3)
     fixtures = (scaled_r3, volume_r3, normal_r4, normal_r5)
-    ok = all(verify_anchor_morphism(s, config).passed for s in fixtures)
-    ok = ok and all(verify_leibniz_identity(s, config).passed for s in fixtures)
+    ok = all(verify_anchor_morphism(JetBasis(s, 3)).passed for s in fixtures)
+    ok = ok and all(verify_leibniz_identity(JetBasis(s, 3)).passed for s in fixtures)
     # coboundary-squared sweep: d1(d0 f) = 0 over jet pairs on each fixture
     for structure in fixtures:
-        from nambu.sweep import JetBasis
-
         basis = JetBasis(structure, 2)
         cochain = cobound0(structure, x(structure.m, 1) * x(structure.m, 2))
         for g, left in basis.elements():
@@ -121,8 +117,6 @@ def test_criterion_4_skew_dichotomy(normal_r4, volume_r3):
     ok = lbracket(normal_r4, alpha, beta).is_zero()
     ok = ok and lbracket(normal_r4, beta, alpha) == Form.basis(4, (1, 4))
     # top-order case: the defect sweeps to zero over unordered jet pairs
-    from nambu.sweep import JetBasis
-
     basis = JetBasis(volume_r3, 3)
     elements = list(basis.elements())
     for i, (g1, left) in enumerate(elements):
@@ -136,10 +130,9 @@ def test_criterion_4_skew_dichotomy(normal_r4, volume_r3):
 
 def test_criterion_5_volume_identities(scaled_r3):
     nu = VolumeForm.standard(3)
-    config = JetBasisConfig(max_degree=3)
-    ok = verify_lsv(scaled_r3, nu, config).passed
-    ok = ok and verify_modular_cocycle(scaled_r3, nu, config).passed
-    ok = ok and verify_volume_change(scaled_r3, nu, x(3, 1), config).passed
+    ok = verify_lsv(JetBasis(scaled_r3, 3), nu).passed
+    ok = ok and verify_modular_cocycle(JetBasis(scaled_r3, 3), nu).passed
+    ok = ok and verify_volume_change(scaled_r3, nu, x(3, 1)).passed
     shifted = modular_multivector(scaled_r3, nu.rescaled(x(3, 1)))
     expected = Multivector.basis(3, (1, 2)) + x(3, 3) * Multivector.basis(3, (2, 3))
     ok = ok and shifted == expected
@@ -215,6 +208,6 @@ def test_criterion_8_exact_forms_rule_at_top_degree():
     ok = True
     for verify in (verify_characterization, verify_phi_morphism):
         start = time.monotonic()
-        report = verify(structure, JetBasisConfig())
+        report = verify(JetBasis(structure, 3))
         ok = ok and report.passed and time.monotonic() - start < 10.0
     _verdict(8, ok, "characterization and phi-morphism at m = n = 5, < 10 s each")

@@ -51,7 +51,6 @@ from nambu.exterior import (
 )
 from nambu.poly import Polynomial, jet_exponents
 from nambu.structure import (
-    JetBasisConfig,
     NambuStructure,
     check_fundamental_identity,
     first_hit,
@@ -96,13 +95,12 @@ def first_tuple_pair_failure(structure, residual, max_degree=2):
 
 def assert_reports_first_direct_failure(structure, max_degree=2):
     """Both exact-forms reports equal the brute-force scan of the full capped grid."""
-    config = JetBasisConfig(max_degree=max_degree)
     verdicts = []
     for verify, residual, label in (
         (verify_characterization, exact_forms_residual, ("exact-forms",)),
         (verify_phi_morphism, phi_morphism_residual, ()),
     ):
-        report = verify(structure, config)
+        report = verify(JetBasis(structure, max_degree))
         expected = first_tuple_pair_failure(structure, residual, max_degree)
         if expected is None:
             assert report.passed
@@ -352,11 +350,11 @@ def first_direct_failure(basis, grid, direct):
 class TestVerifiers:
     def test_anchor_passes_on_nambu_fixtures(self, scaled_r3, volume_r3, normal_r4):
         for structure in (scaled_r3, volume_r3, normal_r4):
-            report = verify_anchor_morphism(structure)
+            report = verify_anchor_morphism(JetBasis(structure, 3))
             assert report.passed
 
     def test_anchor_fails_on_r6(self, sum_r6):
-        report = verify_anchor_morphism(sum_r6, JetBasisConfig(max_degree=2))
+        report = verify_anchor_morphism(JetBasis(sum_r6, 2))
         assert not report.passed
         from nambu.textio import parse_form
 
@@ -366,18 +364,18 @@ class TestVerifiers:
 
     def test_sharp_d_passes_on_nambu_fixtures(self, scaled_r3, volume_r3, normal_r4):
         for structure in (scaled_r3, volume_r3, normal_r4):
-            assert verify_sharp_d_identity(structure).passed
+            assert verify_sharp_d_identity(JetBasis(structure, 3)).passed
 
     def test_sharp_d_fails_on_r6(self, sum_r6):
-        report = verify_sharp_d_identity(sum_r6, JetBasisConfig(max_degree=2))
+        report = verify_sharp_d_identity(JetBasis(sum_r6, 2))
         assert not report.passed
 
     def test_leibniz_passes_on_nambu_fixtures(self, scaled_r3, volume_r3, normal_r4):
         for structure in (scaled_r3, volume_r3, normal_r4):
-            assert verify_leibniz_identity(structure).passed
+            assert verify_leibniz_identity(JetBasis(structure, 3)).passed
 
     def test_leibniz_fails_on_r6_with_certified_triple(self, sum_r6):
-        report = verify_leibniz_identity(sum_r6, JetBasisConfig(max_degree=2))
+        report = verify_leibniz_identity(JetBasis(sum_r6, 2))
         assert not report.passed
         from nambu.textio import parse_form
 
@@ -386,16 +384,15 @@ class TestVerifiers:
 
     def test_characterization_passes(self, scaled_r3, volume_r3, normal_r4):
         for structure in (scaled_r3, volume_r3, normal_r4):
-            assert verify_characterization(structure).passed
+            assert verify_characterization(JetBasis(structure, 3)).passed
 
     def test_cross_only_failure_is_first_of_direct_scan(self):
         structure = cross_only_r5()
-        config = JetBasisConfig(max_degree=2)
         basis = JetBasis(structure, 2)
         expected = first_direct_failure(
             basis, full_pairs(basis), lambda a, b: sharp_d_residual(structure, a, b)
         )
-        report = verify_sharp_d_identity(structure, config)
+        report = verify_sharp_d_identity(JetBasis(structure, 2))
         assert not report.passed
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
@@ -417,7 +414,7 @@ class TestVerifiers:
         expected = first_direct_failure(
             basis, triples, lambda a, b, c: leibniz_residual(structure, a, b, c)
         )
-        report = verify_leibniz_identity(structure, config)
+        report = verify_leibniz_identity(JetBasis(structure, 2))
         assert not report.passed
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
@@ -445,13 +442,12 @@ class TestVerifiers:
         # At jet degree 3 the capped pair grid that locates a failure is a
         # proper part of the full grid; both reports must be the first
         # failure of a direct full-grid scan.
-        config = JetBasisConfig(max_degree=3)
         basis = JetBasis(structure, 3)
         expected = first_direct_failure(
             basis, full_pairs(basis), lambda a, b: sharp_d_residual(structure, a, b)
         )
         assert expected[0] == sharp_d_inputs
-        report = verify_sharp_d_identity(structure, config)
+        report = verify_sharp_d_identity(JetBasis(structure, 3))
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
         # pairs with zero anchor and sharp-d residuals are skipped, as in
@@ -472,7 +468,7 @@ class TestVerifiers:
             basis, triples, lambda a, b, c: leibniz_residual(structure, a, b, c)
         )
         assert expected[0] == leibniz_inputs
-        report = verify_leibniz_identity(structure, config)
+        report = verify_leibniz_identity(JetBasis(structure, 3))
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
     @pytest.mark.parametrize(
@@ -514,8 +510,7 @@ class TestVerifiers:
 
         monkeypatch.setattr(algebroid, "reduced_sharp_d", planted_reduced)
         monkeypatch.setattr(algebroid, "leibniz_residual", planted_leibniz)
-        config = JetBasisConfig(max_degree=2)
-        assert verify_anchor_morphism(structure, config).passed == anchor_passes
+        assert verify_anchor_morphism(JetBasis(structure, 2)).passed == anchor_passes
 
         def failing_pair(point):
             a, b = basis.forms(point)
@@ -532,7 +527,7 @@ class TestVerifiers:
             basis, triples, lambda a, b, c: planted_leibniz(structure, a, b, c)
         )
         assert expected[0] == ("dx1^dx3", "x1*dx2^dx4", "dx1^dx2")
-        report = verify_leibniz_identity(structure, config)
+        report = verify_leibniz_identity(JetBasis(structure, 2))
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
     def test_characterization_slot_failure_is_first_of_full_grid(self, monkeypatch, scaled_r3):
@@ -568,7 +563,7 @@ class TestVerifiers:
         inputs, value = expected
         assert inputs[:3] == ("slot-1", "dx1^dx2", "x1^3")
 
-        report = verify_characterization(scaled_r3)
+        report = verify_characterization(JetBasis(scaled_r3, 3))
         assert not report.passed
         assert report.counterexample.inputs == inputs
         assert report.counterexample.residual == format_tensor(value)
@@ -635,7 +630,7 @@ class TestExactFormsRule:
         assert [str(p) for p in fs] == ["x1", "x3"]
         assert [str(p) for p in gs] == ["x1", "x1*x2"]
 
-        report = verify_characterization(scaled_r3)
+        report = verify_characterization(JetBasis(scaled_r3, 3))
         assert not report.passed
         assert report.counterexample.inputs == (
             ("exact-forms",) + tuple(str(p) for p in fs) + tuple(str(p) for p in gs)
@@ -677,7 +672,7 @@ class TestExactFormsRule:
         assert [str(p) for p in fs] == ["x1", "x3"]
         assert [str(p) for p in gs] == ["x1", "x1*x2"]
 
-        report = verify_phi_morphism(scaled_r3)
+        report = verify_phi_morphism(JetBasis(scaled_r3, 3))
         assert not report.passed
         assert report.counterexample.inputs == tuple(str(p) for p in fs + gs)
         assert report.counterexample.residual == format_tensor(residual)
@@ -739,8 +734,8 @@ class TestExactFormsRule:
             return value + 5 if list(functions) == target else value
 
         monkeypatch.setattr(algebroid, "nbracket", perturbed)
-        assert verify_characterization(scaled_r3).passed
-        assert verify_phi_morphism(scaled_r3).passed
+        assert verify_characterization(JetBasis(scaled_r3, 3)).passed
+        assert verify_phi_morphism(JetBasis(scaled_r3, 3)).passed
 
     @pytest.mark.parametrize("m, n", [(4, 3), (4, 4), (5, 3), (5, 4)])
     def test_consistency_defect_is_tensorial_in_dF(self, rng, m, n):
@@ -815,7 +810,7 @@ class TestExactFormsRule:
 
         monkeypatch.setattr(algebroid, "nbracket", perturbed)
         assert assert_reports_first_direct_failure(normal_r4) == [False, False]
-        report = verify_phi_morphism(normal_r4, JetBasisConfig(max_degree=2))
+        report = verify_phi_morphism(JetBasis(normal_r4, 2))
         assert report.counterexample.inputs == ("x3", "x4", "x2", "x1*x2")
 
     def test_characterization_and_phi_morphism_ignore_integrability(self, rng):
@@ -823,14 +818,13 @@ class TestExactFormsRule:
         # every n-vector (module docstrings of ``algebroid`` and
         # ``cohomology``): they pass on seeded n-vectors that are not
         # Nambu-Poisson.
-        config = JetBasisConfig(max_degree=2)
         for m, n, density in ((4, 3, 0.6), (5, 3, 0.4), (5, 4, 0.4)):
             structure = NambuStructure(m, n, random_multivector(rng, m, n, density))
-            assert not check_fundamental_identity(structure, config).passed
-            assert verify_characterization(structure, config).passed
-            assert verify_phi_morphism(structure, config).passed
+            assert not check_fundamental_identity(JetBasis(structure, 2)).passed
+            assert verify_characterization(JetBasis(structure, 2)).passed
+            assert verify_phi_morphism(JetBasis(structure, 2)).passed
             volume = VolumeForm(Fraction(2), x(m, 1) * x(m, 2))
-            assert verify_lsv(structure, volume, config).passed
+            assert verify_lsv(JetBasis(structure, 2), volume).passed
 
     def test_frozen_instance(self, scaled_r3):
         # [[d(x1)^d(x2), d(x2)^d(x3)]] = d{x1,x2,x2}^dx3 + dx2^d{x1,x2,x3}
@@ -894,7 +888,7 @@ class TestFormalWedges:
 
     def test_phi_morphism_sweeps(self, scaled_r3, volume_r3):
         for structure in (scaled_r3, volume_r3):
-            assert verify_phi_morphism(structure, JetBasisConfig(max_degree=2)).passed
+            assert verify_phi_morphism(JetBasis(structure, 2)).passed
 
     def test_arity_guard(self, scaled_r3):
         with pytest.raises(ArityError):

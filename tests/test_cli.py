@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 from pathlib import Path
@@ -409,6 +410,56 @@ class TestCheck:
         assert code == 1
         assert out == ""
         assert err.startswith("error: $.checks:")
+
+
+class TestOneBasisPerRun:
+    """``check`` builds one jet basis per run, so a scan that two checks
+    share runs once, and no report depends on which check ran it first."""
+
+    INTEGRABILITY = "fundamental-identity,invariance,anchor,sharp-d,leibniz"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # C(15, 2) capped f-tuples on R^4 and the 6 x 6 anchor cores,
+            # each evaluated once although two checks read each scan
+            ([R4_NF], {"structure.invariance_defect": 105, "algebroid.anchor_residual": 36}),
+            # 97 f-tuples to the invariance hit, plus the defect there
+            # re-evaluated by each report; the sharp-d scan to its hit
+            (
+                [R6_SUM, f"--checks={INTEGRABILITY}"],
+                {"structure.invariance_defect": 99, "algebroid.reduced_sharp_d": 2175},
+            ),
+        ],
+        ids=["r4-default", "r6-integrability"],
+    )
+    def test_shared_scans_run_once(self, monkeypatch, capsys, argv, expected):
+        counts = dict.fromkeys(expected, 0)
+        for name in expected:
+            module, attribute = name.split(".")
+            namespace = importlib.import_module(f"nambu.{module}")
+            original = getattr(namespace, attribute)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(namespace, attribute, counted)
+        run(capsys, ["check", *argv])
+        assert counts == expected
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_reports_equal_a_fresh_basis_in_either_order(self, capsys, fixture):
+        def results(names):
+            argv = ["check", str(fixture), f"--checks={','.join(names)}", "--json"]
+            _, out, _ = run(capsys, argv)
+            return {result["check"]: result for result in json.loads(out)["results"]}
+
+        fresh = {}
+        for name in CHECKS:
+            fresh.update(results([name]))
+        assert results(list(CHECKS)) == fresh
+        assert results(list(CHECKS)[::-1]) == fresh
 
 
 class TestUsageErrors:

@@ -31,7 +31,7 @@ from nambu.exterior import (
     Form, Multivector, apply_vec, differential, format_tensor, pair, wedge,
 )
 from nambu.poly import Polynomial, jet_exponents, jet_monomials
-from nambu.structure import JetBasisConfig, NambuStructure, hamiltonian, sharp
+from nambu.structure import NambuStructure, hamiltonian, sharp
 from nambu.sweep import JetBasis, slot1_residual
 
 from conftest import random_form, random_polynomial
@@ -202,10 +202,10 @@ class TestLsv:
         assert pair(dx(3, 1, 2), modular_multivector(scaled_r3, nu3)) == Polynomial.one(3)
 
     def test_sweeps(self, scaled_r3, volume_r3, normal_r4, nu3):
-        assert verify_lsv(scaled_r3, nu3).passed
-        assert verify_lsv(scaled_r3, nu3.rescaled(x(3, 1))).passed
-        assert verify_lsv(volume_r3, nu3).passed
-        assert verify_lsv(normal_r4, VolumeForm.standard(4)).passed
+        assert verify_lsv(JetBasis(scaled_r3, 3), nu3).passed
+        assert verify_lsv(JetBasis(scaled_r3, 3), nu3.rescaled(x(3, 1))).passed
+        assert verify_lsv(JetBasis(volume_r3, 3), nu3).passed
+        assert verify_lsv(JetBasis(normal_r4, 3), VolumeForm.standard(4)).passed
 
     def test_forced_failure_matches_direct_scan(self, monkeypatch, scaled_r3, nu3):
         # A modular multivector off by x1*d2^d3 breaks the identity on every
@@ -223,7 +223,7 @@ class TestLsv:
                 break
         assert expected is not None and expected[2] > 1
 
-        report = verify_lsv(scaled_r3, nu3)
+        report = verify_lsv(JetBasis(scaled_r3, 3), nu3)
         assert not report.passed
         found = report.counterexample
         assert (found.inputs, found.residual, report.items_checked) == expected
@@ -243,7 +243,7 @@ class TestLsv:
         monkeypatch.setattr(cohomology, "lsv_residual", residual)
         grid = itertools.product(jet_monomials(3, 3), itertools.combinations((1, 2, 3), 2))
         items = next(i for i, (g, I) in enumerate(grid, start=1) if dx(3, *I) * g == planted)
-        report = verify_lsv(scaled_r3, nu3)
+        report = verify_lsv(JetBasis(scaled_r3, 3), nu3)
         found = report.counterexample
         assert (found.inputs, found.residual, report.items_checked) == (
             ("x2*dx1^dx3",), "x1", items
@@ -252,14 +252,12 @@ class TestLsv:
 
 class TestModularCocycle:
     def test_sweeps_pass(self, scaled_r3, volume_r3, normal_r5, nu3):
-        assert verify_modular_cocycle(scaled_r3, nu3).passed
-        assert verify_modular_cocycle(volume_r3, nu3).passed
-        assert verify_modular_cocycle(
-            normal_r5, VolumeForm.standard(5), JetBasisConfig(max_degree=2)
-        ).passed
+        assert verify_modular_cocycle(JetBasis(scaled_r3, 3), nu3).passed
+        assert verify_modular_cocycle(JetBasis(volume_r3, 3), nu3).passed
+        assert verify_modular_cocycle(JetBasis(normal_r5, 2), VolumeForm.standard(5)).passed
 
     def test_volume_independent(self, scaled_r3, nu3):
-        assert verify_modular_cocycle(scaled_r3, nu3.rescaled(x(3, 1))).passed
+        assert verify_modular_cocycle(JetBasis(scaled_r3, 3), nu3.rescaled(x(3, 1))).passed
 
     def test_lsv_pass_implies_cocycle_pass(
         self, scaled_r3, volume_r3, normal_r4, nu3
@@ -271,8 +269,8 @@ class TestModularCocycle:
             (normal_r4, VolumeForm.standard(4)),
         ]
         for structure, volume in cases:
-            if verify_lsv(structure, volume).passed:
-                assert verify_modular_cocycle(structure, volume).passed
+            if verify_lsv(JetBasis(structure, 3), volume).passed:
+                assert verify_modular_cocycle(JetBasis(structure, 3), volume).passed
 
     def test_failing_cochain_reports_first_direct_failure(self, sum_r6):
         # d1^d2 is not a cocycle on r6; the report must be the first pair of
@@ -300,7 +298,7 @@ class TestModularCocycle:
         assert expected is not None
         alpha, beta, direct = expected
 
-        report = verify_cocycle(sum_r6, cochain, JetBasisConfig(max_degree=2))
+        report = verify_cocycle(JetBasis(sum_r6, 2), cochain)
         assert not report.passed
         assert report.check == "cocycle"
         assert report.counterexample.inputs == (format_tensor(alpha), format_tensor(beta))
@@ -339,7 +337,7 @@ class TestModularCocycle:
                     assert g > 0 or m == 3
                     later_rows += g > 0
                     break
-            report = verify_cocycle(structure, cochain)
+            report = verify_cocycle(JetBasis(structure, 3), cochain)
             assert report.passed == (expected is None)
             if expected is not None:
                 found = report.counterexample

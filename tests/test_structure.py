@@ -17,7 +17,6 @@ from nambu.poly import Polynomial, jet_monomials
 from nambu.structure import (
     CheckReport,
     Counterexample,
-    JetBasisConfig,
     NambuStructure,
     PluckerVerdict,
     capped_first_hit,
@@ -31,9 +30,22 @@ from nambu.structure import (
     sharp,
 )
 
-from nambu.algebroid import verify_phi_morphism
+from nambu.algebroid import (
+    verify_anchor_morphism,
+    verify_characterization,
+    verify_leibniz_identity,
+    verify_phi_morphism,
+    verify_sharp_d_identity,
+)
 from nambu.cli import CHECKS, DEFAULT_CHECKS
-from nambu.cohomology import VolumeForm, modular_multivector
+from nambu.cohomology import (
+    VolumeForm,
+    exactness_witness,
+    modular_multivector,
+    verify_lsv,
+    verify_modular_cocycle,
+)
+from nambu.sweep import JetBasis
 
 from conftest import jacobian_nvector, random_multivector, random_polynomial
 from oracles import oracle_nbracket, oracle_plucker_fail
@@ -101,9 +113,9 @@ class TestConstruction:
         # the failing fixture constructs fine; verification is explicit
         assert sum_r6.n == 3
 
-    def test_jet_config_floor(self):
+    def test_jet_config_floor(self, scaled_r3):
         with pytest.raises(ValueError):
-            JetBasisConfig(max_degree=1)
+            JetBasis(scaled_r3, 1)
 
     def test_report_consistency(self):
         with pytest.raises(ValueError):
@@ -207,15 +219,15 @@ class TestSharpAndHamiltonian:
 
 class TestFundamentalIdentity:
     def test_passes_on_scaled_r3(self, scaled_r3):
-        report = check_fundamental_identity(scaled_r3)
+        report = check_fundamental_identity(JetBasis(scaled_r3, 3))
         assert report.passed
 
     def test_passes_on_normal_r5(self, normal_r5):
-        report = check_fundamental_identity(normal_r5, JetBasisConfig(max_degree=2))
+        report = check_fundamental_identity(JetBasis(normal_r5, 2))
         assert report.passed
 
     def test_fails_on_r6_with_certified_counterexample(self, sum_r6):
-        report = check_fundamental_identity(sum_r6, JetBasisConfig(max_degree=2))
+        report = check_fundamental_identity(JetBasis(sum_r6, 2))
         assert not report.passed
         assert report.counterexample is not None
         # re-derive the counterexample through the direct nested brackets
@@ -259,7 +271,7 @@ class TestFundamentalIdentity:
             for m, n, degree in ((4, 2, 2), (5, 4, 2), (5, 3, 3))
         ]
         for structure, degree in cases:
-            report = check_fundamental_identity(structure, JetBasisConfig(max_degree=degree))
+            report = check_fundamental_identity(JetBasis(structure, degree))
             assert not report.passed
             expected = direct_fi_scan(structure, degree)
             assert expected is not None
@@ -283,17 +295,16 @@ class TestFundamentalIdentity:
 class TestInvariance:
     def test_passes_on_nambu_fixtures(self, scaled_r3, volume_r3, normal_r4):
         for structure in (scaled_r3, volume_r3, normal_r4):
-            assert check_invariance(structure).passed
+            assert check_invariance(JetBasis(structure, 3)).passed
 
     def test_items_are_counted_without_building_the_grid(self):
         # 210 jet monomials of degree <= 6 on R^4: C(210, 3) = 1,521,520
         # f-tuples, about 110 MB as a list of tuples
         top = NambuStructure(4, 4, x(4, 1) * Multivector.basis(4, (1, 2, 3, 4)))
-        config = JetBasisConfig(max_degree=6)
         tracemalloc.start()
         try:
-            invariance = check_invariance(top, config)
-            fi = check_fundamental_identity(top, config)
+            invariance = check_invariance(JetBasis(top, 6))
+            fi = check_fundamental_identity(JetBasis(top, 6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,16 +314,37 @@ class TestInvariance:
         assert peak < 10_000_000
 
     def test_fails_on_r6(self, sum_r6):
-        report = check_invariance(sum_r6, JetBasisConfig(max_degree=2))
+        report = check_invariance(JetBasis(sum_r6, 2))
         assert not report.passed
         assert report.counterexample is not None
 
     def test_order_two_checks_supported(self):
         # ordinary Poisson case: the residual reduces to the Jacobi identity
         poisson = NambuStructure(2, 2, Multivector.basis(2, (1, 2)))
-        config = JetBasisConfig(max_degree=2)
-        assert check_fundamental_identity(poisson, config).passed
-        assert check_invariance(poisson, config).passed
+        assert check_fundamental_identity(JetBasis(poisson, 2)).passed
+        assert check_invariance(JetBasis(poisson, 2)).passed
+
+    def test_order_two_basis_serves_only_fi_and_invariance(self):
+        # A basis reads the form tables, which need order >= 3, only on
+        # first use: every other verifier is refused, and the refusals leave
+        # the basis usable for FI and invariance.
+        poisson = NambuStructure(3, 2, x(3, 3) * Multivector.basis(3, (1, 2)))
+        basis = JetBasis(poisson, 2)
+        volume = VolumeForm.standard(3)
+        refused = [
+            verify_anchor_morphism,
+            verify_sharp_d_identity,
+            verify_leibniz_identity,
+            verify_characterization,
+            verify_phi_morphism,
+            functools.partial(verify_lsv, volume=volume),
+            functools.partial(verify_modular_cocycle, volume=volume),
+        ]
+        for verify in refused:
+            with pytest.raises(OrderError):
+                verify(basis)
+        assert check_fundamental_identity(basis).passed
+        assert check_invariance(basis).passed
 
     @pytest.mark.parametrize("order", [3, 2])
     def test_capped_hit_is_located_on_the_full_grid(self, monkeypatch, scaled_r3, order):
@@ -344,7 +376,7 @@ class TestInvariance:
         )
         assert f_tuples[position] == (cubic if order == 3 else capped[-1])
 
-        report = check_invariance(nambu, JetBasisConfig(max_degree=3))
+        report = check_invariance(JetBasis(nambu, 3))
         assert not report.passed
         assert report.counterexample.inputs == tuple(map(str, f_tuples[position]))
         assert report.counterexample.residual == format_tensor(
@@ -374,10 +406,9 @@ class TestInvariance:
     def test_fi_implies_invariance_on_fixtures(
         self, scaled_r3, volume_r3, normal_r4, normal_r5, sum_r6
     ):
-        config = JetBasisConfig(max_degree=2)
         for structure in (scaled_r3, volume_r3, normal_r4, normal_r5, sum_r6):
-            fi = check_fundamental_identity(structure, config)
-            inv = check_invariance(structure, config)
+            fi = check_fundamental_identity(JetBasis(structure, 2))
+            inv = check_invariance(JetBasis(structure, 2))
             if fi.passed:
                 assert inv.passed
 
@@ -388,15 +419,42 @@ class TestJacobianStructures:
 
     @pytest.mark.parametrize("m, n", [(4, 3), (5, 3), (5, 4)])
     def test_every_default_check_passes_and_the_modular_class_vanishes(self, rng, m, n):
-        nvector = jacobian_nvector(rng, m, n)
+        nvector, _ = jacobian_nvector(rng, m, n)
         assert any(coeff.total_degree() > 0 for coeff in nvector.components.values())
         structure = NambuStructure(m, n, nvector)
         volume = VolumeForm(Fraction(1), Polynomial.zero(m))
-        config = JetBasisConfig(max_degree=2)
         for name in DEFAULT_CHECKS:
-            assert CHECKS[name](structure, volume, config).passed, name
-        assert verify_phi_morphism(structure, config).passed
+            assert CHECKS[name](JetBasis(structure, 2), volume).passed, name
+        assert verify_phi_morphism(JetBasis(structure, 2)).passed
         assert modular_multivector(structure, volume).is_zero()
+
+    def test_witness_minus_the_volume_exponent_is_a_casimir(self, rng):
+        # Hamiltonian fields of a Jacobian n-vector are divergence-free, so
+        # for the volume e^p the modular class is the coboundary of p: a
+        # witness exists at degree deg p, and w - p is a Casimir, which for
+        # this n-vector means d(w - p) ^ dF_1 ^ .. ^ dF_{m-n} = 0.  With
+        # 2*F_1 planted in p, some w - p is a nonconstant Casimir.
+        nonconstant = 0
+        for m, n in ((4, 3), (5, 3), (5, 4), (6, 4)):
+            nvector, functions = jacobian_nvector(rng, m, n)
+            structure = NambuStructure(m, n, nvector)
+            p = random_polynomial(rng, m, 2, 3) + functions[0] * 2
+            report = exactness_witness(structure, VolumeForm(Fraction(1), p), p.total_degree())
+            assert report.feasible
+            casimir = report.witness - p
+            assert wedge_all([differential(f) for f in (casimir, *functions)]).is_zero()
+            nonconstant += casimir.total_degree() > 0
+        assert nonconstant
+
+    @pytest.mark.parametrize("m, n", [(5, 3), (6, 3), (6, 4)])
+    def test_sum_failing_plucker_fails_the_fundamental_identity(self, rng, m, n):
+        # Each summand is Nambu-Poisson; where their sum is not decomposable
+        # it is not (Gautheron 1996), so FI must find a counterexample.
+        nvector = jacobian_nvector(rng, m, n)[0] + jacobian_nvector(rng, m, n)[0]
+        structure = NambuStructure(m, n, nvector)
+        verdicts = [plucker_at(structure, point) for point in seeded_points(rng, m)]
+        assert PluckerVerdict.FAIL in verdicts
+        assert not check_fundamental_identity(JetBasis(structure, 2)).passed
 
 
 class TestDecomposabilityOracle:
@@ -405,24 +463,22 @@ class TestDecomposabilityOracle:
 
     @pytest.mark.parametrize("m, n", [(3, 3), (4, 3), (5, 3), (5, 4)])
     def test_scaled_coordinate_blade_passes_both(self, rng, m, n):
-        config = JetBasisConfig(max_degree=2)
         for _ in range(2):
             blade = tuple(sorted(rng.sample(range(1, m + 1), n)))
             nvector = seeded_coefficient(rng, m) * Multivector.basis(m, blade)
             structure = NambuStructure(m, n, nvector)
-            assert check_fundamental_identity(structure, config).passed
+            assert check_fundamental_identity(JetBasis(structure, 2)).passed
             for point in seeded_points(rng, m):
                 assert plucker_at(structure, point) is PluckerVerdict.PASS
 
     def test_sum_of_disjoint_blades_fails_both(self, rng):
-        config = JetBasisConfig(max_degree=2)
         for _ in range(2):
             first = tuple(sorted(rng.sample(range(1, 7), 3)))
             second = tuple(i for i in range(1, 7) if i not in first)
             f, g = seeded_coefficient(rng, 6), seeded_coefficient(rng, 6)
             nvector = f * Multivector.basis(6, first) + g * Multivector.basis(6, second)
             structure = NambuStructure(6, 3, nvector)
-            assert not check_fundamental_identity(structure, config).passed
+            assert not check_fundamental_identity(JetBasis(structure, 2)).passed
             # where one blade vanishes the tensor is decomposable
             points = [p for p in seeded_points(rng, 6) if f.evaluate(p) and g.evaluate(p)]
             assert points
