@@ -28,8 +28,9 @@ ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).with_name("check.json")
 WITNESS_GOLDEN = Path(__file__).with_name("witness.json")
 # Every check runs on every fixture.  characterization and phi-morphism pass
-# on r6_nonexample too: they certify rules that hold for any n-vector.
-FIXTURES = ("r3_scaled", "r3_volume", "r4_normal_form", "r6_nonexample")
+# on r6_nonexample and r6_rational too: they certify rules that hold for any
+# n-vector.  r6_rational is the one fixture with non-integral coefficients.
+FIXTURES = ("r3_scaled", "r3_volume", "r4_normal_form", "r6_nonexample", "r6_rational")
 TEXT_CASES = (
     ("r6_nonexample", "fundamental-identity,invariance,anchor,sharp-d,leibniz"),
 )
