@@ -164,12 +164,13 @@ def sharp_d_residual(structure: NambuStructure, alpha: Form, beta: Form) -> Poly
 
 
 def reduced_sharp_d(basis: JetBasis, f: int, left: tuple, g: int, right: tuple) -> Polynomial:
-    """The sharp-d residual at the basis pair ``(f, I, g, J)`` by the reduced identity."""
+    """The sharp-d residual on ``basis.swept`` at the basis pair ``(f, I, g, J)``
+    by the reduced identity."""
     field, _, s_a = basis.sharp_d_pieces(f, left)
     _, db, s_b = basis.sharp_d_pieces(g, right)
-    value = pair(ext_d(contract_vec(field, db)), basis.structure.nvector) - apply_vec(field, s_b)
+    value = pair(ext_d(contract_vec(field, db)), basis.swept.nvector) - apply_vec(field, s_b)
     if s_a and s_b:
-        value = value - s_a * s_b if basis.structure.n % 2 else value + s_a * s_b
+        value = value - s_a * s_b if basis.swept.n % 2 else value + s_a * s_b
     return value
 
 
@@ -189,7 +190,7 @@ def leibniz_residual(
 
 def _anchor_hit(basis: JetBasis) -> tuple | None:
     """First failing pair ``(f, I, 0, J)`` of the anchor's slot-1 family."""
-    structure = basis.structure
+    structure = basis.swept
     return slot1_hit(basis, partial(sharp, structure), partial(anchor_residual, structure))
 
 
@@ -219,16 +220,19 @@ def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
     checks of the run share.  The anchor residual is linear over
     functions in slot 2, so its first failing pair has ``g = 0``; points
     compare as tuples in grid order.  That pair is lifted to the first
-    failing triple by scanning the third slot with the direct formula.
+    failing triple by scanning the third slot with the direct formula on
+    ``basis.swept``.
     """
-    direct = partial(leibniz_residual, basis.structure)
     hits = [basis.once(_anchor_hit), basis.once(_sharp_d_hit)]
     hit = min((hit for hit in hits if hit is not None), default=None)
 
     def lift(hit):
         triples = (hit + third for third in basis.elements())
-        return first_hit(triples, lambda *point: direct(*basis.forms(point)))
+        return first_hit(
+            triples, lambda *point: leibniz_residual(basis.swept, *basis.forms(point))
+        )
 
+    direct = partial(leibniz_residual, basis.structure)
     return certify_forms(basis, "leibniz", basis.size() ** 3, hit, direct, lift)
 
 
@@ -260,13 +264,14 @@ def _exact_forms_sweep(
 ) -> CheckReport:
     """Certify the exact-forms rule over pairs of capped function tuples.
 
-    ``direct(fs, gs)`` is the calling verifier's residual and ``inputs``
-    renders a pair.  The consistency 1-forms ``d(X_F(g) - {F, g})`` are
-    swept on the coordinate f-tuples ``x_I``, whose ``X_F`` is the anchor of
-    ``dx^I``, times ``capped(2)`` (module docstring); a hit is located at the
-    first pair of capped tuples, from ``x_I`` on, with a nonzero ``direct``.
+    ``direct(structure, fs, gs)`` is the calling verifier's residual and
+    ``inputs`` renders a pair.  The consistency 1-forms ``d(X_F(g) - {F, g})``
+    are swept on the coordinate f-tuples ``x_I``, whose ``X_F`` is the anchor
+    of ``dx^I``, times ``capped(2)`` (module docstring); a hit is located at
+    the first pair of capped tuples, from ``x_I`` on, with a nonzero
+    ``direct`` on ``basis.swept``, and reported on ``basis.structure``.
     """
-    structure = basis.structure
+    structure = basis.swept
     monomials = basis.monomials
     capped = [monomials[g] for g in basis.capped(2)]
 
@@ -277,10 +282,10 @@ def _exact_forms_sweep(
     def locate(hit):
         tuples = list(itertools.combinations(capped, structure.n - 1))
         start = tuples.index(tuple(monomials[i] for i in hit[0]))
-        return first_hit(itertools.product(tuples[start:], tuples), direct)
+        return first_hit(itertools.product(tuples[start:], tuples), partial(direct, structure))
 
     hit = first_hit(itertools.product(basis.index_sets, capped), consistency)
-    return certify(check, items, hit, direct, inputs, locate)
+    return certify(check, items, hit, partial(direct, basis.structure), inputs, locate)
 
 
 def function_slot2_residual(
@@ -312,8 +317,7 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
     exact-forms rule is certified by ``_exact_forms_sweep``, which locates a
     failure with ``exact_forms_residual`` and reports its direct value.
     """
-    structure = basis.structure
-    n = structure.n
+    n = basis.structure.n
     count_forms = basis.size()
     count_funcs = len(basis.monomials)
     items = (
@@ -326,13 +330,13 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
         basis,
         "characterization",
         items,
-        partial(exact_forms_residual, structure),
+        exact_forms_residual,
         lambda fs, gs: ("exact-forms", *map(str, fs), *map(str, gs)),
     )
     if not report.passed:
         return report
 
-    def residual(rule, left, g, right):
+    def residual(structure, rule, left, g, right):
         alpha, beta, f = basis.units[left], basis.units[right], basis.monomials[g]
         if rule == "slot-2":
             return function_slot2_residual(structure, alpha, f, beta)
@@ -345,8 +349,9 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
     def grid(rows):
         return itertools.product(("slot-2", "slot-1"), basis.index_sets, rows, basis.index_sets)
 
-    hit = capped_first_hit(grid, residual, range(len(basis.monomials)), basis.capped(1))
-    return certify("characterization", items, hit, residual, inputs)
+    fast = partial(residual, basis.swept)
+    hit = capped_first_hit(grid, fast, range(len(basis.monomials)), basis.capped(1))
+    return certify("characterization", items, hit, partial(residual, basis.structure), inputs)
 
 
 # -- formal wedges of functions --------------------------------------------------
@@ -437,10 +442,9 @@ def verify_phi_morphism(basis: JetBasis) -> CheckReport:
     located on the increasing capped tuple pairs, and its value reported,
     through ``phi``, ``fbracket_prime`` and ``lbracket``.
     """
-    structure = basis.structure
-    items = math.comb(len(basis.monomials), structure.n - 1) ** 2
+    items = math.comb(len(basis.monomials), basis.structure.n - 1) ** 2
 
-    def direct(fs, gs):
+    def direct(structure, fs, gs):
         left, right = FormalWedge.single(fs), FormalWedge.single(gs)
         value = phi(fbracket_prime(structure, left, right))
         return value - lbracket(structure, phi(left), phi(right))

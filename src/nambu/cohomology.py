@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import Callable
 
 from .algebroid import lbracket
 from .errors import ChartMismatchError, DegreeError
@@ -207,36 +208,52 @@ def verify_lsv(basis: JetBasis, volume: VolumeForm) -> CheckReport:
     locate its first failure (``sweep`` docstring).  ``items_checked``
     counts the basis forms certified, up to the first failure.
     """
-    structure = basis.structure
-    modular = modular_multivector(structure, volume)
+    swept = basis.swept
+    modular = modular_multivector(swept, volume)
     rows = list(itertools.product(basis.capped(1), basis.index_sets))
 
-    def residual(alpha: Form) -> Polynomial:
-        return lsv_residual(structure, volume, alpha, modular)
+    def residual(*point) -> Polynomial:
+        return lsv_residual(swept, volume, *basis.forms(point), modular)
 
-    hit = first_hit(rows, lambda *point: residual(*basis.forms(point)))
+    hit = first_hit(rows, residual)
     items = basis.size() if hit is None else rows.index(hit) + 1
-    return certify_forms(basis, "lsv", items, hit, residual)
+    return certify_forms(basis, "lsv", items, hit, partial(lsv_residual, basis.structure, volume))
 
 
 # -- cocycle sweep ---------------------------------------------------------------
+
+
+def _cocycle_report(
+    basis: JetBasis, check_name: str, cochain_of: Callable[[NambuStructure], TensorCochain1]
+) -> CheckReport:
+    """Sweep ``cobound1`` of ``cochain_of(basis.swept)`` on ``basis.swept``;
+    a failure is reported with ``cochain_of(basis.structure)`` on
+    ``basis.structure``.  ``cobound1`` is linear in the n-vector for a fixed
+    cochain, and each cochain is the same multiple of the other on both."""
+    swept = cochain_of(basis.swept)
+    fast = partial(cobound1_eval, basis.swept, swept)
+
+    def direct(alpha: Form, beta: Form) -> Polynomial:
+        return cobound1_eval(basis.structure, cochain_of(basis.structure), alpha, beta)
+
+    return certify_forms(
+        basis, check_name, basis.size() ** 2, slot1_hit(basis, swept, fast), direct
+    )
 
 
 def verify_cocycle(
     basis: JetBasis, cochain: TensorCochain1, check_name: str = "cocycle"
 ) -> CheckReport:
     """Certify ``cobound1`` of a tensorial cochain vanishes on all jet pairs."""
-    direct = partial(cobound1_eval, basis.structure, cochain)
-    return certify_forms(
-        basis, check_name, basis.size() ** 2, slot1_hit(basis, cochain, direct), direct
-    )
+    return _cocycle_report(basis, check_name, lambda _: cochain)
 
 
 def verify_modular_cocycle(basis: JetBasis, volume: VolumeForm) -> CheckReport:
-    """Certify that the modular cochain is a 1-cocycle."""
+    """Certify that the modular cochain is a 1-cocycle; the sweep reads the
+    modular cochain of ``basis.swept``, c times that of the given n-vector."""
     _check_volume(basis.structure, volume)
-    return verify_cocycle(
-        basis, modular_cochain(basis.structure, volume), check_name="modular-cocycle"
+    return _cocycle_report(
+        basis, "modular-cocycle", lambda structure: modular_cochain(structure, volume)
     )
 
 

@@ -7,11 +7,14 @@ normalize their result (no stored zero coefficient), so two polynomials are
 equal iff their stored representations are equal.
 
 A coefficient is an ``int`` or a ``fractions.Fraction``, never a float or a
-bool.  The constructor and scalar multiplication store an integral value as
-``int``, so integer arithmetic, the common case, skips ``Fraction``'s gcd.  A
-``Fraction`` that an operation makes integral may stay a ``Fraction``: since
-``3 == Fraction(3)`` and their hashes agree, equality and hashing do not
-depend on which type holds a value.  ``Fraction`` enforces the rest of the
+bool.  The constructor stores an integral value as ``int``, so arithmetic on
+polynomials with ``int`` coefficients skips ``Fraction``'s gcd.  Operations
+store what ``int`` and ``Fraction`` arithmetic returns (scalar
+multiplication turns only an integral scalar into an ``int``), so a
+``Fraction`` that an operation makes integral stays a ``Fraction``:
+``Polynomial.constant(m, Fraction(3, 2)) * x1 * 2`` stores ``Fraction(3, 1)``.
+Since ``3 == Fraction(3)`` and their hashes agree, equality and hashing do
+not depend on which type holds a value.  ``Fraction`` enforces the rest of the
 contract (lowest terms, positive denominator) and is re-exported as
 ``Rational``.  Code that divides coefficients divides through ``Fraction``,
 because ``int / int`` is a float.

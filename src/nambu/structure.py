@@ -71,6 +71,26 @@ class NambuStructure:
         if self.n < n:
             raise OrderError(f"operation requires order >= {n}, structure has n={self.n}")
 
+    def integral_multiple(self) -> NambuStructure:
+        """The structure of ``c * lam``, c the lcm of the coefficient
+        denominators of lam, with ``int`` coefficients; ``self`` when c = 1.
+
+        Every check residual is homogeneous in lam, so ``c * lam`` has the
+        same zero set as lam (``sweep.JetBasis.swept``).
+        """
+        c = math.lcm(*(
+            value.denominator
+            for coeff in self.nvector.components.values()
+            for value in coeff.terms.values()
+        ))
+        if c == 1:
+            return self
+        components = {
+            indices: Polynomial(self.m, {e: value * c for e, value in coeff.terms.items()})
+            for indices, coeff in self.nvector.components.items()
+        }
+        return NambuStructure(self.m, self.n, Multivector(self.m, self.n, components))
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -220,9 +240,10 @@ def invariance_defect(
 
 
 def _invariance_sweep(basis):
-    """The defect of an f-tuple of jet monomials and the first f-tuple whose
-    defect is nonzero; a run computes it once, through ``basis.once``."""
-    structure, monomials = basis.structure, basis.monomials
+    """The defect of an f-tuple of jet monomials on ``basis.swept`` and the
+    first f-tuple whose defect is nonzero; a run computes it once, through
+    ``basis.once``."""
+    structure, monomials = basis.swept, basis.monomials
     grid = functools.partial(itertools.combinations, r=structure.n - 1)
 
     def defect(*fs: Polynomial) -> Multivector:
@@ -277,14 +298,16 @@ def check_invariance(basis) -> CheckReport:
 
     ``items_checked`` counts the f-tuples swept, up to the first failure.
     """
-    monomials, n = basis.monomials, basis.structure.n
-    defect, hit = basis.once(_invariance_sweep)
+    structure, monomials = basis.structure, basis.monomials
+    _, hit = basis.once(_invariance_sweep)
     if hit is None:
-        items = math.comb(len(monomials), n - 1)
+        items = math.comb(len(monomials), structure.n - 1)
     else:
-        f_tuples = itertools.combinations(monomials, n - 1)
+        f_tuples = itertools.combinations(monomials, structure.n - 1)
         items = sum(1 for _ in itertools.takewhile(hit.__ne__, f_tuples)) + 1
-    return certify("invariance", items, hit, defect, _texts)
+    return certify(
+        "invariance", items, hit, lambda *fs: invariance_defect(structure, fs), _texts
+    )
 
 
 # -- pointwise decomposability -------------------------------------------------

@@ -5,6 +5,16 @@ and a scan that two checks share runs once per run, through
 ``JetBasis.once`` (the invariance sweep of FI and invariance; the anchor
 and sharp-d scans of anchor, sharp-d and Leibniz).
 
+Sweeps run on ``c * lam`` (``JetBasis.swept``), c the lcm of the
+coefficient denominators of lam, so their arithmetic stays on ``int``
+coefficients; reports are computed on lam.  This is exact: every residual
+is homogeneous in lam, ``R(c lam) = c^k R(lam)``, with k = 2 for the
+fundamental-identity residual, the invariance defect, anchor, sharp-d,
+Leibniz and the modular cocycle, and k = 1 for characterization's rules,
+the exact-forms rule, phi-morphism and lsv (the modular multivector built
+from the same n-vector).  So zero sets, hits, rescans and located tuples
+are those of lam itself.
+
 Every verifier certifies through the one scan-and-certify loop of
 ``structure``.  ``first_hit`` sweeps a grid in the pinned lexicographic
 order (here slot by slot: coefficient monomial-major, then index set) and
@@ -84,11 +94,17 @@ class JetBasis:
     basis form a sweep reads, and each scan that two checks share, through
     ``once``).  The form tables need order >= 3, so an order-2 basis serves
     only the fundamental-identity and invariance checks.
+
+    ``structure`` is the given n-vector lam, on which reports and direct
+    formulas are computed; ``swept`` is its integral multiple ``c * lam``
+    (``NambuStructure.integral_multiple``), on which every sweep, the
+    anchors and the sharp-d pieces are computed (module docstring).
     """
 
     def __init__(self, structure: NambuStructure, max_degree: int):
         require_jet_degree(max_degree)
         self.structure = structure
+        self.swept = structure.integral_multiple()
         self.max_degree = max_degree
         self.exponents = jet_exponents(structure.m, max_degree)
         self.monomials = [Polynomial.monomial(e) for e in self.exponents]
@@ -105,7 +121,7 @@ class JetBasis:
 
     @functools.cached_property
     def anchors(self) -> dict[tuple[int, ...], Multivector]:
-        return {indices: sharp(self.structure, unit) for indices, unit in self.units.items()}
+        return {indices: sharp(self.swept, unit) for indices, unit in self.units.items()}
 
     def once(self, scan: Callable[[JetBasis], object]):
         """``scan(self)``, computed on the first call of the run only."""
@@ -136,12 +152,13 @@ class JetBasis:
         return itertools.product(rows, self.index_sets, rows, self.index_sets)
 
     def sharp_d_pieces(self, g: int, indices: tuple[int, ...]):
-        """``sharp(a)``, ``d a`` and ``<d a, lam>`` of the basis form ``a = x^g dx^I``."""
+        """``sharp(a)``, ``d a`` and ``<d a, lam>`` of the basis form ``a = x^g dx^I``,
+        on the swept n-vector."""
         pieces = self._pieces.get((g, indices))
         if pieces is None:
             da = wedge(differential(self.monomials[g]), self.units[indices])
             pieces = self._pieces[g, indices] = (
-                self.anchors[indices] * self.monomials[g], da, pair(da, self.structure.nvector)
+                self.anchors[indices] * self.monomials[g], da, pair(da, self.swept.nvector)
             )
         return pieces
 
@@ -182,9 +199,9 @@ def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable
 
     ``R`` obeys the slot-1 rule (module docstring) with the linear map
     ``act``; ``direct(a, b)`` evaluates it on forms and supplies the cores
-    ``R(dx^I, dx^J)``, each built when a point first needs it.  The second
-    monomial of a point is not read: the rule is linear over functions in
-    that slot.
+    ``R(dx^I, dx^J)``, each built when a point first needs it.  Both act on
+    ``basis.swept``, as the anchors do.  The second monomial of a point is
+    not read: the rule is linear over functions in that slot.
     """
     units = basis.units
     acted = {indices: act(unit) for indices, unit in units.items()}

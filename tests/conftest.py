@@ -7,6 +7,7 @@ acceptance module prints it so any run can be reproduced exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,15 @@ def jacobian_nvector(
     ]
     volume = Multivector.basis(m, tuple(range(1, m + 1)))
     return contract_form(wedge_all([differential(f) for f in functions]), volume), functions
+
+
+def denominator_lcm(tensor: Multivector) -> int:
+    """The lcm of the denominators of a tensor's coefficients."""
+    return math.lcm(*(
+        Fraction(value).denominator
+        for coeff in tensor.components.values()
+        for value in coeff.terms.values()
+    ))
 
 
 def x(m: int, i: int) -> Polynomial:

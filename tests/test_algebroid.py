@@ -60,7 +60,7 @@ from nambu.structure import (
 )
 from nambu.sweep import JetBasis, slot1_pairs, slot1_residual
 
-from conftest import random_form, random_multivector, random_polynomial
+from conftest import denominator_lcm, random_form, random_multivector, random_polynomial
 
 
 def x(m, i):
@@ -273,10 +273,11 @@ class TestDecompositionsAgainstDirect:
         assert nonzero >= 24
 
     def test_reduced_sharp_d_equals_direct_residual(self, rng, sum_r6):
-        # The sharp-d and Leibniz sweeps evaluate the reduced identity; it
-        # must equal the direct residual as a polynomial for any n-vector, so
-        # none of these is Nambu-Poisson.  The three capped(2) pair grids
-        # hold 228,600 pairs; a seeded sample of each keeps the test short.
+        # The sharp-d and Leibniz sweeps evaluate the reduced identity on the
+        # swept n-vector c*lam; it must equal c^2 times the direct residual
+        # on lam as a polynomial for any n-vector, so none of these is
+        # Nambu-Poisson.  The three capped(2) pair grids hold 228,600 pairs;
+        # a seeded sample of each keeps the test short.
         structures = [
             NambuStructure(4, 3, random_multivector(rng, 4, 3)),
             NambuStructure(5, 4, random_multivector(rng, 5, 4, 0.4)),
@@ -285,9 +286,10 @@ class TestDecompositionsAgainstDirect:
         nonzero = 0
         for structure in structures:
             basis = JetBasis(structure, 2)
+            c = denominator_lcm(structure.nvector)
             for point in rng.sample(list(basis.pairs(basis.capped(2))), 1500):
                 value = reduced_sharp_d(basis, *point)
-                assert value == sharp_d_residual(structure, *basis.forms(point))
+                assert value == c**2 * sharp_d_residual(structure, *basis.forms(point))
                 nonzero += not value.is_zero()
         assert nonzero >= 100
 
