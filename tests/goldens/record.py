@@ -34,12 +34,13 @@ FIXTURES = ("r3_scaled", "r3_volume", "r4_normal_form", "r6_nonexample", "r6_rat
 TEXT_CASES = (
     ("r6_nonexample", "fundamental-identity,invariance,anchor,sharp-d,leibniz"),
 )
+# r6_rational's witness, 1/3*x2, is the one nonzero witness without a
+# planted exponent, and its n-vector has non-integral coefficients.
 WITNESS_FIXTURES = (
     "r3_scaled", "r3_volume", "r4_normal_form", "r5_normal_form", "r6_nonexample",
+    "r6_rational",
 )
-# Degree 8 on r6_nonexample is left out: the dense solver this golden was
-# first recorded against needed minutes for it.
-WITNESS_DEGREE8_FIXTURES = WITNESS_FIXTURES[:-1]
+WITNESS_DEGREE8_FIXTURES = WITNESS_FIXTURES
 # With volume e^p the modular class of a constant blade is cobound0(p), so
 # these variants have a nonzero witness.
 PLANTED_EXPONENT = "x1*x2 + x3^2"
