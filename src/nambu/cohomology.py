@@ -13,7 +13,14 @@ represented by the (n-1)-vector
     w_f = (-1)^(n-1) * contract_form(df, lam),
 
 the sign forced by the adjunction convention of the contraction so that
-``pair(a, w_f) = sharp(a)(f)`` for every (n-1)-form a.  The degree-1
+``pair(a, w_f) = sharp(a)(f)`` for every (n-1)-form a.  Since
+``differential(x^e) = sum_j e_j x^(e - 1_j) dx_j`` and ``contract_form`` is
+linear over polynomials in its form argument, the coboundary of a monomial
+is read off the m coordinate columns ``W_j = w_(x_j)``:
+
+    w_(x^e) = sum_j e_j * x^(e - 1_j) * W_j,
+
+which is how ``exactness_witness`` assembles its linear system.  The degree-1
 coboundary of a tensorial cochain c evaluates as
 
     sharp(a)(c(b)) - sharp(b)(c(a)) - c(lbracket(a, b)).
@@ -38,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import add
 from typing import Callable
 
 from .algebroid import lbracket
@@ -315,6 +323,11 @@ def exactness_witness(
     The witness is the solution whose free monomial coefficients are zero,
     with pivots in ``jet_exponents`` order; that solution is unique, so it
     does not depend on how ``_solve_linear`` picks its pivot rows.
+
+    The column of ``x^e`` is assembled from the m coordinate columns by the
+    identity of the module docstring.  An infeasible verdict rests on that
+    identity of the implemented kernels, as the capped-row certificates
+    rest on theirs; a feasible one is re-checked through ``cobound0``.
     """
     structure.require_order_at_least(3)
     _check_volume(structure, volume)
@@ -339,8 +352,8 @@ def exactness_witness(
         )
 
     exponents = jet_exponents(m, search_degree)
-    columns = [cobound0(structure, Polynomial.monomial(e)).w for e in exponents]
-    solution = _solve_linear(columns, target)
+    rhs = {(indices, exps): value for indices, exps, value in _terms(target)}
+    solution = _solve_linear(_assemble(coordinate_columns, exponents), len(exponents), rhs)
     if solution is None:
         return WitnessReport(feasible=False, witness=None, search_degree=search_degree)
     witness = Polynomial(
@@ -418,29 +431,75 @@ def _equation_term(coeff: Polynomial, j: int) -> str:
     return f"{text}*df/dx{j}"
 
 
-def _solve_linear(
-    columns: list[Multivector], target: Multivector
-) -> list[Fraction] | None:
-    """Exact sparse Gauss-Jordan elimination for ``sum_k u_k columns[k] = target``.
+_Rows = dict[tuple, dict[int, Fraction]]
 
-    One equation per (index set, exponent) term, with the target as the
-    last column.  Pivot columns are taken in column order, each from the
-    live row with the fewest entries.  Returns the solution with free
-    variables set to zero, or None when a row left without a pivot keeps a
-    nonzero target entry.  The pivot columns are the columns outside the
-    span of the earlier ones, and the reduced system has one solution with
-    zero free variables, so the pivot rows chosen do not change the result.
+
+def _terms(mv: Multivector):
+    """The ``(index set, exponent, value)`` triples of a multivector."""
+    for indices, poly in mv.components.items():
+        for exps, value in poly.terms.items():
+            yield indices, exps, value
+
+
+def _assemble(
+    coordinate_columns: list[Multivector], exponents: list[tuple[int, ...]]
+) -> _Rows:
+    """Rows ``{(index set, exponent): {column: value}}`` of the columns
+    ``cobound0(x^e).w`` for e in ``exponents``, read off the coordinate
+    columns ``W_j`` (module docstring): each term ``(C, a, v)`` of ``W_j``
+    adds ``e_j v`` at row ``(C, e - 1_j + a)``.  An entry whose sum cancels
+    is dropped, and so is a row that empties.  The terms ``e_j v`` are
+    computed once per (j, e_j): with rational v each product costs a gcd."""
+    scaled: dict[tuple[int, int], list[tuple]] = {}
+    rows: _Rows = {}
+    for col, e in enumerate(exponents):
+        for j, e_j in enumerate(e):
+            if not e_j:
+                continue
+            products = scaled.get((j, e_j))
+            if products is None:
+                products = scaled[j, e_j] = [
+                    (indices, exps, e_j * value)
+                    for indices, exps, value in _terms(coordinate_columns[j])
+                ]
+            lowered = e[:j] + (e_j - 1,) + e[j + 1 :]
+            for indices, exps, product in products:
+                key = (indices, tuple(map(add, lowered, exps)))
+                row = rows.setdefault(key, {})
+                if col not in row:
+                    row[col] = product
+                elif total := row[col] + product:
+                    row[col] = total
+                elif len(row) > 1:
+                    del row[col]
+                else:
+                    del rows[key]
+    return rows
+
+
+def _solve_linear(
+    rows: _Rows, count: int, target: dict[tuple, Fraction]
+) -> list[Fraction] | None:
+    """Exact sparse Gauss-Jordan elimination for ``sum_k u_k column_k = target``.
+
+    ``rows`` holds the nonzero entries of columns ``0 .. count - 1`` by
+    equation key, and ``target`` the nonzero right-hand sides by the same
+    keys; the target becomes column ``count``.  ``rows`` is reduced in
+    place.  Pivot columns are taken in column order, each from the live
+    row with the fewest entries.  Returns the solution with free variables
+    set to zero, or None when a row left without a pivot keeps a nonzero
+    target entry.  The pivot columns are the columns outside the span of
+    the earlier ones, and the reduced system has one solution with zero
+    free variables, so the pivot rows chosen do not change the result.
     """
-    last = len(columns)
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    rows_of: list[set[tuple]] = [set() for _ in range(last + 1)]
-    for col, mv in enumerate([*columns, target]):
-        for indices, poly in mv.components.items():
-            for exps, value in poly.terms.items():
-                rows.setdefault((indices, exps), {})[col] = value
-                rows_of[col].add((indices, exps))
+    for key, value in target.items():
+        rows.setdefault(key, {})[count] = value
+    rows_of: list[set[tuple]] = [set() for _ in range(count + 1)]
+    for key, row in rows.items():
+        for col in row:
+            rows_of[col].add(key)
     live, pivot_of = set(rows), {}
-    for col in range(last):
+    for col in range(count):
         candidates = rows_of[col] & live
         if not candidates:
             continue
@@ -458,7 +517,7 @@ def _solve_linear(
                 else:
                     del row[c]
                     rows_of[c].discard(other)
-    if rows_of[last] & live:
+    if rows_of[count] & live:
         return None
-    values = {c: Fraction(rows[key].get(last, 0), rows[key][c]) for c, key in pivot_of.items()}
-    return [values.get(c, Fraction(0)) for c in range(last)]
+    values = {c: Fraction(rows[key].get(count, 0), rows[key][c]) for c, key in pivot_of.items()}
+    return [values.get(c, Fraction(0)) for c in range(count)]

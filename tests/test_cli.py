@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nambu import cohomology
 from nambu.cli import CHECKS, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -460,6 +461,37 @@ class TestOneBasisPerRun:
             fresh.update(results([name]))
         assert results(list(CHECKS)) == fresh
         assert results(list(CHECKS)[::-1]) == fresh
+
+
+class TestWitnessColumns:
+    """``witness`` builds the m coordinate columns ``cobound0(x_j)`` and
+    assembles every jet column from them, so the number of ``cobound0``
+    calls does not grow with ``--max-degree``."""
+
+    @pytest.mark.parametrize("degree", [0, 4, 8])
+    @pytest.mark.parametrize(
+        "fixture, verdict, calls",
+        # the 5 coordinate columns and the guard on the witness; the
+        # obstructed r3 stops after its 3 coordinate columns
+        [
+            (FIXTURES / "r5_normal_form.json", "feasible", 6),
+            (R3_SCALED, "infeasible", 3),
+        ],
+        ids=["r5-feasible", "r3-obstructed"],
+    )
+    def test_cobound0_calls_do_not_grow_with_degree(
+        self, monkeypatch, capsys, fixture, verdict, calls, degree
+    ):
+        original, count = cohomology.cobound0, [0]
+
+        def counted(*args):
+            count[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cohomology, "cobound0", counted)
+        code, out, _ = run(capsys, ["witness", str(fixture), f"--max-degree={degree}"])
+        assert code == 0 and out.startswith(verdict)
+        assert count[0] == calls
 
 
 class TestUsageErrors:

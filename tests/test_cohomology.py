@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,8 +34,11 @@ from nambu.exterior import (
 from nambu.poly import Polynomial, jet_exponents, jet_monomials
 from nambu.structure import NambuStructure, hamiltonian, sharp
 from nambu.sweep import JetBasis, slot1_residual
+from nambu.textio import load_structure_file
 
-from conftest import random_form, random_polynomial
+from conftest import denominator_lcm, random_form, random_multivector, random_polynomial
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def x(m, i):
@@ -437,13 +441,69 @@ class TestExactnessWitness:
             exactness_witness(scaled_r3, VolumeForm.standard(4), 2)
 
 
-def _row_multivector(m, keys, values):
-    """Degree-1 multivector with ``value`` at each (index set, exponent) key."""
-    components = {}
-    for (indices, exps), value in zip(keys, values):
-        if value:
-            components.setdefault(indices, {})[exps] = value
-    return Multivector(m, 1, {ind: Polynomial(m, terms) for ind, terms in components.items()})
+def _rows_of_columns(columns):
+    """The solver's rows read off per-column multivectors."""
+    rows = {}
+    for col, mv in enumerate(columns):
+        for indices, poly in mv.components.items():
+            for exps, value in poly.terms.items():
+                rows.setdefault((indices, exps), {})[col] = value
+    return rows
+
+
+class TestAssembly:
+    """``_assemble`` builds the rows of ``cobound0(x^e).w`` over the jet
+    monomials from the m coordinate columns ``cobound0(x_j).w``."""
+
+    @staticmethod
+    def _assembled(structure, degree):
+        m = structure.m
+        exponents = jet_exponents(m, degree)
+        coordinate = [cobound0(structure, x(m, j)).w for j in range(1, m + 1)]
+        rows = cohomology._assemble(coordinate, exponents)
+        expected = _rows_of_columns(
+            [cobound0(structure, Polynomial.monomial(e)).w for e in exponents]
+        )
+        assert rows == expected
+        # the solver reads the same values, of the same types
+        def types(system):
+            return {key: {c: type(v) for c, v in row.items()} for key, row in system.items()}
+
+        assert types(rows) == types(expected)
+        assert all(row and all(row.values()) for row in rows.values())
+        return rows
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_fixtures(self, fixture):
+        structure = load_structure_file(fixture).structure()
+        for degree in range(7):
+            self._assembled(structure, degree)
+
+    def test_seeded_rational_structures(self, rng):
+        for m in (4, 5, 6):
+            for n in range(3, m + 1):
+                nvector = random_multivector(rng, m, n, 0.5)
+                while denominator_lcm(nvector) == 1:
+                    nvector = random_multivector(rng, m, n, 0.5)
+                self._assembled(NambuStructure(m, n, nvector), 3)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["row-empties", "row-kept"])
+    def test_cancelling_contributions_are_dropped(self, shared):
+        # x1*x2 reaches ((3, 4), x1*x2) through W_1 and W_2 with opposite
+        # values; with ``shared``, x1^2 also reaches it through W_1
+        f = x(4, 1) + x(4, 2) if shared else x(4, 1)
+        nvector = f * dd(4, 1, 3, 4) - x(4, 2) * dd(4, 2, 3, 4)
+        structure = NambuStructure(4, 3, nvector)
+        w_1, w_2 = (cobound0(structure, x(4, j)).w.component((3, 4)) for j in (1, 2))
+        through_1, through_2 = w_1.terms[(1, 0, 0, 0)], w_2.terms[(0, 1, 0, 0)]
+        assert through_1 and through_1 + through_2 == 0
+        rows = self._assembled(structure, 2)
+        key, column = ((3, 4), (1, 1, 0, 0)), jet_exponents(4, 2).index((1, 1, 0, 0))
+        if shared:
+            assert rows[key] == {jet_exponents(4, 2).index((2, 0, 0, 0)): 2}
+        else:
+            assert key not in rows
+        assert column not in rows.get(key, {})
 
 
 class TestSolveLinearOracle:
@@ -480,10 +540,16 @@ class TestSolveLinearOracle:
             row = rng.randrange(rows)
             matrix[row] = [Fraction(0)] * cols
             rhs[row] = Fraction(rng.randint(1, 7), rng.randint(1, 3))
-        columns = [
-            _row_multivector(3, keys, [row[c] for row in matrix]) for c in range(cols)
-        ]
-        return matrix, rhs, columns, _row_multivector(3, keys, rhs)
+        return matrix, rhs, keys
+
+    @staticmethod
+    def _sparse(matrix, rhs, keys):
+        """The solver's input: nonzero entries by key, no empty row."""
+        rows = {
+            key: {c: value for c, value in enumerate(row) if value}
+            for key, row in zip(keys, matrix) if any(row)
+        }
+        return rows, {key: value for key, value in zip(keys, rhs) if value}
 
     @pytest.mark.parametrize("kind", ["consistent", "rank-deficient", "inconsistent", "untouched"])
     def test_matches_sympy_rref(self, kind):
@@ -491,14 +557,15 @@ class TestSolveLinearOracle:
         rng = random.Random(f"solve-linear:{kind}")
         outcomes = set()
         for _ in range(60):
-            matrix, rhs, columns, target = self._system(rng, kind)
-            cols = len(columns)
+            matrix, rhs, keys = self._system(rng, kind)
+            cols = len(matrix[0])
             augmented = sympy.Matrix(
                 [[sympy.Rational(v.numerator, v.denominator) for v in [*row, b]]
                  for row, b in zip(matrix, rhs)]
             )
             reduced, pivots = augmented.rref()
-            solution = cohomology._solve_linear(columns, target)
+            rows, target = self._sparse(matrix, rhs, keys)
+            solution = cohomology._solve_linear(rows, cols, target)
             outcomes.add(solution is not None)
             if cols in pivots:
                 assert solution is None

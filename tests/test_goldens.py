@@ -59,8 +59,8 @@ def test_witness_solutions_are_fractions(monkeypatch):
     solve = cohomology._solve_linear
     solutions = []
 
-    def recording(columns, target):
-        solution = solve(columns, target)
+    def recording(rows, count, target):
+        solution = solve(rows, count, target)
         solutions.append(solution)
         return solution
 
