@@ -31,6 +31,9 @@ WITNESS_GOLDEN = Path(__file__).with_name("witness.json")
 # on r6_nonexample and r6_rational too: they certify rules that hold for any
 # n-vector.  r6_rational is the one fixture with non-integral coefficients.
 FIXTURES = ("r3_scaled", "r3_volume", "r4_normal_form", "r6_nonexample", "r6_rational")
+# The order-2 (Poisson) fixtures: r2_affine is the dual of [e1, e2] = e2,
+# r3_su2_dual that of su(2).  Each also runs the default checks.
+ORDER2_FIXTURES = ("r2_affine", "r3_su2_dual")
 TEXT_CASES = (
     ("r6_nonexample", "fundamental-identity,invariance,anchor,sharp-d,leibniz"),
 )
@@ -52,6 +55,10 @@ def cases() -> list[tuple[str, list[str]]]:
     for fixture in FIXTURES:
         for check in sorted(CHECKS):
             found.append((fixture, ["--json", "--jet-degree=2", f"--checks={check}"]))
+    for fixture in ORDER2_FIXTURES:
+        for check in ("fundamental-identity", "invariance"):
+            found.append((fixture, ["--json", "--jet-degree=2", f"--checks={check}"]))
+        found.append((fixture, ["--jet-degree=2"]))
     for fixture, checks in TEXT_CASES:
         found.append((fixture, ["--jet-degree=2", f"--checks={checks}"]))
     return found
