@@ -1,11 +1,14 @@
 """The bracket of (n-1)-forms, its anchor, and exact identity verifiers.
 
-For a structure of order n >= 3 the bracket is
+The bracket is
 
     lbracket(a, b) = lie_form(sharp(a), b) + (-1)^n * <d a, lam> * b
 
-and ``sharp`` is the anchor.  The verifiers certify, over the monomial jet
-basis of (n-1)-forms ``x^gamma dx^I``:
+and ``sharp`` is the anchor, at every order n >= 2.  At n = 2 it is
+``L_{sharp a} b + <d a, lam> b`` on 1-forms: a Leibniz bracket that is not
+skew, which agrees with the Koszul bracket on exact forms, where both give
+``d{f, g}``.  The verifiers certify, over the monomial jet basis of
+(n-1)-forms ``x^gamma dx^I``:
 
 * anchor morphism:   [sharp a, sharp b] = sharp(lbracket(a, b));
 * sharp-d identity:  <d lbracket(a,b), lam>
@@ -114,7 +117,6 @@ from .sweep import JetBasis, certify_forms, slot1_hit
 
 
 def _check_section(structure: NambuStructure, form: Form, name: str) -> None:
-    structure.require_order_at_least(3)
     if form.m != structure.m:
         raise DegreeError(f"{name} lives on a chart of dimension {form.m}, "
                           f"expected {structure.m}")
@@ -389,10 +391,6 @@ class FormalWedge:
             raise ArityError("a formal wedge needs at least one factor")
         return cls(functions[0].num_vars, len(functions), ((Fraction(coeff), functions),))
 
-    @classmethod
-    def zero(cls, m: int, arity: int) -> FormalWedge:
-        return cls(m, arity, ())
-
     def __add__(self, other: FormalWedge) -> FormalWedge:
         if self.m != other.m or self.arity != other.arity:
             raise ArityError("formal wedges must share chart and arity")
@@ -415,7 +413,6 @@ def fbracket_prime(
     On decomposables it replaces one right factor at a time with the full
     n-bracket against all left factors.
     """
-    structure.require_order_at_least(3)
     arity = structure.n - 1
     if left.arity != arity or right.arity != arity:
         raise ArityError(f"formal wedges must have arity {arity}")

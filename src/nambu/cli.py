@@ -74,7 +74,7 @@ DEFAULT_CHECKS = (
 
 DEFAULT_JET_DEGREE = 3
 
-# Order-2 structures support only the bracket-level checks.
+# The default checks of an order-2 structure: the bracket-level ones.
 ORDER2_DEFAULT_CHECKS = ("fundamental-identity", "invariance")
 
 # Size budgets, compared with an estimate before anything is built: the
@@ -198,7 +198,7 @@ def _check_budget(source: str, value: int, estimate: int, budget: int, what: str
 
 
 def _resolve_checks(options, loaded, structure) -> list[str]:
-    """The checks to run, each refused with its source when it cannot run."""
+    """The checks to run; an unknown name is refused with its source."""
     if getattr(options, "checks", None) is not None:
         names = [name.strip() for name in options.checks.split(",") if name.strip()]
         if not names:
@@ -214,14 +214,7 @@ def _resolve_checks(options, loaded, structure) -> list[str]:
             raise ParseError(
                 f"unknown check {name!r} (available: {', '.join(sorted(CHECKS))})", source
             )
-        if name not in ORDER2_DEFAULT_CHECKS:
-            _require_order_3(structure, name, source)
     return names
-
-
-def _require_order_3(structure, what: str, source: str = "$.order") -> None:
-    if structure.n < 3:
-        raise ParseError(f"{what} requires order >= 3, structure has n={structure.n}", source)
 
 
 def _cmd_check(options, loaded, structure, volume, emit: _Emitter) -> int:
@@ -272,8 +265,6 @@ def _cmd_compute(options, structure, volume, emit: _Emitter) -> int:
     what = options.what
     args = options.args
     m, n = structure.m, structure.n
-    if what in ("modular", "bracket"):
-        _require_order_3(structure, f"compute {what}")
     if what == "modular":
         _expect_args(what, args, 0)
         result = format_tensor(modular_multivector(structure, volume))
@@ -312,7 +303,6 @@ def _expect_args(what: str, args: Sequence[str], count: int) -> None:
 
 
 def _cmd_witness(options, structure, volume, emit: _Emitter) -> int:
-    _require_order_3(structure, "witness")
     if options.max_degree < 0:
         raise ParseError("--max-degree must be non-negative")
     degree = options.max_degree

@@ -135,7 +135,6 @@ def modular_multivector(structure: NambuStructure, volume: VolumeForm) -> Multiv
     Component at increasing I: ``div(X_I) + X_I(p)`` where ``X_I`` is the
     Hamiltonian field of the coordinate functions indexed by I.
     """
-    structure.require_order_at_least(3)
     _check_volume(structure, volume)
     m, n = structure.m, structure.n
     components: dict[tuple[int, ...], Polynomial] = {}
@@ -179,7 +178,6 @@ def cobound1_eval(
     structure: NambuStructure, cochain: TensorCochain1, alpha: Form, beta: Form
 ) -> Polynomial:
     """Degree-1 coboundary of a tensorial cochain, evaluated on a pair."""
-    structure.require_order_at_least(3)
     value = apply_vec(sharp(structure, alpha), cochain(beta))
     value = value - apply_vec(sharp(structure, beta), cochain(alpha))
     return value - cochain(lbracket(structure, alpha, beta))
@@ -329,7 +327,6 @@ def exactness_witness(
     identity of the implemented kernels, as the capped-row certificates
     rest on theirs; a feasible one is re-checked through ``cobound0``.
     """
-    structure.require_order_at_least(3)
     _check_volume(structure, volume)
     if search_degree < 0:
         raise ValueError("search_degree must be non-negative")

@@ -20,7 +20,7 @@ class ArityError(NambuError):
 
 
 class OrderError(NambuError):
-    """Structure order n is too small for the requested operation."""
+    """Structure order n lies outside 2..m."""
 
 
 class ParseError(NambuError):

@@ -67,10 +67,6 @@ class NambuStructure:
                 f"n-vector has degree {self.nvector.degree}, expected {self.n}"
             )
 
-    def require_order_at_least(self, n: int) -> None:
-        if self.n < n:
-            raise OrderError(f"operation requires order >= {n}, structure has n={self.n}")
-
     def integral_multiple(self) -> NambuStructure:
         """The structure of ``c * lam``, c the lcm of the coefficient
         denominators of lam, with ``int`` coefficients; ``self`` when c = 1.

@@ -92,8 +92,7 @@ class JetBasis:
     of a ``check`` reads the same basis and its tables, each built on first
     use (the unit forms ``dx^I``, their anchors, the sharp-d pieces of each
     basis form a sweep reads, and each scan that two checks share, through
-    ``once``).  The form tables need order >= 3, so an order-2 basis serves
-    only the fundamental-identity and invariance checks.
+    ``once``).
 
     ``structure`` is the given n-vector lam, on which reports and direct
     formulas are computed; ``swept`` is its integral multiple ``c * lam``
@@ -116,7 +115,6 @@ class JetBasis:
 
     @functools.cached_property
     def units(self) -> dict[tuple[int, ...], Form]:
-        self.structure.require_order_at_least(3)
         return {indices: Form.basis(self.structure.m, indices) for indices in self.index_sets}
 
     @functools.cached_property

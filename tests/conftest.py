@@ -79,6 +79,18 @@ def jacobian_nvector(
     return contract_form(wedge_all([differential(f) for f in functions]), volume), functions
 
 
+def poisson_r3(rng: random.Random) -> Multivector:
+    """``g * i(dF) d1^d2^d3`` for seeded g and F: a Poisson bivector on R^3.
+
+    Its vector field ``v = g grad F`` has ``v . curl v = g grad F . (grad g x
+    grad F) = 0``, which is the Jacobi identity on R^3.
+    """
+    g = random_polynomial(rng, 3, 1, 2)
+    f = random_polynomial(rng, 3, 2, 3) + x(3, 1) * x(3, rng.randint(1, 3))
+    volume = Multivector.basis(3, (1, 2, 3))
+    return contract_form(differential(f), volume) * g
+
+
 def denominator_lcm(tensor: Multivector) -> int:
     """The lcm of the denominators of a tensor's coefficients."""
     return math.lcm(*(

@@ -34,7 +34,7 @@ from nambu.algebroid import (
     verify_sharp_d_identity,
 )
 from nambu.cohomology import VolumeForm, lsv_residual, modular_multivector, verify_lsv
-from nambu.errors import ArityError, DegreeError, OrderError
+from nambu.errors import ArityError, DegreeError
 from nambu.exterior import (
     Form,
     Multivector,
@@ -154,10 +154,33 @@ class TestBracketValues:
         rhs = lbracket(normal_r4, b, a1) + lbracket(normal_r4, b, a2) * scale
         assert lhs == rhs
 
-    def test_order_guard(self):
-        poisson = NambuStructure(2, 2, dd(2, 1, 2))
-        with pytest.raises(OrderError):
-            lbracket(poisson, dx(2, 1), dx(2, 2))
+    def test_order_two_bracket_is_not_skew(self):
+        # At n = 2 the bracket of 1-forms is L_{#a} b + <da, pi> b, a Leibniz
+        # bracket that is not skew even for a Poisson bivector: on su(2)*
+        # its symmetric part is nonzero.
+        su2 = NambuStructure(
+            3, 2, x(3, 3) * dd(3, 1, 2) - x(3, 2) * dd(3, 1, 3) + x(3, 1) * dd(3, 2, 3)
+        )
+        alpha = dx(3, 2) * x(3, 1)
+        beta = dx(3, 3) * x(3, 3) + dx(3, 1)
+        expected = (
+            dx(3, 1) * (x(3, 1) * x(3, 3))
+            + dx(3, 2) * (x(3, 2) * x(3, 3))
+            + dx(3, 3) * (x(3, 3) * x(3, 3))
+        )
+        assert skew_defect(su2, alpha, beta) == expected
+
+    def test_order_two_bracket_is_koszul_on_exact_forms(self, rng):
+        # On exact 1-forms both this bracket and the Koszul bracket
+        # L_{#a} b - L_{#b} a - d pi(a, b) give d{f, g}, for any bivector.
+        su2 = NambuStructure(
+            3, 2, x(3, 3) * dd(3, 1, 2) - x(3, 2) * dd(3, 1, 3) + x(3, 1) * dd(3, 2, 3)
+        )
+        for structure in (su2, NambuStructure(3, 2, random_multivector(rng, 3, 2, 1.0))):
+            for _ in range(4):
+                f, g = random_polynomial(rng, 3), random_polynomial(rng, 3)
+                bracket = lbracket(structure, differential(f), differential(g))
+                assert bracket == differential(nbracket(structure, [f, g]))
 
     def test_degree_guard(self, scaled_r3):
         with pytest.raises(DegreeError):

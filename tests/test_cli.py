@@ -141,23 +141,48 @@ class TestCompute:
 
 
 class TestOrderTwo:
+    """Order 2 runs the one code path of every order: x2 * d1^d2 is the dual
+    of [e1, e2] = e2, whose modular character is tr(ad e1) d1 = d1."""
+
     @pytest.mark.parametrize(
-        "argv, what",
+        "argv, expected",
         [
-            (["compute", "FILE", "bracket", "dx1", "dx2"], "compute bracket"),
-            (["compute", "FILE", "bracket"], "compute bracket"),
-            (["compute", "FILE", "modular", "--json"], "compute modular"),
-            (["witness", "FILE"], "witness"),
-            (["witness", "FILE", "--max-degree=-1"], "witness"),
+            # lbracket(dx1, dx2) = d{x1, x2} on exact forms
+            (["compute", "FILE", "bracket", "dx1", "dx2"], "dx2\n"),
+            (["compute", "FILE", "bracket", "x1*dx2", "dx1"], "-x1*dx2\n"),
+            (["compute", "FILE", "modular"], "d1\n"),
+            (
+                ["witness", "FILE"],
+                "infeasible at max degree 4\n"
+                "obstruction: x2*df/dx2 = 1\n"
+                "the obstruction is degree-uniform: no polynomial f of any degree"
+                " satisfies the displayed equation\n"
+                "no smooth f satisfies it either: the left side vanishes where an"
+                " obstructing variable is zero, the right side does not\n",
+            ),
         ],
+        ids=["bracket-exact", "bracket", "modular", "witness"],
     )
-    def test_bracket_level_commands_are_refused_with_the_order_location(
-        self, capsys, order_two, argv, what
-    ):
+    def test_bracket_level_commands_answer(self, capsys, order_two, argv, expected):
         argv = [order_two if arg == "FILE" else arg for arg in argv]
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (1, "")
-        assert err == f"error: $.order: {what} requires order >= 3, structure has n=2\n"
+        assert run(capsys, argv) == (0, expected, "")
+
+    def test_modular_json(self, capsys, order_two):
+        code, out, err = run(capsys, ["compute", order_two, "modular", "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"] == "d1"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "FILE", "bracket"], "compute bracket takes exactly 2 argument(s), got 0"),
+            (["witness", "FILE", "--max-degree=-1"], "--max-degree must be non-negative"),
+        ],
+        ids=["bracket-arity", "witness-degree"],
+    )
+    def test_bad_arguments_are_input_errors(self, capsys, order_two, argv, message):
+        argv = [order_two if arg == "FILE" else arg for arg in argv]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("what, arg", [("sharp", "dx1"), ("hamiltonian", "x1")])
     def test_sharp_and_hamiltonian_still_run(self, capsys, order_two, what, arg):
@@ -233,7 +258,7 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err.startswith("error: $.checks[0]: unknown check 'bogus' (available: ")
 
-    def test_order_two_check_is_refused_before_any_check_runs(
+    def test_order_two_check_list_is_resolved_before_any_check_runs(
         self, capsys, tmp_path, monkeypatch
     ):
         lam = [{"index": [1, 2], "coeff": "x3"}]
@@ -245,10 +270,10 @@ class TestCheck:
             raise AssertionError("a check ran before the check list was resolved")
 
         monkeypatch.setitem(CHECKS, "fundamental-identity", must_not_run)
-        argv = ["check", str(target), "--checks=fundamental-identity,anchor"]
+        argv = ["check", str(target), "--checks=fundamental-identity,anchor,bogus"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
-        assert err == "error: --checks: anchor requires order >= 3, structure has n=2\n"
+        assert err.startswith("error: --checks: unknown check 'bogus' (available: ")
 
     def test_jet_degree_floor(self, capsys):
         code, out, err = run(capsys, ["check", R3_SCALED, "--jet-degree=1"])

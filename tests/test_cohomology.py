@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,8 @@ from nambu.cohomology import (
     verify_volume_change,
     volume_structure,
 )
-from nambu.errors import ChartMismatchError, OrderError
+from nambu.cli import main
+from nambu.errors import ChartMismatchError
 from nambu.exterior import (
     Form, Multivector, apply_vec, differential, format_tensor, pair, wedge,
 )
@@ -56,6 +58,44 @@ def dd(m, *indices):
 @pytest.fixture
 def nu3() -> VolumeForm:
     return VolumeForm.standard(3)
+
+
+# Lie algebras g by the brackets [e_i, e_j] = sum_k c_ij^k e_k, i < j, and
+# the modular character sum_k tr(ad e_k) d_k of each.
+LIE_ALGEBRAS = {
+    "aff1": (2, {(1, 2): {2: 1}}, "d1"),
+    "su2": (3, {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {1: 1}}, "0"),
+    "sl2": (3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}, "0"),
+    "heisenberg": (3, {(1, 2): {3: 1}}, "0"),
+    # [e3, e1] = e1, [e3, e2] = e2
+    "bianchi5": (3, {(1, 3): {1: -1}, (2, 3): {2: -1}}, "2*d3"),
+    # [e3, e1] = e1, [e3, e2] = 3 e2
+    "bianchi6": (3, {(1, 3): {1: -1}, (2, 3): {2: -3}}, "4*d3"),
+}
+
+
+def linear_poisson(dim: int, brackets: dict) -> NambuStructure:
+    """The Lie-Poisson bivector on g*: ``{x_i, x_j} = sum_k c_ij^k x_k``."""
+    bivector = Multivector.zero(dim, 2)
+    for (i, j), image in brackets.items():
+        for k, c in image.items():
+            bivector = bivector + dd(dim, i, j) * (x(dim, k) * c)
+    return NambuStructure(dim, 2, bivector)
+
+
+def modular_character(dim: int, brackets: dict) -> Multivector:
+    """``sum_k tr(ad e_k) d_k``, from the structure constants alone."""
+
+    def c(i, j, k):
+        if i > j:
+            return -c(j, i, k)
+        return brackets.get((i, j), {}).get(k, 0)
+
+    character = Multivector.zero(dim, 1)
+    for k in range(1, dim + 1):
+        trace = sum(c(k, j, j) for j in range(1, dim + 1))
+        character = character + dd(dim, k) * Polynomial.constant(dim, trace)
+    return character
 
 
 class TestVolumeForm:
@@ -122,10 +162,15 @@ class TestModularMultivector:
             paired = pair(wedge(differential(fs[0]), differential(fs[1])), modular)
             assert operator_value == paired
 
-    def test_order_guard(self):
-        poisson = NambuStructure(2, 2, dd(2, 1, 2))
-        with pytest.raises(OrderError):
-            modular_multivector(poisson, VolumeForm.standard(2))
+    @pytest.mark.parametrize("name", LIE_ALGEBRAS)
+    def test_order_two_is_the_modular_character(self, name):
+        # At n = 2 the modular multivector is Weinstein's modular vector
+        # field (Weinstein 1997; Evens-Lu-Weinstein 1999); on g* with the
+        # standard volume that is the modular character of g.
+        dim, brackets, text = LIE_ALGEBRAS[name]
+        modular = modular_multivector(linear_poisson(dim, brackets), VolumeForm.standard(dim))
+        assert modular == modular_character(dim, brackets)
+        assert format_tensor(modular) == text
 
 
 class TestCobound0:
@@ -431,6 +476,26 @@ class TestExactnessWitness:
         assert not report.degree_uniform
         recovered = exactness_witness(normal_r4, nu.rescaled(planted), 3)
         assert recovered.feasible
+
+    @pytest.mark.parametrize("name", LIE_ALGEBRAS)
+    def test_order_two_witness_is_zero_exactly_when_unimodular(
+        self, capsys, tmp_path, name
+    ):
+        dim, brackets, text = LIE_ALGEBRAS[name]
+        lam = [
+            {"index": list(indices), "coeff": str(coeff)}
+            for indices, coeff in linear_poisson(dim, brackets).nvector.components.items()
+        ]
+        doc = {"schema": "nambu-structure/1", "dimension": dim, "order": 2, "lambda": lam}
+        target = tmp_path / f"{name}.json"
+        target.write_text(json.dumps(doc))
+        code = main(["witness", str(target), "--max-degree=4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        if text == "0":
+            assert out == "feasible: witness = 0\n"
+        else:
+            assert out.startswith("infeasible at max degree 4\n")
 
     def test_feasible_reports_carry_witness(self):
         with pytest.raises(ValueError):

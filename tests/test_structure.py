@@ -30,24 +30,12 @@ from nambu.structure import (
     sharp,
 )
 
-from nambu.algebroid import (
-    verify_anchor_morphism,
-    verify_characterization,
-    verify_leibniz_identity,
-    verify_phi_morphism,
-    verify_sharp_d_identity,
-)
+from nambu.algebroid import verify_phi_morphism
 from nambu.cli import CHECKS, DEFAULT_CHECKS
-from nambu.cohomology import (
-    VolumeForm,
-    exactness_witness,
-    modular_multivector,
-    verify_lsv,
-    verify_modular_cocycle,
-)
+from nambu.cohomology import VolumeForm, exactness_witness, modular_multivector
 from nambu.sweep import JetBasis
 
-from conftest import jacobian_nvector, random_multivector, random_polynomial
+from conftest import jacobian_nvector, poisson_r3, random_multivector, random_polynomial
 from oracles import oracle_nbracket, oracle_plucker_fail
 
 
@@ -278,6 +266,31 @@ class TestFundamentalIdentity:
             found = report.counterexample
             assert (found.inputs, found.residual, report.items_checked) == expected
 
+    def test_order_two_verdict_is_jacobi(self, rng):
+        # At n = 2 the fundamental identity is the Jacobi identity: the
+        # verdict agrees with the Jacobiator of seeded random polynomials,
+        # bracketed through the determinant oracle.
+        structures = [NambuStructure(2, 2, random_multivector(rng, 2, 2, 1.0))]
+        structures += [NambuStructure(3, 2, poisson_r3(rng)) for _ in range(2)]
+        structures += [NambuStructure(3, 2, random_multivector(rng, 3, 2, 1.0)) for _ in range(3)]
+        verdicts = []
+        for structure in structures:
+            def bracket(f, g, structure=structure):
+                return oracle_nbracket(structure, [f, g])
+
+            jacobi = True
+            for _ in range(3):
+                f, g, h = (random_polynomial(rng, structure.m) for _ in range(3))
+                jacobiator = (
+                    bracket(f, bracket(g, h))
+                    + bracket(g, bracket(h, f))
+                    + bracket(h, bracket(f, g))
+                )
+                jacobi = jacobi and jacobiator.is_zero()
+            verdicts.append(check_fundamental_identity(JetBasis(structure, 2)).passed)
+            assert verdicts[-1] == jacobi
+        assert verdicts == [True] * 3 + [False] * 3
+
     def test_factorization_identity(self, rng, scaled_r3, sum_r6):
         # residual == <dg1 ^ .. ^ dgn, invariance defect>, exactly
         for structure in (scaled_r3, sum_r6):
@@ -324,27 +337,31 @@ class TestInvariance:
         assert check_fundamental_identity(JetBasis(poisson, 2)).passed
         assert check_invariance(JetBasis(poisson, 2)).passed
 
-    def test_order_two_basis_serves_only_fi_and_invariance(self):
-        # A basis reads the form tables, which need order >= 3, only on
-        # first use: every other verifier is refused, and the refusals leave
-        # the basis usable for FI and invariance.
-        poisson = NambuStructure(3, 2, x(3, 3) * Multivector.basis(3, (1, 2)))
-        basis = JetBasis(poisson, 2)
+    @pytest.mark.parametrize(
+        "lam, failing",
+        [
+            (x(3, 3) * Multivector.basis(3, (1, 2)), set()),
+            # {x1, {x2, x3}} + {x2, {x3, x1}} + {x3, {x1, x2}} = -1
+            (
+                x(3, 2) * Multivector.basis(3, (1, 2)) + Multivector.basis(3, (2, 3)),
+                {"fundamental-identity", "invariance", "anchor", "sharp-d", "leibniz",
+                 "modular-cocycle"},
+            ),
+        ],
+        ids=["poisson", "not-jacobi"],
+    )
+    def test_order_two_basis_serves_every_check(self, lam, failing):
+        # One order-2 basis runs all nine checks, and no report depends on
+        # which check ran a shared scan first.  characterization,
+        # phi-morphism and lsv pass for every n-vector.
+        poisson = NambuStructure(3, 2, lam)
         volume = VolumeForm.standard(3)
-        refused = [
-            verify_anchor_morphism,
-            verify_sharp_d_identity,
-            verify_leibniz_identity,
-            verify_characterization,
-            verify_phi_morphism,
-            functools.partial(verify_lsv, volume=volume),
-            functools.partial(verify_modular_cocycle, volume=volume),
-        ]
-        for verify in refused:
-            with pytest.raises(OrderError):
-                verify(basis)
-        assert check_fundamental_identity(basis).passed
-        assert check_invariance(basis).passed
+        runs = []
+        for names in (list(CHECKS), list(reversed(CHECKS))):
+            basis = JetBasis(poisson, 2)
+            runs.append({name: CHECKS[name](basis, volume) for name in names})
+        assert runs[0] == runs[1]
+        assert {name for name, report in runs[0].items() if not report.passed} == failing
 
     @pytest.mark.parametrize("order", [3, 2])
     def test_capped_hit_is_located_on_the_full_grid(self, monkeypatch, scaled_r3, order):
