@@ -18,6 +18,19 @@ skew, which agrees with the Koszul bracket on exact forms, where both give
 * the characterizing rules for exact forms and for moving a function across
   either slot.
 
+Unit tables.  The anchor ``sharp(dx^I)`` and the bracket
+``lbracket(dx^I, dx^J)`` of unit forms, C(m, n-1) and C(m, n-1)^2 values,
+are computed once per ``NambuStructure`` instance and then read from its
+table (``NambuStructure.tabled``); any other form, ``2 dx^I`` or
+``x1 dx^I`` included, is computed at each call.  The sweeps below evaluate
+the same unit pairs at many points: characterization's function-slot
+rules read ``lbracket(dx^I, dx^J)`` and ``sharp(dx^I)`` at every point, and
+every ``lbracket`` of a unit left slot reads its anchor.  The verifier still
+calls its residuals at every point; only the unit values inside them are
+read.  Every caller gets the same result object, which is exact because
+tensors are immutable: an operation builds a new tensor and never changes
+its arguments.
+
 Sweep strategy.  Enumerating all tuples of jet-basis forms is quadratic or
 cubic in a basis of several hundred elements, far beyond the runtime budget,
 so each verifier sweeps its residual, or an exact decomposition of it, on
@@ -130,9 +143,14 @@ def _check_section(structure: NambuStructure, form: Form, name: str) -> None:
 
 
 def lbracket(structure: NambuStructure, alpha: Form, beta: Form) -> Form:
-    """Bracket of (n-1)-forms."""
+    """Bracket of (n-1)-forms; that of two unit forms ``dx^I``, ``dx^J`` is
+    read from the structure's table."""
     _check_section(structure, alpha, "alpha")
     _check_section(structure, beta, "beta")
+    return structure.tabled(_cartan, alpha, beta)
+
+
+def _cartan(structure: NambuStructure, alpha: Form, beta: Form) -> Form:
     result = lie_form(sharp(structure, alpha), beta)
     scale = pair(ext_d(alpha), structure.nvector)
     if not scale.is_zero():
@@ -279,7 +297,8 @@ def _exact_forms_sweep(
 
     def consistency(indices, g):
         fs = [monomials[i] for i in indices]
-        return differential(apply_vec(basis.anchors[indices], g) - nbracket(structure, [*fs, g]))
+        field = sharp(structure, basis.units[indices])
+        return differential(apply_vec(field, g) - nbracket(structure, [*fs, g]))
 
     def locate(hit):
         tuples = list(itertools.combinations(capped, structure.n - 1))

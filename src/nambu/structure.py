@@ -49,7 +49,15 @@ from .poly import Polynomial
 
 @dataclass(frozen=True)
 class NambuStructure:
-    """Chart dimension, order, and the defining n-vector."""
+    """Chart dimension, order, and the defining n-vector.
+
+    Each instance carries a private table of the values that ``tabled``
+    serves on unit forms ``dx^I``: the anchor ``sharp(dx^I)`` and the
+    bracket ``lbracket(dx^I, dx^J)``, each computed on first use.  The
+    table is no dataclass field, so equality, hashing, repr and the
+    constructor ignore it, and a copy rebuilds through the constructor with
+    an empty table of its own.
+    """
 
     m: int
     n: int
@@ -66,6 +74,39 @@ class NambuStructure:
             raise DegreeError(
                 f"n-vector has degree {self.nvector.degree}, expected {self.n}"
             )
+        object.__setattr__(self, "_units", {})
+
+    def __reduce__(self):
+        return type(self), (self.m, self.n, self.nvector)
+
+    def tabled(self, compute: Callable, *forms: Form):
+        """``compute(self, *forms)``; read from this instance's table when
+        every form is a unit form ``dx^I`` on its chart.
+
+        The table keys a value by ``compute`` and the index sets, and holds
+        the result of the first call.  The results are immutable tensors, so
+        handing every caller the same object is exact.
+        """
+        key = [compute]
+        for form in forms:
+            indices = self._unit_indices(form)
+            if indices is None:
+                return compute(self, *forms)
+            key.append(indices)
+        key = tuple(key)
+        value = self._units.get(key)
+        if value is None:
+            value = self._units[key] = compute(self, *forms)
+        return value
+
+    def _unit_indices(self, form: Form) -> tuple[int, ...] | None:
+        """The index set I when ``form`` is ``dx^I`` on this chart, else None."""
+        components = form.components
+        if len(components) == 1 and type(form) is Form and form.m == self.m:
+            for indices, coeff in components.items():
+                if coeff.terms == {(0,) * self.m: 1}:
+                    return indices
+        return None
 
     def integral_multiple(self) -> NambuStructure:
         """The structure of ``c * lam``, c the lcm of the coefficient
@@ -182,11 +223,16 @@ def nbracket(structure: NambuStructure, functions: Sequence[Polynomial]) -> Poly
 
 
 def sharp(structure: NambuStructure, alpha: Form) -> Multivector:
-    """Anchor map: contraction of an (n-1)-form into the n-vector."""
+    """Anchor map: contraction of an (n-1)-form into the n-vector; the
+    anchor of a unit form ``dx^I`` is read from the structure's table."""
     if alpha.degree != structure.n - 1:
         raise DegreeError(
             f"anchor takes forms of degree {structure.n - 1}, got {alpha.degree}"
         )
+    return structure.tabled(_contract, alpha)
+
+
+def _contract(structure: NambuStructure, alpha: Form) -> Multivector:
     return contract_form(alpha, structure.nvector)
 
 

@@ -15,6 +15,17 @@ the exact-forms rule, phi-morphism and lsv (the modular multivector built
 from the same n-vector).  So zero sets, hits, rescans and located tuples
 are those of lam itself.
 
+Tables.  A run keeps two kinds of table, each computed on first use and
+then read.  The basis holds what is per run: the unit forms ``dx^I``, the
+sharp-d pieces of each basis form a sweep reads, and the shared scans.
+Each ``NambuStructure`` instance holds what depends on its n-vector alone:
+the anchor ``sharp(dx^I)`` and the bracket ``lbracket(dx^I, dx^J)`` of unit
+forms (``NambuStructure.tabled``), which the anchor slot-1 scan, the
+sharp-d pieces, the exact-forms scan and characterization's function-slot
+rules read through ``sharp`` and ``lbracket``; so lam and ``c * lam`` have
+tables of their own.  Sharing a result among callers is exact: tensors are
+immutable, and every operation builds a new one.
+
 Every verifier certifies through the one scan-and-certify loop of
 ``structure``.  ``first_hit`` sweeps a grid in the pinned lexicographic
 order (here slot by slot: coefficient monomial-major, then index set) and
@@ -77,9 +88,7 @@ import functools
 import itertools
 from typing import Callable, Sequence
 
-from .exterior import (
-    Form, Multivector, apply_vec, contract_vec, differential, format_tensor, pair, wedge,
-)
+from .exterior import Form, apply_vec, contract_vec, differential, format_tensor, pair, wedge
 from .poly import Polynomial, jet_exponents
 from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
 
@@ -90,14 +99,16 @@ class JetBasis:
     A basis form is a pair ``(g, I)`` of a monomial index and an index set;
     monomial 0 is the constant.  A basis lives for one run: every verifier
     of a ``check`` reads the same basis and its tables, each built on first
-    use (the unit forms ``dx^I``, their anchors, the sharp-d pieces of each
-    basis form a sweep reads, and each scan that two checks share, through
-    ``once``).
+    use (the unit forms ``dx^I``, the sharp-d pieces of each basis form a
+    sweep reads, and each scan that two checks share, through ``once``).
+    The anchors ``sharp(dx^I)`` are no table of the basis: ``sharp`` reads
+    them from the table of the structure instance, which also holds the
+    brackets of unit forms (module docstring).
 
     ``structure`` is the given n-vector lam, on which reports and direct
     formulas are computed; ``swept`` is its integral multiple ``c * lam``
     (``NambuStructure.integral_multiple``), on which every sweep, the
-    anchors and the sharp-d pieces are computed (module docstring).
+    anchors it reads and the sharp-d pieces are computed (module docstring).
     """
 
     def __init__(self, structure: NambuStructure, max_degree: int):
@@ -116,10 +127,6 @@ class JetBasis:
     @functools.cached_property
     def units(self) -> dict[tuple[int, ...], Form]:
         return {indices: Form.basis(self.structure.m, indices) for indices in self.index_sets}
-
-    @functools.cached_property
-    def anchors(self) -> dict[tuple[int, ...], Multivector]:
-        return {indices: sharp(self.swept, unit) for indices, unit in self.units.items()}
 
     def once(self, scan: Callable[[JetBasis], object]):
         """``scan(self)``, computed on the first call of the run only."""
@@ -156,7 +163,9 @@ class JetBasis:
         if pieces is None:
             da = wedge(differential(self.monomials[g]), self.units[indices])
             pieces = self._pieces[g, indices] = (
-                self.anchors[indices] * self.monomials[g], da, pair(da, self.swept.nvector)
+                sharp(self.swept, self.units[indices]) * self.monomials[g],
+                da,
+                pair(da, self.swept.nvector),
             )
         return pieces
 
@@ -198,20 +207,23 @@ def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable
     ``R`` obeys the slot-1 rule (module docstring) with the linear map
     ``act``; ``direct(a, b)`` evaluates it on forms and supplies the cores
     ``R(dx^I, dx^J)``, each built when a point first needs it.  Both act on
-    ``basis.swept``, as the anchors do.  The second monomial of a point is
-    not read: the rule is linear over functions in that slot.
+    ``basis.swept``; ``anchors`` names the anchors of its table once per
+    scan, the same objects, so that a point reads them without a call.  The
+    second monomial of a point is not read: the rule is linear over
+    functions in that slot.
     """
     units = basis.units
+    anchors = {indices: sharp(basis.swept, unit) for indices, unit in units.items()}
     acted = {indices: act(unit) for indices, unit in units.items()}
     core = functools.cache(lambda left, right: direct(units[left], units[right]))
 
     def residual(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]):
         f = basis.monomials[g]
         value = core(left, right) * f
-        grad = apply_vec(basis.anchors[right], f)
+        grad = apply_vec(anchors[right], f)
         if not grad.is_zero():
             value = value - acted[left] * grad
-        lifted = contract_vec(basis.anchors[left], wedge(differential(f), units[right]))
+        lifted = contract_vec(anchors[left], wedge(differential(f), units[right]))
         if not lifted.is_zero():
             value = value + act(lifted)
         return value

@@ -8,6 +8,8 @@ cannot pass the suite.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 from fractions import Fraction
 from functools import partial
@@ -39,6 +41,7 @@ from nambu.exterior import (
     Form,
     Multivector,
     apply_vec,
+    contract_form,
     contract_vec,
     format_tensor,
     differential,
@@ -185,6 +188,96 @@ class TestBracketValues:
     def test_degree_guard(self, scaled_r3):
         with pytest.raises(DegreeError):
             lbracket(scaled_r3, dx(3, 1), dx(3, 1, 2))
+
+
+def seeded_structures(rng):
+    """A seeded n-vector for every m = 3..6 and n = 2..m; the 1/7 keeps a
+    denominator that the seeded ones (1, 2, 3) cannot cancel."""
+    return [
+        NambuStructure(
+            m, n, random_multivector(rng, m, n, 0.5) + dd(m, *range(1, n + 1)) * Fraction(1, 7)
+        )
+        for m in range(3, 7)
+        for n in range(2, m + 1)
+    ]
+
+
+def cartan_bracket(structure, alpha, beta):
+    """``L_{sharp a} b + (-1)^n <d a, lam> b`` by the exterior kernels alone."""
+    lam = structure.nvector
+    value = lie_form(contract_form(alpha, lam), beta)
+    return value + beta * pair(ext_d(alpha), lam) * (-1) ** structure.n
+
+
+def typed_terms(tensor):
+    """Every coefficient of a tensor with its position and its type."""
+    return sorted(
+        (indices, exps, value, type(value).__name__)
+        for indices, coeff in tensor.components.items()
+        for exps, value in coeff.terms.items()
+    )
+
+
+class TestUnitTables:
+    """``sharp`` and ``lbracket`` serve unit forms ``dx^I`` from a table on
+    the structure instance; every other input is computed each call."""
+
+    def test_tabled_values_equal_the_direct_formulas(self, rng):
+        for structure in seeded_structures(rng):
+            m, lam = structure.m, structure.nvector
+            units = [dx(m, *I) for I in itertools.combinations(range(1, m + 1), structure.n - 1)]
+            for unit in units:
+                anchor = sharp(structure, unit)
+                assert typed_terms(anchor) == typed_terms(contract_form(unit, lam))
+                assert sharp(structure, unit * Polynomial.one(m)) is anchor
+            for left, right in itertools.product(units, repeat=2):
+                bracket = lbracket(structure, left, right)
+                # d(dx^I) = d(dx^J) = 0 leaves the d i_X term of Cartan's formula
+                direct = ext_d(contract_vec(contract_form(left, lam), right))
+                assert typed_terms(bracket) == typed_terms(direct)
+                assert lbracket(structure, left, right) is bracket
+
+    def test_other_forms_bypass_the_table(self, rng):
+        structure = NambuStructure(4, 3, random_multivector(rng, 4, 3, 1.0))
+        unit, other = dx(4, 1, 2), dx(4, 2, 4)
+        for form in (unit * 2, unit * x(4, 1), unit + other):
+            value = sharp(structure, form)
+            assert value == contract_form(form, structure.nvector)
+            assert sharp(structure, form) is not value
+            for left, right in ((form, other), (other, form)):
+                value = lbracket(structure, left, right)
+                assert value == cartan_bracket(structure, left, right)
+                assert lbracket(structure, left, right) is not value
+        # none of them left an entry under the unit's key
+        assert sharp(structure, unit) == contract_form(unit, structure.nvector)
+        assert lbracket(structure, unit, other) == cartan_bracket(structure, unit, other)
+
+    def test_lam_and_its_integral_multiple_keep_apart(self, rng):
+        for structure in seeded_structures(rng):
+            basis = JetBasis(structure, 2)
+            swept, c = basis.swept, denominator_lcm(structure.nvector)
+            assert c > 1 and swept.nvector == structure.nvector * c
+            units = list(basis.units.values())
+            # the swept instance first, as a check run fills it
+            for left, right in itertools.product(units, repeat=2):
+                scaled, value = lbracket(swept, left, right), lbracket(structure, left, right)
+                assert value == cartan_bracket(structure, left, right)
+                assert scaled == value * c and scaled is not value
+            for unit in units:
+                scaled, value = sharp(swept, unit), sharp(structure, unit)
+                assert value == contract_form(unit, structure.nvector)
+                assert scaled == value * c and scaled is not value
+
+    def test_table_is_no_field(self, normal_r4):
+        twin = NambuStructure(4, 3, dd(4, 1, 2, 3))
+        anchor = sharp(normal_r4, dx(4, 1, 2))
+        assert twin == normal_r4 and hash(twin) == hash(normal_r4)
+        assert repr(twin) == repr(normal_r4)
+        assert [field.name for field in dataclasses.fields(normal_r4)] == ["m", "n", "nvector"]
+        # an equal instance, or a copy, has a table of its own
+        for other in (twin, copy.copy(normal_r4), copy.deepcopy(normal_r4)):
+            assert sharp(other, dx(4, 1, 2)) == anchor
+            assert sharp(other, dx(4, 1, 2)) is not anchor
 
 
 class TestSlotRules:

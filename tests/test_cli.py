@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import importlib
 import json
 import time
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from nambu import cohomology
+from nambu import algebroid, cohomology, structure
 from nambu.cli import CHECKS, main
+from nambu.poly import Polynomial
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -185,11 +187,11 @@ class TestOrderTwo:
         assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("what, arg", [("sharp", "dx1"), ("hamiltonian", "x1")])
-    def test_sharp_and_hamiltonian_still_run(self, capsys, order_two, what, arg):
+    def test_sharp_and_hamiltonian_run(self, capsys, order_two, what, arg):
         code, out, err = run(capsys, ["compute", order_two, what, arg])
         assert (code, out, err) == (0, "x2*d2\n", "")
 
-    def test_default_check_still_runs(self, capsys, order_two):
+    def test_default_check_runs(self, capsys, order_two):
         code, out, _ = run(capsys, ["check", order_two])
         assert code == 0
         assert out.splitlines()[-1] == "result: pass"
@@ -473,6 +475,37 @@ class TestOneBasisPerRun:
             monkeypatch.setattr(namespace, attribute, counted)
         run(capsys, ["check", *argv])
         assert counts == expected
+
+    def test_unit_anchors_and_brackets_are_computed_once(self, monkeypatch, capsys):
+        # sharp(dx^I) and lbracket(dx^I, dx^J) are computed once per structure
+        # instance and then read from its table; r4_normal_form (m = 4, n = 3)
+        # has 6 unit forms and 36 unit pairs, and its n-vector is integral,
+        # so lam is the swept structure too
+        counts = collections.Counter()
+        instances = []  # holds every structure, so no id is reused
+
+        def unit(form):
+            """The index set I of ``dx^I``, else None."""
+            if len(form.components) == 1:
+                [(indices, coeff)] = form.components.items()
+                if coeff == Polynomial.one(form.m):
+                    return indices
+            return None
+
+        for module, name in ((structure, "_contract"), (algebroid, "_cartan")):
+
+            def counted(instance, *forms, name=name, original=getattr(module, name)):
+                keys = [unit(form) for form in forms]
+                if None not in keys:
+                    instances.append(instance)
+                    counts[name, id(instance), *keys] += 1
+                return original(instance, *forms)
+
+            monkeypatch.setattr(module, name, counted)
+        assert run(capsys, ["check", R4_NF])[0] == 0
+        assert len({id(instance) for instance in instances}) == 1
+        assert collections.Counter(key[0] for key in counts) == {"_contract": 6, "_cartan": 36}
+        assert set(counts.values()) == {1}
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
     def test_reports_equal_a_fresh_basis_in_either_order(self, capsys, fixture):

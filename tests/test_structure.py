@@ -332,7 +332,10 @@ class TestInvariance:
         assert report.counterexample is not None
 
     def test_order_two_checks_supported(self):
-        # ordinary Poisson case: the residual reduces to the Jacobi identity
+        # ordinary Poisson case: the residual reduces to the Jacobi identity.
+        # test_order_two_basis_serves_every_check covers this verdict too (its
+        # "poisson" case runs FI and invariance on x3 d1^d2); this one keeps
+        # the plain constant bivector on R^2 with a basis per check.
         poisson = NambuStructure(2, 2, Multivector.basis(2, (1, 2)))
         assert check_fundamental_identity(JetBasis(poisson, 2)).passed
         assert check_invariance(JetBasis(poisson, 2)).passed
