@@ -55,6 +55,12 @@ symmetric; in ``S(a, g b)`` those of ``<d(X_a g) ^ b, lam>`` and
 ``X_a <dg ^ b, lam>`` do (the test suite checks ``D(fh) = f D(h) +
 h D(f) - fh D(1)`` for each slot of both).
 
+The Leibniz check reads its first failing pair off the anchor and sharp-d
+scans, and lifts it to a triple through the same factorization: ``A`` and
+``S`` are evaluated once at the pair and the third slot is scanned with
+``lie_form(A, c) - (-1)^n S c``, with no nested bracket.  The reported
+triple is re-checked by the direct nested formula ``leibniz_residual``.
+
 The sharp-d scan, shared by the sharp-d and Leibniz checks and computed
 once on the run's basis (as the anchor scan is), evaluates ``S`` by the
 identity, for any n-vector, ``S(a, b) = <d(i_{X_a} db), lam> + (-1)^n s_a
@@ -82,7 +88,8 @@ capped f-tuple before ``x_I`` has ``dF = 0`` or only ``dx^J`` sorting
 before ``I`` (the swap argument of ``check_fundamental_identity``), so a
 failure is located on the capped tuple pairs from the first failing ``x_I``
 on.  The phi-morphism residual is the negated exact-forms residual, so the
-same sweep certifies it.  Like the capped rows of ``sweep``, this rests on
+same sweep certifies it, and a run computes the consistency scan once for
+both checks.  Like the capped rows of ``sweep``, this rests on
 identities of the implemented kernels, pinned by the test suite: a fault
 planted in ``nbracket`` at a non-coordinate f-tuple breaks tensoriality and
 goes unseen, as one at a cubic g does on the capped grid.
@@ -240,17 +247,25 @@ def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
     checks of the run share.  The anchor residual is linear over
     functions in slot 2, so its first failing pair has ``g = 0``; points
     compare as tuples in grid order.  That pair is lifted to the first
-    failing triple by scanning the third slot with the direct formula on
-    ``basis.swept``.
+    failing triple through the same factorization: ``A`` and ``S`` are
+    evaluated once at the pair, on ``basis.swept``, and the third slot is
+    scanned with ``lie_form(A, c) - (-1)^n S c``.  The report re-checks the
+    triple with the direct nested formula on ``basis.structure``.
     """
     hits = [basis.once(_anchor_hit), basis.once(_sharp_d_hit)]
     hit = min((hit for hit in hits if hit is not None), default=None)
 
     def lift(hit):
-        triples = (hit + third for third in basis.elements())
-        return first_hit(
-            triples, lambda *point: leibniz_residual(basis.swept, *basis.forms(point))
-        )
+        anchor = anchor_residual(basis.swept, *basis.forms(hit))
+        scalar = reduced_sharp_d(basis, *hit)  # (-1)^n S from here on
+        if basis.swept.n % 2:
+            scalar = -scalar
+
+        def residual(*triple):
+            third = basis.form(*triple[4:])
+            return lie_form(anchor, third) - third * scalar
+
+        return first_hit((hit + third for third in basis.elements()), residual)
 
     direct = partial(leibniz_residual, basis.structure)
     return certify_forms(basis, "leibniz", basis.size() ** 3, hit, direct, lift)
@@ -289,24 +304,35 @@ def _exact_forms_sweep(
     are swept on the coordinate f-tuples ``x_I``, whose ``X_F`` is the anchor
     of ``dx^I``, times ``capped(2)`` (module docstring); a hit is located at
     the first pair of capped tuples, from ``x_I`` on, with a nonzero
-    ``direct`` on ``basis.swept``, and reported on ``basis.structure``.
+    ``direct`` on ``basis.swept``, and reported on ``basis.structure``.  The
+    consistency scan is shared by the run's checks (``_consistency_hit``).
     """
     structure = basis.swept
     monomials = basis.monomials
     capped = [monomials[g] for g in basis.capped(2)]
-
-    def consistency(indices, g):
-        fs = [monomials[i] for i in indices]
-        field = sharp(structure, basis.units[indices])
-        return differential(apply_vec(field, g) - nbracket(structure, [*fs, g]))
 
     def locate(hit):
         tuples = list(itertools.combinations(capped, structure.n - 1))
         start = tuples.index(tuple(monomials[i] for i in hit[0]))
         return first_hit(itertools.product(tuples[start:], tuples), partial(direct, structure))
 
-    hit = first_hit(itertools.product(basis.index_sets, capped), consistency)
+    hit = basis.once(_consistency_hit)
     return certify(check, items, hit, partial(direct, basis.structure), inputs, locate)
+
+
+def _consistency_hit(basis: JetBasis) -> tuple | None:
+    """First point ``(I, g)`` of the coordinate f-tuples ``x_I`` times
+    ``capped(2)`` where ``d(X_F(g) - {F, g})`` is nonzero on ``basis.swept``."""
+    structure = basis.swept
+    monomials = basis.monomials
+
+    def consistency(indices, g):
+        fs = [monomials[i] for i in indices]
+        field = sharp(structure, basis.units[indices])
+        return differential(apply_vec(field, g) - nbracket(structure, [*fs, g]))
+
+    capped = [monomials[g] for g in basis.capped(2)]
+    return first_hit(itertools.product(basis.index_sets, capped), consistency)
 
 
 def function_slot2_residual(

@@ -3,7 +3,8 @@
 One ``JetBasis`` serves a whole ``check`` run: every verifier takes it,
 and a scan that two checks share runs once per run, through
 ``JetBasis.once`` (the invariance sweep of FI and invariance; the anchor
-and sharp-d scans of anchor, sharp-d and Leibniz).
+and sharp-d scans of anchor, sharp-d and Leibniz; the exact-forms
+consistency scan of characterization and phi-morphism).
 
 Sweeps run on ``c * lam`` (``JetBasis.swept``), c the lcm of the
 coefficient denominators of lam, so their arithmetic stays on ``int``
@@ -31,13 +32,13 @@ Every verifier certifies through the one scan-and-certify loop of
 order (here slot by slot: coefficient monomial-major, then index set) and
 stops at the first nonzero residual; ``certify`` reports a pass when there
 is none.  Otherwise the hit may name a tuple other than the one to report:
-a Leibniz pair is lifted to a triple, a fundamental-identity f-tuple to its
-first failing g-tuple, and an exact-forms consistency hit ``(x_I, g)`` to
-the first failing pair of capped function tuples from ``x_I`` on, by
-``locate``.  The
-residual of the reported tuple is recomputed by the direct formula, and a
-zero one is refused.  ``certify_forms`` is ``certify`` for points made of
-basis forms.
+a Leibniz pair is lifted to a triple through the factorization of its
+residual (``algebroid``), a fundamental-identity f-tuple to its first
+failing g-tuple, and an exact-forms consistency hit ``(x_I, g)`` to the
+first failing pair of capped function tuples from ``x_I`` on, by
+``locate``.  The residual of the reported tuple is recomputed by the direct
+formula (for Leibniz, the nested brackets), and a zero one is refused.
+``certify_forms`` is ``certify`` for points made of basis forms.
 
 Capped rows.  A residual that is a differential operator of order <= k in
 a function slot, the other slots fixed, vanishes identically once it
@@ -54,7 +55,7 @@ Each residual below has its order for any n-vector (``algebroid`` and
   - anchor: the slot-1 family ``(x^g dx^I, dx^J)`` (below);
   - sharp-d: the pair grid, by ``reduced_sharp_d``;
   - Leibniz: the earlier of the anchor and sharp-d hits, lifted to a
-    triple;
+    triple through the factorization;
   - characterization's function-slot rules, on unit forms;
   - modular cocycle: the slot-1 family of the modular cochain;
   - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.

@@ -429,8 +429,11 @@ class TestDecompositionsAgainstDirect:
             assert len(built) == cores if passes else len(built) < cores
 
     def test_leibniz_factorization(self, rng, scaled_r3, sum_r6, normal_r4):
-        # residual(a,b,c) = lie_form(A(a,b), c) - (-1)^n S(a,b) c, any tensor
-        for structure in (scaled_r3, sum_r6, normal_r4):
+        # residual(a,b,c) = lie_form(A(a,b), c) - (-1)^n S(a,b) c, any tensor;
+        # the seeded bivector and the m = 6 pair of 4-blades give even n
+        bivector = NambuStructure(3, 2, random_multivector(rng, 3, 2, 1.0))
+        blades = NambuStructure(6, 4, dd(6, 1, 2, 3, 4) + dd(6, 3, 4, 5, 6) * x(6, 1))
+        for structure in (scaled_r3, sum_r6, normal_r4, bivector, blades):
             m, n = structure.m, structure.n
             sign = -1 if n % 2 else 1
             for _ in range(5):
@@ -645,6 +648,88 @@ class TestVerifiers:
             basis, triples, lambda a, b, c: planted_leibniz(structure, a, b, c)
         )
         assert expected[0] == ("dx1^dx3", "x1*dx2^dx4", "dx1^dx2")
+        report = verify_leibniz_identity(JetBasis(structure, 2))
+        assert (report.counterexample.inputs, report.counterexample.residual) == expected
+
+    @pytest.mark.parametrize(
+        "n, build",
+        [
+            # a bivector that breaks the Jacobi identity
+            (2, lambda a, b, c: dd(3, 1, 2) * a + dd(3, 2, 3) * (x(3, 1) * b)
+             + dd(3, 1, 3) * (x(3, 2) * x(3, 3) * c)),
+            # two 3-blades on R^5 that share one direction
+            (3, lambda a, b, c: dd(5, 1, 2, 3) * a + dd(5, 3, 4, 5) * (b + x(5, 2) * c)),
+            (4, lambda a, b, _: dd(6, 1, 2, 3, 4) * a + dd(6, 3, 4, 5, 6) * (x(6, 1) * b)),
+        ],
+        ids=["n2", "n3", "n4"],
+    )
+    def test_lift_is_first_direct_failure_of_third_slot(self, rng, n, build):
+        # The lift scans the third slot through the factorization on the
+        # swept n-vector; the report must be the first failure of a direct
+        # leibniz_residual scan of the third slot from the hit pair, at odd
+        # and even n (where (-1)^n flips) and with non-integral coefficients
+        # (the first is never integral).  At a natural hit pair A or S is
+        # zero, so the sign cannot move the triple; the planted test below
+        # pins it.
+        def value(denominators):
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(denominators))
+
+        for _ in range(3):
+            lam = build(value((2, 3)), value((1, 2, 3)), value((1, 2, 3)))
+            structure = NambuStructure(lam.m, n, lam)
+            assert denominator_lcm(lam) > 1
+            basis = JetBasis(structure, 3)
+            report = verify_leibniz_identity(basis)
+            assert not report.passed
+            elements = {format_tensor(basis.form(*e)): e for e in basis.elements()}
+            hit = sum((elements[text] for text in report.counterexample.inputs[:2]), ())
+            triples = (hit + third for third in basis.elements())
+            expected = first_direct_failure(
+                basis, triples, lambda a, b, c: leibniz_residual(structure, a, b, c)
+            )
+            assert (report.counterexample.inputs, report.counterexample.residual) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lift_sign_is_pinned_by_a_planted_cancellation(self, monkeypatch, n):
+        # The hit pair has S = 0 when the anchor hit comes first (its second
+        # slot is a unit form) and A = 0 when the sharp-d hit does, so no
+        # natural input lets (-1)^n move the lifted triple.  Plant
+        # A = x1*d1 and S = (-1)^n at the first pair (dx^I, dx^I) of a
+        # decomposable lam, in both scans and, through the factorization,
+        # in the direct residual.  The Euler field gives
+        # lie_form(A, f dx^J) = (deg_1 f + [1 in J]) f dx^J, so the
+        # residual cancels on the constant dx^J with 1 in J and the report
+        # is the first dx^J without 1; a wrong sign would stop at the first.
+        from nambu import algebroid
+
+        structure = NambuStructure(n + 1, n, dd(n + 1, *range(1, n + 1)))
+        basis = JetBasis(structure, 2)
+        target = (0, basis.index_sets[0]) * 2
+        forms = tuple(basis.forms(target))
+        euler = Multivector(n + 1, 1, {(1,): x(n + 1, 1)})
+        sign = -1 if n % 2 else 1
+
+        def planted_anchor(structure, a, b):
+            value = anchor_residual(structure, a, b)
+            return value + euler if (a, b) == forms else value
+
+        def planted_reduced(basis, *point):
+            value = reduced_sharp_d(basis, *point)
+            return value + sign if point == target else value
+
+        def planted_leibniz(structure, a, b, c):
+            value = leibniz_residual(structure, a, b, c)
+            return value + lie_form(euler, c) - c if (a, b) == forms else value
+
+        monkeypatch.setattr(algebroid, "anchor_residual", planted_anchor)
+        monkeypatch.setattr(algebroid, "reduced_sharp_d", planted_reduced)
+        monkeypatch.setattr(algebroid, "leibniz_residual", planted_leibniz)
+        triples = (target + third for third in basis.elements())
+        expected = first_direct_failure(
+            basis, triples, lambda a, b, c: planted_leibniz(structure, a, b, c)
+        )
+        third = dx(n + 1, *next(I for I in basis.index_sets if 1 not in I))
+        assert expected[0] == tuple(map(format_tensor, (*forms, third)))
         report = verify_leibniz_identity(JetBasis(structure, 2))
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 

@@ -453,13 +453,27 @@ class TestOneBasisPerRun:
             # each evaluated once although two checks read each scan
             ([R4_NF], {"structure.invariance_defect": 105, "algebroid.anchor_residual": 36}),
             # 97 f-tuples to the invariance hit, plus the defect there
-            # re-evaluated by each report; the sharp-d scan to its hit
+            # re-evaluated by each report; the sharp-d scan to its hit, plus
+            # S at the lifted pair; the Leibniz lift scans the third slot
+            # through the factorization, so only the report re-evaluates the
+            # direct nested residual
             (
                 [R6_SUM, f"--checks={INTEGRABILITY}"],
-                {"structure.invariance_defect": 99, "algebroid.reduced_sharp_d": 2175},
+                {
+                    "structure.invariance_defect": 99,
+                    "algebroid.reduced_sharp_d": 2176,
+                    "algebroid.leibniz_residual": 1,
+                },
+            ),
+            # the consistency scan of characterization and phi-morphism:
+            # 6 coordinate f-tuples x_I times the 15 monomials of capped(2)
+            # on R^4, one nbracket each, evaluated once for both checks
+            (
+                [R4_NF, "--checks=characterization,phi-morphism"],
+                {"algebroid.nbracket": 90},
             ),
         ],
-        ids=["r4-default", "r6-integrability"],
+        ids=["r4-default", "r6-integrability", "r4-consistency"],
     )
     def test_shared_scans_run_once(self, monkeypatch, capsys, argv, expected):
         counts = dict.fromkeys(expected, 0)
