@@ -20,7 +20,17 @@ is read off the m coordinate columns ``W_j = w_(x_j)``:
 
     w_(x^e) = sum_j e_j * x^(e - 1_j) * W_j,
 
-which is how ``exactness_witness`` assembles its linear system.  The degree-1
+so the column of ``x^e`` meets the row ``(C, e - 1_j + a)`` for each term
+``(C, a, v)`` of ``W_j`` with ``e_j >= 1``, and the row ``(C, r)`` meets the
+column ``r - a + 1_j`` for each such term with ``a <= r``.
+``exactness_witness`` walks these incidences from the rows of the target
+and assembles and solves only the columns it reaches.  That is exact: the
+connected components of the bipartite graph of rows and columns are blocks
+that share no column, so elimination in one never touches another, and a
+block without a target row is homogeneous, so its solution with the free
+variables at zero is zero.  The walk ignores cancelled entries, so its
+graph may have more edges than the system; a vertex set closed under more
+edges is still a union of components.  The degree-1
 coboundary of a tensorial cochain c evaluates as
 
     sharp(a)(c(b)) - sharp(b)(c(a)) - c(lbracket(a, b)).
@@ -45,7 +55,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import add
+from operator import add, sub
 from typing import Callable
 
 from .algebroid import lbracket
@@ -59,7 +69,7 @@ from .exterior import (
     ext_d,
     pair,
 )
-from .poly import Polynomial, jet_exponents
+from .poly import Polynomial, grlex_key
 from .structure import (
     CheckReport,
     NambuStructure,
@@ -318,9 +328,12 @@ def exactness_witness(
     setting one of those obstructing variables to zero, no smooth f can
     work either, since the left side vanishes identically there.
 
-    The witness is the solution whose free monomial coefficients are zero,
-    with pivots in ``jet_exponents`` order; that solution is unique, so it
-    does not depend on how ``_solve_linear`` picks its pivot rows.
+    Only the columns of the target's connected component are assembled and
+    solved (``_component``, module docstring); the others cannot change the
+    answer.  The witness is the solution whose free monomial coefficients
+    are zero, with pivots in the grlex order of the component's columns;
+    that solution is unique, so it does not depend on how ``_solve_linear``
+    picks its pivot rows.
 
     The column of ``x^e`` is assembled from the m coordinate columns by the
     identity of the module docstring.  An infeasible verdict rests on that
@@ -348,7 +361,7 @@ def exactness_witness(
             smooth_obstruction=smooth,
         )
 
-    exponents = jet_exponents(m, search_degree)
+    _, exponents = _component(coordinate_columns, target, search_degree)
     rhs = {(indices, exps): value for indices, exps, value in _terms(target)}
     solution = _solve_linear(_assemble(coordinate_columns, exponents), len(exponents), rhs)
     if solution is None:
@@ -356,7 +369,7 @@ def exactness_witness(
     witness = Polynomial(
         m, {e: value for e, value in zip(exponents, solution) if value}
     )
-    if cobound0(structure, witness).w != target:  # pragma: no cover - solver guard
+    if cobound0(structure, witness).w != target:
         raise AssertionError("solver returned a non-solution")
     return WitnessReport(feasible=True, witness=witness, search_degree=search_degree)
 
@@ -436,6 +449,48 @@ def _terms(mv: Multivector):
     for indices, poly in mv.components.items():
         for exps, value in poly.terms.items():
             yield indices, exps, value
+
+
+def _component(
+    coordinate_columns: list[Multivector], target: Multivector, max_degree: int
+) -> tuple[set[tuple], list[tuple[int, ...]]]:
+    """The rows, and the exponents of degree <= max_degree in grlex order,
+    of the connected components of the target's rows.
+
+    The walk follows the incidences of ``_assemble`` (module docstring)
+    without summing entries.  A term ``(C, a)`` of ``W_j`` links the row
+    ``(C, r)`` and the column ``r + shift`` with ``shift = 1_j - a``: from a
+    row the walk goes to every such column of degree <= max_degree with
+    ``r >= a``, and from a column e to the row ``(C, e - shift)`` of every
+    term of each ``W_k`` with ``e_k >= 1``."""
+    by_index_set: dict[tuple, list[tuple]] = {}
+    by_column: list[list[tuple]] = [[] for _ in coordinate_columns]
+    for j, w in enumerate(coordinate_columns):
+        for indices, a, _ in _terms(w):
+            shift = tuple(int(k == j) - a_k for k, a_k in enumerate(a))
+            link = (indices, j, shift, sum(shift))
+            by_index_set.setdefault(indices, []).append(link)
+            by_column[j].append(link)
+    pending = [(indices, exps) for indices, exps, _ in _terms(target)]
+    rows, columns = set(pending), set()
+    while pending:
+        indices, r = pending.pop()
+        room = max_degree - sum(r)
+        for _, j, shift, degree in by_index_set.get(indices, ()):
+            if degree > room:
+                continue
+            e = tuple(map(add, r, shift))
+            if e in columns or min(e) < 0 or not e[j]:
+                continue
+            columns.add(e)
+            for k, e_k in enumerate(e):
+                if e_k:
+                    for row_indices, _, row_shift, _ in by_column[k]:
+                        key = (row_indices, tuple(map(sub, e, row_shift)))
+                        if key not in rows:
+                            rows.add(key)
+                            pending.append(key)
+    return rows, sorted(columns, key=grlex_key)
 
 
 def _assemble(

@@ -63,8 +63,9 @@ def _exact(value: _Scalar) -> _Scalar:
     raise ValueError(f"coefficient {value!r} is not an int or a Fraction")
 
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple:
-    # Ascending order: constants first, x1 before x2, x1^2 before x1*x2.
+def grlex_key(exponents: tuple[int, ...]) -> tuple:
+    """Sort key of the grlex order of ``jet_exponents``: constants first,
+    x1 before x2, x1^2 before x1*x2."""
     return (sum(exponents), tuple(-e for e in exponents))
 
 
@@ -558,7 +559,7 @@ def jet_exponents(num_vars: int, max_degree: int) -> list[tuple[int, ...]]:
             prefix.pop()
 
     extend([], max_degree, num_vars)
-    return sorted(out, key=_grlex_key)
+    return sorted(out, key=grlex_key)
 
 
 def jet_monomials(num_vars: int, max_degree: int) -> list[Polynomial]:

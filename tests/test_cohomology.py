@@ -571,6 +571,146 @@ class TestAssembly:
         assert column not in rows.get(key, {})
 
 
+def _full_solve(structure, volume, degree):
+    """The witness search on the full system: every column of
+    ``jet_exponents(m, degree)`` assembled and solved, with no divisibility
+    pre-check.  Returns the feasible flag and the witness."""
+    m = structure.m
+    target = modular_multivector(structure, volume)
+    coordinate = [cobound0(structure, x(m, j)).w for j in range(1, m + 1)]
+    exponents = jet_exponents(m, degree)
+    rhs = {(indices, exps): value for indices, exps, value in cohomology._terms(target)}
+    rows = cohomology._assemble(coordinate, exponents)
+    solution = cohomology._solve_linear(rows, len(exponents), rhs)
+    if solution is None:
+        return False, None
+    return True, Polynomial(m, dict(zip(exponents, solution)))
+
+
+def _seeded_witness_inputs(rng, count):
+    """Random n-vectors with random volume exponents.  Constant n-vectors
+    have zero modular multivector on the standard volume, so their planted
+    exponents are exact at a high enough degree; polynomial ones mostly are
+    not."""
+    for _ in range(count):
+        m = rng.randint(3, 5)
+        n = rng.randint(2, m)
+        nvector = random_multivector(rng, m, n, 0.5)
+        if rng.random() < 0.5:
+            nvector = Multivector(m, n, {
+                indices: Polynomial.constant(m, rng.randint(1, 3))
+                for indices in nvector.components
+            })
+        exponent = random_polynomial(rng, m, max_degree=3)
+        yield NambuStructure(m, n, nvector), VolumeForm(1, exponent), rng.randint(0, 4)
+
+
+def _planted_top_volume(rng, m, degree):
+    """``e^p`` with p of degree exactly ``degree``, through x1."""
+    top = Polynomial.monomial((1,) + (0,) * (m - 1)) * x(m, rng.randint(1, m)) ** (degree - 1)
+    return VolumeForm(1, random_polynomial(rng, m, max_degree=degree) + top)
+
+
+class TestComponentSolve:
+    """``exactness_witness`` solves only the target's component, and gives
+    the same answer as the full system of ``jet_exponents(m, D)``."""
+
+    @staticmethod
+    def _assert_same_as_full(structure, volume, degree):
+        report = exactness_witness(structure, volume, degree)
+        assert (report.feasible, report.witness) == _full_solve(structure, volume, degree)
+        return report.feasible
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_fixtures_match_full_solve(self, fixture):
+        loaded = load_structure_file(fixture)
+        for degree in range(9):
+            self._assert_same_as_full(loaded.structure(), loaded.volume(), degree)
+
+    @pytest.mark.parametrize("name", ["r6_rational", "r6_nonexample"])
+    def test_degree_twelve_matches_full_solve(self, name):
+        loaded = load_structure_file(FIXTURES / f"{name}.json")
+        assert self._assert_same_as_full(loaded.structure(), loaded.volume(), 12)
+
+    def test_seeded_structures_match_full_solve(self, rng):
+        outcomes = [
+            self._assert_same_as_full(structure, volume, degree)
+            for structure, volume, degree in _seeded_witness_inputs(rng, 40)
+        ]
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_planted_top_volumes_match_full_solve(self, rng, m):
+        # d1^d2^d3 has zero modular multivector on the standard volume, so
+        # e^p is exact through f = p: within reach at deg p = D - 1, out of
+        # reach at deg p = D + 1, since the top term of p is seen by df/dx1
+        structure = NambuStructure(m, 3, dd(m, 1, 2, 3))
+        for degree in (1, 2, 3, 4):
+            for planted, feasible in ((degree - 1, True), (degree + 1, False)):
+                if planted == 0:
+                    continue
+                volume = _planted_top_volume(rng, m, planted)
+                assert self._assert_same_as_full(structure, volume, degree) is feasible
+
+    @staticmethod
+    def _assert_closed(structure, volume, degree):
+        """The walk's rows and columns are closed in the full system: a row
+        that meets an explored column is explored, and every column of an
+        explored row is explored.  So they are a union of components."""
+        m = structure.m
+        target = modular_multivector(structure, volume)
+        coordinate = [cobound0(structure, x(m, j)).w for j in range(1, m + 1)]
+        rows, explored = cohomology._component(coordinate, target, degree)
+        exponents = jet_exponents(m, degree)
+        assert explored == [e for e in exponents if e in set(explored)]
+        columns = {exponents.index(e) for e in explored}
+        assert {(indices, exps) for indices, exps, _ in cohomology._terms(target)} <= rows
+        for key, row in cohomology._assemble(coordinate, exponents).items():
+            if columns & row.keys():
+                assert key in rows
+            if key in rows:
+                assert row.keys() <= columns
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_component_is_closed_on_fixtures(self, fixture):
+        loaded = load_structure_file(fixture)
+        for degree in range(7):
+            self._assert_closed(loaded.structure(), loaded.volume(), degree)
+
+    def test_component_is_closed_on_seeded_structures(self, rng):
+        for structure, volume, degree in _seeded_witness_inputs(rng, 40):
+            self._assert_closed(structure, volume, degree)
+
+    @pytest.mark.parametrize(
+        "name, degree, count", [("r5_normal_form", 8, 0), ("r6_rational", 12, 1)]
+    )
+    def test_solver_sees_only_the_component(self, monkeypatch, name, degree, count):
+        # r5_normal_form has a zero target, so its component is empty; the
+        # target of r6_rational is one row that one column meets
+        solve, counts = cohomology._solve_linear, []
+
+        def recording(rows, columns, target):
+            counts.append(columns)
+            return solve(rows, columns, target)
+
+        monkeypatch.setattr(cohomology, "_solve_linear", recording)
+        loaded = load_structure_file(FIXTURES / f"{name}.json")
+        report = exactness_witness(loaded.structure(), loaded.volume(), degree)
+        assert report.feasible
+        assert counts == [count]
+
+    def test_tampered_solver_trips_the_cobound0_check(self, monkeypatch):
+        solve = cohomology._solve_linear
+
+        def tampered(rows, columns, target):
+            return [value + 1 for value in solve(rows, columns, target)]
+
+        monkeypatch.setattr(cohomology, "_solve_linear", tampered)
+        loaded = load_structure_file(FIXTURES / "r6_rational.json")
+        with pytest.raises(AssertionError, match="non-solution"):
+            exactness_witness(loaded.structure(), loaded.volume(), 2)
+
+
 class TestSolveLinearOracle:
     """``_solve_linear`` against sympy's reduced row echelon form."""
 
