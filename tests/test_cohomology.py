@@ -607,7 +607,7 @@ def _seeded_witness_inputs(rng, count):
 
 def _planted_top_volume(rng, m, degree):
     """``e^p`` with p of degree exactly ``degree``, through x1."""
-    top = Polynomial.monomial((1,) + (0,) * (m - 1)) * x(m, rng.randint(1, m)) ** (degree - 1)
+    top = x(m, 1) * x(m, rng.randint(1, m)) ** (degree - 1)
     return VolumeForm(1, random_polynomial(rng, m, max_degree=degree) + top)
 
 
