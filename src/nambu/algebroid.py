@@ -61,14 +61,22 @@ scans, and lifts it to a triple through the same factorization: ``A`` and
 ``lie_form(A, c) - (-1)^n S c``, with no nested bracket.  The reported
 triple is re-checked by the direct nested formula ``leibniz_residual``.
 
-The sharp-d scan, shared by the sharp-d and Leibniz checks and computed
-once on the run's basis (as the anchor scan is), evaluates ``S`` by the
-identity, for any n-vector, ``S(a, b) = <d(i_{X_a} db), lam> + (-1)^n s_a
-s_b - X_a(s_b)`` (``reduced_sharp_d``), whose pieces ``X_a = sharp(a)``,
-``d a`` and ``s_a = <d a, lam>`` are cached per basis form.
-Cartan's formula and ``d^2 = 0`` give ``d L_X b = d i_X db``; then
-``d(s_a b) = ds_a ^ b + s_a db``, and ``<ds_a ^ b, lam> = (-1)^(n-1) X_b(s_a)``
-(``contract_form``'s defining identity) cancels the direct ``+X_b(s_a)``.
+The sharp-d scan reads ``S`` off the anchor's slot-1 family, which the
+run's basis computes once (``reduced_sharp_d``): for any n-vector, any
+(n-1)-form a and any function g,
+
+    S(a, dx^J) = 0,        S(a, g dx^J) = (-1)^n A(a, dx^J)(g).
+
+With ``X = sharp`` and ``s = <d ., lam>``, ``S(a, b) = <d(i_{X_a} db), lam> +
+(-1)^n s_a s_b - X_a(s_b)`` by Cartan's formula, ``d^2 = 0`` and
+``<ds_a ^ b, lam> = (-1)^(n-1) X_b(s_a)`` (``contract_form``'s defining
+identity).  For ``b = g dx^J``, ``db = dg ^ dx^J``, ``s_b = (-1)^(n-1)
+X_J(g)`` and ``d(i_{X_a} db) = d(X_a g) ^ dx^J + dg ^ d(i_{X_a} dx^J)``;
+collecting terms gives ``(-1)^(n-1) (X_{L_{X_a} dx^J} + (-1)^n s_a X_J -
+[X_a, X_J])(g)``, whose first two terms sum to ``X_{lbracket(a, dx^J)}``.
+A vector field is zero exactly when it kills every ``x_j``, so the sharp-d
+hit shares the anchor hit's ``(f, I)`` and has ``g >= 1``: the first
+natural Leibniz pair is the anchor hit.
 
 The exact-forms rule splits into consistency forms.  With closed
 ``a = df_1^..^df_{n-1}`` and ``b = dg_1^..^dg_{n-1}``, ``<d a, lam> = 0``
@@ -111,7 +119,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .errors import ArityError, DegreeError
@@ -133,7 +141,7 @@ from .poly import Polynomial
 from .structure import (
     CheckReport, NambuStructure, capped_first_hit, certify, first_hit, nbracket, sharp,
 )
-from .sweep import JetBasis, certify_forms, slot1_hit
+from .sweep import JetBasis, certify_forms, slot1_pairs, slot1_residual
 
 
 def _check_section(structure: NambuStructure, form: Form, name: str) -> None:
@@ -191,14 +199,10 @@ def sharp_d_residual(structure: NambuStructure, alpha: Form, beta: Form) -> Poly
 
 
 def reduced_sharp_d(basis: JetBasis, f: int, left: tuple, g: int, right: tuple) -> Polynomial:
-    """The sharp-d residual on ``basis.swept`` at the basis pair ``(f, I, g, J)``
-    by the reduced identity."""
-    field, _, s_a = basis.sharp_d_pieces(f, left)
-    _, db, s_b = basis.sharp_d_pieces(g, right)
-    value = pair(ext_d(contract_vec(field, db)), basis.swept.nvector) - apply_vec(field, s_b)
-    if s_a and s_b:
-        value = value - s_a * s_b if basis.swept.n % 2 else value + s_a * s_b
-    return value
+    """The sharp-d residual on ``basis.swept`` at the basis pair ``(f, I, g, J)``,
+    read off the anchor's slot-1 family: ``(-1)^n A(x^f dx^I, dx^J)(x^g)``."""
+    value = apply_vec(basis.once(_anchor_family)(f, left, 0, right), basis.monomials[g])
+    return -value if basis.swept.n % 2 else value
 
 
 def leibniz_residual(
@@ -215,10 +219,18 @@ def leibniz_residual(
 # -- anchor, sharp-d and Leibniz sweeps -----------------------------------------
 
 
+def _anchor_family(basis: JetBasis) -> Callable:
+    """The anchor residual ``A(x^f dx^I, dx^J)`` on ``basis.swept`` at the
+    points ``(f, I, 0, J)`` of its slot-1 family, each computed once."""
+    structure = basis.swept
+    return cache(
+        slot1_residual(basis, partial(sharp, structure), partial(anchor_residual, structure))
+    )
+
+
 def _anchor_hit(basis: JetBasis) -> tuple | None:
     """First failing pair ``(f, I, 0, J)`` of the anchor's slot-1 family."""
-    structure = basis.swept
-    return slot1_hit(basis, partial(sharp, structure), partial(anchor_residual, structure))
+    return first_hit(slot1_pairs(basis, basis.capped(1)), basis.once(_anchor_family))
 
 
 def _sharp_d_hit(basis: JetBasis) -> tuple | None:
@@ -241,16 +253,12 @@ def verify_sharp_d_identity(basis: JetBasis) -> CheckReport:
 def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
     """Certify the Leibniz identity over all jet-basis triples.
 
-    The residual factors exactly through the anchor and sharp-d residuals
-    (module docstring), so its first failing pair is the earlier of the
-    anchor hit and the sharp-d hit, the scans that the anchor and sharp-d
-    checks of the run share.  The anchor residual is linear over
-    functions in slot 2, so its first failing pair has ``g = 0``; points
-    compare as tuples in grid order.  That pair is lifted to the first
-    failing triple through the same factorization: ``A`` and ``S`` are
-    evaluated once at the pair, on ``basis.swept``, and the third slot is
-    scanned with ``lie_form(A, c) - (-1)^n S c``.  The report re-checks the
-    triple with the direct nested formula on ``basis.structure``.
+    The first failing pair is the earlier of the run's anchor and sharp-d
+    hits (module docstring; points compare as tuples in grid order).  It is
+    lifted to the first failing triple by scanning the third slot with
+    ``lie_form(A, c) - (-1)^n S c`` on ``basis.swept``, ``A`` and ``S``
+    evaluated once at the pair.  The report re-checks the triple with the
+    direct nested formula on ``basis.structure``.
     """
     hits = [basis.once(_anchor_hit), basis.once(_sharp_d_hit)]
     hit = min((hit for hit in hits if hit is not None), default=None)

@@ -17,15 +17,15 @@ from the same n-vector).  So zero sets, hits, rescans and located tuples
 are those of lam itself.
 
 Tables.  A run keeps two kinds of table, each computed on first use and
-then read.  The basis holds what is per run: the unit forms ``dx^I``, the
-sharp-d pieces of each basis form a sweep reads, and the shared scans.
+then read.  The basis holds what is per run: the unit forms ``dx^I`` and
+the shared scans, the anchor's slot-1 family among them (``algebroid``).
 Each ``NambuStructure`` instance holds what depends on its n-vector alone:
 the anchor ``sharp(dx^I)`` and the bracket ``lbracket(dx^I, dx^J)`` of unit
-forms (``NambuStructure.tabled``), which the anchor slot-1 scan, the
-sharp-d pieces, the exact-forms scan and characterization's function-slot
-rules read through ``sharp`` and ``lbracket``; so lam and ``c * lam`` have
-tables of their own.  Sharing a result among callers is exact: tensors are
-immutable, and every operation builds a new one.
+forms (``NambuStructure.tabled``), which the anchor's slot-1 family, the
+exact-forms scan and characterization's function-slot rules read through
+``sharp`` and ``lbracket``; so lam and ``c * lam`` have tables of their
+own.  Sharing a result among callers is exact: tensors are immutable, and
+every operation builds a new one.
 
 Every verifier certifies through the one scan-and-certify loop of
 ``structure``.  ``first_hit`` sweeps a grid in the pinned lexicographic
@@ -53,7 +53,7 @@ Each residual below has its order for any n-vector (``algebroid`` and
 
 * Order <= 1, ``capped(1)``:
   - anchor: the slot-1 family ``(x^g dx^I, dx^J)`` (below);
-  - sharp-d: the pair grid, by ``reduced_sharp_d``;
+  - sharp-d: the pair grid, read off the anchor's slot-1 family;
   - Leibniz: the earlier of the anchor and sharp-d hits, lifted to a
     triple through the factorization;
   - characterization's function-slot rules, on unit forms;
@@ -89,7 +89,7 @@ import functools
 import itertools
 from typing import Callable, Sequence
 
-from .exterior import Form, apply_vec, contract_vec, differential, format_tensor, pair, wedge
+from .exterior import Form, apply_vec, contract_vec, differential, format_tensor, wedge
 from .poly import Polynomial, jet_exponents
 from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
 
@@ -100,16 +100,16 @@ class JetBasis:
     A basis form is a pair ``(g, I)`` of a monomial index and an index set;
     monomial 0 is the constant.  A basis lives for one run: every verifier
     of a ``check`` reads the same basis and its tables, each built on first
-    use (the unit forms ``dx^I``, the sharp-d pieces of each basis form a
-    sweep reads, and each scan that two checks share, through ``once``).
+    use (the unit forms ``dx^I`` and, through ``once``, each scan that two
+    checks share).
     The anchors ``sharp(dx^I)`` are no table of the basis: ``sharp`` reads
     them from the table of the structure instance, which also holds the
     brackets of unit forms (module docstring).
 
     ``structure`` is the given n-vector lam, on which reports and direct
     formulas are computed; ``swept`` is its integral multiple ``c * lam``
-    (``NambuStructure.integral_multiple``), on which every sweep, the
-    anchors it reads and the sharp-d pieces are computed (module docstring).
+    (``NambuStructure.integral_multiple``), on which every sweep and the
+    anchors it reads are computed (module docstring).
     """
 
     def __init__(self, structure: NambuStructure, max_degree: int):
@@ -122,7 +122,6 @@ class JetBasis:
         self.index_sets = list(
             itertools.combinations(range(1, structure.m + 1), structure.n - 1)
         )
-        self._pieces: dict[tuple, tuple] = {}
         self._scans: dict[Callable, object] = {}
 
     @functools.cached_property
@@ -156,19 +155,6 @@ class JetBasis:
     def pairs(self, rows: Sequence[int]):
         """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``."""
         return itertools.product(rows, self.index_sets, rows, self.index_sets)
-
-    def sharp_d_pieces(self, g: int, indices: tuple[int, ...]):
-        """``sharp(a)``, ``d a`` and ``<d a, lam>`` of the basis form ``a = x^g dx^I``,
-        on the swept n-vector."""
-        pieces = self._pieces.get((g, indices))
-        if pieces is None:
-            da = wedge(differential(self.monomials[g]), self.units[indices])
-            pieces = self._pieces[g, indices] = (
-                sharp(self.swept, self.units[indices]) * self.monomials[g],
-                da,
-                pair(da, self.swept.nvector),
-            )
-        return pieces
 
 
 def require_jet_degree(max_degree: int) -> None:

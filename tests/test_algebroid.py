@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -62,8 +63,11 @@ from nambu.structure import (
     sharp,
 )
 from nambu.sweep import JetBasis, slot1_pairs, slot1_residual
+from nambu.textio import load_structure_file
 
 from conftest import denominator_lcm, random_form, random_multivector, random_polynomial
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def x(m, i):
@@ -409,6 +413,42 @@ class TestDecompositionsAgainstDirect:
                 nonzero += not value.is_zero()
         assert nonzero >= 100
 
+    def test_sharp_d_is_read_off_the_anchor(self, rng):
+        # S(a, dx^J) = 0 and S(a, g dx^J) = (-1)^n A(a, dx^J)(g) for any
+        # n-vector (algebroid docstring): the sharp-d scan reads S off the
+        # anchor's slot-1 family.  Checked here by the direct formulas
+        # alone, on seeded n-vectors at n = 2, 3 and 4 with random
+        # non-monomial a and g.  Each n-vector has a case with A != 0, so
+        # none of them is Nambu-Poisson.
+        def term_count(tensor):
+            if isinstance(tensor, Polynomial):
+                return len(tensor.terms)
+            return sum(len(coeff.terms) for coeff in tensor.components.values())
+
+        def non_monomial(draw):
+            value = draw()
+            while term_count(value) < 2:
+                value = draw()
+            return value
+
+        nonzero = 0
+        for m, n in ((3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (6, 3), (5, 4), (6, 4)):
+            structure = NambuStructure(m, n, random_multivector(rng, m, n, 1.0))
+            sign = -1 if n % 2 else 1
+            failing = 0
+            for _ in range(6):
+                a = non_monomial(lambda: random_form(rng, m, n - 1, 0.4))
+                g = non_monomial(lambda: random_polynomial(rng, m, 2, 3))
+                unit = dx(m, *rng.choice(list(itertools.combinations(range(1, m + 1), n - 1))))
+                anchor = anchor_residual(structure, a, unit)
+                assert sharp_d_residual(structure, a, unit).is_zero()
+                assert sharp_d_residual(structure, a, unit * g) == apply_vec(anchor, g) * sign
+                failing += not anchor.is_zero()
+            assert failing
+            nonzero += failing
+        # A is nonzero on 42 of the 48 seeded cases
+        assert nonzero >= 40
+
     def test_slot1_cores_are_built_on_demand(self, normal_r4):
         # A sweep failing on the constant row stops before it needs every
         # core R(dx^I, dx^J); a passing one builds each exactly once.
@@ -539,6 +579,40 @@ class TestVerifiers:
         assert not report.passed
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
+    def test_sharp_d_hit_follows_the_anchor_hit(self, rng):
+        # S(a, g dx^J) = (-1)^n A(a, dx^J)(g) and S(a, dx^J) = 0
+        # (test_sharp_d_is_read_off_the_anchor), and a vector field is zero
+        # exactly when it kills every x_j.  So the sharp-d hit is None
+        # exactly when the anchor hit is; otherwise it shares the anchor
+        # hit's (f, I) and has g >= 1, and the first natural Leibniz pair
+        # is the anchor hit.  Checked on the fixtures, on cross_only_r5 and
+        # on seeded n-vectors that are not Nambu-Poisson.
+        from nambu import algebroid
+
+        structures = [load_structure_file(path).structure() for path in sorted(FIXTURES.glob("*.json"))]
+        structures.append(cross_only_r5())
+        structures += [
+            NambuStructure(m, n, random_multivector(rng, m, n, 1.0))
+            for m, n in ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4))
+        ]
+        failing = 0
+        for structure in structures:
+            basis = JetBasis(structure, 2)
+            anchor = basis.once(algebroid._anchor_hit)
+            sharp_d = basis.once(algebroid._sharp_d_hit)
+            assert (anchor is None) == (sharp_d is None)
+            if anchor is None:
+                assert verify_leibniz_identity(basis).passed
+                continue
+            failing += 1
+            assert sharp_d[:2] == anchor[:2] and sharp_d[2] >= 1
+            anchor_report = verify_anchor_morphism(basis)
+            leibniz_report = verify_leibniz_identity(basis)
+            assert leibniz_report.counterexample.inputs[:2] == anchor_report.counterexample.inputs
+        # r6_nonexample, r6_rational, cross_only_r5 and the five seeded
+        # n-vectors fail
+        assert failing == 8
+
     @pytest.mark.parametrize(
         "structure,sharp_d_inputs,leibniz_inputs",
         [
@@ -605,10 +679,10 @@ class TestVerifiers:
         self, monkeypatch, structure, anchor_passes
     ):
         # No natural input has its first Leibniz failure in the sharp-d
-        # part, so plant one: x4 is added to S at (dx1^dx3, x1*dx2^dx4), in
-        # the reduced identity and, through the factorization, in the
-        # direct Leibniz residual.  The report must be the first failure of
-        # the direct scan.
+        # part (test_sharp_d_hit_follows_the_anchor_hit), so plant one: x4
+        # is added to S at (dx1^dx3, x1*dx2^dx4), in the reduced identity
+        # and, through the factorization, in the direct Leibniz residual.
+        # The report must be the first failure of the direct scan.
         from nambu import algebroid
 
         basis = JetBasis(structure, 2)
@@ -668,9 +742,10 @@ class TestVerifiers:
         # swept n-vector; the report must be the first failure of a direct
         # leibniz_residual scan of the third slot from the hit pair, at odd
         # and even n (where (-1)^n flips) and with non-integral coefficients
-        # (the first is never integral).  At a natural hit pair A or S is
-        # zero, so the sign cannot move the triple; the planted test below
-        # pins it.
+        # (the first is never integral).  A natural hit pair is the anchor
+        # hit, where S is zero (test_sharp_d_hit_follows_the_anchor_hit),
+        # so the sign cannot move the triple; the planted test below pins
+        # it.
         def value(denominators):
             return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(denominators))
 
@@ -691,9 +766,9 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_lift_sign_is_pinned_by_a_planted_cancellation(self, monkeypatch, n):
-        # The hit pair has S = 0 when the anchor hit comes first (its second
-        # slot is a unit form) and A = 0 when the sharp-d hit does, so no
-        # natural input lets (-1)^n move the lifted triple.  Plant
+        # A natural hit pair is the anchor hit, whose second slot is a unit
+        # form, so S = 0 there (test_sharp_d_hit_follows_the_anchor_hit)
+        # and no natural input lets (-1)^n move the lifted triple.  Plant
         # A = x1*d1 and S = (-1)^n at the first pair (dx^I, dx^I) of a
         # decomposable lam, in both scans and, through the factorization,
         # in the direct residual.  The Euler field gives
