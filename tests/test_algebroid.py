@@ -589,7 +589,9 @@ class TestVerifiers:
         # on seeded n-vectors that are not Nambu-Poisson.
         from nambu import algebroid
 
-        structures = [load_structure_file(path).structure() for path in sorted(FIXTURES.glob("*.json"))]
+        structures = [
+            load_structure_file(path).structure() for path in sorted(FIXTURES.glob("*.json"))
+        ]
         structures.append(cross_only_r5())
         structures += [
             NambuStructure(m, n, random_multivector(rng, m, n, 1.0))
