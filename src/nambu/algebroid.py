@@ -55,12 +55,6 @@ symmetric; in ``S(a, g b)`` those of ``<d(X_a g) ^ b, lam>`` and
 ``X_a <dg ^ b, lam>`` do (the test suite checks ``D(fh) = f D(h) +
 h D(f) - fh D(1)`` for each slot of both).
 
-The Leibniz check reads its first failing pair off the anchor and sharp-d
-scans, and lifts it to a triple through the same factorization: ``A`` and
-``S`` are evaluated once at the pair and the third slot is scanned with
-``lie_form(A, c) - (-1)^n S c``, with no nested bracket.  The reported
-triple is re-checked by the direct nested formula ``leibniz_residual``.
-
 The sharp-d scan reads ``S`` off the anchor's slot-1 family, which the
 run's basis computes once (``reduced_sharp_d``): for any n-vector, any
 (n-1)-form a and any function g,
@@ -74,9 +68,13 @@ identity).  For ``b = g dx^J``, ``db = dg ^ dx^J``, ``s_b = (-1)^(n-1)
 X_J(g)`` and ``d(i_{X_a} db) = d(X_a g) ^ dx^J + dg ^ d(i_{X_a} dx^J)``;
 collecting terms gives ``(-1)^(n-1) (X_{L_{X_a} dx^J} + (-1)^n s_a X_J -
 [X_a, X_J])(g)``, whose first two terms sum to ``X_{lbracket(a, dx^J)}``.
-A vector field is zero exactly when it kills every ``x_j``, so the sharp-d
-hit shares the anchor hit's ``(f, I)`` and has ``g >= 1``: the first
-natural Leibniz pair is the anchor hit.
+Rows before the anchor hit's ``(f, I)`` have ``A = 0``, so ``S = 0``, and a
+nonzero vector field is nonzero on some ``x_j``: the sharp-d scan reads only
+the anchor hit's row, none when the anchor passes, and the Leibniz check
+lifts the anchor hit to a triple through the factorization (``A`` and ``S``
+evaluated once, the third slot scanned with ``lie_form(A, c) - (-1)^n S c``),
+which the direct nested ``leibniz_residual`` re-checks.  A fault planted in
+``reduced_sharp_d`` on a row where the anchor passes goes unseen.
 
 The exact-forms rule splits into consistency forms.  With closed
 ``a = df_1^..^df_{n-1}`` and ``b = dg_1^..^dg_{n-1}``, ``<d a, lam> = 0``
@@ -234,8 +232,13 @@ def _anchor_hit(basis: JetBasis) -> tuple | None:
 
 
 def _sharp_d_hit(basis: JetBasis) -> tuple | None:
-    """First pair of the capped pair grid where ``reduced_sharp_d`` is nonzero."""
-    return first_hit(basis.pairs(basis.capped(1)), partial(reduced_sharp_d, basis))
+    """First pair of the capped pair grid where ``reduced_sharp_d`` is nonzero,
+    read on the anchor hit's ``(f, I)`` row alone (module docstring)."""
+    anchor = basis.once(_anchor_hit)
+    if anchor is None:
+        return None
+    row = itertools.product([anchor[0]], [anchor[1]], basis.capped(1), basis.index_sets)
+    return first_hit(row, partial(reduced_sharp_d, basis))
 
 
 def verify_anchor_morphism(basis: JetBasis) -> CheckReport:
@@ -253,15 +256,11 @@ def verify_sharp_d_identity(basis: JetBasis) -> CheckReport:
 def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
     """Certify the Leibniz identity over all jet-basis triples.
 
-    The first failing pair is the earlier of the run's anchor and sharp-d
-    hits (module docstring; points compare as tuples in grid order).  It is
-    lifted to the first failing triple by scanning the third slot with
-    ``lie_form(A, c) - (-1)^n S c`` on ``basis.swept``, ``A`` and ``S``
-    evaluated once at the pair.  The report re-checks the triple with the
-    direct nested formula on ``basis.structure``.
+    The first failing pair is the run's anchor hit (module docstring), lifted
+    to the first failing triple by scanning the third slot with
+    ``lie_form(A, c) - (-1)^n S c`` on ``basis.swept``.  The report re-checks
+    the triple with the direct nested formula on ``basis.structure``.
     """
-    hits = [basis.once(_anchor_hit), basis.once(_sharp_d_hit)]
-    hit = min((hit for hit in hits if hit is not None), default=None)
 
     def lift(hit):
         anchor = anchor_residual(basis.swept, *basis.forms(hit))
@@ -276,6 +275,7 @@ def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
         return first_hit((hit + third for third in basis.elements()), residual)
 
     direct = partial(leibniz_residual, basis.structure)
+    hit = basis.once(_anchor_hit)
     return certify_forms(basis, "leibniz", basis.size() ** 3, hit, direct, lift)
 
 

@@ -3,8 +3,8 @@
 One ``JetBasis`` serves a whole ``check`` run: every verifier takes it,
 and a scan that two checks share runs once per run, through
 ``JetBasis.once`` (the invariance sweep of FI and invariance; the anchor
-and sharp-d scans of anchor, sharp-d and Leibniz; the exact-forms
-consistency scan of characterization and phi-morphism).
+scan of anchor, sharp-d and Leibniz; the exact-forms consistency scan of
+characterization and phi-morphism).
 
 Sweeps run on ``c * lam`` (``JetBasis.swept``), c the lcm of the
 coefficient denominators of lam, so their arithmetic stays on ``int``
@@ -53,9 +53,9 @@ Each residual below has its order for any n-vector (``algebroid`` and
 
 * Order <= 1, ``capped(1)``:
   - anchor: the slot-1 family ``(x^g dx^I, dx^J)`` (below);
-  - sharp-d: the pair grid, read off the anchor's slot-1 family;
-  - Leibniz: the earlier of the anchor and sharp-d hits, lifted to a
-    triple through the factorization;
+  - sharp-d: the anchor hit's row of the pair grid, read off the
+    anchor's slot-1 family;
+  - Leibniz: the anchor hit, lifted to a triple through the factorization;
   - characterization's function-slot rules, on unit forms;
   - modular cocycle: the slot-1 family of the modular cochain;
   - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.
@@ -151,10 +151,6 @@ class JetBasis:
     def capped(self, cap: int) -> list[int]:
         """Indices of the monomials of degree <= cap."""
         return [g for g, e in enumerate(self.exponents) if sum(e) <= cap]
-
-    def pairs(self, rows: Sequence[int]):
-        """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``."""
-        return itertools.product(rows, self.index_sets, rows, self.index_sets)
 
 
 def require_jet_degree(max_degree: int) -> None:

@@ -393,11 +393,12 @@ class TestDecompositionsAgainstDirect:
         assert nonzero >= 24
 
     def test_reduced_sharp_d_equals_direct_residual(self, rng, sum_r6):
-        # The sharp-d and Leibniz sweeps evaluate the reduced identity on the
-        # swept n-vector c*lam; it must equal c^2 times the direct residual
-        # on lam as a polynomial for any n-vector, so none of these is
-        # Nambu-Poisson.  The three capped(2) pair grids hold 228,600 pairs;
-        # a seeded sample of each keeps the test short.
+        # reduced_sharp_d reads S off the anchor's slot-1 family on the swept
+        # n-vector c*lam, and the sharp-d scan and the Leibniz lift evaluate
+        # it; it must equal c^2 times the direct residual on lam as a
+        # polynomial for any n-vector, so none of these is Nambu-Poisson.
+        # The three capped(2) pair grids hold 228,600 pairs; a seeded sample
+        # of each keeps the test short.
         structures = [
             NambuStructure(4, 3, random_multivector(rng, 4, 3)),
             NambuStructure(5, 4, random_multivector(rng, 5, 4, 0.4)),
@@ -407,7 +408,7 @@ class TestDecompositionsAgainstDirect:
         for structure in structures:
             basis = JetBasis(structure, 2)
             c = denominator_lcm(structure.nvector)
-            for point in rng.sample(list(basis.pairs(basis.capped(2))), 1500):
+            for point in rng.sample(list(pairs(basis, basis.capped(2))), 1500):
                 value = reduced_sharp_d(basis, *point)
                 assert value == c**2 * sharp_d_residual(structure, *basis.forms(point))
                 nonzero += not value.is_zero()
@@ -492,9 +493,21 @@ def cross_only_r5():
     return NambuStructure(5, 3, dd(5, 1, 2, 3) + dd(5, 3, 4, 5))
 
 
+def cross_r4():
+    """x2*d1^d2^d4 + x3*d2^d3^d4: not integrable; the anchor first fails at
+    (dx1^dx4, dx2^dx3)."""
+    return NambuStructure(4, 3, x(4, 2) * dd(4, 1, 2, 4) + x(4, 3) * dd(4, 2, 3, 4))
+
+
+def pairs(basis, rows):
+    """Pairs ``(f, I, g, J)`` of basis forms with monomials from ``rows``, in
+    the pinned order."""
+    return itertools.product(rows, basis.index_sets, rows, basis.index_sets)
+
+
 def full_pairs(basis):
     """All jet-basis pairs, in the pinned order."""
-    return basis.pairs(range(len(basis.monomials)))
+    return pairs(basis, range(len(basis.monomials)))
 
 
 def first_direct_failure(basis, grid, direct):
@@ -585,8 +598,10 @@ class TestVerifiers:
         # exactly when it kills every x_j.  So the sharp-d hit is None
         # exactly when the anchor hit is; otherwise it shares the anchor
         # hit's (f, I) and has g >= 1, and the first natural Leibniz pair
-        # is the anchor hit.  Checked on the fixtures, on cross_only_r5 and
-        # on seeded n-vectors that are not Nambu-Poisson.
+        # is the anchor hit.  The sharp-d scan reads only that row, so its
+        # hit is compared with a scan of the whole capped pair grid.
+        # Checked on the fixtures, on cross_only_r5 and on seeded n-vectors
+        # that are not Nambu-Poisson.
         from nambu import algebroid
 
         structures = [
@@ -602,6 +617,8 @@ class TestVerifiers:
             basis = JetBasis(structure, 2)
             anchor = basis.once(algebroid._anchor_hit)
             sharp_d = basis.once(algebroid._sharp_d_hit)
+            grid = pairs(basis, basis.capped(1))
+            assert sharp_d == first_hit(grid, partial(reduced_sharp_d, basis))
             assert (anchor is None) == (sharp_d is None)
             if anchor is None:
                 assert verify_leibniz_identity(basis).passed
@@ -620,7 +637,7 @@ class TestVerifiers:
         [
             # the first failure is in the constant-f row
             (
-                NambuStructure(4, 3, x(4, 2) * dd(4, 1, 2, 4) + x(4, 3) * dd(4, 2, 3, 4)),
+                cross_r4(),
                 ("dx1^dx4", "x2*dx3^dx4"),
                 ("dx1^dx4", "dx2^dx3", "dx1^dx4"),
             ),
@@ -669,50 +686,75 @@ class TestVerifiers:
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
     @pytest.mark.parametrize(
-        "structure,anchor_passes",
+        "structure,indices,field,leibniz_pair",
         [
-            # the anchor first fails at (dx1^dx4, dx2^dx3), after the plant
-            (NambuStructure(4, 3, x(4, 2) * dd(4, 1, 2, 4) + x(4, 3) * dd(4, 2, 3, 4)), False),
-            (NambuStructure(4, 3, dd(4, 1, 2, 3)), True),
+            # V = x4*d1 before the natural anchor hit (dx1^dx4, dx2^dx3)
+            (cross_r4(), ((1, 3), (2, 4)), dd(4, 1) * x(4, 4), ("dx1^dx3", "dx2^dx4")),
+            # V cancels the natural anchor hit, so the hits move later
+            (
+                cross_r4(),
+                ((1, 4), (2, 3)),
+                -anchor_residual(cross_r4(), dx(4, 1, 4), dx(4, 2, 3)),
+                ("dx1^dx4", "dx2^dx4"),
+            ),
+            # a Nambu-Poisson n-vector: the plant is the only failure
+            (
+                NambuStructure(4, 3, dd(4, 1, 2, 3)),
+                ((1, 3), (2, 4)),
+                dd(4, 1) * x(4, 4),
+                ("dx1^dx3", "dx2^dx4"),
+            ),
         ],
-        ids=["sharp-d-before-anchor", "anchor-passes"],
+        ids=["before-anchor-hit", "cancels-anchor-hit", "anchor-passes"],
     )
-    def test_planted_sharp_d_fault_is_first_of_direct_scan(
-        self, monkeypatch, structure, anchor_passes
+    def test_planted_anchor_fault_is_first_of_direct_scan(
+        self, monkeypatch, structure, indices, field, leibniz_pair
     ):
-        # No natural input has its first Leibniz failure in the sharp-d
-        # part (test_sharp_d_hit_follows_the_anchor_hit), so plant one: x4
-        # is added to S at (dx1^dx3, x1*dx2^dx4), in the reduced identity
-        # and, through the factorization, in the direct Leibniz residual.
-        # The report must be the first failure of the direct scan.
+        # The sharp-d and Leibniz hits are read off the anchor hit
+        # (test_sharp_d_hit_follows_the_anchor_hit), so plant the fault in
+        # the anchor: P(a, b) = a_I b_J V for fixed I, J and vector field V
+        # is tensorial in a and linear over functions in b, so A + P keeps
+        # the slot-1 rule.  Through S(a, g dx^J) = (-1)^n A(a, dx^J)(g)
+        # (test_sharp_d_is_read_off_the_anchor) it adds (-1)^n a_I V(b_J)
+        # to S, and through the factorization (test_leibniz_factorization)
+        # lie_form(P, c) - a_I V(b_J) c to the Leibniz residual.  Each report
+        # must be the first failure of its direct full-grid scan.
         from nambu import algebroid
 
-        basis = JetBasis(structure, 2)
-        target = (0, (1, 3), basis.monomials.index(x(4, 1)), (2, 4))
-        forms = tuple(basis.forms(target))
-        fault = x(4, 4)
+        left, right = indices
+        zero = Polynomial.zero(structure.m)
         sign = -1 if structure.n % 2 else 1
 
-        def planted_sharp_d(a, b):
-            value = sharp_d_residual(structure, a, b)
-            return value + fault if (a, b) == forms else value
+        def coefficients(a, b):
+            return a.components.get(left, zero), b.components.get(right, zero)
 
-        def planted_reduced(basis, *point):
-            value = reduced_sharp_d(basis, *point)
-            return value + fault if point == target else value
+        def planted_anchor(structure, a, b):
+            a_i, b_j = coefficients(a, b)
+            return anchor_residual(structure, a, b) + field * (a_i * b_j)
+
+        def planted_sharp_d(structure, a, b):
+            a_i, b_j = coefficients(a, b)
+            return sharp_d_residual(structure, a, b) + apply_vec(field, b_j) * a_i * sign
 
         def planted_leibniz(structure, a, b, c):
-            value = leibniz_residual(structure, a, b, c)
-            return value - (c * fault) * sign if (a, b) == forms else value
+            a_i, b_j = coefficients(a, b)
+            value = leibniz_residual(structure, a, b, c) + lie_form(field * (a_i * b_j), c)
+            return value - c * (apply_vec(field, b_j) * a_i)
 
-        monkeypatch.setattr(algebroid, "reduced_sharp_d", planted_reduced)
+        monkeypatch.setattr(algebroid, "anchor_residual", planted_anchor)
+        monkeypatch.setattr(algebroid, "sharp_d_residual", planted_sharp_d)
         monkeypatch.setattr(algebroid, "leibniz_residual", planted_leibniz)
-        assert verify_anchor_morphism(JetBasis(structure, 2)).passed == anchor_passes
+        basis = JetBasis(structure, 2)
+        grid = full_pairs(basis)
+        expected = first_direct_failure(basis, grid, partial(planted_sharp_d, structure))
+        report = verify_sharp_d_identity(JetBasis(structure, 2))
+        assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
         def failing_pair(point):
             a, b = basis.forms(point)
             return not (
-                anchor_residual(structure, a, b).is_zero() and planted_sharp_d(a, b).is_zero()
+                planted_anchor(structure, a, b).is_zero()
+                and planted_sharp_d(structure, a, b).is_zero()
             )
 
         triples = (
@@ -720,10 +762,8 @@ class TestVerifiers:
             for pair_point in filter(failing_pair, full_pairs(basis))
             for third in basis.elements()
         )
-        expected = first_direct_failure(
-            basis, triples, lambda a, b, c: planted_leibniz(structure, a, b, c)
-        )
-        assert expected[0] == ("dx1^dx3", "x1*dx2^dx4", "dx1^dx2")
+        expected = first_direct_failure(basis, triples, partial(planted_leibniz, structure))
+        assert expected[0][:2] == leibniz_pair
         report = verify_leibniz_identity(JetBasis(structure, 2))
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 

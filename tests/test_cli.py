@@ -450,10 +450,20 @@ class TestOneBasisPerRun:
         "argv, expected",
         [
             # C(15, 2) capped f-tuples on R^4 and the 6 x 6 anchor cores,
-            # each evaluated once although two checks read each scan
-            ([R4_NF], {"structure.invariance_defect": 105, "algebroid.anchor_residual": 36}),
+            # each evaluated once although two checks read each scan; the
+            # anchor passes, so neither sharp-d nor Leibniz scans a sharp-d
+            # pair
+            (
+                [R4_NF],
+                {
+                    "structure.invariance_defect": 105,
+                    "algebroid.anchor_residual": 36,
+                    "algebroid.reduced_sharp_d": 0,
+                },
+            ),
             # 97 f-tuples to the invariance hit, plus the defect there
-            # re-evaluated by each report; the sharp-d scan to its hit, plus
+            # re-evaluated by each report; the sharp-d scan of the anchor
+            # hit's row of 7 x 15 pairs from g = 0, 75 to its hit at x4, plus
             # S at the lifted pair; the Leibniz lift scans the third slot
             # through the factorization, so only the report re-evaluates the
             # direct nested residual
@@ -466,7 +476,7 @@ class TestOneBasisPerRun:
                     # its own, plus the anchor report's direct re-check and
                     # A at the lifted pair
                     "algebroid.anchor_residual": 227,
-                    "algebroid.reduced_sharp_d": 2176,
+                    "algebroid.reduced_sharp_d": 76,
                     "algebroid.leibniz_residual": 1,
                 },
             ),
