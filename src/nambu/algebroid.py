@@ -70,11 +70,11 @@ collecting terms gives ``(-1)^(n-1) (X_{L_{X_a} dx^J} + (-1)^n s_a X_J -
 [X_a, X_J])(g)``, whose first two terms sum to ``X_{lbracket(a, dx^J)}``.
 Rows before the anchor hit's ``(f, I)`` have ``A = 0``, so ``S = 0``, and a
 nonzero vector field is nonzero on some ``x_j``: the sharp-d scan reads only
-the anchor hit's row, none when the anchor passes, and the Leibniz check
-lifts the anchor hit to a triple through the factorization (``A`` and ``S``
-evaluated once, the third slot scanned with ``lie_form(A, c) - (-1)^n S c``),
-which the direct nested ``leibniz_residual`` re-checks.  A fault planted in
-``reduced_sharp_d`` on a row where the anchor passes goes unseen.
+the anchor hit's row from g = 1, none when the anchor passes.  The Leibniz
+check lifts the anchor hit, where ``S = 0``, to a triple by scanning the
+third slot with ``lie_form(A, c)``, A read off the family; the direct nested
+``leibniz_residual`` re-checks it.  A fault planted in ``reduced_sharp_d``
+on a row where the anchor passes goes unseen.
 
 The exact-forms rule splits into consistency forms.  With closed
 ``a = df_1^..^df_{n-1}`` and ``b = dg_1^..^dg_{n-1}``, ``<d a, lam> = 0``
@@ -233,11 +233,11 @@ def _anchor_hit(basis: JetBasis) -> tuple | None:
 
 def _sharp_d_hit(basis: JetBasis) -> tuple | None:
     """First pair of the capped pair grid where ``reduced_sharp_d`` is nonzero,
-    read on the anchor hit's ``(f, I)`` row alone (module docstring)."""
+    read on the anchor hit's ``(f, I)`` row from g = 1 (module docstring)."""
     anchor = basis.once(_anchor_hit)
     if anchor is None:
         return None
-    row = itertools.product([anchor[0]], [anchor[1]], basis.capped(1), basis.index_sets)
+    row = itertools.product([anchor[0]], [anchor[1]], basis.capped(1)[1:], basis.index_sets)
     return first_hit(row, partial(reduced_sharp_d, basis))
 
 
@@ -256,21 +256,17 @@ def verify_sharp_d_identity(basis: JetBasis) -> CheckReport:
 def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
     """Certify the Leibniz identity over all jet-basis triples.
 
-    The first failing pair is the run's anchor hit (module docstring), lifted
-    to the first failing triple by scanning the third slot with
-    ``lie_form(A, c) - (-1)^n S c`` on ``basis.swept``.  The report re-checks
-    the triple with the direct nested formula on ``basis.structure``.
+    The first failing pair is the run's anchor hit (module docstring), where
+    ``S = 0``, lifted to the first failing triple by scanning the third slot
+    with ``lie_form(A, c)`` on ``basis.swept``.  The report re-checks the
+    triple with the direct nested formula on ``basis.structure``.
     """
 
     def lift(hit):
-        anchor = anchor_residual(basis.swept, *basis.forms(hit))
-        scalar = reduced_sharp_d(basis, *hit)  # (-1)^n S from here on
-        if basis.swept.n % 2:
-            scalar = -scalar
+        anchor = basis.once(_anchor_family)(*hit)
 
         def residual(*triple):
-            third = basis.form(*triple[4:])
-            return lie_form(anchor, third) - third * scalar
+            return lie_form(anchor, basis.form(*triple[4:]))
 
         return first_hit((hit + third for third in basis.elements()), residual)
 

@@ -20,18 +20,19 @@ is read off the m coordinate columns ``W_j = w_(x_j)``:
 
     w_(x^e) = sum_j e_j * x^(e - 1_j) * W_j,
 
-so the column of ``x^e`` meets the row ``(C, e - 1_j + a)`` for each term
-``(C, a, v)`` of ``W_j`` with ``e_j >= 1``, and the row ``(C, r)`` meets the
-column ``r - a + 1_j`` for each such term with ``a <= r``.
-``exactness_witness`` walks these incidences from the rows of the target
-and assembles and solves only the columns it reaches.  That is exact: the
-connected components of the bipartite graph of rows and columns are blocks
-that share no column, so elimination in one never touches another, and a
-block without a target row is homogeneous, so its solution with the free
-variables at zero is zero.  The walk ignores cancelled entries, so its
-graph may have more edges than the system; a vertex set closed under more
-edges is still a union of components.  The degree-1
-coboundary of a tensorial cochain c evaluates as
+so the column of ``x^e`` has the entry ``e_j v`` at the row
+``(C, e - 1_j + a)`` for each term ``(C, a, v)`` of ``W_j`` with
+``e_j >= 1``, summed over j, and the row ``(C, r)`` meets the column
+``r - a + 1_j`` for each such term with ``a <= r``.  ``exactness_witness``
+walks these incidences from the rows of the target, assembles each column
+when the walk first reaches it, and solves only the columns reached.  That
+is exact: the connected components of the bipartite graph of rows and
+columns are blocks that share no column, so elimination in one never
+touches another, and a block without a target row is homogeneous, so its
+solution with the free variables at zero is zero.  The walk also follows
+entries that cancel, so its graph may have more edges than the system; a
+vertex set closed under more edges is still a union of components.  The
+degree-1 coboundary of a tensorial cochain c evaluates as
 
     sharp(a)(c(b)) - sharp(b)(c(a)) - c(lbracket(a, b)).
 
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import add, sub
+from operator import add
 from typing import Callable
 
 from .algebroid import lbracket
@@ -331,13 +332,14 @@ def exactness_witness(
     Only the columns of the target's connected component are assembled and
     solved (``_component``, module docstring); the others cannot change the
     answer.  The witness is the solution whose free monomial coefficients
-    are zero, with pivots in the grlex order of the component's columns;
-    that solution is unique, so it does not depend on how ``_solve_linear``
-    picks its pivot rows.
+    are zero, with pivots in the grlex order of the component's columns,
+    read off ``_solve_linear``'s values by exponent; that solution is
+    unique, so it does not depend on how ``_solve_linear`` picks its pivot
+    rows.
 
-    The column of ``x^e`` is assembled from the m coordinate columns by the
-    identity of the module docstring.  An infeasible verdict rests on that
-    identity of the implemented kernels, as the capped-row certificates
+    The walk assembles the column of ``x^e`` from the m coordinate columns
+    by the identity of the module docstring.  An infeasible verdict rests on
+    that identity of the implemented kernels, as the capped-row certificates
     rest on theirs; a feasible one is re-checked through ``cobound0``.
     """
     _check_volume(structure, volume)
@@ -361,14 +363,12 @@ def exactness_witness(
             smooth_obstruction=smooth,
         )
 
-    _, exponents = _component(coordinate_columns, target, search_degree)
+    rows, columns = _component(coordinate_columns, target, search_degree)
     rhs = {(indices, exps): value for indices, exps, value in _terms(target)}
-    solution = _solve_linear(_assemble(coordinate_columns, exponents), len(exponents), rhs)
+    solution = _solve_linear(rows, columns, rhs)
     if solution is None:
         return WitnessReport(feasible=False, witness=None, search_degree=search_degree)
-    witness = Polynomial(
-        m, {e: value for e, value in zip(exponents, solution) if value}
-    )
+    witness = Polynomial(m, solution)
     if cobound0(structure, witness).w != target:
         raise AssertionError("solver returned a non-solution")
     return WitnessReport(feasible=True, witness=witness, search_degree=search_degree)
@@ -441,7 +441,7 @@ def _equation_term(coeff: Polynomial, j: int) -> str:
     return f"{text}*df/dx{j}"
 
 
-_Rows = dict[tuple, dict[int, Fraction]]
+_Rows = dict[tuple, dict]
 
 
 def _terms(mv: Multivector):
@@ -453,30 +453,31 @@ def _terms(mv: Multivector):
 
 def _component(
     coordinate_columns: list[Multivector], target: Multivector, max_degree: int
-) -> tuple[set[tuple], list[tuple[int, ...]]]:
-    """The rows, and the exponents of degree <= max_degree in grlex order,
-    of the connected components of the target's rows.
+) -> tuple[_Rows, list[tuple[int, ...]]]:
+    """The rows ``{(index set, exponent): {column exponent: value}}`` of
+    the connected components of the target's rows, and their column
+    exponents, all of degree <= max_degree, in grlex order.
 
-    The walk follows the incidences of ``_assemble`` (module docstring)
-    without summing entries.  A term ``(C, a)`` of ``W_j`` links the row
-    ``(C, r)`` and the column ``r + shift`` with ``shift = 1_j - a``: from a
-    row the walk goes to every such column of degree <= max_degree with
-    ``r >= a``, and from a column e to the row ``(C, e - shift)`` of every
-    term of each ``W_k`` with ``e_k >= 1``."""
+    A term ``(C, a)`` of ``W_j`` links the row ``(C, r)`` and the column
+    ``r + shift`` with ``shift = 1_j - a``.  From a row the walk goes to
+    every such column of degree <= max_degree with ``r >= a``; a column e
+    is assembled when first reached (module docstring): each term
+    ``(C, a, v)`` of each ``W_k`` with ``e_k >= 1`` adds ``e_k v`` at the
+    row ``(C, e - 1_k + a)``, and a row met for the first time is walked
+    next.  An entry whose sum cancels is dropped, but its row is walked."""
+    terms = [list(_terms(w)) for w in coordinate_columns]
     by_index_set: dict[tuple, list[tuple]] = {}
-    by_column: list[list[tuple]] = [[] for _ in coordinate_columns]
-    for j, w in enumerate(coordinate_columns):
-        for indices, a, _ in _terms(w):
+    for j, column_terms in enumerate(terms):
+        for indices, a, _ in column_terms:
             shift = tuple(int(k == j) - a_k for k, a_k in enumerate(a))
-            link = (indices, j, shift, sum(shift))
-            by_index_set.setdefault(indices, []).append(link)
-            by_column[j].append(link)
+            by_index_set.setdefault(indices, []).append((j, shift, sum(shift)))
     pending = [(indices, exps) for indices, exps, _ in _terms(target)]
-    rows, columns = set(pending), set()
+    rows: _Rows = {key: {} for key in pending}
+    columns = set()
     while pending:
         indices, r = pending.pop()
         room = max_degree - sum(r)
-        for _, j, shift, degree in by_index_set.get(indices, ()):
+        for j, shift, degree in by_index_set.get(indices, ()):
             if degree > room:
                 continue
             e = tuple(map(add, r, shift))
@@ -484,74 +485,48 @@ def _component(
                 continue
             columns.add(e)
             for k, e_k in enumerate(e):
-                if e_k:
-                    for row_indices, _, row_shift, _ in by_column[k]:
-                        key = (row_indices, tuple(map(sub, e, row_shift)))
-                        if key not in rows:
-                            rows.add(key)
-                            pending.append(key)
+                if not e_k:
+                    continue
+                lowered = e[:k] + (e_k - 1,) + e[k + 1 :]
+                for row_indices, a, value in terms[k]:
+                    key = (row_indices, tuple(map(add, lowered, a)))
+                    product = e_k * value
+                    if key not in rows:
+                        rows[key] = {e: product}
+                        pending.append(key)
+                    elif e not in (row := rows[key]):
+                        row[e] = product
+                    elif total := row[e] + product:
+                        row[e] = total
+                    else:
+                        del row[e]
     return rows, sorted(columns, key=grlex_key)
 
 
-def _assemble(
-    coordinate_columns: list[Multivector], exponents: list[tuple[int, ...]]
-) -> _Rows:
-    """Rows ``{(index set, exponent): {column: value}}`` of the columns
-    ``cobound0(x^e).w`` for e in ``exponents``, read off the coordinate
-    columns ``W_j`` (module docstring): each term ``(C, a, v)`` of ``W_j``
-    adds ``e_j v`` at row ``(C, e - 1_j + a)``.  An entry whose sum cancels
-    is dropped, and so is a row that empties.  The terms ``e_j v`` are
-    computed once per (j, e_j): with rational v each product costs a gcd."""
-    scaled: dict[tuple[int, int], list[tuple]] = {}
-    rows: _Rows = {}
-    for col, e in enumerate(exponents):
-        for j, e_j in enumerate(e):
-            if not e_j:
-                continue
-            products = scaled.get((j, e_j))
-            if products is None:
-                products = scaled[j, e_j] = [
-                    (indices, exps, e_j * value)
-                    for indices, exps, value in _terms(coordinate_columns[j])
-                ]
-            lowered = e[:j] + (e_j - 1,) + e[j + 1 :]
-            for indices, exps, product in products:
-                key = (indices, tuple(map(add, lowered, exps)))
-                row = rows.setdefault(key, {})
-                if col not in row:
-                    row[col] = product
-                elif total := row[col] + product:
-                    row[col] = total
-                elif len(row) > 1:
-                    del row[col]
-                else:
-                    del rows[key]
-    return rows
-
-
 def _solve_linear(
-    rows: _Rows, count: int, target: dict[tuple, Fraction]
-) -> list[Fraction] | None:
-    """Exact sparse Gauss-Jordan elimination for ``sum_k u_k column_k = target``.
+    rows: _Rows, columns: list, target: dict[tuple, Fraction]
+) -> dict | None:
+    """Exact sparse Gauss-Jordan elimination for ``sum_c u_c column_c = target``.
 
-    ``rows`` holds the nonzero entries of columns ``0 .. count - 1`` by
-    equation key, and ``target`` the nonzero right-hand sides by the same
-    keys; the target becomes column ``count``.  ``rows`` is reduced in
-    place.  Pivot columns are taken in column order, each from the live
-    row with the fewest entries.  Returns the solution with free variables
-    set to zero, or None when a row left without a pivot keeps a nonzero
-    target entry.  The pivot columns are the columns outside the span of
-    the earlier ones, and the reduced system has one solution with zero
-    free variables, so the pivot rows chosen do not change the result.
+    ``rows`` holds the nonzero entries of the ``columns`` by equation key,
+    and ``target`` the nonzero right-hand sides by the same keys; the
+    target becomes the column ``None``.  ``rows`` is reduced in place.
+    Pivot columns are taken in the order of ``columns``, each from the live
+    row with the fewest entries.  Returns ``{column: value}`` on the pivot
+    columns, the solution with free variables at zero, or None when a row
+    left without a pivot keeps a nonzero target entry.  The pivot columns
+    are the columns outside the span of the earlier ones, and the reduced
+    system has one solution with zero free variables, so the pivot rows
+    chosen do not change the result.
     """
     for key, value in target.items():
-        rows.setdefault(key, {})[count] = value
-    rows_of: list[set[tuple]] = [set() for _ in range(count + 1)]
+        rows.setdefault(key, {})[None] = value
+    rows_of: dict = {col: set() for col in [*columns, None]}
     for key, row in rows.items():
         for col in row:
             rows_of[col].add(key)
     live, pivot_of = set(rows), {}
-    for col in range(count):
+    for col in columns:
         candidates = rows_of[col] & live
         if not candidates:
             continue
@@ -569,7 +544,6 @@ def _solve_linear(
                 else:
                     del row[c]
                     rows_of[c].discard(other)
-    if rows_of[count] & live:
+    if rows_of[None] & live:
         return None
-    values = {c: Fraction(rows[key].get(count, 0), rows[key][c]) for c, key in pivot_of.items()}
-    return [values.get(c, Fraction(0)) for c in range(count)]
+    return {c: Fraction(rows[key].get(None, 0), rows[key][c]) for c, key in pivot_of.items()}

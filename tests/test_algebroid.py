@@ -807,48 +807,43 @@ class TestVerifiers:
             assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_lift_sign_is_pinned_by_a_planted_cancellation(self, monkeypatch, n):
-        # A natural hit pair is the anchor hit, whose second slot is a unit
-        # form, so S = 0 there (test_sharp_d_hit_follows_the_anchor_hit)
-        # and no natural input lets (-1)^n move the lifted triple.  Plant
-        # A = x1*d1 and S = (-1)^n at the first pair (dx^I, dx^I) of a
-        # decomposable lam, in both scans and, through the factorization,
-        # in the direct residual.  The Euler field gives
-        # lie_form(A, f dx^J) = (deg_1 f + [1 in J]) f dx^J, so the
-        # residual cancels on the constant dx^J with 1 in J and the report
-        # is the first dx^J without 1; a wrong sign would stop at the first.
+    def test_leibniz_lift_premises_hold_at_the_anchor_hit(self, rng, n):
+        # The Leibniz lift reads A at the anchor hit (f, I, 0, J) off the
+        # anchor's slot-1 family, and it drops the (-1)^n S c term of the
+        # factorization, since S(a, dx^J) = 0 (algebroid docstring).  Both
+        # premises are checked at the anchor hit by the direct formulas on
+        # the swept n-vector: on the fixtures of order n that fail,
+        # cross_only_r5 at n = 3, and two seeded n-vectors of order n.
         from nambu import algebroid
 
-        structure = NambuStructure(n + 1, n, dd(n + 1, *range(1, n + 1)))
-        basis = JetBasis(structure, 2)
-        target = (0, basis.index_sets[0]) * 2
-        forms = tuple(basis.forms(target))
-        euler = Multivector(n + 1, 1, {(1,): x(n + 1, 1)})
-        sign = -1 if n % 2 else 1
-
-        def planted_anchor(structure, a, b):
-            value = anchor_residual(structure, a, b)
-            return value + euler if (a, b) == forms else value
-
-        def planted_reduced(basis, *point):
-            value = reduced_sharp_d(basis, *point)
-            return value + sign if point == target else value
-
-        def planted_leibniz(structure, a, b, c):
-            value = leibniz_residual(structure, a, b, c)
-            return value + lie_form(euler, c) - c if (a, b) == forms else value
-
-        monkeypatch.setattr(algebroid, "anchor_residual", planted_anchor)
-        monkeypatch.setattr(algebroid, "reduced_sharp_d", planted_reduced)
-        monkeypatch.setattr(algebroid, "leibniz_residual", planted_leibniz)
-        triples = (target + third for third in basis.elements())
-        expected = first_direct_failure(
-            basis, triples, lambda a, b, c: planted_leibniz(structure, a, b, c)
-        )
-        third = dx(n + 1, *next(I for I in basis.index_sets if 1 not in I))
-        assert expected[0] == tuple(map(format_tensor, (*forms, third)))
-        report = verify_leibniz_identity(JetBasis(structure, 2))
-        assert (report.counterexample.inputs, report.counterexample.residual) == expected
+        structures = [
+            structure
+            for structure in (
+                load_structure_file(path).structure() for path in sorted(FIXTURES.glob("*.json"))
+            )
+            if structure.n == n
+        ]
+        if n == 3:
+            structures.append(cross_only_r5())
+        structures += [
+            NambuStructure(m, n, random_multivector(rng, m, n, 1.0)) for m in (n + 1, n + 2)
+        ]
+        failing = 0
+        for structure in structures:
+            basis = JetBasis(structure, 2)
+            hit = basis.once(algebroid._anchor_hit)
+            if hit is None:
+                continue
+            failing += 1
+            assert hit[2] == 0 and basis.monomials[0] == Polynomial.constant(structure.m, 1)
+            forms = basis.forms(hit)
+            assert sharp_d_residual(basis.swept, *forms).is_zero()
+            family = basis.once(algebroid._anchor_family)(*hit)
+            assert not family.is_zero()
+            assert anchor_residual(basis.swept, *forms) == family
+        # the two seeded n-vectors fail, and at n = 3 so do r6_nonexample,
+        # r6_rational and cross_only_r5
+        assert failing == (5 if n == 3 else 2)
 
     def test_characterization_slot_failure_is_first_of_full_grid(self, monkeypatch, scaled_r3):
         # The perturbed slot-1 residual fails at x2 on the last index set

@@ -463,20 +463,20 @@ class TestOneBasisPerRun:
             ),
             # 97 f-tuples to the invariance hit, plus the defect there
             # re-evaluated by each report; the sharp-d scan of the anchor
-            # hit's row of 7 x 15 pairs from g = 0, 75 to its hit at x4, plus
-            # S at the lifted pair; the Leibniz lift scans the third slot
-            # through the factorization, so only the report re-evaluates the
-            # direct nested residual
+            # hit's row of 6 x 15 pairs from g = 1, 60 to its hit at x4; the
+            # Leibniz lift scans the third slot through the factorization,
+            # with S = 0 at the anchor hit, so only the report re-evaluates
+            # the direct nested residual
             (
                 [R6_SUM, f"--checks={INTEGRABILITY}"],
                 {
                     "structure.invariance_defect": 99,
-                    # the 15 x 15 anchor cores, which the sharp-d scan reads
-                    # through the anchor's slot-1 family instead of building
-                    # its own, plus the anchor report's direct re-check and
-                    # A at the lifted pair
-                    "algebroid.anchor_residual": 227,
-                    "algebroid.reduced_sharp_d": 76,
+                    # the 15 x 15 anchor cores, which the sharp-d scan and
+                    # the Leibniz lift read through the anchor's slot-1
+                    # family instead of building their own, plus the anchor
+                    # report's direct re-check
+                    "algebroid.anchor_residual": 226,
+                    "algebroid.reduced_sharp_d": 60,
                     "algebroid.leibniz_residual": 1,
                 },
             ),

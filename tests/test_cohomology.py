@@ -507,42 +507,61 @@ class TestExactnessWitness:
 
 
 def _rows_of_columns(columns):
-    """The solver's rows read off per-column multivectors."""
+    """The solver's rows read off per-column multivectors ``{e: mv}``."""
     rows = {}
-    for col, mv in enumerate(columns):
+    for e, mv in columns.items():
         for indices, poly in mv.components.items():
             for exps, value in poly.terms.items():
-                rows.setdefault((indices, exps), {})[col] = value
+                rows.setdefault((indices, exps), {})[e] = value
     return rows
 
 
+def _direct_rows(structure, degree):
+    """The rows of ``cobound0(x^e).w`` over the jet monomials of degree <= D."""
+    return _rows_of_columns({
+        e: cobound0(structure, Polynomial.monomial(e)).w
+        for e in jet_exponents(structure.m, degree)
+    })
+
+
+def _assert_component(structure, target, degree):
+    """Every target row is returned; each returned row is the direct row,
+    with the same values of the same types (an empty one is a row whose
+    entries cancel); every direct row that meets an explored column is
+    returned.  So the walk's rows and columns are closed in the full system
+    of ``jet_exponents(m, D)``: a union of its components."""
+    m = structure.m
+    coordinate = [cobound0(structure, x(m, j)).w for j in range(1, m + 1)]
+    rows, explored = cohomology._component(coordinate, target, degree)
+    direct, reached = _direct_rows(structure, degree), set(explored)
+    assert explored == [e for e in jet_exponents(m, degree) if e in reached]
+    assert {(indices, exps) for indices, exps, _ in cohomology._terms(target)} <= rows.keys()
+
+    def types(row):
+        return {c: type(v) for c, v in row.items()}
+
+    for key, row in rows.items():
+        assert row == direct.get(key, {})
+        assert types(row) == types(direct.get(key, {}))
+    for key, row in direct.items():
+        if row.keys() & reached:
+            assert key in rows
+    return rows, explored
+
+
 class TestAssembly:
-    """``_assemble`` builds the rows of ``cobound0(x^e).w`` over the jet
-    monomials from the m coordinate columns ``cobound0(x_j).w``."""
-
-    @staticmethod
-    def _assembled(structure, degree):
-        m = structure.m
-        exponents = jet_exponents(m, degree)
-        coordinate = [cobound0(structure, x(m, j)).w for j in range(1, m + 1)]
-        rows = cohomology._assemble(coordinate, exponents)
-        expected = _rows_of_columns(
-            [cobound0(structure, Polynomial.monomial(e)).w for e in exponents]
-        )
-        assert rows == expected
-        # the solver reads the same values, of the same types
-        def types(system):
-            return {key: {c: type(v) for c, v in row.items()} for key, row in system.items()}
-
-        assert types(rows) == types(expected)
-        assert all(row and all(row.values()) for row in rows.values())
-        return rows
+    """``_component`` assembles the rows of ``cobound0(x^e).w`` from the m
+    coordinate columns ``cobound0(x_j).w`` as its walk reaches each column.
+    The targets here are planted coboundaries, so the walk reaches the
+    columns of their monomials and beyond."""
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
     def test_fixtures(self, fixture):
         structure = load_structure_file(fixture).structure()
+        m = structure.m
         for degree in range(7):
-            self._assembled(structure, degree)
+            planted = sum(jet_monomials(m, degree), Polynomial.zero(m))
+            _assert_component(structure, cobound0(structure, planted).w, degree)
 
     def test_seeded_rational_structures(self, rng):
         for m in (4, 5, 6):
@@ -550,41 +569,39 @@ class TestAssembly:
                 nvector = random_multivector(rng, m, n, 0.5)
                 while denominator_lcm(nvector) == 1:
                     nvector = random_multivector(rng, m, n, 0.5)
-                self._assembled(NambuStructure(m, n, nvector), 3)
+                structure = NambuStructure(m, n, nvector)
+                target = cobound0(structure, random_polynomial(rng, m, max_degree=3)).w
+                _assert_component(structure, target, 3)
 
     @pytest.mark.parametrize("shared", [False, True], ids=["row-empties", "row-kept"])
     def test_cancelling_contributions_are_dropped(self, shared):
         # x1*x2 reaches ((3, 4), x1*x2) through W_1 and W_2 with opposite
-        # values; with ``shared``, x1^2 also reaches it through W_1
+        # values; with ``shared``, x1^2 also reaches it through W_1.  The
+        # walk starts from that row, and the row stays even when it empties
         f = x(4, 1) + x(4, 2) if shared else x(4, 1)
         nvector = f * dd(4, 1, 3, 4) - x(4, 2) * dd(4, 2, 3, 4)
         structure = NambuStructure(4, 3, nvector)
         w_1, w_2 = (cobound0(structure, x(4, j)).w.component((3, 4)) for j in (1, 2))
         through_1, through_2 = w_1.terms[(1, 0, 0, 0)], w_2.terms[(0, 1, 0, 0)]
         assert through_1 and through_1 + through_2 == 0
-        rows = self._assembled(structure, 2)
-        key, column = ((3, 4), (1, 1, 0, 0)), jet_exponents(4, 2).index((1, 1, 0, 0))
-        if shared:
-            assert rows[key] == {jet_exponents(4, 2).index((2, 0, 0, 0)): 2}
-        else:
-            assert key not in rows
-        assert column not in rows.get(key, {})
+        target = Multivector(4, 2, {(3, 4): x(4, 1) * x(4, 2)})
+        rows, explored = _assert_component(structure, target, 2)
+        assert (1, 1, 0, 0) in explored
+        assert rows[((3, 4), (1, 1, 0, 0))] == ({(2, 0, 0, 0): 2} if shared else {})
 
 
 def _full_solve(structure, volume, degree):
     """The witness search on the full system: every column of
-    ``jet_exponents(m, degree)`` assembled and solved, with no divisibility
-    pre-check.  Returns the feasible flag and the witness."""
-    m = structure.m
+    ``jet_exponents(m, degree)``, read off ``cobound0(x^e)`` directly, and
+    solved with no divisibility pre-check.  Returns the feasible flag and
+    the witness."""
     target = modular_multivector(structure, volume)
-    coordinate = [cobound0(structure, x(m, j)).w for j in range(1, m + 1)]
-    exponents = jet_exponents(m, degree)
     rhs = {(indices, exps): value for indices, exps, value in cohomology._terms(target)}
-    rows = cohomology._assemble(coordinate, exponents)
-    solution = cohomology._solve_linear(rows, len(exponents), rhs)
+    rows = _direct_rows(structure, degree)
+    solution = cohomology._solve_linear(rows, jet_exponents(structure.m, degree), rhs)
     if solution is None:
         return False, None
-    return True, Polynomial(m, dict(zip(exponents, solution)))
+    return True, Polynomial(structure.m, solution)
 
 
 def _seeded_witness_inputs(rng, count):
@@ -652,34 +669,16 @@ class TestComponentSolve:
                 volume = _planted_top_volume(rng, m, planted)
                 assert self._assert_same_as_full(structure, volume, degree) is feasible
 
-    @staticmethod
-    def _assert_closed(structure, volume, degree):
-        """The walk's rows and columns are closed in the full system: a row
-        that meets an explored column is explored, and every column of an
-        explored row is explored.  So they are a union of components."""
-        m = structure.m
-        target = modular_multivector(structure, volume)
-        coordinate = [cobound0(structure, x(m, j)).w for j in range(1, m + 1)]
-        rows, explored = cohomology._component(coordinate, target, degree)
-        exponents = jet_exponents(m, degree)
-        assert explored == [e for e in exponents if e in set(explored)]
-        columns = {exponents.index(e) for e in explored}
-        assert {(indices, exps) for indices, exps, _ in cohomology._terms(target)} <= rows
-        for key, row in cohomology._assemble(coordinate, exponents).items():
-            if columns & row.keys():
-                assert key in rows
-            if key in rows:
-                assert row.keys() <= columns
-
     @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
     def test_component_is_closed_on_fixtures(self, fixture):
         loaded = load_structure_file(fixture)
+        target = modular_multivector(loaded.structure(), loaded.volume())
         for degree in range(7):
-            self._assert_closed(loaded.structure(), loaded.volume(), degree)
+            _assert_component(loaded.structure(), target, degree)
 
     def test_component_is_closed_on_seeded_structures(self, rng):
         for structure, volume, degree in _seeded_witness_inputs(rng, 40):
-            self._assert_closed(structure, volume, degree)
+            _assert_component(structure, modular_multivector(structure, volume), degree)
 
     @pytest.mark.parametrize(
         "name, degree, count", [("r5_normal_form", 8, 0), ("r6_rational", 12, 1)]
@@ -690,7 +689,7 @@ class TestComponentSolve:
         solve, counts = cohomology._solve_linear, []
 
         def recording(rows, columns, target):
-            counts.append(columns)
+            counts.append(len(columns))
             return solve(rows, columns, target)
 
         monkeypatch.setattr(cohomology, "_solve_linear", recording)
@@ -703,7 +702,7 @@ class TestComponentSolve:
         solve = cohomology._solve_linear
 
         def tampered(rows, columns, target):
-            return [value + 1 for value in solve(rows, columns, target)]
+            return {e: value + 1 for e, value in solve(rows, columns, target).items()}
 
         monkeypatch.setattr(cohomology, "_solve_linear", tampered)
         loaded = load_structure_file(FIXTURES / "r6_rational.json")
@@ -770,16 +769,18 @@ class TestSolveLinearOracle:
             )
             reduced, pivots = augmented.rref()
             rows, target = self._sparse(matrix, rhs, keys)
-            solution = cohomology._solve_linear(rows, cols, target)
+            solution = cohomology._solve_linear(rows, list(range(cols)), target)
             outcomes.add(solution is not None)
             if cols in pivots:
                 assert solution is None
                 continue
-            expected = [Fraction(0)] * cols
+            # the pivot columns carry the solution, the free ones are zero
+            expected = {}
             for row, col in enumerate(pivots):
                 value = reduced[row, cols]
                 expected[col] = Fraction(int(value.p), int(value.q))
             assert solution == expected
+            assert all(type(value) is Fraction for value in solution.values())
         assert outcomes == {
             "consistent": {True}, "rank-deficient": {True},
             "inconsistent": {False, True}, "untouched": {False},

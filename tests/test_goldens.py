@@ -59,8 +59,8 @@ def test_witness_solutions_are_fractions(monkeypatch):
     solve = cohomology._solve_linear
     solutions = []
 
-    def recording(rows, count, target):
-        solution = solve(rows, count, target)
+    def recording(rows, columns, target):
+        solution = solve(rows, columns, target)
         solutions.append(solution)
         return solution
 
@@ -69,6 +69,8 @@ def test_witness_solutions_are_fractions(monkeypatch):
         if "--json" not in case["args"]:
             result = run_witness(case["fixture"], case["exponent"], case["args"])
             assert result == (case["exit"], case["stdout"])
-    values = [value for solution in solutions if solution is not None for value in solution]
+    values = [
+        value for solution in solutions if solution is not None for value in solution.values()
+    ]
     assert any(values)
     assert all(type(value) is Fraction for value in values)
