@@ -55,9 +55,22 @@ symmetric; in ``S(a, g b)`` those of ``<d(X_a g) ^ b, lam>`` and
 ``X_a <dg ^ b, lam>`` do (the test suite checks ``D(fh) = f D(h) +
 h D(f) - fh D(1)`` for each slot of both).
 
-The sharp-d scan reads ``S`` off the anchor's slot-1 family, which the
-run's basis computes once (``reduced_sharp_d``): for any n-vector, any
-(n-1)-form a and any function g,
+The anchor scan reads ``A`` off the anchor defect ``T(a) = L_{sharp a} lam -
+(-1)^n <d a, lam> lam`` of ``structure``: for any n-vector and any
+(n-1)-forms a, b, ``A(a, b) = i_b T(a)``.  The run's basis computes T once
+on the basis forms ``x^f dx^I`` with deg f <= 1 (``anchor_defect_scan``), and
+T is first-order in the function slot, so its pass proves ``A = 0`` on all
+polynomial pairs: the anchor, sharp-d and Leibniz checks pass with no
+residual of their own, and so do FI and invariance (``structure``
+docstring).  On its hit row ``(f, I)``, the first failing pair of the
+capped pair grid, in the pinned order, is ``(x^f dx^I, dx^J)`` for the first
+J with ``i(dx^J) T(x^f dx^I) != 0``: an earlier row has ``T = 0``, so ``A =
+0`` on it whatever the second slot, and ``A`` is linear over functions in
+its second slot.  Only that row is read (``_anchor_family``); the anchor
+report re-checks the pair with the direct ``anchor_residual``.
+
+The sharp-d scan reads ``S`` off the same row (``reduced_sharp_d``): for
+any n-vector, any (n-1)-form a and any function g,
 
     S(a, dx^J) = 0,        S(a, g dx^J) = (-1)^n A(a, dx^J)(g).
 
@@ -72,9 +85,11 @@ Rows before the anchor hit's ``(f, I)`` have ``A = 0``, so ``S = 0``, and a
 nonzero vector field is nonzero on some ``x_j``: the sharp-d scan reads only
 the anchor hit's row from g = 1, none when the anchor passes.  The Leibniz
 check lifts the anchor hit, where ``S = 0``, to a triple by scanning the
-third slot with ``lie_form(A, c)``, A read off the family; the direct nested
-``leibniz_residual`` re-checks it.  A fault planted in ``reduced_sharp_d``
-on a row where the anchor passes goes unseen.
+third slot with ``lie_form(A, c)``, A read off T; the direct nested
+``leibniz_residual`` re-checks it.  The blind spot: a fault planted in
+``reduced_sharp_d`` on a row where T vanishes goes unseen, and so does one
+in the direct ``anchor_residual`` on a structure where T vanishes
+everywhere, since then no direct residual is evaluated.
 
 The exact-forms rule splits into consistency forms.  With closed
 ``a = df_1^..^df_{n-1}`` and ``b = dg_1^..^dg_{n-1}``, ``<d a, lam> = 0``
@@ -117,7 +132,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import ArityError, DegreeError
@@ -125,6 +140,7 @@ from .exterior import (
     Form,
     Multivector,
     apply_vec,
+    contract_form,
     contract_vec,
     differential,
     ext_d,
@@ -137,9 +153,10 @@ from .exterior import (
 )
 from .poly import Polynomial
 from .structure import (
-    CheckReport, NambuStructure, capped_first_hit, certify, first_hit, nbracket, sharp,
+    CheckReport, NambuStructure, anchor_defect_scan, capped_first_hit, certify, first_hit,
+    nbracket, sharp,
 )
-from .sweep import JetBasis, certify_forms, slot1_pairs, slot1_residual
+from .sweep import JetBasis, certify_forms
 
 
 def _check_section(structure: NambuStructure, form: Form, name: str) -> None:
@@ -198,7 +215,7 @@ def sharp_d_residual(structure: NambuStructure, alpha: Form, beta: Form) -> Poly
 
 def reduced_sharp_d(basis: JetBasis, f: int, left: tuple, g: int, right: tuple) -> Polynomial:
     """The sharp-d residual on ``basis.swept`` at the basis pair ``(f, I, g, J)``,
-    read off the anchor's slot-1 family: ``(-1)^n A(x^f dx^I, dx^J)(x^g)``."""
+    read off the anchor defect: ``(-1)^n A(x^f dx^I, dx^J)(x^g)``."""
     value = apply_vec(basis.once(_anchor_family)(f, left, 0, right), basis.monomials[g])
     return -value if basis.swept.n % 2 else value
 
@@ -218,17 +235,21 @@ def leibniz_residual(
 
 
 def _anchor_family(basis: JetBasis) -> Callable:
-    """The anchor residual ``A(x^f dx^I, dx^J)`` on ``basis.swept`` at the
-    points ``(f, I, 0, J)`` of its slot-1 family, each computed once."""
-    structure = basis.swept
-    return cache(
-        slot1_residual(basis, partial(sharp, structure), partial(anchor_residual, structure))
-    )
+    """The anchor residual ``A(x^f dx^I, dx^J) = i(dx^J) T(x^f dx^I)`` on
+    ``basis.swept`` at the points ``(f, I, 0, J)``, with T read off the
+    run's anchor-defect scan (module docstring)."""
+    defect, _ = basis.once(anchor_defect_scan)
+    return lambda f, left, _, right: contract_form(basis.units[right], defect(f, left))
 
 
 def _anchor_hit(basis: JetBasis) -> tuple | None:
-    """First failing pair ``(f, I, 0, J)`` of the anchor's slot-1 family."""
-    return first_hit(slot1_pairs(basis, basis.capped(1)), basis.once(_anchor_family))
+    """First failing pair ``(f, I, 0, J)`` of the capped pair grid: the first
+    ``J`` on the anchor-defect scan's hit row ``(f, I)``."""
+    _, row = basis.once(anchor_defect_scan)
+    if row is None:
+        return None
+    pairs = (row + (0, right) for right in basis.index_sets)
+    return first_hit(pairs, basis.once(_anchor_family))
 
 
 def _sharp_d_hit(basis: JetBasis) -> tuple | None:
@@ -242,7 +263,8 @@ def _sharp_d_hit(basis: JetBasis) -> tuple | None:
 
 
 def verify_anchor_morphism(basis: JetBasis) -> CheckReport:
-    """Certify the anchor identity over all jet-basis pairs by the slot-1 rule."""
+    """Certify the anchor identity over all jet-basis pairs by the
+    anchor-defect scan (module docstring)."""
     direct = partial(anchor_residual, basis.structure)
     return certify_forms(basis, "anchor", basis.size() ** 2, basis.once(_anchor_hit), direct)
 

@@ -27,6 +27,38 @@ the pairing is an alternating derivation in each g-slot, so the first
 failing g-tuple is the coordinate tuple ``x_I`` of the first component
 ``L^I`` (``check_fundamental_identity``), and only that tuple is evaluated
 by the direct nested-bracket formula.
+
+The anchor defect.  That sweep runs only when the anchor-defect scan
+fails.  For any n-vector and any (n-1)-form a, the anchor defect
+
+    T(a) = L_{sharp a} lam - (-1)^n <d a, lam> lam
+
+is the n-vector whose contraction by any (n-1)-form b is the anchor
+residual of ``algebroid``: ``A(a, b) = [sharp a, sharp b] - sharp(lbracket(a,
+b)) = i_b T(a)``, since ``[sharp a, sharp b] = L_{sharp a}(i_b lam) =
+i_{L_{sharp a} b} lam + i_b L_{sharp a} lam``.  T is a first-order operator
+in the function slot: ``T(f a) = f T(a) + B(df, a)``, with B linear over
+functions in df, so ``T(fh a) = f T(h a) + h T(f a) - fh T(a)``, and T
+vanishes on every polynomial form once it vanishes on the basis forms
+``x^g dx^I`` with deg g <= 1 (``capped(1)``: g = 1 gives ``T(dx^I) = 0``, then
+g = x_j gives ``B(dx_j, dx^I) = 0``).  ``anchor_defect_scan`` evaluates T
+there, once per run, and a pass proves three things for every polynomial
+pair, at every degree and not only up to the jet degree:
+
+* ``A = 0``, since an n-vector killed by every ``i(dx^J)`` is zero: the
+  anchor, sharp-d and Leibniz checks of ``algebroid`` pass;
+* ``L_{X_F} lam = T(df_1^..^df_{n-1}) = 0`` for every f-tuple, since
+  ``d(df_1^..^df_{n-1}) = 0``: invariance passes;
+* hence ``R = <dg_1^..^dg_n, L_{X_F} lam> = 0``: FI passes.
+
+None of this uses the converse, the source paper's theorem that a
+Nambu-Poisson n-vector makes the anchor a morphism of brackets.  On a hit
+of the scan, FI and invariance run the capped sweep above, unchanged, and
+every reported tuple is re-checked by its direct formula.  The blind spot:
+when T vanishes, no invariance defect, fundamental-identity residual or
+direct anchor residual is evaluated, so a fault in those functions alone
+is not seen; the test suite checks each identity above by the direct
+formulas.
 """
 
 from __future__ import annotations
@@ -41,7 +73,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ArityError, ChartMismatchError, DegreeError, OrderError
 from .exterior import (
-    Form, Multivector, contract_form, differential, format_tensor, lie_mv, pair, wedge,
+    Form, Multivector, contract_form, differential, ext_d, format_tensor, lie_mv, pair, wedge,
     wedge_all,
 )
 from .poly import Polynomial
@@ -278,19 +310,48 @@ def invariance_defect(
     return lie_mv(hamiltonian(structure, fs), structure.nvector)
 
 
+def anchor_defect(structure: NambuStructure, alpha: Form) -> Multivector:
+    """``L_{sharp a} lam - (-1)^n <d a, lam> lam``, whose contraction by an
+    (n-1)-form b is the anchor residual ``A(a, b)`` (module docstring)."""
+    lam = structure.nvector
+    defect = lie_mv(sharp(structure, alpha), lam)
+    scale = pair(ext_d(alpha), lam)
+    if scale.is_zero():
+        return defect
+    correction = lam * scale
+    return defect + correction if structure.n % 2 else defect - correction
+
+
 # -- verifiers ----------------------------------------------------------------
+
+
+def anchor_defect_scan(basis) -> tuple[Callable, tuple | None]:
+    """The anchor defect ``T(x^g dx^I)`` on ``basis.swept``, read as
+    ``defect(g, I)`` and each computed once, and the first basis form
+    ``(g, I)`` of degree ``g <= 1`` where it is nonzero, or None; a run
+    computes the scan once, through ``basis.once``."""
+    structure = basis.swept
+
+    @functools.cache
+    def defect(g: int, indices: tuple[int, ...]) -> Multivector:
+        return anchor_defect(structure, basis.form(g, indices))
+
+    return defect, first_hit(itertools.product(basis.capped(1), basis.index_sets), defect)
 
 
 def _invariance_sweep(basis):
     """The defect of an f-tuple of jet monomials on ``basis.swept`` and the
     first f-tuple whose defect is nonzero; a run computes it once, through
-    ``basis.once``."""
+    ``basis.once``.  A pass of the anchor-defect scan proves every defect
+    zero (module docstring), so the f-tuples are swept only on its hit."""
     structure, monomials = basis.swept, basis.monomials
     grid = functools.partial(itertools.combinations, r=structure.n - 1)
 
     def defect(*fs: Polynomial) -> Multivector:
         return invariance_defect(structure, fs)
 
+    if basis.once(anchor_defect_scan)[1] is None:
+        return defect, None
     capped = [monomials[g] for g in basis.capped(2)]
     return defect, capped_first_hit(grid, defect, monomials, capped)
 

@@ -2,15 +2,16 @@
 
 One ``JetBasis`` serves a whole ``check`` run: every verifier takes it,
 and a scan that two checks share runs once per run, through
-``JetBasis.once`` (the invariance sweep of FI and invariance; the anchor
-scan of anchor, sharp-d and Leibniz; the exact-forms consistency scan of
-characterization and phi-morphism).
+``JetBasis.once`` (the anchor-defect scan of FI, invariance, anchor,
+sharp-d and Leibniz; on its hit, the invariance sweep of FI and
+invariance and the anchor hit of anchor, sharp-d and Leibniz; the
+exact-forms consistency scan of characterization and phi-morphism).
 
 Sweeps run on ``c * lam`` (``JetBasis.swept``), c the lcm of the
 coefficient denominators of lam, so their arithmetic stays on ``int``
 coefficients; reports are computed on lam.  This is exact: every residual
 is homogeneous in lam, ``R(c lam) = c^k R(lam)``, with k = 2 for the
-fundamental-identity residual, the invariance defect, anchor, sharp-d,
+fundamental-identity residual, the invariance and anchor defects, anchor, sharp-d,
 Leibniz and the modular cocycle, and k = 1 for characterization's rules,
 the exact-forms rule, phi-morphism and lsv (the modular multivector built
 from the same n-vector).  So zero sets, hits, rescans and located tuples
@@ -18,10 +19,11 @@ are those of lam itself.
 
 Tables.  A run keeps two kinds of table, each computed on first use and
 then read.  The basis holds what is per run: the unit forms ``dx^I`` and
-the shared scans, the anchor's slot-1 family among them (``algebroid``).
-Each ``NambuStructure`` instance holds what depends on its n-vector alone:
-the anchor ``sharp(dx^I)`` and the bracket ``lbracket(dx^I, dx^J)`` of unit
-forms (``NambuStructure.tabled``), which the anchor's slot-1 family, the
+the shared scans, the anchor defects of the anchor-defect scan among them
+(``structure``).  Each ``NambuStructure`` instance holds what depends on its
+n-vector alone: the anchor ``sharp(dx^I)`` and the bracket
+``lbracket(dx^I, dx^J)`` of unit forms (``NambuStructure.tabled``), which
+the anchor-defect scan, the modular cocycle's slot-1 family, the
 exact-forms scan and characterization's function-slot rules read through
 ``sharp`` and ``lbracket``; so lam and ``c * lam`` have tables of their
 own.  Sharing a result among callers is exact: tensors are immutable, and
@@ -52,15 +54,17 @@ Each residual below has its order for any n-vector (``algebroid`` and
 ``cohomology`` docstrings):
 
 * Order <= 1, ``capped(1)``:
-  - anchor: the slot-1 family ``(x^g dx^I, dx^J)`` (below);
-  - sharp-d: the anchor hit's row of the pair grid, read off the
-    anchor's slot-1 family;
+  - the anchor defect ``T(x^g dx^I)`` (``structure``), whose pass certifies
+    FI, invariance, anchor, sharp-d and Leibniz;
+  - anchor: the first ``dx^J`` on T's hit row, ``A = i(dx^J) T``;
+  - sharp-d: the anchor hit's row of the pair grid, read off T;
   - Leibniz: the anchor hit, lifted to a triple through the factorization;
   - characterization's function-slot rules, on unit forms;
   - modular cocycle: the slot-1 family of the modular cochain;
   - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.
 * Order <= 2, ``capped(2)``: the invariance defect ``L_{X_f} lam`` of FI
-  and invariance, and the exact-forms consistency form
+  and invariance, on a hit of the anchor-defect scan, and the exact-forms
+  consistency form
   ``d(X_F(g) - {F, g})`` of characterization and phi-morphism in g; F
   runs on the coordinate f-tuples, by tensoriality (``algebroid``).
 
@@ -78,9 +82,9 @@ second slot and moves a function out of its first slot through a linear map
     R(f a0, b0) = f R(a0, b0) - sharp(b0)(f) act(a0) + act(i_{sharp a0}(df ^ b0))
 
 is determined on all jet-basis pairs by ``R(x^g dx^I, dx^J)``, and the first
-failing pair has the constant monomial in its second slot.  The anchor
-residual obeys it with ``act = sharp``, the coboundary of a tensorial
-1-cochain ``c`` with ``act = c``; both hold for any n-vector.
+failing pair has the constant monomial in its second slot.  The coboundary
+of a tensorial 1-cochain ``c`` obeys it with ``act = c``, for any n-vector,
+and the modular cocycle is swept through it (``cohomology``).
 """
 
 from __future__ import annotations
@@ -188,12 +192,13 @@ def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable
     """Fast ``R(x^g dx^I, dx^J)`` at the points of ``slot1_pairs``.
 
     ``R`` obeys the slot-1 rule (module docstring) with the linear map
-    ``act``; ``direct(a, b)`` evaluates it on forms and supplies the cores
+    ``act``, as the modular cocycle does with its tensorial cochain;
+    ``direct(a, b)`` evaluates it on forms and supplies the cores
     ``R(dx^I, dx^J)``, each built when a point first needs it.  Both act on
-    ``basis.swept``; ``anchors`` names the anchors of its table once per
-    scan, the same objects, so that a point reads them without a call.  The
-    second monomial of a point is not read: the rule is linear over
-    functions in that slot.
+    ``basis.swept``; ``anchors`` names the tabled ``sharp(dx^I)`` of that
+    structure once per scan, the same objects, so that a point reads them
+    without a call.  The second monomial of a point is not read: the rule
+    is linear over functions in that slot.
     """
     units = basis.units
     anchors = {indices: sharp(basis.swept, unit) for indices, unit in units.items()}

@@ -9,6 +9,7 @@ library's increasing-index merge arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -35,8 +36,12 @@ def sign_of_permutation(perm: tuple[int, ...]) -> int:
     return sign
 
 
+@functools.lru_cache(maxsize=64)
 def dense(tensor) -> dict[tuple[int, ...], Polynomial]:
-    """All ordered-tuple components of a Form or Multivector."""
+    """All ordered-tuple components of a Form or Multivector.
+
+    Tensors are immutable, so the last results are kept; callers only read
+    the returned map."""
     out: dict[tuple[int, ...], Polynomial] = {}
     for indices, coeff in tensor.components.items():
         for perm in itertools.permutations(range(len(indices))):
@@ -201,3 +206,47 @@ def oracle_plucker_fail(values: dict[tuple[int, ...], Fraction], m: int, n: int)
             if total:
                 return True
     return False
+
+
+def oracle_vector_bracket(left: Multivector, right: Multivector) -> Multivector:
+    """Lie bracket of vector fields, ``[X, Y]^k = sum_j X^j d_j Y^k - Y^j d_j X^k``."""
+    m = left.m
+    zero = Polynomial.zero(m)
+    components: dict[tuple[int, ...], Polynomial] = {}
+    x = [left.components.get((k,), zero) for k in range(m + 1)]
+    y = [right.components.get((k,), zero) for k in range(m + 1)]
+    for k in range(1, m + 1):
+        total = zero
+        for j in range(1, m + 1):
+            total = total + x[j] * y[k].diff(j) - y[j] * x[k].diff(j)
+        if not total.is_zero():
+            components[(k,)] = total
+    return Multivector(m, 1, components)
+
+
+def oracle_nambu_poisson(lam: Multivector) -> tuple[bool, bool]:
+    """The two-sided criterion for an n-vector, n >= 3: ``(P, F)``.
+
+    (P) ``i(dx^I) lam ^ lam = 0`` for every (n-1)-set I (Plucker: lam is
+    decomposable wherever it is nonzero); (F) ``[X_I, X_J] ^ lam = 0`` for
+    all I, J, with ``X_I = i(dx^I) lam`` (the image distribution is
+    involutive).  lam is Nambu-Poisson exactly when both hold: where
+    lam != 0 they give Frobenius coordinates with ``lam = h d_1^..^d_n``,
+    which is Nambu-Poisson for n >= 3, and that set is dense; the converse
+    is Gautheron's decomposability theorem (Lett. Math. Phys. 37, 1996)
+    with the involutivity of the Hamiltonian fields.  Computed on dense
+    tensors with the shuffle wedge and the dense contraction above.
+    """
+    m, n = lam.m, lam.degree
+    if n < 3:
+        raise ValueError("the criterion holds for n >= 3")
+    fields = [
+        oracle_contract_form(Form.basis(m, indices), lam)
+        for indices in itertools.combinations(range(1, m + 1), n - 1)
+    ]
+    plucker = all(oracle_wedge(field, lam).is_zero() for field in fields)
+    involutive = all(
+        oracle_wedge(oracle_vector_bracket(left, right), lam).is_zero()
+        for left, right in itertools.combinations(fields, 2)
+    )
+    return plucker, involutive

@@ -56,9 +56,12 @@ from nambu.exterior import (
 from nambu.poly import Polynomial, jet_exponents
 from nambu.structure import (
     NambuStructure,
+    anchor_defect,
     check_fundamental_identity,
+    check_invariance,
     first_hit,
     hamiltonian,
+    invariance_defect,
     nbracket,
     sharp,
 )
@@ -392,6 +395,42 @@ class TestDecompositionsAgainstDirect:
                     nonzero += not value.is_zero()
         assert nonzero >= 24
 
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 3), (5, 4), (6, 5)])
+    def test_anchor_residual_is_a_contraction_of_the_anchor_defect(self, rng, m, n):
+        # For any n-vector, A(a, b) = i_b T(a) with the anchor defect
+        # T(a) = L_{sharp a} lam - (-1)^n <d a, lam> lam; T is first-order
+        # in the function slot, T(f h a) = f T(h a) + h T(f a) - f h T(a);
+        # and T(df_1^..^df_{n-1}) is the invariance defect of the f-tuple,
+        # since d(df_1^..^df_{n-1}) = 0.  The anchor-defect scan rests on
+        # these three (structure docstring).  Checked by the direct
+        # formulas alone on seeded n-vectors that are not Nambu-Poisson,
+        # with non-unit forms a and b.
+        structure = NambuStructure(m, n, random_multivector(rng, m, n, 1.0))
+        one = Polynomial.one(m)
+        nonzero = 0
+        for _ in range(4):
+            a, b = (random_form(rng, m, n - 1, 0.5) for _ in range(2))
+            while len(a.components) < 2:
+                a = random_form(rng, m, n - 1, 0.5)
+            defect = anchor_defect(structure, a)
+            assert anchor_residual(structure, a, b) == contract_form(b, defect)
+            f, h = (random_polynomial(rng, m, 2, 3) for _ in range(2))
+            first_order = (
+                anchor_defect(structure, a * h) * f
+                + anchor_defect(structure, a * f) * h
+                - defect * (f * h)
+            )
+            assert anchor_defect(structure, a * (f * h)) == first_order
+            fs = [
+                random_polynomial(rng, m, 2, 3) + x(m, i) * x(m, rng.randint(1, m))
+                for i in range(1, n)
+            ]
+            exact = wedge_all([differential(g) for g in fs])
+            invariance = invariance_defect(structure, fs)
+            assert anchor_defect(structure, exact) == invariance
+            nonzero += not defect.is_zero() and not invariance.is_zero()
+        assert nonzero >= 3
+
     def test_reduced_sharp_d_equals_direct_residual(self, rng, sum_r6):
         # reduced_sharp_d reads S off the anchor's slot-1 family on the swept
         # n-vector c*lam, and the sharp-d scan and the Leibniz lift evaluate
@@ -686,69 +725,89 @@ class TestVerifiers:
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
     @pytest.mark.parametrize(
-        "structure,indices,field,leibniz_pair",
+        "structure,index,planted,leibniz_pair",
         [
-            # V = x4*d1 before the natural anchor hit (dx1^dx4, dx2^dx3)
-            (cross_r4(), ((1, 3), (2, 4)), dd(4, 1) * x(4, 4), ("dx1^dx3", "dx2^dx4")),
-            # V cancels the natural anchor hit, so the hits move later
+            # T(a) gains a_I x4 d1^d2^d4 on a row before the natural anchor
+            # hit (dx1^dx4, dx2^dx3)
+            (cross_r4(), (1, 3), dd(4, 1, 2, 4) * x(4, 4), ("dx1^dx3", "dx1^dx2")),
+            # Z = -T(dx1^dx4) cancels the natural anchor hit's whole row at
+            # f = 0, so the hits move later
             (
                 cross_r4(),
-                ((1, 4), (2, 3)),
-                -anchor_residual(cross_r4(), dx(4, 1, 4), dx(4, 2, 3)),
-                ("dx1^dx4", "dx2^dx4"),
+                (1, 4),
+                -anchor_defect(cross_r4(), dx(4, 1, 4)),
+                ("dx2^dx4", "dx1^dx3"),
             ),
             # a Nambu-Poisson n-vector: the plant is the only failure
             (
                 NambuStructure(4, 3, dd(4, 1, 2, 3)),
-                ((1, 3), (2, 4)),
-                dd(4, 1) * x(4, 4),
-                ("dx1^dx3", "dx2^dx4"),
+                (1, 3),
+                dd(4, 1, 2, 4) * x(4, 4),
+                ("dx1^dx3", "dx1^dx2"),
             ),
         ],
         ids=["before-anchor-hit", "cancels-anchor-hit", "anchor-passes"],
     )
     def test_planted_anchor_fault_is_first_of_direct_scan(
-        self, monkeypatch, structure, indices, field, leibniz_pair
+        self, monkeypatch, structure, index, planted, leibniz_pair
     ):
-        # The sharp-d and Leibniz hits are read off the anchor hit
-        # (test_sharp_d_hit_follows_the_anchor_hit), so plant the fault in
-        # the anchor: P(a, b) = a_I b_J V for fixed I, J and vector field V
-        # is tensorial in a and linear over functions in b, so A + P keeps
-        # the slot-1 rule.  Through S(a, g dx^J) = (-1)^n A(a, dx^J)(g)
-        # (test_sharp_d_is_read_off_the_anchor) it adds (-1)^n a_I V(b_J)
-        # to S, and through the factorization (test_leibniz_factorization)
-        # lie_form(P, c) - a_I V(b_J) c to the Leibniz residual.  Each report
-        # must be the first failure of its direct full-grid scan.
-        from nambu import algebroid
+        # The anchor, sharp-d and Leibniz hits are read off the anchor
+        # defect T (test_anchor_residual_is_a_contraction_of_the_anchor_defect),
+        # so plant the fault there: T(a) + a_I Z for a fixed n-vector Z is
+        # tensorial in a, so T stays first-order in the function slot, and
+        # it adds P(a, b) = a_I i_b Z = a_I sum_J b_J V_J, V_J = i(dx^J) Z, to
+        # the anchor residual.  Through S(a, g dx^J) = (-1)^n A(a, dx^J)(g)
+        # (test_sharp_d_is_read_off_the_anchor) it adds
+        # (-1)^n a_I sum_J V_J(b_J) to S, and through the factorization
+        # (test_leibniz_factorization) lie_form(P, c) - a_I sum_J V_J(b_J) c
+        # to the Leibniz residual.  Each report must be the first failure of
+        # its direct full-grid scan, with the matching term planted there.
+        from nambu import algebroid, structure as structure_module
 
-        left, right = indices
-        zero = Polynomial.zero(structure.m)
+        m = structure.m
+        zero = Polynomial.zero(m)
         sign = -1 if structure.n % 2 else 1
+        fields = {
+            indices: contract_form(dx(m, *indices), planted)
+            for indices in itertools.combinations(range(1, m + 1), structure.n - 1)
+        }
 
-        def coefficients(a, b):
-            return a.components.get(left, zero), b.components.get(right, zero)
+        def derivation(b):
+            """sum_J V_J(b_J)"""
+            total = zero
+            for indices, coeff in b.components.items():
+                total = total + apply_vec(fields[indices], coeff)
+            return total
+
+        def planted_defect(structure, a):
+            return anchor_defect(structure, a) + planted * a.components.get(index, zero)
 
         def planted_anchor(structure, a, b):
-            a_i, b_j = coefficients(a, b)
-            return anchor_residual(structure, a, b) + field * (a_i * b_j)
+            a_i = a.components.get(index, zero)
+            return anchor_residual(structure, a, b) + contract_form(b, planted) * a_i
 
         def planted_sharp_d(structure, a, b):
-            a_i, b_j = coefficients(a, b)
-            return sharp_d_residual(structure, a, b) + apply_vec(field, b_j) * a_i * sign
+            a_i = a.components.get(index, zero)
+            return sharp_d_residual(structure, a, b) + derivation(b) * a_i * sign
 
         def planted_leibniz(structure, a, b, c):
-            a_i, b_j = coefficients(a, b)
-            value = leibniz_residual(structure, a, b, c) + lie_form(field * (a_i * b_j), c)
-            return value - c * (apply_vec(field, b_j) * a_i)
+            a_i = a.components.get(index, zero)
+            value = leibniz_residual(structure, a, b, c)
+            value = value + lie_form(contract_form(b, planted) * a_i, c)
+            return value - c * (derivation(b) * a_i)
 
+        monkeypatch.setattr(structure_module, "anchor_defect", planted_defect)
         monkeypatch.setattr(algebroid, "anchor_residual", planted_anchor)
         monkeypatch.setattr(algebroid, "sharp_d_residual", planted_sharp_d)
         monkeypatch.setattr(algebroid, "leibniz_residual", planted_leibniz)
         basis = JetBasis(structure, 2)
-        grid = full_pairs(basis)
-        expected = first_direct_failure(basis, grid, partial(planted_sharp_d, structure))
-        report = verify_sharp_d_identity(JetBasis(structure, 2))
-        assert (report.counterexample.inputs, report.counterexample.residual) == expected
+        for verify, direct in (
+            (verify_anchor_morphism, planted_anchor),
+            (verify_sharp_d_identity, planted_sharp_d),
+        ):
+            expected = first_direct_failure(basis, full_pairs(basis), partial(direct, structure))
+            report = verify(JetBasis(structure, 2))
+            assert (report.counterexample.inputs, report.counterexample.residual) == expected
 
         def failing_pair(point):
             a, b = basis.forms(point)
@@ -766,6 +825,36 @@ class TestVerifiers:
         assert expected[0][:2] == leibniz_pair
         report = verify_leibniz_identity(JetBasis(structure, 2))
         assert (report.counterexample.inputs, report.counterexample.residual) == expected
+
+    def test_fault_outside_a_vanishing_anchor_defect_goes_unseen(self, monkeypatch, normal_r4):
+        # The blind spot of the anchor-defect scan: on a structure with
+        # T = 0 its pass certifies FI, invariance, anchor, sharp-d and
+        # Leibniz, so none of them evaluates a residual of its own, and a
+        # fault planted in the invariance defect or in the direct anchor
+        # residual is not reported.  A planted fault is seen only through
+        # the anchor defect (test_planted_anchor_fault_is_first_of_direct_scan).
+        from nambu import algebroid, structure as structure_module
+
+        bump = dd(4, 1, 2, 3)
+        invariance_defect = structure_module.invariance_defect
+        monkeypatch.setattr(
+            structure_module, "invariance_defect", lambda *args: invariance_defect(*args) + bump
+        )
+        monkeypatch.setattr(
+            algebroid, "anchor_residual", lambda *args: anchor_residual(*args) + dd(4, 1)
+        )
+        fs = (x(4, 1), x(4, 2))
+        assert not structure_module.invariance_defect(normal_r4, fs).is_zero()
+        assert not algebroid.anchor_residual(normal_r4, dx(4, 1, 2), dx(4, 1, 3)).is_zero()
+        basis = JetBasis(normal_r4, 2)
+        for verify in (
+            check_fundamental_identity,
+            check_invariance,
+            verify_anchor_morphism,
+            verify_sharp_d_identity,
+            verify_leibniz_identity,
+        ):
+            assert verify(basis).passed
 
     @pytest.mark.parametrize(
         "n, build",

@@ -449,33 +449,36 @@ class TestOneBasisPerRun:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            # C(15, 2) capped f-tuples on R^4 and the 6 x 6 anchor cores,
-            # each evaluated once although two checks read each scan; the
-            # anchor passes, so neither sharp-d nor Leibniz scans a sharp-d
-            # pair
+            # the anchor defect of the 5 x 6 basis forms x^g dx^I with
+            # deg g <= 1 on R^4, evaluated once although five checks read
+            # the scan; it passes, which certifies FI, invariance, anchor,
+            # sharp-d and Leibniz, so none of them evaluates a defect, an
+            # anchor residual or a sharp-d pair of its own
             (
                 [R4_NF],
                 {
-                    "structure.invariance_defect": 105,
-                    "algebroid.anchor_residual": 36,
+                    "structure.anchor_defect": 30,
+                    "structure.invariance_defect": 0,
+                    "algebroid.anchor_residual": 0,
                     "algebroid.reduced_sharp_d": 0,
                 },
             ),
-            # 97 f-tuples to the invariance hit, plus the defect there
-            # re-evaluated by each report; the sharp-d scan of the anchor
-            # hit's row of 6 x 15 pairs from g = 1, 60 to its hit at x4; the
-            # Leibniz lift scans the third slot through the factorization,
-            # with S = 0 at the anchor hit, so only the report re-evaluates
-            # the direct nested residual
+            # the anchor defect of 21 basis forms, to its hit at x1 dx^{2,3};
+            # on that hit 97 f-tuples to the invariance hit, plus the defect
+            # there re-evaluated by each report; the sharp-d scan of the
+            # anchor hit's row of 6 x 15 pairs from g = 1, 60 to its hit at
+            # x4; the Leibniz lift scans the third slot through the
+            # factorization, with S = 0 at the anchor hit, so only the report
+            # re-evaluates the direct nested residual
             (
                 [R6_SUM, f"--checks={INTEGRABILITY}"],
                 {
+                    "structure.anchor_defect": 21,
                     "structure.invariance_defect": 99,
-                    # the 15 x 15 anchor cores, which the sharp-d scan and
-                    # the Leibniz lift read through the anchor's slot-1
-                    # family instead of building their own, plus the anchor
-                    # report's direct re-check
-                    "algebroid.anchor_residual": 226,
+                    # the anchor hit, the sharp-d scan and the Leibniz lift
+                    # read A off the anchor defect of the hit row, so only
+                    # the anchor report's direct re-check evaluates it
+                    "algebroid.anchor_residual": 1,
                     "algebroid.reduced_sharp_d": 60,
                     "algebroid.leibniz_residual": 1,
                 },

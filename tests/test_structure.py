@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import itertools
@@ -30,13 +31,15 @@ from nambu.structure import (
     sharp,
 )
 
-from nambu.algebroid import verify_phi_morphism
+from nambu.algebroid import (
+    verify_anchor_morphism, verify_leibniz_identity, verify_phi_morphism, verify_sharp_d_identity,
+)
 from nambu.cli import CHECKS, DEFAULT_CHECKS
 from nambu.cohomology import VolumeForm, exactness_witness, modular_multivector
 from nambu.sweep import JetBasis
 
 from conftest import jacobian_nvector, poisson_r3, random_multivector, random_polynomial
-from oracles import oracle_nbracket, oracle_plucker_fail
+from oracles import oracle_nambu_poisson, oracle_nbracket, oracle_plucker_fail, oracle_wedge
 
 
 def x(m, i):
@@ -373,7 +376,10 @@ class TestInvariance:
         # the former; the report must be the first nonzero defect of a
         # direct scan over all f-tuples, with its running item count.  At
         # order 2 the f-tuples are single monomials and every cubic comes
-        # after every capped one.
+        # after every capped one.  Both structures are Nambu-Poisson, so
+        # their anchor defect vanishes and would certify invariance without
+        # a sweep; a bump planted in the anchor defect too makes its scan
+        # hit, so the capped sweep and the rescan run.
         from nambu import structure as module
         from nambu.exterior import format_tensor
 
@@ -391,6 +397,8 @@ class TestInvariance:
             return defect + bump if tuple(fs) in planted else defect
 
         monkeypatch.setattr(module, "invariance_defect", planted_defect)
+        anchor_defect = module.anchor_defect
+        monkeypatch.setattr(module, "anchor_defect", lambda *args: anchor_defect(*args) + bump)
         position = next(
             i for i, fs in enumerate(f_tuples) if not planted_defect(nambu, fs).is_zero()
         )
@@ -505,6 +513,78 @@ class TestDecomposabilityOracle:
             for point in points:
                 assert plucker_at(structure, point) is PluckerVerdict.FAIL
 
+
+def affine_field(rng, m):
+    """A seeded vector field with affine coefficients on an m-chart."""
+    return Multivector(m, 1, {
+        (k,): random_polynomial(rng, m, 1, 2) for k in range(1, m + 1) if rng.random() < 0.7
+    })
+
+
+def integrability_oracle_inputs(rng, n):
+    """Seeded n-vectors of the oracle's three kinds at order n: products of
+    affine vector fields on R^{n+1}, ``f * coordinate blade`` on R^{n+1}, and
+    sums of two coordinate blades with seeded coefficients on R^{n+2}, which
+    share n-1 directions in the first draw and n-2 in the second.  Two of
+    each kind."""
+    inputs = []
+    for share in (n - 1, n - 2):
+        fields = [affine_field(rng, n + 1) for _ in range(n)]
+        inputs.append(functools.reduce(oracle_wedge, fields))
+        blade = tuple(sorted(rng.sample(range(1, n + 2), n)))
+        inputs.append(seeded_coefficient(rng, n + 1) * Multivector.basis(n + 1, blade))
+        m = n + 2
+        first = tuple(sorted(rng.sample(range(1, m + 1), n)))
+        shared = rng.sample(first, share)
+        rest = [i for i in range(1, m + 1) if i not in first]
+        second = tuple(sorted(shared + rng.sample(rest, n - len(shared))))
+        coefficients = [
+            seeded_coefficient(rng, m) if rng.random() < 0.5 else Polynomial.constant(m, 2)
+            for _ in range(2)
+        ]
+        inputs.append(
+            coefficients[0] * Multivector.basis(m, first)
+            + coefficients[1] * Multivector.basis(m, second)
+        )
+    return inputs
+
+
+class TestIntegrabilityOracle:
+    """For n >= 3, lam is Nambu-Poisson exactly when (P) Plucker and (F)
+    involutivity hold (``oracles.oracle_nambu_poisson``), which is computed
+    on dense tensors without the library's wedge, contraction or Lie
+    derivative.  Every integrability verdict must equal it, both ways."""
+
+    CHECKS = (
+        check_fundamental_identity,
+        check_invariance,
+        verify_anchor_morphism,
+        verify_sharp_d_identity,
+        verify_leibniz_identity,
+    )
+
+    def test_decomposable_but_not_involutive(self):
+        # d1^d2^(x1*d3 + x3*d4): (P) holds everywhere, but
+        # [d1, x1*d3 + x3*d4] = d3 leaves the image distribution
+        m = 4
+        lam = Multivector.basis(m, (1, 2, 3)) * x(m, 1)
+        lam = lam + Multivector.basis(m, (1, 2, 4)) * x(m, 3)
+        assert oracle_nambu_poisson(lam) == (True, False)
+        basis = JetBasis(NambuStructure(m, 3, lam), 2)
+        assert not any(check(basis).passed for check in self.CHECKS)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_verdicts_equal_the_oracle(self, rng, n):
+        kinds = collections.Counter()
+        for lam in integrability_oracle_inputs(rng, n):
+            plucker, involutive = oracle_nambu_poisson(lam)
+            kinds[plucker, involutive] += 1
+            basis = JetBasis(NambuStructure(lam.m, n, lam), 2)
+            for check in self.CHECKS:
+                assert check(basis).passed == (plucker and involutive), check.__name__
+        # a pass, a (P) failure and an (F)-only failure at every order
+        assert {(True, True), (True, False)} <= set(kinds)
+        assert any(not plucker for plucker, _ in kinds)
 
 class TestPlucker:
     def test_single_component_always_passes(self, scaled_r3):
