@@ -406,7 +406,6 @@ class TestDecompositionsAgainstDirect:
         # formulas alone on seeded n-vectors that are not Nambu-Poisson,
         # with non-unit forms a and b.
         structure = NambuStructure(m, n, random_multivector(rng, m, n, 1.0))
-        one = Polynomial.one(m)
         nonzero = 0
         for _ in range(4):
             a, b = (random_form(rng, m, n - 1, 0.5) for _ in range(2))
@@ -432,7 +431,7 @@ class TestDecompositionsAgainstDirect:
         assert nonzero >= 3
 
     def test_reduced_sharp_d_equals_direct_residual(self, rng, sum_r6):
-        # reduced_sharp_d reads S off the anchor's slot-1 family on the swept
+        # reduced_sharp_d reads S off the anchor defect on the swept
         # n-vector c*lam, and the sharp-d scan and the Leibniz lift evaluate
         # it; it must equal c^2 times the direct residual on lam as a
         # polynomial for any n-vector, so none of these is Nambu-Poisson.
@@ -456,7 +455,7 @@ class TestDecompositionsAgainstDirect:
     def test_sharp_d_is_read_off_the_anchor(self, rng):
         # S(a, dx^J) = 0 and S(a, g dx^J) = (-1)^n A(a, dx^J)(g) for any
         # n-vector (algebroid docstring): the sharp-d scan reads S off the
-        # anchor's slot-1 family.  Checked here by the direct formulas
+        # anchor residuals of the anchor defect.  Checked here by the direct formulas
         # alone, on seeded n-vectors at n = 2, 3 and 4 with random
         # non-monomial a and g.  Each n-vector has a case with A != 0, so
         # none of them is Nambu-Poisson.
@@ -898,7 +897,7 @@ class TestVerifiers:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_leibniz_lift_premises_hold_at_the_anchor_hit(self, rng, n):
         # The Leibniz lift reads A at the anchor hit (f, I, 0, J) off the
-        # anchor's slot-1 family, and it drops the (-1)^n S c term of the
+        # anchor defect, and it drops the (-1)^n S c term of the
         # factorization, since S(a, dx^J) = 0 (algebroid docstring).  Both
         # premises are checked at the anchor hit by the direct formulas on
         # the swept n-vector: on the fixtures of order n that fail,
