@@ -23,9 +23,9 @@ Unit tables.  The anchor ``sharp(dx^I)`` and the bracket
 are computed once per ``NambuStructure`` instance and then read from its
 table (``NambuStructure.tabled``); any other form, ``2 dx^I`` or
 ``x1 dx^I`` included, is computed at each call.  The sweeps below evaluate
-the same unit pairs at many points: characterization's function-slot
-rules read ``lbracket(dx^I, dx^J)`` and ``sharp(dx^I)`` at every point, and
-every ``lbracket`` of a unit left slot reads its anchor.  The verifier still
+the same unit pairs at many points: characterization's slot-1 rule reads
+``lbracket(dx^I, dx^J0)`` and ``sharp(dx^I)`` at every point, and every
+``lbracket`` of a unit left slot reads its anchor.  The verifier still
 calls its residuals at every point; only the unit values inside them are
 read.  Every caller gets the same result object, which is exact because
 tensors are immutable: an operation builds a new tensor and never changes
@@ -124,6 +124,31 @@ slot lemmas above, and the consistency defect
 is zero by ``contract_form``'s defining identity.  A pass of either check
 says that the bracket agrees with its definitions; whether ``lam`` is
 Nambu-Poisson is what the fundamental-identity check decides.
+
+Characterization sweeps each function-slot rule on the smallest grid its
+symbol allows; both reductions hold for any n-vector.  The slot-2 residual
+is ``R'(sharp a, f, b)``, with the Leibniz defect of ``lie_form``
+
+    R'(X, f, b) = lie_form(X, f b) - f lie_form(X, b) - X(f) b
+
+(``lie_form_defect``): the ``(-1)^n <d a, lam> b`` terms cancel exactly.
+R' is linear over functions in X, since ``L_{hX} w = h L_X w + dh ^ i_X w``;
+``R'(X, f, g b) = R'(X, fg, b) - f R'(X, g, b)`` whatever ``lie_form``
+computes; and R' is first-order in f (the capped rows of ``sweep``).  So
+``X = d_k``, f of degree <= 1 and ``b = dx^J`` certify slot-2 on no
+structure, with no ``sharp`` or ``pair``: ``m (m + 1) C(m, n-1)`` points.
+By ``sharp(f a) = f sharp(a)``, ``L_{fX} = f L_X + df ^ i_X``, ``d(f a) = df
+^ a + f da`` and ``i_X(df ^ b) = X(f) b - df ^ i_X b``, the slot-1 residual
+is ``(X_a(f) + (-1)^n <df ^ a, lam>) b``, so on each ``(I, f)`` row the first
+failure of the full grid is at the first index set ``J0``, and slot-1 is
+swept on lam at ``J0`` alone.  Its factor is zero by ``contract_form``'s
+defining identity, which is what the sweep still checks on lam at run time,
+and which the modular cocycle's slot-1 family rests on (``sweep``).  A hit
+of the slot-2 sweep runs both rules on the whole unit grid instead, slot-2
+first, so every report is the first failure of the full grid.  The
+blind spots: a fault planted in ``function_slot2_residual`` alone, or in
+``function_slot1_residual`` at one ``J != J0`` alone, goes unseen, since
+neither is evaluated there; a fault is seen only through the kernels.
 """
 
 from __future__ import annotations
@@ -379,16 +404,35 @@ def function_slot1_residual(
     return residual + contract_vec(sharp(structure, alpha), wedge(differential(f), beta))
 
 
+def lie_form_defect(field: Multivector, f: Polynomial, beta: Form) -> Form:
+    """``lie_form(X, f b) - f lie_form(X, b) - X(f) b``, which equals
+    ``function_slot2_residual(a, f, b)`` at ``X = sharp(a)`` for any n-vector."""
+    residual = lie_form(field, beta * f) - lie_form(field, beta) * f
+    return residual - beta * apply_vec(field, f)
+
+
 def verify_characterization(basis: JetBasis) -> CheckReport:
     """Certify the three characterizing rules of the bracket.
 
-    The two function-slot rules are exactly linear in the coefficients of
-    both form slots (slot lemmas in the module docstring), so unit forms
-    cover the whole grid; each rule is then first-order in the function, so
-    the monomials of degree <= 1 certify it, and a hit there is replaced by
-    the first failure of the full grid (a rescan; ``sweep`` docstring).  The
-    exact-forms rule is certified by ``_exact_forms_sweep``, which locates a
-    failure with ``exact_forms_residual`` and reports its direct value.
+    The exact-forms rule is certified by ``_exact_forms_sweep``, which
+    locates a failure with ``exact_forms_residual`` and reports its direct
+    value.  After it passes, each function-slot rule is swept on the
+    smallest grid its symbol allows (module docstring):
+
+    * slot-2 on no structure: ``lie_form_defect`` at ``X = d_k``, f of
+      degree <= 1 and ``b = dx^J``;
+    * slot-1 on lam at the first index set ``J0`` alone, on its capped rows
+      with the rescan of ``capped_first_hit``, since its residual is
+      ``(X_a(f) + (-1)^n <df ^ a, lam>) b``.
+
+    A hit of the slot-2 sweep runs both rules on the whole unit grid
+    instead, slot-2 first, through ``capped_first_hit``: each rule is
+    linear in the coefficients of both form slots and first-order in the
+    function, so unit forms and the monomials of degree <= 1 certify it,
+    and a hit there is replaced by the first failure of the full grid.
+    Either way the report is the first failure of the full grid.  The blind
+    spots: a fault in ``function_slot2_residual`` alone, or in
+    ``function_slot1_residual`` at one ``J != J0`` alone, goes unseen.
     """
     n = basis.structure.n
     count_forms = basis.size()
@@ -419,11 +463,19 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
         alpha, beta = basis.units[left], basis.units[right]
         return rule, format_tensor(alpha), str(basis.monomials[g]), format_tensor(beta)
 
+    m, capped = basis.structure.m, basis.capped(1)
+    fields = [Multivector.basis(m, (k,)) for k in range(1, m + 1)]
+    free = itertools.product(fields, [basis.monomials[g] for g in capped], basis.units.values())
+    if first_hit(free, lie_form_defect) is None:
+        rules, rights = ("slot-1",), basis.index_sets[:1]
+    else:
+        rules, rights = ("slot-2", "slot-1"), basis.index_sets
+
     def grid(rows):
-        return itertools.product(("slot-2", "slot-1"), basis.index_sets, rows, basis.index_sets)
+        return itertools.product(rules, basis.index_sets, rows, rights)
 
     fast = partial(residual, basis.swept)
-    hit = capped_first_hit(grid, fast, range(len(basis.monomials)), basis.capped(1))
+    hit = capped_first_hit(grid, fast, range(len(basis.monomials)), capped)
     return certify("characterization", items, hit, partial(residual, basis.structure), inputs)
 
 

@@ -24,9 +24,8 @@ the shared scans, the anchor defects of the anchor-defect scan among them
 n-vector alone: the anchor ``sharp(dx^I)`` and the bracket
 ``lbracket(dx^I, dx^J)`` of unit forms (``NambuStructure.tabled``), which
 the anchor-defect scan, the modular cocycle's slot-1 family, the
-exact-forms scan and characterization's function-slot rules read through
-``sharp`` and ``lbracket``; so lam and ``c * lam`` have tables of their
-own.  Sharing a result among callers is exact: tensors are immutable, and
+exact-forms scan and characterization's slot-1 rule read through ``sharp``
+and ``lbracket``; so lam and ``c * lam`` have tables of their own.  Sharing a result among callers is exact: tensors are immutable, and
 every operation builds a new one.
 
 Every verifier certifies through the one scan-and-certify loop of
@@ -59,7 +58,14 @@ Each residual below has its order for any n-vector (``algebroid`` and
   - anchor: the first ``dx^J`` on T's hit row, ``A = i(dx^J) T``;
   - sharp-d: the anchor hit's row of the pair grid, read off T;
   - Leibniz: the anchor hit, lifted to a triple through the factorization;
-  - characterization's function-slot rules, on unit forms;
+  - characterization's function-slot rules, on unit forms, each on the
+    smallest grid its symbol allows (``algebroid``): slot-2 on no
+    structure, as the Leibniz defect ``lie_form_defect`` of ``lie_form`` at
+    ``X = d_k`` and ``b = dx^J``, C^oo-linear in X; slot-1 on lam at the
+    first index set ``J0`` alone, its residual being a multiple of b.  A hit
+    of the slot-2 sweep runs both rules on every unit pair instead.  Blind
+    spots: a fault in the direct slot-2 residual alone, or in the direct
+    slot-1 residual at one ``J != J0`` alone, is not evaluated;
   - modular cocycle: the slot-1 family of the modular cochain;
   - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.
 * Order <= 2, ``capped(2)``: the invariance defect ``L_{X_f} lam`` of FI

@@ -308,6 +308,33 @@ class TestSlotRules:
                 f = random_polynomial(rng, m)
                 assert function_slot1_residual(structure, f, alpha, beta).is_zero()
 
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 3), (5, 4)])
+    def test_slot1_residual_is_a_multiple_of_its_second_slot(self, monkeypatch, rng, m, n):
+        # R1(f, a, b) = (X_a(f) + (-1)^n <df ^ a, lam>) b for any n-vector
+        # and any anchor X that is linear over functions, by sharp(f a) =
+        # f sharp(a), L_{fX} = f L_X + df ^ i_X, d(f a) = df ^ a + f da and
+        # i_X(df ^ b) = X(f) b - df ^ i_X b; characterization therefore
+        # sweeps slot-1 at one dx^J.  With the anchor of lam the factor is
+        # zero by contract_form's defining identity, so the anchor is
+        # perturbed by a tensorial term here, which makes it nonzero.
+        from nambu import algebroid
+
+        lam = random_multivector(rng, m, n)
+        mu = random_multivector(rng, m, n)
+        structure = NambuStructure(m, n, lam)
+        monkeypatch.setattr(
+            algebroid, "sharp", lambda s, alpha: sharp(s, alpha) + contract_form(alpha, mu)
+        )
+        factors = []
+        for _ in range(3):
+            f = random_polynomial(rng, m) + x(m, 1) * x(m, m)
+            alpha, beta = random_form(rng, m, n - 1), random_form(rng, m, n - 1)
+            lifted = pair(wedge(differential(f), alpha), lam)
+            factor = apply_vec(algebroid.sharp(structure, alpha), f) + lifted * (-1) ** n
+            assert function_slot1_residual(structure, f, alpha, beta) == beta * factor
+            factors.append(factor)
+        assert not all(factor.is_zero() for factor in factors)
+
     def test_constant_function_slot2(self, rng, scaled_r3):
         alpha = random_form(rng, 3, 2)
         beta = random_form(rng, 3, 2)
@@ -556,6 +583,27 @@ def first_direct_failure(basis, grid, direct):
         if not value.is_zero():
             text = str(value) if isinstance(value, Polynomial) else format_tensor(value)
             return tuple(map(format_tensor, forms)), text
+    return None
+
+
+def first_slot_rule_failure(basis):
+    """Rendered inputs and residual of the first failure of the direct
+    function-slot residuals on ``basis.structure``, over the full unit grid
+    in the pinned order, slot-2 first; or None.  The residuals are looked up
+    on ``algebroid`` at each point, so a planted one is seen."""
+    from nambu import algebroid
+
+    grid = itertools.product(
+        ("slot-2", "slot-1"), basis.index_sets, basis.monomials, basis.index_sets
+    )
+    for rule, left, f, right in grid:
+        alpha, beta = basis.units[left], basis.units[right]
+        if rule == "slot-2":
+            value = algebroid.function_slot2_residual(basis.structure, alpha, f, beta)
+        else:
+            value = algebroid.function_slot1_residual(basis.structure, f, alpha, beta)
+        if not value.is_zero():
+            return (rule, format_tensor(alpha), str(f), format_tensor(beta)), format_tensor(value)
     return None
 
 
@@ -970,6 +1018,80 @@ class TestVerifiers:
         assert not report.passed
         assert report.counterexample.inputs == inputs
         assert report.counterexample.residual == format_tensor(value)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            dd(3, 1, 2) * x(3, 3) + dd(3, 2, 3) * Fraction(1, 2),
+            dd(4, 1, 2, 3) * (x(4, 4) * Fraction(2, 3)) + dd(4, 2, 3, 4),
+            dd(5, 1, 2, 3, 4) * Fraction(1, 3) + dd(5, 2, 3, 4, 5) * x(5, 1),
+        ],
+        ids=["n2", "n3", "n4"],
+    )
+    def test_planted_lie_form_fault_is_first_of_full_grid(self, monkeypatch, lam):
+        # A lie_form that breaks its Leibniz rule on the one form x1 dx^J,
+        # J the last index set, breaks the slot-2 rule, which characterization
+        # sweeps structure-free as lie_form_defect(d_k, f, dx^J).  That sweep
+        # must hit, and the report must be the first failure of the direct
+        # full-grid scan on lam, both rules in the pinned order (lam has a
+        # non-integral coefficient, so the sweeps run on a multiple of it).
+        from nambu import algebroid
+
+        structure = NambuStructure(lam.m, lam.degree, lam)
+        m = structure.m
+        basis = JetBasis(structure, 3)
+        unit = basis.units[basis.index_sets[-1]]
+        faulty = unit * x(m, 1)
+
+        def planted(field, omega):
+            value = lie_form(field, omega)
+            return value + omega * apply_vec(field, x(m, m)) if omega == faulty else value
+
+        monkeypatch.setattr(algebroid, "lie_form", planted)
+        # a point of the structure-free grid: X = d_m, f = x1, b = dx^J
+        assert not algebroid.lie_form_defect(dd(m, m), x(m, 1), unit).is_zero()
+        expected = first_slot_rule_failure(basis)
+        assert expected is not None and expected[0][0] == "slot-2"
+        report = verify_characterization(JetBasis(structure, 3))
+        assert (report.counterexample.inputs, report.counterexample.residual) == expected
+        # the route's identity at the reported point: the slot-2 residual is
+        # lie_form_defect at X = sharp(a), whatever lie_form computes
+        alpha = next(form for form in basis.units.values() if format_tensor(form) == expected[0][1])
+        assert function_slot2_residual(structure, alpha, x(m, 1), unit) == (
+            algebroid.lie_form_defect(sharp(structure, alpha), x(m, 1), unit)
+        )
+
+    def test_slot_faults_off_the_swept_grid_go_unseen(self, monkeypatch, scaled_r3):
+        # The blind spots of characterization's function-slot sweeps.  Slot-2
+        # is certified structure-free through lie_form_defect, so a fault
+        # planted in function_slot2_residual alone is not evaluated.  Slot-1
+        # is swept at the first index set J0 alone, since its residual is a
+        # multiple of b, so a fault planted in function_slot1_residual at one
+        # J != J0 alone is not evaluated.  Each fault is seen by the direct
+        # full-grid scan, and neither is reported.  A fault is seen only
+        # through the kernels (test_planted_lie_form_fault_is_first_of_full_grid,
+        # test_characterization_slot_failure_is_first_of_full_grid).
+        from nambu import algebroid
+
+        basis = JetBasis(scaled_r3, 3)
+        last = basis.units[basis.index_sets[-1]]
+
+        def slot2(structure, alpha, f, beta):
+            return function_slot2_residual(structure, alpha, f, beta) + beta
+
+        def slot1(structure, f, alpha, beta):
+            value = function_slot1_residual(structure, f, alpha, beta)
+            return value + beta if beta == last else value
+
+        for name, rule, planted in (
+            ("function_slot2_residual", "slot-2", slot2),
+            ("function_slot1_residual", "slot-1", slot1),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(algebroid, name, planted)
+                expected = first_slot_rule_failure(basis)
+                assert expected is not None and expected[0][0] == rule
+                assert verify_characterization(JetBasis(scaled_r3, 3)).passed
 
     def test_anchor_spot_instance(self, scaled_r3):
         # [x3 d3, x3 d1] = x3 d1 = sharp of [[dx1^dx2, dx2^dx3]]

@@ -490,8 +490,20 @@ class TestOneBasisPerRun:
                 [R4_NF, "--checks=characterization,phi-morphism"],
                 {"algebroid.nbracket": 90},
             ),
+            # characterization's function-slot rules after the consistency
+            # scan: slot-2 is swept structure-free, through lie_form_defect,
+            # so its residual on lam is not evaluated; slot-1 is a multiple
+            # of its second slot, so it is swept at the first index set
+            # alone, on the 6 index sets times the 5 monomials of degree <= 1
+            (
+                [R4_NF, "--checks=characterization"],
+                {
+                    "algebroid.function_slot1_residual": 30,
+                    "algebroid.function_slot2_residual": 0,
+                },
+            ),
         ],
-        ids=["r4-default", "r6-integrability", "r4-consistency"],
+        ids=["r4-default", "r6-integrability", "r4-consistency", "r4-characterization"],
     )
     def test_shared_scans_run_once(self, monkeypatch, capsys, argv, expected):
         counts = dict.fromkeys(expected, 0)

@@ -198,10 +198,12 @@ class TestContractVec:
                 assert contract_vec(field, omega) == oracle_contract_vec(field, omega)
 
     def test_antiderivation_rule(self, rng):
-        # i_X(a ^ b) = (i_X a) ^ b + (-1)^deg(a) a ^ (i_X b)
-        m = 4
-        for deg_a, deg_b in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-            for _ in range(5):
+        # i_X(a ^ b) = (i_X a) ^ b + (-1)^deg(a) a ^ (i_X b), and at a = df
+        # i_X(df ^ b) = X(f) b - df ^ i_X b, which characterization's slot-1
+        # sweep rests on, at chart dimensions 2..6
+        for m in range(2, 7):
+            degrees = [(a, b) for a in range(1, m) for b in range(1, m - a + 1)]
+            for (deg_a, deg_b), _ in itertools.product(degrees, range(2)):
                 field = random_multivector(rng, m, 1)
                 a = random_form(rng, m, deg_a)
                 b = random_form(rng, m, deg_b)
@@ -209,6 +211,13 @@ class TestContractVec:
                 rhs = wedge(contract_vec(field, a), b)
                 term = wedge(a, contract_vec(field, b))
                 rhs = rhs + (term if deg_a % 2 == 0 else -term)
+                assert lhs == rhs
+            for degree, _ in itertools.product(range(1, m), range(2)):
+                field = random_multivector(rng, m, 1)
+                f = random_polynomial(rng, m)
+                b = random_form(rng, m, degree)
+                lhs = contract_vec(field, wedge(differential(f), b))
+                rhs = b * apply_vec(field, f) - wedge(differential(f), contract_vec(field, b))
                 assert lhs == rhs
 
 
@@ -342,18 +351,22 @@ class TestLieDerivatives:
             assert lhs == lie_form(lie_mv(a, b), omega)
 
     def test_lie_form_function_multiple_rules(self, rng):
-        # L_{fX} w = f L_X w + df ^ i_X w   and   L_X(f w) = X(f) w + f L_X w
-        m = 3
-        for _ in range(6):
-            field = random_multivector(rng, m, 1)
-            f = random_polynomial(rng, m)
-            omega = random_form(rng, m, 2)
-            assert lie_form(field * f, omega) == lie_form(field, omega) * f + wedge(
-                differential(f), contract_vec(field, omega)
-            )
-            assert lie_form(field, omega * f) == omega * apply_vec(
-                field, f
-            ) + lie_form(field, omega) * f
+        # L_{fX} w = f L_X w + df ^ i_X w   and   L_X(f w) = X(f) w + f L_X w,
+        # with d(f w) = df ^ w + f dw: characterization's function-slot
+        # sweeps rest on these, at chart dimensions 2..6 and form degrees
+        # 1..m-1
+        for m in range(2, 7):
+            for degree, _ in itertools.product(range(1, m), range(2)):
+                field = random_multivector(rng, m, 1)
+                f = random_polynomial(rng, m)
+                omega = random_form(rng, m, degree)
+                assert lie_form(field * f, omega) == lie_form(field, omega) * f + wedge(
+                    differential(f), contract_vec(field, omega)
+                )
+                assert lie_form(field, omega * f) == omega * apply_vec(
+                    field, f
+                ) + lie_form(field, omega) * f
+                assert ext_d(omega * f) == wedge(differential(f), omega) + ext_d(omega) * f
 
 
 class TestTrustedResults:
