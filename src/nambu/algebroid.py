@@ -419,10 +419,14 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
     value.  After it passes, each function-slot rule is swept on the
     smallest grid its symbol allows (module docstring):
 
-    * slot-2 on no structure: ``lie_form_defect`` at ``X = d_k``, f of
-      degree <= 1 and ``b = dx^J``;
+    * slot-2 on no structure: its residual is ``lie_form_defect`` at
+      ``X = sharp(a)``, linear over functions in X by ``L_{hX} = h L_X +
+      dh ^ i_X``, so it is swept at ``X = d_k``, f of degree <= 1 and
+      ``b = dx^J``;
     * slot-1 on lam at the first index set ``J0`` alone, on its capped rows
-      with the rescan of ``capped_first_hit``, since its residual is
+      with the rescan of ``capped_first_hit``: by ``sharp(f a) = f
+      sharp(a)``, ``L_{fX} = f L_X + df ^ i_X``, ``d(f a) = df ^ a + f da``
+      and ``i_X(df ^ b) = X(f) b - df ^ i_X b`` its residual is
       ``(X_a(f) + (-1)^n <df ^ a, lam>) b``.
 
     A hit of the slot-2 sweep runs both rules on the whole unit grid
