@@ -41,19 +41,18 @@ chiefly
     lbracket(a, g*b) = g*lbracket(a, b) + sharp(a)(g) * b          (slot-2)
     lbracket(f*a, b) = f*lbracket(a, b) - i_{sharp a}(df ^ b)      (slot-1)
 
-which give the anchor residual ``A`` the slot-1 rule of ``sweep``, and the
-factorization of the Leibniz residual through ``A`` and the sharp-d
-residual ``S``:
+which make the anchor residual ``A`` first-order in its first slot (it is
+read off the anchor defect, below), and the factorization of the Leibniz
+residual through ``A`` and the sharp-d residual ``S``:
 
     leibniz_residual(a, b, c) = lie_form(A(a,b), c) - (-1)^n * S(a,b) * c.
 
-``A`` and ``S`` are first-order in each function slot: ``A`` obeys the
-slot-1 rule and is linear over functions in its second slot.  In
-``S(f a, b)`` the Hessian terms ``-sum d_i d_j f X_a^i <dx^j ^ b, lam>`` and
-``+sum d_k d_j f X_b^k <dx^j ^ a, lam>`` cancel, the Hessian being
-symmetric; in ``S(a, g b)`` those of ``<d(X_a g) ^ b, lam>`` and
-``X_a <dg ^ b, lam>`` do (the test suite checks ``D(fh) = f D(h) +
-h D(f) - fh D(1)`` for each slot of both).
+``A`` and ``S`` are first-order in each function slot, and ``A`` is
+linear over functions in its second slot.  In ``S(f a, b)`` the Hessian
+terms ``-sum d_i d_j f X_a^i <dx^j ^ b, lam>`` and ``+sum d_k d_j f X_b^k
+<dx^j ^ a, lam>`` cancel, the Hessian being symmetric; in ``S(a, g b)``
+those of ``<d(X_a g) ^ b, lam>`` and ``X_a <dg ^ b, lam>`` do (the test
+suite checks ``D(fh) = f D(h) + h D(f) - fh D(1)`` for each slot of both).
 
 The anchor scan reads ``A`` off the anchor defect ``T(a) = L_{sharp a} lam -
 (-1)^n <d a, lam> lam`` of ``structure``: for any n-vector and any
@@ -66,7 +65,8 @@ docstring).  On its hit row ``(f, I)``, the first failing pair of the
 capped pair grid, in the pinned order, is ``(x^f dx^I, dx^J)`` for the first
 J with ``i(dx^J) T(x^f dx^I) != 0``: an earlier row has ``T = 0``, so ``A =
 0`` on it whatever the second slot, and ``A`` is linear over functions in
-its second slot.  Only that row is read (``_anchor_family``); the anchor
+its second slot.  Only that row is read (``structure.defect_hit``, which
+the modular cocycle's defect scan of ``cohomology`` shares); the anchor
 report re-checks the pair with the direct ``anchor_residual``.
 
 The sharp-d scan reads ``S`` off the same row (``reduced_sharp_d``): for
@@ -142,13 +142,14 @@ By ``sharp(f a) = f sharp(a)``, ``L_{fX} = f L_X + df ^ i_X``, ``d(f a) = df
 is ``(X_a(f) + (-1)^n <df ^ a, lam>) b``, so on each ``(I, f)`` row the first
 failure of the full grid is at the first index set ``J0``, and slot-1 is
 swept on lam at ``J0`` alone.  Its factor is zero by ``contract_form``'s
-defining identity, which is what the sweep still checks on lam at run time,
-and which the modular cocycle's slot-1 family rests on (``sweep``).  A hit
-of the slot-2 sweep runs both rules on the whole unit grid instead, slot-2
-first, so every report is the first failure of the full grid.  The
-blind spots: a fault planted in ``function_slot2_residual`` alone, or in
-``function_slot1_residual`` at one ``J != J0`` alone, goes unseen, since
-neither is evaluated there; a fault is seen only through the kernels.
+defining identity, which is what the sweep still checks on lam at run time.
+Both sweeps start at ``f = x_1``, since at ``f = 1`` each residual is zero
+whatever the kernels compute.  A hit of the slot-2 sweep runs both rules
+on the whole unit grid instead, slot-2 first, so every report is the first
+failure of the full grid.  The blind spots: a fault planted in
+``function_slot2_residual`` alone, or in ``function_slot1_residual`` at one
+``J != J0`` alone, goes unseen, since neither is evaluated there; a fault
+is seen only through the kernels.
 """
 
 from __future__ import annotations
@@ -165,7 +166,6 @@ from .exterior import (
     Form,
     Multivector,
     apply_vec,
-    contract_form,
     contract_vec,
     differential,
     ext_d,
@@ -178,8 +178,8 @@ from .exterior import (
 )
 from .poly import Polynomial
 from .structure import (
-    CheckReport, NambuStructure, anchor_defect_scan, capped_first_hit, certify, first_hit,
-    nbracket, sharp,
+    CheckReport, NambuStructure, anchor_defect_scan, capped_first_hit, certify, defect_hit,
+    first_hit, nbracket, sharp,
 )
 from .sweep import JetBasis, certify_forms
 
@@ -261,20 +261,15 @@ def leibniz_residual(
 
 def _anchor_family(basis: JetBasis) -> Callable:
     """The anchor residual ``A(x^f dx^I, dx^J) = i(dx^J) T(x^f dx^I)`` on
-    ``basis.swept`` at the points ``(f, I, 0, J)``, with T read off the
-    run's anchor-defect scan (module docstring)."""
-    defect, _ = basis.once(anchor_defect_scan)
-    return lambda f, left, _, right: contract_form(basis.units[right], defect(f, left))
+    ``basis.swept`` at the points ``(f, I, 0, J)``: the family of the run's
+    anchor-defect scan (module docstring)."""
+    return basis.once(anchor_defect_scan)[0]
 
 
 def _anchor_hit(basis: JetBasis) -> tuple | None:
     """First failing pair ``(f, I, 0, J)`` of the capped pair grid: the first
     ``J`` on the anchor-defect scan's hit row ``(f, I)``."""
-    _, row = basis.once(anchor_defect_scan)
-    if row is None:
-        return None
-    pairs = (row + (0, right) for right in basis.index_sets)
-    return first_hit(pairs, basis.once(_anchor_family))
+    return defect_hit(basis, basis.once(anchor_defect_scan))
 
 
 def _sharp_d_hit(basis: JetBasis) -> tuple | None:
@@ -434,6 +429,9 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
     linear in the coefficients of both form slots and first-order in the
     function, so unit forms and the monomials of degree <= 1 certify it,
     and a hit there is replaced by the first failure of the full grid.
+    Every one of these sweeps starts at ``f = x_1``: at ``f = 1`` both
+    residuals are zero whatever the kernels compute, since ``b * 1 == b``,
+    ``X(1) = 0`` and ``differential(1) = 0``.
     Either way the report is the first failure of the full grid.  The blind
     spots: a fault in ``function_slot2_residual`` alone, or in
     ``function_slot1_residual`` at one ``J != J0`` alone, goes unseen.
@@ -467,7 +465,7 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
         alpha, beta = basis.units[left], basis.units[right]
         return rule, format_tensor(alpha), str(basis.monomials[g]), format_tensor(beta)
 
-    m, capped = basis.structure.m, basis.capped(1)
+    m, capped = basis.structure.m, basis.capped(1)[1:]
     fields = [Multivector.basis(m, (k,)) for k in range(1, m + 1)]
     free = itertools.product(fields, [basis.monomials[g] for g in capped], basis.units.values())
     if first_hit(free, lie_form_defect) is None:
@@ -479,7 +477,7 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
         return itertools.product(rules, basis.index_sets, rows, rights)
 
     fast = partial(residual, basis.swept)
-    hit = capped_first_hit(grid, fast, range(len(basis.monomials)), capped)
+    hit = capped_first_hit(grid, fast, range(1, len(basis.monomials)), capped)
     return certify("characterization", items, hit, partial(residual, basis.structure), inputs)
 
 

@@ -36,10 +36,20 @@ degree-1 coboundary of a tensorial cochain c evaluates as
 
     sharp(a)(c(b)) - sharp(b)(c(a)) - c(lbracket(a, b)).
 
-The cocycle sweep runs on the engine of ``sweep``: the degree-1
-coboundary obeys its slot-1 rule with ``act = c``, the same rule as the
-anchor residual with ``act = sharp``, so ``verify_cocycle`` certifies the
-hit of ``slot1_hit`` through ``cobound1_eval``.
+For ``c = <., w>`` and any n-vector it is tensorial in its second slot,
+``cobound1(c)(a, b) = <b, U(a)>`` with the cocycle defect
+
+    U(a) = L_{sharp a} w - (-1)^n <d a, lam> w - cobound0(<a, w>).w
+
+(``cocycle_defect``), since ``sharp(a)<b, w> - <L_{sharp a} b, w> = <b,
+L_{sharp a} w>`` and ``pair(b, cobound0(h).w) = sharp(b)(h)``.  U reads no
+``lbracket`` and, like the anchor defect T of ``structure``, is first-order
+in the function slot (``cobound0`` is a derivation).  So ``verify_cocycle``
+scans U on the basis forms ``x^g dx^I`` with deg g <= 1 through T's helpers
+``structure.defect_scan`` and ``defect_hit``: the first ``dx^J`` with
+``<dx^J, U> != 0`` on the hit row is the first failing pair of the jet
+grid, and ``cobound1_eval`` re-checks it.  The blind spot: where U
+vanishes, a fault in ``cobound1_eval`` alone goes unseen.
 
 The volume identity ``lsv_residual`` is zero for every n-vector, Nambu-Poisson
 or not: with ``a = f dx^I`` and ``X_I = sharp(dx^I)``, ``div(f X_I) =
@@ -68,6 +78,7 @@ from .exterior import (
     contract_form,
     differential,
     ext_d,
+    lie_mv,
     pair,
 )
 from .poly import Polynomial, grlex_key
@@ -75,11 +86,13 @@ from .structure import (
     CheckReport,
     NambuStructure,
     certify,
+    defect_hit,
+    defect_scan,
     first_hit,
     hamiltonian,
     sharp,
 )
-from .sweep import JetBasis, certify_forms, slot1_hit
+from .sweep import JetBasis, certify_forms
 
 
 @dataclass(frozen=True)
@@ -194,6 +207,18 @@ def cobound1_eval(
     return value - cochain(lbracket(structure, alpha, beta))
 
 
+def cocycle_defect(structure: NambuStructure, w: Multivector, alpha: Form) -> Multivector:
+    """``L_{sharp a} w - (-1)^n <d a, lam> w - cobound0(<a, w>).w``, whose
+    pairing with an (n-1)-form b is ``cobound1`` of the cochain ``<., w>``
+    at ``(a, b)`` (module docstring)."""
+    defect = lie_mv(sharp(structure, alpha), w) - cobound0(structure, pair(alpha, w)).w
+    scale = pair(ext_d(alpha), structure.nvector)
+    if scale.is_zero():
+        return defect
+    correction = w * scale
+    return defect + correction if structure.n % 2 else defect - correction
+
+
 # -- volume identity -------------------------------------------------------------
 
 
@@ -241,28 +266,25 @@ def verify_lsv(basis: JetBasis, volume: VolumeForm) -> CheckReport:
 
 
 def _cocycle_report(
-    basis: JetBasis, check_name: str, cochain_of: Callable[[NambuStructure], TensorCochain1]
+    basis: JetBasis, check: str, cochain_of: Callable[[NambuStructure], TensorCochain1]
 ) -> CheckReport:
-    """Sweep ``cobound1`` of ``cochain_of(basis.swept)`` on ``basis.swept``;
-    a failure is reported with ``cochain_of(basis.structure)`` on
-    ``basis.structure``.  ``cobound1`` is linear in the n-vector for a fixed
-    cochain, and each cochain is the same multiple of the other on both."""
-    swept = cochain_of(basis.swept)
-    fast = partial(cobound1_eval, basis.swept, swept)
+    """Scan the cocycle defect of ``cochain_of(basis.swept)`` on
+    ``basis.swept`` and report its first failing pair (``defect_hit``) with
+    ``cochain_of(basis.structure)`` on ``basis.structure``.  ``cobound1`` is
+    linear in the n-vector for a fixed cochain, and each cochain is the same
+    multiple of the other on both."""
+    w = cochain_of(basis.swept).w
+    scan = defect_scan(basis, partial(cocycle_defect, basis.swept, w))
 
     def direct(alpha: Form, beta: Form) -> Polynomial:
         return cobound1_eval(basis.structure, cochain_of(basis.structure), alpha, beta)
 
-    return certify_forms(
-        basis, check_name, basis.size() ** 2, slot1_hit(basis, swept, fast), direct
-    )
+    return certify_forms(basis, check, basis.size() ** 2, defect_hit(basis, scan), direct)
 
 
-def verify_cocycle(
-    basis: JetBasis, cochain: TensorCochain1, check_name: str = "cocycle"
-) -> CheckReport:
+def verify_cocycle(basis: JetBasis, cochain: TensorCochain1) -> CheckReport:
     """Certify ``cobound1`` of a tensorial cochain vanishes on all jet pairs."""
-    return _cocycle_report(basis, check_name, lambda _: cochain)
+    return _cocycle_report(basis, "cocycle", lambda _: cochain)
 
 
 def verify_modular_cocycle(basis: JetBasis, volume: VolumeForm) -> CheckReport:

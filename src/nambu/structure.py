@@ -42,8 +42,10 @@ functions in df, so ``T(fh a) = f T(h a) + h T(f a) - fh T(a)``, and T
 vanishes on every polynomial form once it vanishes on the basis forms
 ``x^g dx^I`` with deg g <= 1 (``capped(1)``: g = 1 gives ``T(dx^I) = 0``, then
 g = x_j gives ``B(dx_j, dx^I) = 0``).  ``anchor_defect_scan`` evaluates T
-there, once per run, and a pass proves three things for every polynomial
-pair, at every degree and not only up to the jet degree:
+there, once per run, through ``defect_scan``, the one scan of a first-order
+defect, which the modular cocycle's defect runs too (``cohomology``); a
+pass proves three things for every polynomial pair, at every degree and not
+only up to the jet degree:
 
 * ``A = 0``, since an n-vector killed by every ``i(dx^J)`` is zero: the
   anchor, sharp-d and Leibniz checks of ``algebroid`` pass;
@@ -325,18 +327,36 @@ def anchor_defect(structure: NambuStructure, alpha: Form) -> Multivector:
 # -- verifiers ----------------------------------------------------------------
 
 
-def anchor_defect_scan(basis) -> tuple[Callable, tuple | None]:
-    """The anchor defect ``T(x^g dx^I)`` on ``basis.swept``, read as
-    ``defect(g, I)`` and each computed once, and the first basis form
-    ``(g, I)`` of degree ``g <= 1`` where it is nonzero, or None; a run
-    computes the scan once, through ``basis.once``."""
-    structure = basis.swept
+def defect_scan(basis, defect: Callable[[Form], Multivector]) -> tuple[Callable, tuple | None]:
+    """Scan a defect D that is first-order in the function slot: the family
+    ``i(dx^J) D(x^g dx^I)`` at the points ``(g, I, 0, J)``, each ``D(x^g
+    dx^I)`` computed once, and the first basis form ``(g, I)`` of degree
+    ``g <= 1`` where D is nonzero, or None; a pass proves D zero on every
+    polynomial form (module docstring)."""
 
     @functools.cache
-    def defect(g: int, indices: tuple[int, ...]) -> Multivector:
-        return anchor_defect(structure, basis.form(g, indices))
+    def value(g: int, indices: tuple[int, ...]) -> Multivector:
+        return defect(basis.form(g, indices))
 
-    return defect, first_hit(itertools.product(basis.capped(1), basis.index_sets), defect)
+    def family(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]) -> Multivector:
+        return contract_form(basis.units[right], value(g, left))
+
+    return family, first_hit(itertools.product(basis.capped(1), basis.index_sets), value)
+
+
+def defect_hit(basis, scan: tuple[Callable, tuple | None]) -> tuple | None:
+    """The first point ``(g, I, 0, J)`` of a ``defect_scan``'s hit row where
+    its family is nonzero, or None when the scan passed."""
+    family, row = scan
+    if row is None:
+        return None
+    return first_hit((row + (0, right) for right in basis.index_sets), family)
+
+
+def anchor_defect_scan(basis) -> tuple[Callable, tuple | None]:
+    """The ``defect_scan`` of the anchor defect T on ``basis.swept``; a run
+    computes it once, through ``basis.once``."""
+    return defect_scan(basis, functools.partial(anchor_defect, basis.swept))
 
 
 def _invariance_sweep(basis):

@@ -22,11 +22,12 @@ then read.  The basis holds what is per run: the unit forms ``dx^I`` and
 the shared scans, the anchor defects of the anchor-defect scan among them
 (``structure``).  Each ``NambuStructure`` instance holds what depends on its
 n-vector alone: the anchor ``sharp(dx^I)`` and the bracket
-``lbracket(dx^I, dx^J)`` of unit forms (``NambuStructure.tabled``), which
-the anchor-defect scan, the modular cocycle's slot-1 family, the
-exact-forms scan and characterization's slot-1 rule read through ``sharp``
-and ``lbracket``; so lam and ``c * lam`` have tables of their own.  Sharing a result among callers is exact: tensors are immutable, and
-every operation builds a new one.
+``lbracket(dx^I, dx^J)`` of unit forms (``NambuStructure.tabled``).  The
+anchor and cocycle defects and the exact-forms scan read the anchors
+through ``sharp``, and characterization's slot-1 rule reads the brackets
+``lbracket(dx^I, dx^J0)`` through ``lbracket``; so lam and ``c * lam`` have
+tables of their own.  Sharing a result among callers is exact: tensors are
+immutable, and every operation builds a new one.
 
 Every verifier certifies through the one scan-and-certify loop of
 ``structure``.  ``first_hit`` sweeps a grid in the pinned lexicographic
@@ -62,11 +63,15 @@ Each residual below has its order for any n-vector (``algebroid`` and
     smallest grid its symbol allows (``algebroid``): slot-2 on no
     structure, as the Leibniz defect ``lie_form_defect`` of ``lie_form`` at
     ``X = d_k`` and ``b = dx^J``, C^oo-linear in X; slot-1 on lam at the
-    first index set ``J0`` alone, its residual being a multiple of b.  A hit
-    of the slot-2 sweep runs both rules on every unit pair instead.  Blind
-    spots: a fault in the direct slot-2 residual alone, or in the direct
-    slot-1 residual at one ``J != J0`` alone, is not evaluated;
-  - modular cocycle: the slot-1 family of the modular cochain;
+    first index set ``J0`` alone, its residual being a multiple of b; both
+    from ``f = x_1``, their rows at ``f = 1`` being zero whatever the
+    kernels compute.  A hit of the slot-2 sweep runs both rules on every
+    unit pair instead.  Blind spots: a fault in the direct slot-2 residual
+    alone, or in the direct slot-1 residual at one ``J != J0`` alone, is
+    not evaluated;
+  - modular cocycle: the cocycle defect ``U(x^g dx^I)`` of the modular
+    cochain (``cohomology``), scanned as T is and read as ``<dx^J, U>`` on
+    its hit row;
   - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.
 * Order <= 2, ``capped(2)``: the invariance defect ``L_{X_f} lam`` of FI
   and invariance, on a hit of the anchor-defect scan, and the exact-forms
@@ -80,28 +85,17 @@ replaced by the first over all f-tuples (``structure.capped_first_hit``, a
 rescan).  Characterization's function-slot rules keep that rescan too, so a
 fault that breaks the order argument is still reported at the first failure
 of the full grid.
-
-The slot-1 rule.  A residual ``R`` that is linear over functions in its
-second slot and moves a function out of its first slot through a linear map
-``act`` as
-
-    R(f a0, b0) = f R(a0, b0) - sharp(b0)(f) act(a0) + act(i_{sharp a0}(df ^ b0))
-
-is determined on all jet-basis pairs by ``R(x^g dx^I, dx^J)``, and the first
-failing pair has the constant monomial in its second slot.  The coboundary
-of a tensorial 1-cochain ``c`` obeys it with ``act = c``, for any n-vector,
-and the modular cocycle is swept through it (``cohomology``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Sequence
+from typing import Callable
 
-from .exterior import Form, apply_vec, contract_vec, differential, format_tensor, wedge
+from .exterior import Form, format_tensor
 from .poly import Polynomial, jet_exponents
-from .structure import CheckReport, NambuStructure, certify, first_hit, sharp
+from .structure import CheckReport, NambuStructure, certify
 
 
 class JetBasis:
@@ -184,48 +178,3 @@ def certify_forms(
         lambda *point: tuple(format_tensor(form) for form in basis.forms(point)),
         locate,
     )
-
-
-# -- the slot-1 rule ---------------------------------------------------------------
-
-
-def slot1_pairs(basis: JetBasis, rows: Sequence[int]):
-    """The family ``(x^g dx^I, dx^J)``, g in ``rows``, as points ``(g, I, 0, J)``."""
-    return itertools.product(rows, basis.index_sets, (0,), basis.index_sets)
-
-
-def slot1_residual(basis: JetBasis, act: Callable, direct: Callable) -> Callable:
-    """Fast ``R(x^g dx^I, dx^J)`` at the points of ``slot1_pairs``.
-
-    ``R`` obeys the slot-1 rule (module docstring) with the linear map
-    ``act``, as the modular cocycle does with its tensorial cochain;
-    ``direct(a, b)`` evaluates it on forms and supplies the cores
-    ``R(dx^I, dx^J)``, each built when a point first needs it.  Both act on
-    ``basis.swept``; ``anchors`` names the tabled ``sharp(dx^I)`` of that
-    structure once per scan, the same objects, so that a point reads them
-    without a call.  The second monomial of a point is not read: the rule
-    is linear over functions in that slot.
-    """
-    units = basis.units
-    anchors = {indices: sharp(basis.swept, unit) for indices, unit in units.items()}
-    acted = {indices: act(unit) for indices, unit in units.items()}
-    core = functools.cache(lambda left, right: direct(units[left], units[right]))
-
-    def residual(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]):
-        f = basis.monomials[g]
-        value = core(left, right) * f
-        grad = apply_vec(anchors[right], f)
-        if not grad.is_zero():
-            value = value - acted[left] * grad
-        lifted = contract_vec(anchors[left], wedge(differential(f), units[right]))
-        if not lifted.is_zero():
-            value = value + act(lifted)
-        return value
-
-    return residual
-
-
-def slot1_hit(basis: JetBasis, act: Callable, direct: Callable) -> tuple | None:
-    """First failing pair of a slot-1 rule over all jet-basis pairs: its
-    family on the rows of degree <= 1 certifies and locates it."""
-    return first_hit(slot1_pairs(basis, basis.capped(1)), slot1_residual(basis, act, direct))

@@ -65,7 +65,7 @@ from nambu.structure import (
     nbracket,
     sharp,
 )
-from nambu.sweep import JetBasis, slot1_pairs, slot1_residual
+from nambu.sweep import JetBasis
 from nambu.textio import load_structure_file
 
 from conftest import denominator_lcm, random_form, random_multivector, random_polynomial
@@ -355,25 +355,6 @@ class TestSlotRules:
 class TestDecompositionsAgainstDirect:
     """Each fast-path evaluation must equal the direct defining formula."""
 
-    def test_anchor_pair_decomposition(self, rng, scaled_r3, sum_r6, normal_r4):
-        for structure in (scaled_r3, sum_r6, normal_r4):
-            basis = JetBasis(structure, 3)
-            anchor = slot1_residual(
-                basis,
-                lambda a: sharp(structure, a),
-                lambda a, b: anchor_residual(structure, a, b),
-            )
-
-            for _ in range(10):
-                g = rng.randrange(len(basis.monomials))
-                left = rng.choice(basis.index_sets)
-                right = rng.choice(basis.index_sets)
-                fast = anchor(g, left, 0, right)
-                direct = anchor_residual(
-                    structure, basis.form(g, left), Form.basis(structure.m, right)
-                )
-                assert fast == direct
-
     def test_anchor_second_slot_linearity(self, rng, scaled_r3, sum_r6):
         for structure in (scaled_r3, sum_r6):
             m = structure.m
@@ -514,25 +495,6 @@ class TestDecompositionsAgainstDirect:
             nonzero += failing
         # A is nonzero on 42 of the 48 seeded cases
         assert nonzero >= 40
-
-    def test_slot1_cores_are_built_on_demand(self, normal_r4):
-        # A sweep failing on the constant row stops before it needs every
-        # core R(dx^I, dx^J); a passing one builds each exactly once.
-        failing = NambuStructure(4, 3, x(4, 2) * dd(4, 1, 2, 4) + x(4, 3) * dd(4, 2, 3, 4))
-        for structure, passes in ((failing, False), (normal_r4, True)):
-            basis = JetBasis(structure, 2)
-            built = []
-
-            def direct(a, b):
-                built.append((a, b))
-                return anchor_residual(structure, a, b)
-
-            fast = slot1_residual(basis, partial(sharp, structure), direct)
-            hit = first_hit(slot1_pairs(basis, basis.capped(1)), fast)
-            assert (hit is None) == passes
-            cores = len(basis.index_sets) ** 2
-            assert len(built) == len(set(built))
-            assert len(built) == cores if passes else len(built) < cores
 
     def test_leibniz_factorization(self, rng, scaled_r3, sum_r6, normal_r4):
         # residual(a,b,c) = lie_form(A(a,b), c) - (-1)^n S(a,b) c, any tensor;

@@ -20,6 +20,7 @@ R3_SCALED = str(FIXTURES / "r3_scaled.json")
 R3_VOLUME = str(FIXTURES / "r3_volume.json")
 R4_NF = str(FIXTURES / "r4_normal_form.json")
 R6_SUM = str(FIXTURES / "r6_nonexample.json")
+R6_RATIONAL = str(FIXTURES / "r6_rational.json")
 
 
 def _structure_text(coeff: str) -> str:
@@ -494,16 +495,27 @@ class TestOneBasisPerRun:
             # scan: slot-2 is swept structure-free, through lie_form_defect,
             # so its residual on lam is not evaluated; slot-1 is a multiple
             # of its second slot, so it is swept at the first index set
-            # alone, on the 6 index sets times the 5 monomials of degree <= 1
+            # alone, on the 6 index sets times the 4 monomials x1..x4 (the
+            # row f = 1 is zero whatever the kernels compute)
             (
                 [R4_NF, "--checks=characterization"],
                 {
-                    "algebroid.function_slot1_residual": 30,
+                    "algebroid.function_slot1_residual": 24,
                     "algebroid.function_slot2_residual": 0,
                 },
             ),
+            # the cocycle defect of r6_rational's unit forms dx^I in order, to
+            # its hit at dx4^dx5, the 13th of 15; the report's re-check of
+            # the pair is the only evaluation of the direct cobound1
+            (
+                [R6_RATIONAL, "--checks=modular-cocycle"],
+                {"cohomology.cocycle_defect": 13, "cohomology.cobound1_eval": 1},
+            ),
         ],
-        ids=["r4-default", "r6-integrability", "r4-consistency", "r4-characterization"],
+        ids=[
+            "r4-default", "r6-integrability", "r4-consistency", "r4-characterization",
+            "r6-rational-modular-cocycle",
+        ],
     )
     def test_shared_scans_run_once(self, monkeypatch, capsys, argv, expected):
         counts = dict.fromkeys(expected, 0)
@@ -523,8 +535,9 @@ class TestOneBasisPerRun:
     def test_unit_anchors_and_brackets_are_computed_once(self, monkeypatch, capsys):
         # sharp(dx^I) and lbracket(dx^I, dx^J) are computed once per structure
         # instance and then read from its table; r4_normal_form (m = 4, n = 3)
-        # has 6 unit forms and 36 unit pairs, and its n-vector is integral,
-        # so lam is the swept structure too
+        # has 6 unit forms, and its n-vector is integral, so lam is the swept
+        # structure too.  Of the 36 unit pairs only characterization's slot-1
+        # sweep at J0 reads brackets, the 6 pairs (dx^I, dx^J0)
         counts = collections.Counter()
         instances = []  # holds every structure, so no id is reused
 
@@ -548,7 +561,7 @@ class TestOneBasisPerRun:
             monkeypatch.setattr(module, name, counted)
         assert run(capsys, ["check", R4_NF])[0] == 0
         assert len({id(instance) for instance in instances}) == 1
-        assert collections.Counter(key[0] for key in counts) == {"_contract": 6, "_cartan": 36}
+        assert collections.Counter(key[0] for key in counts) == {"_contract": 6, "_cartan": 6}
         assert set(counts.values()) == {1}
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)

@@ -27,7 +27,8 @@ from nambu.algebroid import (
 )
 from nambu.cli import CHECKS
 from nambu.cohomology import (
-    VolumeForm, cobound1_eval, lsv_residual, modular_cochain, modular_multivector,
+    VolumeForm, cobound1_eval, cocycle_defect, lsv_residual, modular_cochain,
+    modular_multivector,
 )
 from nambu.exterior import Multivector
 from nambu.poly import Polynomial
@@ -55,6 +56,10 @@ def phi_residual(structure, fs, gs):
 
 def modular_cobound1(structure, volume, alpha, beta):
     return cobound1_eval(structure, modular_cochain(structure, volume), alpha, beta)
+
+
+def modular_cocycle_defect(structure, volume, alpha):
+    return cocycle_defect(structure, modular_multivector(structure, volume), alpha)
 
 
 def x(m, i):
@@ -91,6 +96,7 @@ def test_direct_residuals_are_homogeneous_in_lam(rng, m, n):
             (2, sharp_d_residual, (a, b)),
             (2, leibniz_residual, (a, b, e)),
             (2, modular_cobound1, (volume, a, b)),
+            (2, modular_cocycle_defect, (volume, a)),
             (1, exact_forms_residual, (fs, gs[1:])),
             (1, function_slot1_residual, (f, a, b)),
             (1, function_slot2_residual, (a, f, b)),
@@ -109,8 +115,8 @@ def test_direct_residuals_are_homogeneous_in_lam(rng, m, n):
                 nonzero.add(residual.__name__)
     assert nonzero == {
         "fi_residual", "invariance_defect", "anchor_residual", "sharp_d_residual",
-        "leibniz_residual", "modular_cobound1", "nbracket", "hamiltonian", "sharp",
-        "lbracket", "modular_multivector",
+        "leibniz_residual", "modular_cobound1", "modular_cocycle_defect", "nbracket",
+        "hamiltonian", "sharp", "lbracket", "modular_multivector",
     }
 
 
