@@ -4,12 +4,14 @@ Exit codes: 0 when every requested computation/check succeeds, 1 on input
 errors (bad usage, unreadable file, schema violation, bad expression, an
 empty check list, a request above a size budget), 2 when a requested check
 fails.  Output is deterministic: no timestamps, fixed ordering, canonical
-text for every tensor.
+text for every tensor.  ``main`` builds its parser once per process, on its
+first call, and reuses it on every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -96,7 +98,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on the first call and then reused:
+    argparse reads the output streams and the terminal width when it
+    prints, not when it is built, so reuse leaves every message the same."""
     parser = _Parser(
         prog="nambu",
         description="Exact verification and computation for Nambu-Poisson "
@@ -142,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    options = parser.parse_args(argv)
+    options = build_parser().parse_args(argv)
     emit = _Emitter(quiet=options.quiet)
     try:
         loaded = load_structure_file(options.file)

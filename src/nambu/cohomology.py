@@ -89,7 +89,6 @@ from .structure import (
     defect_hit,
     defect_scan,
     first_hit,
-    hamiltonian,
     sharp,
 )
 from .sweep import JetBasis, certify_forms
@@ -157,15 +156,15 @@ def modular_multivector(structure: NambuStructure, volume: VolumeForm) -> Multiv
     """The (n-1)-vector measuring divergence of Hamiltonian fields.
 
     Component at increasing I: ``div(X_I) + X_I(p)`` where ``X_I`` is the
-    Hamiltonian field of the coordinate functions indexed by I.
+    Hamiltonian field of the coordinate functions indexed by I.  Since
+    ``dx_(i1) ^ .. ^ dx_(ik) = dx^I``, that field is the unit anchor
+    ``X_I = sharp(dx^I)``, read from the structure's table.
     """
     _check_volume(structure, volume)
     m, n = structure.m, structure.n
     components: dict[tuple[int, ...], Polynomial] = {}
     for indices in itertools.combinations(range(1, m + 1), n - 1):
-        field = hamiltonian(
-            structure, [Polynomial.variable(m, i) for i in indices]
-        )
+        field = sharp(structure, Form.basis(m, indices))
         value = divergence(field) + apply_vec(field, volume.p)
         if not value.is_zero():
             components[indices] = value
@@ -400,9 +399,10 @@ def _divisibility_obstruction(
     structure: NambuStructure, target: Multivector, columns: list[Multivector]
 ) -> tuple[str, bool] | None:
     m = structure.m
+    zero = Polynomial.zero(m)
     for indices in itertools.combinations(range(1, m + 1), structure.n - 1):
-        t_comp = target.component(indices)
-        coeffs = [col.component(indices) for col in columns]
+        t_comp = target.components.get(indices, zero)
+        coeffs = [col.components.get(indices, zero) for col in columns]
         nonzero = [(j, c) for j, c in enumerate(coeffs, start=1) if not c.is_zero()]
         if not nonzero:
             if not t_comp.is_zero():

@@ -5,13 +5,16 @@ from __future__ import annotations
 import collections
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from nambu import algebroid, cohomology, structure
-from nambu.cli import CHECKS, main
+from nambu.cli import CHECKS, build_parser, main
 from nambu.poly import Polynomial
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -633,6 +636,42 @@ class TestUsageErrors:
             main(["check", "--help"])
         assert info.value.code == 0
         assert "--jet-degree" in capsys.readouterr().out
+
+
+class TestOneParserPerProcess:
+    """``main`` reuses one parser, so a call must leave nothing behind that
+    a later call could see: each call's exit code, stdout and stderr equal
+    those of the same argv in a fresh interpreter."""
+
+    SEQUENCE = [
+        ["check", R6_SUM, "--json", "--checks=anchor"],
+        ["check", R3_SCALED, "--quiet"],
+        ["witness", R3_SCALED, "--max-degree=6"],
+        ["compute", R3_SCALED, "hamiltonian", "--", "-x1", "x2"],
+        ["check", R3_SCALED, "--jet-degree=abc"],
+        ["--help"],
+        ["check", R6_SUM, "--json", "--checks=anchor"],
+    ]
+
+    def test_calls_equal_fresh_interpreters(self, monkeypatch, capsys):
+        # argparse wraps help text at the terminal width, which a fresh
+        # interpreter with piped output takes from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(FIXTURES.parent / "src")}
+        assert build_parser() is build_parser()
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "nambu.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
 
 
 class TestWitness:

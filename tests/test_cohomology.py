@@ -163,6 +163,45 @@ class TestModularMultivector:
             paired = pair(wedge(differential(fs[0]), differential(fs[1])), modular)
             assert operator_value == paired
 
+    @staticmethod
+    def _hamiltonian_formula(structure, volume):
+        """``sum_I (div(X_I) + X_I(p)) d^I`` with ``X_I`` the Hamiltonian
+        field of the coordinates x_I, on a fresh instance of the structure,
+        so that no anchor comes from the table ``modular_multivector`` reads,
+        and ``X_I(p) = <dp, X_I>``."""
+        m, n = structure.m, structure.n
+        fresh = NambuStructure(m, n, structure.nvector)
+        dp = differential(volume.p)
+        expected = Multivector.zero(m, n - 1)
+        for indices in itertools.combinations(range(1, m + 1), n - 1):
+            field = hamiltonian(fresh, [x(m, i) for i in indices])
+            value = sum(
+                (field.component((j,)).diff(j) for j in range(1, m + 1)),
+                Polynomial.zero(m),
+            )
+            expected = expected + dd(m, *indices) * (value + pair(dp, field))
+        return expected
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_fixtures_match_the_hamiltonian_formula(self, fixture):
+        loaded = load_structure_file(fixture)
+        structure, volume = loaded.structure(), loaded.volume()
+        m = structure.m
+        for nu in (volume, volume.rescaled(x(m, 1)), volume.rescaled(x(m, 1) * x(m, m) + 2)):
+            expected = self._hamiltonian_formula(structure, nu)
+            assert modular_multivector(structure, nu) == expected
+
+    def test_seeded_structures_match_the_hamiltonian_formula(self, rng):
+        for n in range(2, 6):
+            for m in range(n, 6):
+                structure = NambuStructure(m, n, random_multivector(rng, m, n, 0.7))
+                exponent = random_polynomial(rng, m, max_degree=2)
+                while exponent.is_constant():
+                    exponent = random_polynomial(rng, m, max_degree=2)
+                volume = VolumeForm(Fraction(rng.randint(1, 5), 3), exponent)
+                expected = self._hamiltonian_formula(structure, volume)
+                assert modular_multivector(structure, volume) == expected
+
     @pytest.mark.parametrize("name", LIE_ALGEBRAS)
     def test_order_two_is_the_modular_character(self, name):
         # At n = 2 the modular multivector is Weinstein's modular vector
