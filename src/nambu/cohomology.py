@@ -81,7 +81,7 @@ from .exterior import (
     lie_mv,
     pair,
 )
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial, grlex_key, poly_sum
 from .structure import (
     CheckReport,
     NambuStructure,
@@ -139,10 +139,7 @@ def divergence(vector: Multivector) -> Polynomial:
     """``sum_j d(X^j)/dx^j`` of a vector field."""
     if vector.degree != 1:
         raise DegreeError("divergence expects a degree-1 multivector")
-    total = Polynomial.zero(vector.m)
-    for (j,), coeff in vector.components.items():
-        total = total + coeff.diff(j)
-    return total
+    return poly_sum(vector.m, [coeff.diff(j) for (j,), coeff in vector.components.items()])
 
 
 def _check_volume(structure: NambuStructure, volume: VolumeForm) -> None:

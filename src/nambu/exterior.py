@@ -16,8 +16,10 @@ Conventions (fixed once, used everywhere):
 * interior product by a vector field is evaluation in the first slot:
   ``contract_vec(X, omega)(Y1, ..) = omega(X, Y1, ..)``.
 
-Operation results are canonical (no stored zero coefficient), and
-``_accumulate`` is the one place where a sum that cancels is dropped.
+Operation results are canonical (no stored zero coefficient).
+``_accumulate`` is the one place where a sum of components that cancels is
+dropped; ``+`` and ``-`` run through it too.  A scalar result that is a sum
+(``pair``, ``apply_vec``) is collected by ``poly.poly_sum``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import reduce
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, DegreeError
-from .poly import Polynomial, format_polynomial
+from .poly import Polynomial, format_polynomial, poly_sum
 
 _Scalar = Union[int, Fraction, Polynomial]
 
@@ -43,12 +45,19 @@ def check_multi_index(indices: tuple[int, ...], m: int) -> None:
 
 
 def _accumulate(
-    result: dict[tuple[int, ...], Polynomial], key: tuple[int, ...], value: Polynomial
+    result: dict[tuple[int, ...], Polynomial],
+    key: tuple[int, ...],
+    value: Polynomial,
+    negate: bool = False,
 ) -> None:
-    """Add ``value`` into ``result[key]``; drop the key when the sum is zero."""
+    """Add ``value``, or subtract it when ``negate``, into ``result[key]``;
+    drop the key when the sum is zero."""
     acc = result.get(key)
-    if acc is not None:
-        value = acc + value
+    if acc is None:
+        if negate:
+            value = -value
+    else:
+        value = acc - value if negate else acc + value
     if value.terms:
         result[key] = value
     else:
@@ -103,9 +112,9 @@ class _Alternating:
                 normalized[indices] = coeff
         if degree > m and normalized:
             raise DegreeError(f"nonzero tensor of degree {degree} > dimension {m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", normalized)
+        _set_m(self, m)
+        _set_degree(self, degree)
+        _set_components(self, normalized)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -149,11 +158,12 @@ class _Alternating:
         The caller guarantees what ``__init__`` would check: every key is a
         strictly increasing multi-index in ``1..m`` of length ``degree``, no
         coefficient is zero, and there is no component when ``degree > m``.
+        It writes the slots through their descriptors, as ``__init__`` does.
         """
-        tensor = cls.__new__(cls)
-        object.__setattr__(tensor, "m", m)
-        object.__setattr__(tensor, "degree", degree)
-        object.__setattr__(tensor, "components", components)
+        tensor = _new(cls)
+        _set_m(tensor, m)
+        _set_degree(tensor, degree)
+        _set_components(tensor, components)
         return tensor
 
     def __add__(self, other):
@@ -168,7 +178,10 @@ class _Alternating:
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return self + (-other)
+        result = dict(self.components)
+        for indices, coeff in other.components.items():
+            _accumulate(result, indices, coeff, True)
+        return self._wrap(self.m, self.degree, result)
 
     def __mul__(self, scalar: _Scalar):
         """Multiplication by a rational or polynomial scalar."""
@@ -227,6 +240,14 @@ class _Alternating:
         return f"{type(self).__name__}({self.m}, {self.degree}, {format_tensor(self)!r})"
 
 
+# ``__setattr__`` refuses assignment, so ``__init__`` and ``_wrap`` write the
+# slots through their descriptors, which is cheaper than ``object.__setattr__``.
+_new = object.__new__
+_set_m, _set_degree, _set_components = (
+    _Alternating.__dict__[name].__set__ for name in _Alternating.__slots__
+)
+
+
 class Form(_Alternating):
     """Differential k-form with polynomial coefficients."""
 
@@ -282,8 +303,7 @@ def wedge(a, b):
             sign, merged = merge_sign(ia, ib)
             if sign == 0:
                 continue
-            product = ca * cb
-            _accumulate(result, merged, -product if sign < 0 else product)
+            _accumulate(result, merged, ca * cb, sign < 0)
     # Degree overflow (> m) makes every index pair overlap, so the result is
     # the exact zero of the nominal degree.
     return type(a)._wrap(a.m, degree, result)
@@ -302,15 +322,12 @@ def pair(omega: Form, mv: Multivector) -> Polynomial:
         raise ChartMismatchError(f"chart dimension mismatch: {omega.m} vs {mv.m}")
     if omega.degree != mv.degree:
         raise DegreeError(f"degree mismatch: {omega.degree} vs {mv.degree}")
-    total = Polynomial.zero(omega.m)
     small, large = omega.components, mv.components
     if len(large) < len(small):
         small, large = large, small
-    for indices, coeff in small.items():
-        other = large.get(indices)
-        if other is not None:
-            total = total + coeff * other
-    return total
+    return poly_sum(
+        omega.m, [coeff * large[indices] for indices, coeff in small.items() if indices in large]
+    )
 
 
 def contract_form(alpha: Form, mv: Multivector) -> Multivector:
@@ -335,8 +352,7 @@ def contract_form(alpha: Form, mv: Multivector) -> Multivector:
                 continue
             rest = tuple(i for i in ib if i not in index_set)
             sign, _ = merge_sign(ia, rest)
-            product = ca * cb
-            _accumulate(result, rest, -product if sign < 0 else product)
+            _accumulate(result, rest, ca * cb, sign < 0)
     return Multivector._wrap(mv.m, mv.degree - alpha.degree, result)
 
 
@@ -357,8 +373,7 @@ def contract_vec(vector: Multivector, omega: Form) -> Form:
             if xj is None:
                 continue
             rest = indices[:position] + indices[position + 1 :]
-            product = coeff * xj
-            _accumulate(result, rest, -product if position % 2 else product)
+            _accumulate(result, rest, coeff * xj, position % 2)
     return Form._wrap(omega.m, omega.degree - 1, result)
 
 
@@ -380,13 +395,14 @@ def ext_d(omega: Form) -> Form:
     result: dict[tuple[int, ...], Polynomial] = {}
     for indices, coeff in omega.components.items():
         for j in range(1, omega.m + 1):
+            # dx^j ^ dx^I vanishes for j in I: skip it before differentiating
+            if j in indices:
+                continue
             derivative = coeff.diff(j)
-            if derivative.is_zero():
+            if not derivative.terms:
                 continue
             sign, merged = merge_sign((j,), indices)
-            if sign == 0:
-                continue
-            _accumulate(result, merged, -derivative if sign < 0 else derivative)
+            _accumulate(result, merged, derivative, sign < 0)
     return Form._wrap(omega.m, omega.degree + 1, result)
 
 
@@ -396,10 +412,7 @@ def apply_vec(vector: Multivector, f: Polynomial) -> Polynomial:
         raise DegreeError("apply_vec expects a degree-1 multivector")
     if vector.m != f.num_vars:
         raise ChartMismatchError(f"chart dimension mismatch: {vector.m} vs {f.num_vars}")
-    total = Polynomial.zero(vector.m)
-    for (j,), coeff in vector.components.items():
-        total = total + coeff * f.diff(j)
-    return total
+    return poly_sum(vector.m, [coeff * f.diff(j) for (j,), coeff in vector.components.items()])
 
 
 def lie_form(vector: Multivector, omega: Form) -> Form:
@@ -448,6 +461,5 @@ def lie_mv(vector: Multivector, mv: Multivector) -> Multivector:
                 sign_t, merged = merge_sign((t,), rest)
                 if sign_t == 0:
                     continue
-                value = partial * coeff
-                _accumulate(result, merged, -value if sign_old * sign_t > 0 else value)
+                _accumulate(result, merged, partial * coeff, sign_old * sign_t > 0)
     return Multivector._wrap(m, mv.degree, result)

@@ -22,6 +22,10 @@ because ``int / int`` is a float.
 Each polynomial memoises its partial derivatives: ``diff(j)`` computes the
 j-th partial once per instance and returns the same object afterwards.
 
+A sum of many polynomials is ``poly_sum``: it collects the terms in one
+dict, where a chain of ``+`` would build a new polynomial for each partial
+sum.  ``-`` likewise runs one loop instead of negating its right operand.
+
 Variables are positional and 1-based: ``x1`` .. ``xm``.  A chart context
 fixes ``m`` for every object participating in a computation.
 
@@ -43,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, ParseError
 
@@ -148,22 +152,13 @@ class Polynomial:
                 return NotImplemented
         self._check_chart(other)
         result = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = result.get(exps)
-            if acc is None:
-                result[exps] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    result[exps] = acc
-                else:
-                    del result[exps]
-        return self._wrap(result)
+        _merge_terms(result, other.terms)
+        return _wrap(self.num_vars, result)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return self._wrap({exps: -coeff for exps, coeff in self.terms.items()})
+        return _wrap(self.num_vars, {exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other: Polynomial | _Scalar) -> Polynomial:
         if type(other) is not Polynomial:
@@ -171,7 +166,10 @@ class Polynomial:
                 other = Polynomial.constant(self.num_vars, other)
             elif not isinstance(other, Polynomial):
                 return NotImplemented
-        return self + (-other)
+        self._check_chart(other)
+        result = dict(self.terms)
+        _merge_terms(result, other.terms, True)
+        return _wrap(self.num_vars, result)
 
     def __rsub__(self, other: _Scalar) -> Polynomial:
         return (-self) + other
@@ -182,7 +180,7 @@ class Polynomial:
                 scalar = _exact(other)
                 if not scalar:
                     return Polynomial.zero(self.num_vars)
-                return self._wrap({e: c * scalar for e, c in self.terms.items()})
+                return _wrap(self.num_vars, {e: c * scalar for e, c in self.terms.items()})
             if not isinstance(other, Polynomial):
                 return NotImplemented
         self._check_chart(other)
@@ -199,7 +197,7 @@ class Polynomial:
                         result[key] = acc
                     else:
                         del result[key]
-        return self._wrap(result)
+        return _wrap(self.num_vars, result)
 
     __rmul__ = __mul__
 
@@ -215,15 +213,6 @@ class Polynomial:
             if exponent:
                 base = base * base
         return result
-
-    def _wrap(self, terms: dict[tuple[int, ...], _Scalar]) -> Polynomial:
-        # Internal fast path: ``terms`` is already normalized.
-        poly = _new(Polynomial)
-        _set_num_vars(poly, self.num_vars)
-        _set_terms(poly, terms)
-        _set_hash(poly, None)
-        _set_partials(poly, None)
-        return poly
 
     # -- calculus ----------------------------------------------------------
 
@@ -248,7 +237,7 @@ class Polynomial:
                 if e:
                     key = exps[:i] + (e - 1,) + exps[i + 1 :]
                     result[key] = coeff * e
-            derivative = partials[i] = self._wrap(result)
+            derivative = partials[i] = _wrap(self.num_vars, result)
         return derivative
 
     def evaluate(self, point: Sequence[_Scalar]) -> Fraction:
@@ -315,12 +304,64 @@ class Polynomial:
         return format_polynomial(self)
 
 
-# ``__setattr__`` refuses assignment, so the methods above write the slots
-# through their descriptors, which is cheaper than ``object.__setattr__``.
+# ``__setattr__`` refuses assignment, so ``__init__``, ``diff`` and ``_wrap``
+# write the slots through their descriptors, which is cheaper than
+# ``object.__setattr__``.
 _new = Polynomial.__new__
 _set_num_vars, _set_terms, _set_hash, _set_partials = (
     Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
 )
+
+
+def _wrap(num_vars: int, terms: dict[tuple[int, ...], _Scalar]) -> Polynomial:
+    """Trusted constructor for operation results; skips re-validation.
+
+    The caller guarantees what ``__init__`` would check: every key is an
+    exponent tuple of length ``num_vars`` with no negative entry, and every
+    value is a nonzero ``int`` or ``Fraction``.
+    """
+    poly = _new(Polynomial)
+    _set_num_vars(poly, num_vars)
+    _set_terms(poly, terms)
+    _set_hash(poly, None)
+    _set_partials(poly, None)
+    return poly
+
+
+def _merge_terms(
+    result: dict[tuple[int, ...], _Scalar],
+    terms: Mapping[tuple[int, ...], _Scalar],
+    negate: bool = False,
+) -> None:
+    """Add ``terms``, or subtract them when ``negate``, into ``result``;
+    drop a term when it cancels."""
+    for exps, coeff in terms.items():
+        acc = result.get(exps)
+        if acc is None:
+            result[exps] = -coeff if negate else coeff
+        else:
+            acc = acc - coeff if negate else acc + coeff
+            if acc:
+                result[exps] = acc
+            else:
+                del result[exps]
+
+
+def poly_sum(num_vars: int, summands: Iterable[Polynomial]) -> Polynomial:
+    """Sum of polynomials on ``num_vars`` variables, collected in one dict.
+
+    Equal to ``Polynomial.zero(num_vars) + s1 + s2 + ..``, term order
+    included, without building a polynomial for each partial sum; a term
+    that cancels is dropped as it cancels.
+    """
+    result: dict[tuple[int, ...], _Scalar] = {}
+    for summand in summands:
+        if summand.num_vars != num_vars:
+            raise ChartMismatchError(
+                f"chart dimension mismatch: {num_vars} vs {summand.num_vars}"
+            )
+        _merge_terms(result, summand.terms)
+    return _wrap(num_vars, result)
 
 
 # -- canonical printing ------------------------------------------------------

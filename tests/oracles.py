@@ -156,6 +156,20 @@ def oracle_ext_d(omega: Form) -> Form:
     return Form(m, k + 1, components)
 
 
+def oracle_apply_vec(vector: Multivector, f: Polynomial) -> Polynomial:
+    """``X(f) = i_X df``, with both operations taken on dense tensors."""
+    return oracle_contract_vec(vector, oracle_ext_d(Form.from_scalar(f))).scalar()
+
+
+def oracle_divergence(vector: Multivector) -> Polynomial:
+    """``div X`` from ``d(i_X vol) = div(X) vol`` (Cartan, as ``d vol = 0``)
+    for ``vol = dx1^..^dxm``, on dense tensors."""
+    m = vector.m
+    volume = Form.basis(m, range(1, m + 1))
+    return _component(oracle_ext_d(oracle_contract_vec(vector, volume)).components,
+                      tuple(range(1, m + 1)), m)
+
+
 def oracle_determinant(rows: list[list[Polynomial]]) -> Polynomial:
     """Exact determinant by Laplace expansion along the first row."""
     size = len(rows)

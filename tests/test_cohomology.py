@@ -29,13 +29,13 @@ from nambu.cohomology import (
     verify_volume_change,
     volume_structure,
 )
-from nambu.cli import main
+from nambu.cli import CHECKS, DEFAULT_CHECKS, main
 from nambu.errors import ChartMismatchError
 from nambu.exterior import (
-    Form, Multivector, apply_vec, differential, format_tensor, pair, wedge,
+    Form, Multivector, apply_vec, differential, format_tensor, pair, wedge, wedge_all,
 )
 from nambu.poly import Polynomial, jet_exponents, jet_monomials
-from nambu.structure import NambuStructure, hamiltonian, sharp
+from nambu.structure import NambuStructure, check_fundamental_identity, hamiltonian, sharp
 from nambu.sweep import JetBasis
 from nambu.textio import load_structure_file
 
@@ -567,6 +567,66 @@ class TestExactnessWitness:
     def test_volume_chart_guard(self, scaled_r3):
         with pytest.raises(ChartMismatchError):
             exactness_witness(scaled_r3, VolumeForm.standard(4), 2)
+
+
+def dufour_zung_type_two(m: int, n: int, b: list[list[int]]) -> NambuStructure:
+    """``d1^..^d_{n-1} ^ Y`` with ``Y = sum_ij B_ij x_j d_i`` over i, j in
+    n..m (``b[0][0]`` is ``B_nn``): the linear Nambu structures of type II of
+    Dufour & Zung (Compositio Math. 117, 1999)."""
+    span = range(n, m + 1)
+    field = Multivector(m, 1, {
+        (i,): sum((x(m, j) * b[r][c] for c, j in enumerate(span)), Polynomial.zero(m))
+        for r, i in enumerate(span)
+    })
+    return NambuStructure(m, n, wedge_all([dd(m, *range(1, n)), field]))
+
+
+def seeded_matrices(rng: random.Random, size: int) -> list[list[list[int]]]:
+    """Seeded integer matrices; the last has trace 0, the one before a
+    nonzero trace."""
+    matrices = [[[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+                for _ in range(4)]
+    if not sum(matrices[-2][k][k] for k in range(size)):
+        matrices[-2][0][0] += 1
+    matrices[-1][-1][-1] -= sum(matrices[-1][k][k] for k in range(size))
+    return matrices
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (5, 3), (5, 4), (6, 4), (6, 3)])
+class TestDufourZungTypeTwo:
+    """A modular-class oracle at n >= 3 from outside the code: on type II
+    the modular multivector is ``tr(B) d1^..^d_{n-1}``, so the class is
+    nonzero when tr B != 0 (Y preserves degree, so no coboundary
+    ``cobound0(f) = +-Y(f) d1^..^d_{n-1}`` has a constant term)."""
+
+    def test_modular_multivector_is_the_trace_times_the_blade(self, rng, m, n):
+        for b in seeded_matrices(rng, m - n + 1):
+            trace = sum(b[k][k] for k in range(len(b)))
+            structure = dufour_zung_type_two(m, n, b)
+            expected = dd(m, *range(1, n)) * trace
+            assert modular_multivector(structure, VolumeForm.standard(m)) == expected
+
+    def test_default_checks_pass(self, rng, m, n):
+        volume = VolumeForm.standard(m)
+        for b in seeded_matrices(rng, m - n + 1)[-2:]:
+            basis = JetBasis(dufour_zung_type_two(m, n, b), 2)
+            for name in DEFAULT_CHECKS:
+                assert CHECKS[name](basis, volume).passed, name
+
+    def test_witness_is_infeasible_exactly_when_the_trace_is_nonzero(self, rng, m, n):
+        for b in seeded_matrices(rng, m - n + 1):
+            trace = sum(b[k][k] for k in range(len(b)))
+            report = exactness_witness(
+                dufour_zung_type_two(m, n, b), VolumeForm.standard(m), 2
+            )
+            assert report.feasible == (trace == 0)
+
+
+def test_fundamental_identity_fails_when_y_depends_on_x1():
+    # the failing control: d1^d2^(x1*d3 + x3*d4), decomposable but not involutive
+    nvector = wedge_all([dd(4, 1), dd(4, 2), x(4, 1) * dd(4, 3) + x(4, 3) * dd(4, 4)])
+    report = check_fundamental_identity(JetBasis(NambuStructure(4, 3, nvector), 2))
+    assert not report.passed
 
 
 def _rows_of_columns(columns):

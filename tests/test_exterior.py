@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -27,12 +28,15 @@ from nambu.exterior import (
     wedge,
     wedge_all,
 )
+from nambu.cohomology import divergence
 from nambu.poly import Polynomial
 
 from conftest import random_form, random_multivector, random_polynomial
 from oracles import (
+    oracle_apply_vec,
     oracle_contract_form,
     oracle_contract_vec,
+    oracle_divergence,
     oracle_ext_d,
     oracle_pair,
     oracle_wedge,
@@ -369,6 +373,110 @@ class TestLieDerivatives:
                 assert ext_d(omega * f) == wedge(differential(f), omega) + ext_d(omega) * f
 
 
+def single_key_cancellation(a):
+    """A tensor ``b`` of the same kind and degree with ``a - b`` cancelling at
+    exactly one key of ``a``: ``b`` holds that component of ``a`` and a
+    component ``a`` lacks or differs on, where the degree allows one.  A zero
+    ``a`` stands in for the unit tensor on ``1..degree``."""
+    if not a.components:
+        a = type(a).basis(a.m, range(1, a.degree + 1))
+    key, coeff = next(iter(a.components.items()))
+    components = {key: coeff}
+    for indices in itertools.combinations(range(1, a.m + 1), a.degree):
+        if indices != key:
+            components[indices] = a.components.get(indices, coeff) + x(a.m, 1)
+            break
+    return type(a)(a.m, a.degree, components)
+
+
+class TestFusedKernels:
+    """Fused subtraction and one-dict sums equal the routes they replace."""
+
+    @staticmethod
+    def ordered(tensor):
+        return [(key, list(coeff.terms.items())) for key, coeff in tensor.components.items()]
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("random_tensor", [random_form, random_multivector],
+                             ids=["form", "multivector"])
+    def test_subtraction_equals_adding_the_negation(self, rng, m, random_tensor):
+        for degree in range(m + 1):
+            for _ in range(3):
+                a = random_tensor(rng, m, degree)
+                for b in (random_tensor(rng, m, degree), a, -a):
+                    difference = a - b
+                    TestTrustedResults.assert_canonical(difference)
+                    # components and terms in the same order, too
+                    assert self.ordered(difference) == self.ordered(a + (-b))
+                assert (a - a).is_zero() and (a - a).degree == degree
+                if a.components:
+                    b = single_key_cancellation(a)
+                    difference = a - b
+                    TestTrustedResults.assert_canonical(difference)
+                    assert self.ordered(difference) == self.ordered(a + (-b))
+                    [key] = set(a.components) - set(difference.components)
+                    assert key == next(iter(b.components))
+
+    def test_subtraction_keeps_its_argument_checks(self):
+        with pytest.raises(DegreeError):
+            dx(3, 1) - dd(3, 1)
+        with pytest.raises(DegreeError):
+            dx(3, 1) - dx(3, 1, 2)
+        with pytest.raises(ChartMismatchError):
+            dx(3, 1) - dx(4, 1)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_sums_match_the_dense_oracles(self, rng, m):
+        for _ in range(4):
+            field = random_multivector(rng, m, 1)
+            f = random_polynomial(rng, m)
+            assert apply_vec(field, f) == oracle_apply_vec(field, f)
+            assert divergence(field) == oracle_divergence(field)
+            for degree in range(1, m + 1):
+                omega = random_form(rng, m, degree)
+                mv = random_multivector(rng, m, degree)
+                assert pair(omega, mv) == oracle_pair(omega, mv)
+
+    def test_sums_that_cancel_match_the_dense_oracles(self):
+        m = 3
+        rotation = x(m, 2) * dd(m, 1) - x(m, 1) * dd(m, 2)
+        radius = x(m, 1) ** 2 + x(m, 2) ** 2
+        omega = x(m, 2) * dx(m, 1) + x(m, 1) * dx(m, 2) + dx(m, 3)
+        # each sum cancels at every key, or at the key x1*x2 (resp. x2) only
+        cases = [
+            (pair(omega, x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)), Polynomial.zero(m)),
+            (pair(omega, x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2) + dd(m, 3)),
+             Polynomial.one(m)),
+            (apply_vec(rotation, radius), Polynomial.zero(m)),
+            (apply_vec(rotation, radius + x(m, 1)), x(m, 2)),
+            (divergence(x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)), Polynomial.zero(m)),
+            (divergence(x(m, 1) * x(m, 2) * dd(m, 1) - x(m, 2) ** 2 * dd(m, 2) * Fraction(1, 2)
+                        + x(m, 3) ** 2 * dd(m, 3)), x(m, 3) * 2),
+        ]
+        oracles = [
+            oracle_pair(omega, x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)),
+            oracle_pair(omega, x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2) + dd(m, 3)),
+            oracle_apply_vec(rotation, radius),
+            oracle_apply_vec(rotation, radius + x(m, 1)),
+            oracle_divergence(x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)),
+            oracle_divergence(x(m, 1) * x(m, 2) * dd(m, 1)
+                              - x(m, 2) ** 2 * dd(m, 2) * Fraction(1, 2)
+                              + x(m, 3) ** 2 * dd(m, 3)),
+        ]
+        for (result, expected), oracle in zip(cases, oracles):
+            assert result == expected == oracle
+            TestTrustedResults.assert_canonical_polynomial(result)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_ext_d_of_a_shared_index_is_the_exact_zero(self, m):
+        for k in range(1, m + 1):
+            for indices in itertools.combinations(range(1, m + 1), k):
+                for i in indices:
+                    result = ext_d(x(m, i) * Form.basis(m, indices))
+                    assert result.components == {} and result.degree == k + 1
+                    assert result == Form.zero(m, k + 1)
+
+
 class TestTrustedResults:
     """Operation results skip validation, so they must already be canonical."""
 
@@ -376,6 +484,11 @@ class TestTrustedResults:
     def assert_canonical(tensor):
         assert all(not coeff.is_zero() for coeff in tensor.components.values())
         assert type(tensor)(tensor.m, tensor.degree, dict(tensor.components)) == tensor
+
+    @staticmethod
+    def assert_canonical_polynomial(poly):
+        assert all(coeff for coeff in poly.terms.values())
+        assert Polynomial(poly.num_vars, dict(poly.terms)) == poly
 
     def test_results_equal_validated_rebuild(self, rng):
         m = 4
@@ -403,9 +516,44 @@ class TestTrustedResults:
                 contract_vec(dd(m, 1) + dd(m, 2), dx(m, 1, 3) - dx(m, 2, 3)),
                 contract_form(dx(m, 1) + dx(m, 2), dd(m, 1, 3) - dd(m, 2, 3)),
                 lie_mv(field, Multivector.from_scalar(Polynomial.constant(m, 5))),
+                # fused subtraction, cancelling at every key or at one
+                one_form - one_form,
+                one_form - single_key_cancellation(one_form),
+                field - random_multivector(rng, m, 1),
             ]
             for result in results:
                 self.assert_canonical(result)
+            scalars = [
+                pair(one_form, field),
+                pair(one_form, single_key_cancellation(field)),
+                apply_vec(field, random_polynomial(rng, m)),
+                apply_vec(field, Polynomial.constant(m, 3)),
+                divergence(field),
+                divergence(field - field),
+            ]
+            for result in scalars:
+                self.assert_canonical_polynomial(result)
+
+    def test_wrapped_results_are_immutable_and_copyable(self, rng):
+        m = 4
+        one_form = random_form(rng, m, 1)
+        field = random_multivector(rng, m, 1)
+        for tensor in (
+            wedge(one_form, random_form(rng, m, 2)),
+            one_form - random_form(rng, m, 1),
+            ext_d(random_form(rng, m, 2)),
+            lie_mv(field, random_multivector(rng, m, 2)),
+            -field,
+        ):
+            for name in ("m", "degree", "components", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(tensor, name, None)
+            for clone in (
+                copy.copy(tensor), copy.deepcopy(tensor), pickle.loads(pickle.dumps(tensor))
+            ):
+                assert type(clone) is type(tensor)
+                assert clone == tensor and hash(clone) == hash(tensor)
+                self.assert_canonical(clone)
 
     def test_overflow_wedge_is_exact_zero(self, rng):
         overflow = wedge(random_form(rng, 3, 2), random_form(rng, 3, 2))

@@ -17,7 +17,10 @@ from nambu.poly import (
     format_polynomial,
     jet_exponents,
     parse_polynomial,
+    poly_sum,
 )
+
+from conftest import random_polynomial
 
 M = 3
 
@@ -135,6 +138,74 @@ class TestArithmetic:
         if a == b:
             assert a.terms == b.terms
         assert ((a + b) - b).terms == a.terms
+
+
+def ordered(p: Polynomial) -> list:
+    return list(p.terms.items())
+
+
+def canonical(p: Polynomial) -> bool:
+    return all(p.terms.values()) and Polynomial(p.num_vars, dict(p.terms)) == p
+
+
+class TestFusedSums:
+    """Fused subtraction and ``poly_sum`` equal the ``+`` chains they replace,
+    term order included."""
+
+    @staticmethod
+    def single_key_cancellation(a: Polynomial) -> Polynomial:
+        """``b`` with ``a - b`` cancelling at exactly one term of ``a``."""
+        exps, coeff = next(iter(a.terms.items()))
+        return Polynomial.monomial(exps, coeff) + Polynomial.monomial(
+            tuple(e + 7 for e in exps), 1
+        )
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_subtraction_equals_adding_the_negation(self, rng, m):
+        for _ in range(20):
+            a, c = random_polynomial(rng, m), random_polynomial(rng, m)
+            cases = [c, a, -a, a + c, Polynomial.zero(m)]
+            if a.terms:
+                cases.append(self.single_key_cancellation(a))
+            for b in cases:
+                assert ordered(a - b) == ordered(a + (-b))
+                assert canonical(a - b)
+            assert (a - a).terms == {}
+            if a.terms:
+                difference = a - self.single_key_cancellation(a)
+                assert set(a.terms) - set(difference.terms) == {next(iter(a.terms))}
+
+    def test_scalar_subtraction(self):
+        p = x(1) - 3
+        assert ordered(p - 2) == ordered(p + (-2))
+        assert ordered(p - Fraction(-3)) == ordered(x(1))
+        assert ordered(5 - p) == ordered(-p + 5)
+
+    def test_subtraction_checks_the_chart(self):
+        with pytest.raises(ChartMismatchError):
+            Polynomial.one(2) - Polynomial.one(3)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_poly_sum_equals_the_chain(self, rng, m):
+        for count in range(1, 6):
+            summands = [random_polynomial(rng, m) for _ in range(count)]
+            summands.append(-summands[0])  # cancels a whole summand
+            partial = sum(summands, Polynomial.zero(m))
+            if partial.terms:  # cancels the sum so far at one term
+                summands.append(-self.single_key_cancellation(partial))
+            chain = sum(summands, Polynomial.zero(m))
+            total = poly_sum(m, summands)
+            assert ordered(total) == ordered(chain)
+            assert canonical(total) and exact_types(total)
+            assert ordered(poly_sum(m, iter(summands))) == ordered(chain)
+
+    def test_poly_sum_of_nothing_is_zero(self):
+        assert poly_sum(M, []) == Polynomial.zero(M)
+        assert poly_sum(M, [x(1), -x(1)]).terms == {}
+
+    def test_poly_sum_checks_the_chart(self):
+        with pytest.raises(ChartMismatchError):
+            poly_sum(M, [x(1), Polynomial.one(2)])
 
 
 class TestCalculus:
@@ -279,7 +350,7 @@ class TestExactCoefficients:
     def test_operations_keep_coefficients_exact(self, a, b, s, k, i):
         results = [
             a + b, a - b, -a, a * b, a * s, s * a, a + s, s + a, a - s, s - a,
-            a**k, a.diff(i), (a * b).diff(i),
+            a**k, a.diff(i), (a * b).diff(i), poly_sum(M, [a, b, -a]),
         ]
         for p in results:
             assert exact_types(p)
