@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from nambu.cohomology import divergence
 from nambu.errors import ChartMismatchError, DegreeError
 from nambu.exterior import (
     Form,
@@ -28,7 +29,6 @@ from nambu.exterior import (
     wedge,
     wedge_all,
 )
-from nambu.cohomology import divergence
 from nambu.poly import Polynomial
 
 from conftest import random_form, random_multivector, random_polynomial
@@ -439,32 +439,26 @@ class TestFusedKernels:
 
     def test_sums_that_cancel_match_the_dense_oracles(self):
         m = 3
+        zero = Polynomial.zero(m)
         rotation = x(m, 2) * dd(m, 1) - x(m, 1) * dd(m, 2)
         radius = x(m, 1) ** 2 + x(m, 2) ** 2
+        hyperbolic = x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)
+        shear = (x(m, 1) * x(m, 2) * dd(m, 1) - x(m, 2) ** 2 * dd(m, 2) * Fraction(1, 2)
+                 + x(m, 3) ** 2 * dd(m, 3))
         omega = x(m, 2) * dx(m, 1) + x(m, 1) * dx(m, 2) + dx(m, 3)
-        # each sum cancels at every key, or at the key x1*x2 (resp. x2) only
+        # per kernel: a sum that cancels at every key, then one that cancels
+        # at one key only (x1*x2 for pair and apply_vec, x2 for divergence)
         cases = [
-            (pair(omega, x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)), Polynomial.zero(m)),
-            (pair(omega, x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2) + dd(m, 3)),
-             Polynomial.one(m)),
-            (apply_vec(rotation, radius), Polynomial.zero(m)),
-            (apply_vec(rotation, radius + x(m, 1)), x(m, 2)),
-            (divergence(x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)), Polynomial.zero(m)),
-            (divergence(x(m, 1) * x(m, 2) * dd(m, 1) - x(m, 2) ** 2 * dd(m, 2) * Fraction(1, 2)
-                        + x(m, 3) ** 2 * dd(m, 3)), x(m, 3) * 2),
+            (pair, oracle_pair, (omega, hyperbolic), zero),
+            (pair, oracle_pair, (omega, hyperbolic + dd(m, 3)), Polynomial.one(m)),
+            (apply_vec, oracle_apply_vec, (rotation, radius), zero),
+            (apply_vec, oracle_apply_vec, (rotation, radius + x(m, 1)), x(m, 2)),
+            (divergence, oracle_divergence, (hyperbolic,), zero),
+            (divergence, oracle_divergence, (shear,), x(m, 3) * 2),
         ]
-        oracles = [
-            oracle_pair(omega, x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)),
-            oracle_pair(omega, x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2) + dd(m, 3)),
-            oracle_apply_vec(rotation, radius),
-            oracle_apply_vec(rotation, radius + x(m, 1)),
-            oracle_divergence(x(m, 1) * dd(m, 1) - x(m, 2) * dd(m, 2)),
-            oracle_divergence(x(m, 1) * x(m, 2) * dd(m, 1)
-                              - x(m, 2) ** 2 * dd(m, 2) * Fraction(1, 2)
-                              + x(m, 3) ** 2 * dd(m, 3)),
-        ]
-        for (result, expected), oracle in zip(cases, oracles):
-            assert result == expected == oracle
+        for kernel, oracle, args, expected in cases:
+            result = kernel(*args)
+            assert result == expected == oracle(*args)
             TestTrustedResults.assert_canonical_polynomial(result)
 
     @pytest.mark.parametrize("m", range(2, 7))
