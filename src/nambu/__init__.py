@@ -30,6 +30,7 @@ from .exterior import (
 from .structure import (
     CheckReport,
     Counterexample,
+    JetBasis,
     NambuStructure,
     PluckerVerdict,
     check_fundamental_identity,
@@ -41,7 +42,6 @@ from .structure import (
     plucker_at,
     sharp,
 )
-from .sweep import JetBasis
 from .algebroid import (
     FormalWedge,
     fbracket_prime,

@@ -34,9 +34,9 @@ its arguments.
 Sweep strategy.  Enumerating all tuples of jet-basis forms is quadratic or
 cubic in a basis of several hundred elements, far beyond the runtime budget,
 so each verifier sweeps its residual, or an exact decomposition of it, on
-the capped rows of ``sweep``.  The sweeps rest on identities that hold for
-the implemented operations with *any* n-vector (no integrability assumed),
-chiefly
+its capped rows (``structure`` docstring).  The sweeps rest on identities
+that hold for the implemented operations with *any* n-vector (no
+integrability assumed), chiefly
 
     lbracket(a, g*b) = g*lbracket(a, b) + sharp(a)(g) * b          (slot-2)
     lbracket(f*a, b) = f*lbracket(a, b) - i_{sharp a}(df ^ b)      (slot-1)
@@ -54,20 +54,14 @@ terms ``-sum d_i d_j f X_a^i <dx^j ^ b, lam>`` and ``+sum d_k d_j f X_b^k
 those of ``<d(X_a g) ^ b, lam>`` and ``X_a <dg ^ b, lam>`` do (the test
 suite checks ``D(fh) = f D(h) + h D(f) - fh D(1)`` for each slot of both).
 
-The anchor scan reads ``A`` off the anchor defect ``T(a) = L_{sharp a} lam -
-(-1)^n <d a, lam> lam`` of ``structure``: for any n-vector and any
-(n-1)-forms a, b, ``A(a, b) = i_b T(a)``.  The run's basis computes T once
-on the basis forms ``x^f dx^I`` with deg f <= 1 (``anchor_defect_scan``), and
-T is first-order in the function slot, so its pass proves ``A = 0`` on all
-polynomial pairs: the anchor, sharp-d and Leibniz checks pass with no
-residual of their own, and so do FI and invariance (``structure``
-docstring).  On its hit row ``(f, I)``, the first failing pair of the
-capped pair grid, in the pinned order, is ``(x^f dx^I, dx^J)`` for the first
-J with ``i(dx^J) T(x^f dx^I) != 0``: an earlier row has ``T = 0``, so ``A =
-0`` on it whatever the second slot, and ``A`` is linear over functions in
-its second slot.  Only that row is read (``structure.defect_hit``, which
-the modular cocycle's defect scan of ``cohomology`` shares); the anchor
-report re-checks the pair with the direct ``anchor_residual``.
+The anchor scan reads ``A`` off the anchor defect T of ``structure``: for
+any n-vector and any (n-1)-forms a, b, ``A(a, b) = i_b T(a)``.  The run's
+``anchor_defect_scan`` evaluates T once; its pass proves ``A = 0`` on all
+polynomial pairs, so the anchor, sharp-d and Leibniz checks pass with no
+residual of their own, and so do FI and invariance.  Its hit ``(f, I, 0,
+J)`` is the first failing pair of the capped pair grid (``structure``
+docstring), and the anchor report re-checks it with the direct
+``anchor_residual``.
 
 The sharp-d scan reads ``S`` off the same row (``reduced_sharp_d``): for
 any n-vector, any (n-1)-form a and any function g,
@@ -110,7 +104,7 @@ before ``I`` (the swap argument of ``check_fundamental_identity``), so a
 failure is located on the capped tuple pairs from the first failing ``x_I``
 on.  The phi-morphism residual is the negated exact-forms residual, so the
 same sweep certifies it, and a run computes the consistency scan once for
-both checks.  Like the capped rows of ``sweep``, this rests on
+both checks.  Like the capped rows (``structure`` docstring), this rests on
 identities of the implemented kernels, pinned by the test suite: a fault
 planted in ``nbracket`` at a non-coordinate f-tuple breaks tensoriality and
 goes unseen, as one at a cubic g does on the capped grid.
@@ -134,9 +128,10 @@ is ``R'(sharp a, f, b)``, with the Leibniz defect of ``lie_form``
 (``lie_form_defect``): the ``(-1)^n <d a, lam> b`` terms cancel exactly.
 R' is linear over functions in X, since ``L_{hX} w = h L_X w + dh ^ i_X w``;
 ``R'(X, f, g b) = R'(X, fg, b) - f R'(X, g, b)`` whatever ``lie_form``
-computes; and R' is first-order in f (the capped rows of ``sweep``).  So
-``X = d_k``, f of degree <= 1 and ``b = dx^J`` certify slot-2 on no
-structure, with no ``sharp`` or ``pair``: ``m (m + 1) C(m, n-1)`` points.
+computes; and R' is first-order in f (capped rows, ``structure``
+docstring).  So ``X = d_k``, f of degree <= 1 and ``b = dx^J`` certify
+slot-2 on no structure, with no ``sharp`` or ``pair``: ``m (m + 1) C(m,
+n-1)`` points.
 By ``sharp(f a) = f sharp(a)``, ``L_{fX} = f L_X + df ^ i_X``, ``d(f a) = df
 ^ a + f da`` and ``i_X(df ^ b) = X(f) b - df ^ i_X b``, the slot-1 residual
 is ``(X_a(f) + (-1)^n <df ^ a, lam>) b``, so on each ``(I, f)`` row the first
@@ -178,10 +173,9 @@ from .exterior import (
 )
 from .poly import Polynomial
 from .structure import (
-    CheckReport, NambuStructure, anchor_defect_scan, capped_first_hit, certify, defect_hit,
-    first_hit, nbracket, sharp,
+    CheckReport, JetBasis, NambuStructure, anchor_defect_scan, capped_first_hit, certify,
+    certify_forms, first_hit, nbracket, sharp,
 )
-from .sweep import JetBasis, certify_forms
 
 
 def _check_section(structure: NambuStructure, form: Form, name: str) -> None:
@@ -241,7 +235,8 @@ def sharp_d_residual(structure: NambuStructure, alpha: Form, beta: Form) -> Poly
 def reduced_sharp_d(basis: JetBasis, f: int, left: tuple, g: int, right: tuple) -> Polynomial:
     """The sharp-d residual on ``basis.swept`` at the basis pair ``(f, I, g, J)``,
     read off the anchor defect: ``(-1)^n A(x^f dx^I, dx^J)(x^g)``."""
-    value = apply_vec(basis.once(_anchor_family)(f, left, 0, right), basis.monomials[g])
+    family, _ = basis.once(anchor_defect_scan)
+    value = apply_vec(family(f, left, 0, right), basis.monomials[g])
     return -value if basis.swept.n % 2 else value
 
 
@@ -259,23 +254,10 @@ def leibniz_residual(
 # -- anchor, sharp-d and Leibniz sweeps -----------------------------------------
 
 
-def _anchor_family(basis: JetBasis) -> Callable:
-    """The anchor residual ``A(x^f dx^I, dx^J) = i(dx^J) T(x^f dx^I)`` on
-    ``basis.swept`` at the points ``(f, I, 0, J)``: the family of the run's
-    anchor-defect scan (module docstring)."""
-    return basis.once(anchor_defect_scan)[0]
-
-
-def _anchor_hit(basis: JetBasis) -> tuple | None:
-    """First failing pair ``(f, I, 0, J)`` of the capped pair grid: the first
-    ``J`` on the anchor-defect scan's hit row ``(f, I)``."""
-    return defect_hit(basis, basis.once(anchor_defect_scan))
-
-
 def _sharp_d_hit(basis: JetBasis) -> tuple | None:
     """First pair of the capped pair grid where ``reduced_sharp_d`` is nonzero,
     read on the anchor hit's ``(f, I)`` row from g = 1 (module docstring)."""
-    anchor = basis.once(_anchor_hit)
+    _, anchor = basis.once(anchor_defect_scan)
     if anchor is None:
         return None
     row = itertools.product([anchor[0]], [anchor[1]], basis.capped(1)[1:], basis.index_sets)
@@ -285,8 +267,9 @@ def _sharp_d_hit(basis: JetBasis) -> tuple | None:
 def verify_anchor_morphism(basis: JetBasis) -> CheckReport:
     """Certify the anchor identity over all jet-basis pairs by the
     anchor-defect scan (module docstring)."""
+    _, hit = basis.once(anchor_defect_scan)
     direct = partial(anchor_residual, basis.structure)
-    return certify_forms(basis, "anchor", basis.size() ** 2, basis.once(_anchor_hit), direct)
+    return certify_forms(basis, "anchor", basis.size() ** 2, hit, direct)
 
 
 def verify_sharp_d_identity(basis: JetBasis) -> CheckReport:
@@ -303,17 +286,17 @@ def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
     with ``lie_form(A, c)`` on ``basis.swept``.  The report re-checks the
     triple with the direct nested formula on ``basis.structure``.
     """
+    family, hit = basis.once(anchor_defect_scan)
 
-    def lift(hit):
-        anchor = basis.once(_anchor_family)(*hit)
+    def lift(point):
+        anchor = family(*point)
 
         def residual(*triple):
             return lie_form(anchor, basis.form(*triple[4:]))
 
-        return first_hit((hit + third for third in basis.elements()), residual)
+        return first_hit((point + third for third in basis.elements()), residual)
 
     direct = partial(leibniz_residual, basis.structure)
-    hit = basis.once(_anchor_hit)
     return certify_forms(basis, "leibniz", basis.size() ** 3, hit, direct, lift)
 
 
@@ -411,30 +394,13 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
 
     The exact-forms rule is certified by ``_exact_forms_sweep``, which
     locates a failure with ``exact_forms_residual`` and reports its direct
-    value.  After it passes, each function-slot rule is swept on the
-    smallest grid its symbol allows (module docstring):
-
-    * slot-2 on no structure: its residual is ``lie_form_defect`` at
-      ``X = sharp(a)``, linear over functions in X by ``L_{hX} = h L_X +
-      dh ^ i_X``, so it is swept at ``X = d_k``, f of degree <= 1 and
-      ``b = dx^J``;
-    * slot-1 on lam at the first index set ``J0`` alone, on its capped rows
-      with the rescan of ``capped_first_hit``: by ``sharp(f a) = f
-      sharp(a)``, ``L_{fX} = f L_X + df ^ i_X``, ``d(f a) = df ^ a + f da``
-      and ``i_X(df ^ b) = X(f) b - df ^ i_X b`` its residual is
-      ``(X_a(f) + (-1)^n <df ^ a, lam>) b``.
-
-    A hit of the slot-2 sweep runs both rules on the whole unit grid
-    instead, slot-2 first, through ``capped_first_hit``: each rule is
+    value.  After it passes, each function-slot rule is swept from ``f =
+    x_1`` on the smallest grid its symbol allows, as the module docstring
+    sets out, blind spots included.  A hit of the slot-2 sweep runs both
+    rules on the whole unit grid through ``capped_first_hit``: each rule is
     linear in the coefficients of both form slots and first-order in the
-    function, so unit forms and the monomials of degree <= 1 certify it,
-    and a hit there is replaced by the first failure of the full grid.
-    Every one of these sweeps starts at ``f = x_1``: at ``f = 1`` both
-    residuals are zero whatever the kernels compute, since ``b * 1 == b``,
-    ``X(1) = 0`` and ``differential(1) = 0``.
-    Either way the report is the first failure of the full grid.  The blind
-    spots: a fault in ``function_slot2_residual`` alone, or in
-    ``function_slot1_residual`` at one ``J != J0`` alone, goes unseen.
+    function, so unit forms and the monomials of degree <= 1 certify it.
+    Either way the report is the first failure of the full grid.
     """
     n = basis.structure.n
     count_forms = basis.size()

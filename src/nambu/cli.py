@@ -35,12 +35,13 @@ from .cohomology import (
 from .errors import NambuError, ParseError
 from .structure import (
     CheckReport,
+    JetBasis,
     check_fundamental_identity,
     check_invariance,
     hamiltonian,
+    require_jet_degree,
     sharp,
 )
-from .sweep import JetBasis, require_jet_degree
 from .textio import (
     format_tensor,
     load_structure_file,

@@ -39,24 +39,24 @@ degree-1 coboundary of a tensorial cochain c evaluates as
 For ``c = <., w>`` and any n-vector it is tensorial in its second slot,
 ``cobound1(c)(a, b) = <b, U(a)>`` with the cocycle defect
 
-    U(a) = L_{sharp a} w - (-1)^n <d a, lam> w - cobound0(<a, w>).w
+    U(a) = D_a w - cobound0(<a, w>).w
 
-(``cocycle_defect``), since ``sharp(a)<b, w> - <L_{sharp a} b, w> = <b,
-L_{sharp a} w>`` and ``pair(b, cobound0(h).w) = sharp(b)(h)``.  U reads no
-``lbracket`` and, like the anchor defect T of ``structure``, is first-order
-in the function slot (``cobound0`` is a derivation).  So ``verify_cocycle``
-scans U on the basis forms ``x^g dx^I`` with deg g <= 1 through T's helpers
-``structure.defect_scan`` and ``defect_hit``: the first ``dx^J`` with
-``<dx^J, U> != 0`` on the hit row is the first failing pair of the jet
-grid, and ``cobound1_eval`` re-checks it.  The blind spot: where U
-vanishes, a fault in ``cobound1_eval`` alone goes unseen.
+(``cocycle_defect``), with the dual action ``D_a P = L_{sharp a} P - (-1)^n
+<d a, lam> P`` of ``structure``, since ``sharp(a)<b, w> - <L_{sharp a} b, w>
+= <b, L_{sharp a} w>`` and ``pair(b, cobound0(h).w) = sharp(b)(h)``.  U
+reads no ``lbracket`` and, like the anchor defect T of ``structure``, is
+first-order in the function slot (``cobound0`` is a derivation).  So
+``verify_cocycle`` scans U as T is scanned, through
+``structure.defect_scan``, whose hit is the first failing pair of the jet
+grid (``structure`` docstring), and ``cobound1_eval`` re-checks it.  The
+blind spot: where U vanishes, a fault in ``cobound1_eval`` alone goes unseen.
 
 The volume identity ``lsv_residual`` is zero for every n-vector, Nambu-Poisson
 or not: with ``a = f dx^I`` and ``X_I = sharp(dx^I)``, ``div(f X_I) =
 f div(X_I) + X_I(f)``, and ``X_I(f) = (-1)^(n-1) <d a, lam>`` since ``d a =
 df ^ dx^I``.  Like characterization, it says that the modular multivector
 agrees with its definition.  It is first-order in ``f``, so ``verify_lsv``
-sweeps the rows of degree <= 1 (``sweep``).
+sweeps the rows of degree <= 1 (capped rows, ``structure`` docstring).
 """
 
 from __future__ import annotations
@@ -78,20 +78,20 @@ from .exterior import (
     contract_form,
     differential,
     ext_d,
-    lie_mv,
     pair,
 )
 from .poly import Polynomial, grlex_key, poly_sum
 from .structure import (
     CheckReport,
+    JetBasis,
     NambuStructure,
     certify,
-    defect_hit,
+    certify_forms,
     defect_scan,
+    dual_action,
     first_hit,
     sharp,
 )
-from .sweep import JetBasis, certify_forms
 
 
 @dataclass(frozen=True)
@@ -204,15 +204,10 @@ def cobound1_eval(
 
 
 def cocycle_defect(structure: NambuStructure, w: Multivector, alpha: Form) -> Multivector:
-    """``L_{sharp a} w - (-1)^n <d a, lam> w - cobound0(<a, w>).w``, whose
-    pairing with an (n-1)-form b is ``cobound1`` of the cochain ``<., w>``
-    at ``(a, b)`` (module docstring)."""
-    defect = lie_mv(sharp(structure, alpha), w) - cobound0(structure, pair(alpha, w)).w
-    scale = pair(ext_d(alpha), structure.nvector)
-    if scale.is_zero():
-        return defect
-    correction = w * scale
-    return defect + correction if structure.n % 2 else defect - correction
+    """``U(a) = D_a w - cobound0(<a, w>).w``, D the dual action
+    ``structure.dual_action``, whose pairing with an (n-1)-form b is
+    ``cobound1`` of the cochain ``<., w>`` at ``(a, b)`` (module docstring)."""
+    return dual_action(structure, alpha, w) - cobound0(structure, pair(alpha, w)).w
 
 
 # -- volume identity -------------------------------------------------------------
@@ -243,7 +238,7 @@ def verify_lsv(basis: JetBasis, volume: VolumeForm) -> CheckReport:
 
     The residual is first-order in the coefficient, so the basis forms on
     the rows of degree <= 1, a prefix of the full order, certify it and
-    locate its first failure (``sweep`` docstring).  ``items_checked``
+    locate its first failure (``structure`` docstring).  ``items_checked``
     counts the basis forms certified, up to the first failure.
     """
     swept = basis.swept
@@ -265,17 +260,17 @@ def _cocycle_report(
     basis: JetBasis, check: str, cochain_of: Callable[[NambuStructure], TensorCochain1]
 ) -> CheckReport:
     """Scan the cocycle defect of ``cochain_of(basis.swept)`` on
-    ``basis.swept`` and report its first failing pair (``defect_hit``) with
+    ``basis.swept`` and report its first failing pair (``defect_scan``) with
     ``cochain_of(basis.structure)`` on ``basis.structure``.  ``cobound1`` is
     linear in the n-vector for a fixed cochain, and each cochain is the same
     multiple of the other on both."""
     w = cochain_of(basis.swept).w
-    scan = defect_scan(basis, partial(cocycle_defect, basis.swept, w))
+    _, hit = defect_scan(basis, partial(cocycle_defect, basis.swept, w))
 
     def direct(alpha: Form, beta: Form) -> Polynomial:
         return cobound1_eval(basis.structure, cochain_of(basis.structure), alpha, beta)
 
-    return certify_forms(basis, check, basis.size() ** 2, defect_hit(basis, scan), direct)
+    return certify_forms(basis, check, basis.size() ** 2, hit, direct)
 
 
 def verify_cocycle(basis: JetBasis, cochain: TensorCochain1) -> CheckReport:

@@ -251,9 +251,13 @@ _set_m, _set_degree, _set_components = (
 class Form(_Alternating):
     """Differential k-form with polynomial coefficients."""
 
+    __slots__ = ()
+
 
 class Multivector(_Alternating):
     """Skew-symmetric k-vector field with polynomial coefficients."""
+
+    __slots__ = ()
 
 
 # -- tensor printing ----------------------------------------------------------

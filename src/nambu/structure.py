@@ -1,66 +1,130 @@
-"""Nambu-Poisson structures: n-bracket, anchor, Hamiltonian fields, checks.
+"""Nambu-Poisson structures, the jet basis of a run, and the sweeps over it.
 
 A structure is an n-vector on an m-dimensional chart together with the
 bracket ``{f_1, .., f_n} = <df_1 ^ .. ^ df_n, lam>``.  Construction does not
 presume the fundamental identity; ``check_fundamental_identity`` and
 ``check_invariance`` certify it explicitly over a finite monomial jet basis.
+This module also holds the sweep engine that every verifier runs, here and
+in ``algebroid`` and ``cohomology``.
 
-This module also holds the one scan-and-certify loop that every verifier
-runs: ``first_hit`` stops at the first point of a grid, in pinned
-lexicographic order, whose fast residual is nonzero, and ``certify`` turns
-that hit into a report, recomputing the residual of the reported tuple by
-the direct formula and refusing a zero one.
+The jet basis.  One ``JetBasis`` serves a whole ``check`` run: every
+verifier takes it, and a scan that two checks share runs once per run,
+through ``JetBasis.once`` (the anchor-defect scan of FI, invariance,
+anchor, sharp-d and Leibniz; on its hit, the invariance sweep of FI and
+invariance; the exact-forms consistency scan of characterization and
+phi-morphism).  Tables are computed on first use and then read: the
+basis holds the unit forms ``dx^I`` and the shared scans, and each
+``NambuStructure`` instance the anchors ``sharp(dx^I)`` and brackets
+``lbracket(dx^I, dx^J)`` of unit forms, which ``sharp`` and ``lbracket``
+read (``NambuStructure.tabled``).  Sharing a result among callers is exact:
+tensors are immutable, and every operation builds a new one.
 
-Sweep strategy.  Both check residuals are multidifferential operators of
-order <= 2 in each functional slot, swept on the capped rows of ``sweep``.
-The fundamental-identity residual factors exactly through the invariance
-defect:
+The swept multiple.  Sweeps run on ``c * lam`` (``JetBasis.swept``), c the
+lcm of the coefficient denominators of lam, so their arithmetic stays on
+``int`` coefficients; reports are computed on lam, and each of the two
+structures has its own table.  This is exact: every residual is homogeneous
+in lam, ``R(c lam) = c^k R(lam)``, with k = 2 for the fundamental-identity
+residual, the invariance and anchor defects, anchor, sharp-d, Leibniz and
+the modular cocycle, and k = 1 for characterization's rules, the
+exact-forms rule, phi-morphism and lsv (the modular multivector built from
+the same n-vector).  So zero sets, hits, rescans and located tuples are
+those of lam itself.
 
-    R(f_1..f_{n-1}; g_1..g_n) = <dg_1 ^ .. ^ dg_n, L_{X_f} lam>
+The scan-and-certify loop.  ``first_hit`` sweeps a grid in the pinned
+lexicographic order (here slot by slot: coefficient monomial-major, then
+index set) and stops at the first nonzero residual; ``certify`` reports a
+pass when there is none.  Otherwise the hit may name a tuple other than the
+one to report: a Leibniz pair is lifted to a triple through the
+factorization of its residual (``algebroid``), a fundamental-identity
+f-tuple to its first failing g-tuple, and an exact-forms consistency hit
+``(x_I, g)`` to the first failing pair of capped function tuples from
+``x_I`` on, by ``locate``.  The residual of the reported tuple is
+recomputed by the direct formula (for Leibniz, the nested brackets), and a
+zero one is refused.  ``certify_forms`` is ``certify`` for points made of
+basis forms.
 
-(an identity of the implemented operations, certified by the test suite).
-So both checks are one sweep of the f-tuples through ``invariance_defect``,
-which a run computes once on the jet basis both take (``sweep.JetBasis``,
-read here by its attributes, since ``sweep`` imports this module).
-The fundamental identity reads its failing g-tuple off the defect ``L``:
-the pairing is an alternating derivation in each g-slot, so the first
-failing g-tuple is the coordinate tuple ``x_I`` of the first component
-``L^I`` (``check_fundamental_identity``), and only that tuple is evaluated
-by the direct nested-bracket formula.
+Capped rows.  A residual that is a differential operator of order <= k in
+a function slot, the other slots fixed, vanishes identically once it
+vanishes on the monomials of degree <= k (``JetBasis.capped(k)``), and the
+monomials come in graded order, so those rows come first.  On a product
+grid in the pinned order the first failure therefore lies on the capped
+rows of every function slot: a row of higher degree would leave a capped
+row, at an earlier point, failing too.  So every sweep scans only its
+capped rows, which certify the configured degree and locate a failure.
+Each residual below has its order for any n-vector (``algebroid`` and
+``cohomology`` docstrings):
 
-The anchor defect.  That sweep runs only when the anchor-defect scan
-fails.  For any n-vector and any (n-1)-form a, the anchor defect
+* Order <= 1, ``capped(1)``:
+  - the anchor defect T and the cocycle defect U, through ``defect_scan``
+    (below);
+  - anchor, sharp-d and Leibniz, read off T's hit (``algebroid``);
+  - characterization's function-slot rules, on unit forms, each on the
+    smallest grid its symbol allows (``algebroid``);
+  - lsv: the basis forms ``x^g dx^I``, a prefix of ``JetBasis.elements``.
+* Order <= 2, ``capped(2)``: the invariance defect ``L_{X_f} lam`` of FI
+  and invariance, on a hit of the anchor-defect scan, and the exact-forms
+  consistency form ``d(X_F(g) - {F, g})`` of characterization and
+  phi-morphism in g; F runs on the coordinate f-tuples, by tensoriality
+  (``algebroid``).
 
-    T(a) = L_{sharp a} lam - (-1)^n <d a, lam> lam
+FI and invariance sweep combinations of f-tuples, which are no product: a
+tuple with a cubic entry may precede a capped one, so a capped hit is
+replaced by the first over all f-tuples (``capped_first_hit``, a rescan).
+Characterization's function-slot rules keep that rescan too, so a fault
+that breaks the order argument is still reported at the first failure of
+the full grid.
 
-is the n-vector whose contraction by any (n-1)-form b is the anchor
-residual of ``algebroid``: ``A(a, b) = [sharp a, sharp b] - sharp(lbracket(a,
-b)) = i_b T(a)``, since ``[sharp a, sharp b] = L_{sharp a}(i_b lam) =
-i_{L_{sharp a} b} lam + i_b L_{sharp a} lam``.  T is a first-order operator
-in the function slot: ``T(f a) = f T(a) + B(df, a)``, with B linear over
-functions in df, so ``T(fh a) = f T(h a) + h T(f a) - fh T(a)``, and T
-vanishes on every polynomial form once it vanishes on the basis forms
-``x^g dx^I`` with deg g <= 1 (``capped(1)``: g = 1 gives ``T(dx^I) = 0``, then
-g = x_j gives ``B(dx_j, dx^I) = 0``).  ``anchor_defect_scan`` evaluates T
-there, once per run, through ``defect_scan``, the one scan of a first-order
-defect, which the modular cocycle's defect runs too (``cohomology``); a
-pass proves three things for every polynomial pair, at every degree and not
+First-order defects.  For any n-vector and any (n-1)-form a, the
+bracket's dual action on multivectors is
+
+    D_a P = L_{sharp a} P - (-1)^n <d a, lam> P        (``dual_action``).
+
+Two defects are built on it: the anchor defect ``T(a) = D_a lam``
+(``anchor_defect``) and the cocycle defect ``U(a) = D_a w - cobound0(<a,
+w>).w`` of ``cohomology``.  Each is a first-order operator in the function
+slot: ``T(f a) = f T(a) + B(df, a)``, with B linear over functions in df,
+so ``T(fh a) = f T(h a) + h T(f a) - fh T(a)``, and T vanishes on every
+polynomial form once it vanishes on the basis forms ``x^g dx^I`` with
+deg g <= 1 (g = 1 gives ``T(dx^I) = 0``, then g = x_j gives ``B(dx_j,
+dx^I) = 0``).  ``defect_scan`` evaluates a defect there, each value once,
+and returns its family ``<dx^J, D(x^g dx^I)>`` and its hit.  The pair
+residual ``<b, D(a)>`` is linear over functions in b, and every row before
+the first nonzero ``D(x^g dx^I)`` has D = 0, so the first failing pair of
+the capped pair grid, in the pinned order, is ``(x^g dx^I, dx^J)`` for the
+first J with ``<dx^J, D(x^g dx^I)> != 0``; the hit is that point
+``(g, I, 0, J)``, read off the row's one value.
+
+The anchor defect.  The contraction of T(a) by any (n-1)-form b is the
+anchor residual of ``algebroid``: ``A(a, b) = [sharp a, sharp b] -
+sharp(lbracket(a, b)) = i_b T(a)``, since ``[sharp a, sharp b] = L_{sharp
+a}(i_b lam) = i_{L_{sharp a} b} lam + i_b L_{sharp a} lam``.
+``anchor_defect_scan`` runs ``defect_scan`` on T once per run, and a pass
+proves three things for every polynomial pair, at every degree and not
 only up to the jet degree:
 
 * ``A = 0``, since an n-vector killed by every ``i(dx^J)`` is zero: the
   anchor, sharp-d and Leibniz checks of ``algebroid`` pass;
 * ``L_{X_F} lam = T(df_1^..^df_{n-1}) = 0`` for every f-tuple, since
   ``d(df_1^..^df_{n-1}) = 0``: invariance passes;
-* hence ``R = <dg_1^..^dg_n, L_{X_F} lam> = 0``: FI passes.
+* hence FI passes, by the factorization below.
 
 None of this uses the converse, the source paper's theorem that a
-Nambu-Poisson n-vector makes the anchor a morphism of brackets.  On a hit
-of the scan, FI and invariance run the capped sweep above, unchanged, and
-every reported tuple is re-checked by its direct formula.  The blind spot:
-when T vanishes, no invariance defect, fundamental-identity residual or
-direct anchor residual is evaluated, so a fault in those functions alone
-is not seen; the test suite checks each identity above by the direct
-formulas.
+Nambu-Poisson n-vector makes the anchor a morphism of brackets.
+
+The fundamental identity.  Its residual factors exactly through the
+invariance defect:
+
+    R(f_1..f_{n-1}; g_1..g_n) = <dg_1 ^ .. ^ dg_n, L_{X_f} lam>
+
+(an identity of the implemented operations, certified by the test suite).
+So on a hit of the anchor-defect scan FI and invariance are one capped
+sweep of the f-tuples through ``invariance_defect``, which a run computes
+once.  FI reads its failing g-tuple off the defect ``L``
+(``check_fundamental_identity``), and only that tuple is evaluated by the
+direct nested-bracket formula.  The blind spot: when T vanishes, no
+invariance defect, fundamental-identity residual or direct anchor residual
+is evaluated, so a fault in those functions alone is not seen; the test
+suite checks each identity above by the direct formulas.
 """
 
 from __future__ import annotations
@@ -78,7 +142,7 @@ from .exterior import (
     Form, Multivector, contract_form, differential, ext_d, format_tensor, lie_mv, pair, wedge,
     wedge_all,
 )
-from .poly import Polynomial
+from .poly import Polynomial, jet_exponents
 
 
 @dataclass(frozen=True)
@@ -147,7 +211,7 @@ class NambuStructure:
         denominators of lam, with ``int`` coefficients; ``self`` when c = 1.
 
         Every check residual is homogeneous in lam, so ``c * lam`` has the
-        same zero set as lam (``sweep.JetBasis.swept``).
+        same zero set as lam (module docstring).
         """
         c = math.lcm(*(
             value.denominator
@@ -193,7 +257,69 @@ class PluckerVerdict(enum.Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-# -- the scan-and-certify loop ---------------------------------------------------
+# -- the jet basis and the scan-and-certify loop ---------------------------------
+
+
+class JetBasis:
+    """Monomial jet basis of (n-1)-forms ``x^g dx^I`` with the tables of one run.
+
+    A basis form is a pair ``(g, I)`` of a monomial index and an index set;
+    monomial 0 is the constant.  ``structure`` is the given n-vector lam, on
+    which reports and direct formulas are computed; ``swept`` is its
+    integral multiple ``c * lam`` (``NambuStructure.integral_multiple``), on
+    which every sweep and the anchors it reads are computed.  The basis
+    tables the unit forms ``dx^I`` and, through ``once``, each scan that two
+    checks share; the anchors ``sharp(dx^I)`` are tabled by the structure
+    instance (module docstring).
+    """
+
+    def __init__(self, structure: NambuStructure, max_degree: int):
+        require_jet_degree(max_degree)
+        self.structure = structure
+        self.swept = structure.integral_multiple()
+        self.max_degree = max_degree
+        self.exponents = jet_exponents(structure.m, max_degree)
+        self.monomials = [Polynomial.monomial(e) for e in self.exponents]
+        self.index_sets = list(
+            itertools.combinations(range(1, structure.m + 1), structure.n - 1)
+        )
+        self._scans: dict[Callable, object] = {}
+
+    @functools.cached_property
+    def units(self) -> dict[tuple[int, ...], Form]:
+        return {indices: Form.basis(self.structure.m, indices) for indices in self.index_sets}
+
+    def once(self, scan: Callable[[JetBasis], object]):
+        """``scan(self)``, computed on the first call of the run only."""
+        if scan not in self._scans:
+            self._scans[scan] = scan(self)
+        return self._scans[scan]
+
+    def elements(self):
+        """Basis forms ``(g, I)`` in the pinned lexicographic order."""
+        return itertools.product(range(len(self.monomials)), self.index_sets)
+
+    def form(self, g: int, indices: tuple[int, ...]) -> Form:
+        return self.units[indices] * self.monomials[g]
+
+    def forms(self, point: tuple) -> list[Form]:
+        """The basis forms of a flat ``(g, I, h, J, ..)`` point."""
+        return [self.form(g, indices) for g, indices in zip(point[::2], point[1::2])]
+
+    def size(self) -> int:
+        return len(self.monomials) * len(self.index_sets)
+
+    def capped(self, cap: int) -> list[int]:
+        """Indices of the monomials of degree <= cap."""
+        return [g for g, e in enumerate(self.exponents) if sum(e) <= cap]
+
+
+def require_jet_degree(max_degree: int) -> None:
+    """Refuse a jet degree below 2, which would certify no identity."""
+    if max_degree < 2:
+        raise ValueError("identity certification requires max_degree >= 2")
+
+
 
 
 def first_hit(grid: Iterable[tuple], fast: Callable) -> tuple | None:
@@ -243,6 +369,20 @@ def certify(
         passed=False,
         items_checked=items,
         counterexample=Counterexample(inputs=inputs(*point), residual=text),
+    )
+
+
+def certify_forms(
+    basis: JetBasis, check: str, items: int, hit, direct: Callable, locate=None
+) -> CheckReport:
+    """``certify`` for points made of basis forms; ``direct`` takes the forms."""
+    return certify(
+        check,
+        items,
+        hit,
+        lambda *point: direct(*basis.forms(point)),
+        lambda *point: tuple(format_tensor(form) for form in basis.forms(point)),
+        locate,
     )
 
 
@@ -312,27 +452,34 @@ def invariance_defect(
     return lie_mv(hamiltonian(structure, fs), structure.nvector)
 
 
-def anchor_defect(structure: NambuStructure, alpha: Form) -> Multivector:
-    """``L_{sharp a} lam - (-1)^n <d a, lam> lam``, whose contraction by an
-    (n-1)-form b is the anchor residual ``A(a, b)`` (module docstring)."""
-    lam = structure.nvector
-    defect = lie_mv(sharp(structure, alpha), lam)
-    scale = pair(ext_d(alpha), lam)
+def dual_action(structure: NambuStructure, alpha: Form, tensor: Multivector) -> Multivector:
+    """``D_a P = L_{sharp a} P - (-1)^n <d a, lam> P``, the bracket's dual
+    action on a multivector P (module docstring)."""
+    derivative = lie_mv(sharp(structure, alpha), tensor)
+    scale = pair(ext_d(alpha), structure.nvector)
     if scale.is_zero():
-        return defect
-    correction = lam * scale
-    return defect + correction if structure.n % 2 else defect - correction
+        return derivative
+    correction = tensor * scale
+    return derivative + correction if structure.n % 2 else derivative - correction
+
+
+def anchor_defect(structure: NambuStructure, alpha: Form) -> Multivector:
+    """``T(a) = D_a lam``, whose contraction by an (n-1)-form b is the anchor
+    residual ``A(a, b)`` (module docstring)."""
+    return dual_action(structure, alpha, structure.nvector)
 
 
 # -- verifiers ----------------------------------------------------------------
 
 
-def defect_scan(basis, defect: Callable[[Form], Multivector]) -> tuple[Callable, tuple | None]:
+def defect_scan(
+    basis: JetBasis, defect: Callable[[Form], Multivector]
+) -> tuple[Callable, tuple | None]:
     """Scan a defect D that is first-order in the function slot: the family
     ``i(dx^J) D(x^g dx^I)`` at the points ``(g, I, 0, J)``, each ``D(x^g
-    dx^I)`` computed once, and the first basis form ``(g, I)`` of degree
-    ``g <= 1`` where D is nonzero, or None; a pass proves D zero on every
-    polynomial form (module docstring)."""
+    dx^I)`` computed once, and the first failing pair ``(g, I, 0, J)`` of the
+    capped pair grid, or None; a pass proves D zero on every polynomial form
+    (module docstring)."""
 
     @functools.cache
     def value(g: int, indices: tuple[int, ...]) -> Multivector:
@@ -341,25 +488,19 @@ def defect_scan(basis, defect: Callable[[Form], Multivector]) -> tuple[Callable,
     def family(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]) -> Multivector:
         return contract_form(basis.units[right], value(g, left))
 
-    return family, first_hit(itertools.product(basis.capped(1), basis.index_sets), value)
-
-
-def defect_hit(basis, scan: tuple[Callable, tuple | None]) -> tuple | None:
-    """The first point ``(g, I, 0, J)`` of a ``defect_scan``'s hit row where
-    its family is nonzero, or None when the scan passed."""
-    family, row = scan
+    row = first_hit(itertools.product(basis.capped(1), basis.index_sets), value)
     if row is None:
-        return None
-    return first_hit((row + (0, right) for right in basis.index_sets), family)
+        return family, None
+    return family, first_hit((row + (0, right) for right in basis.index_sets), family)
 
 
-def anchor_defect_scan(basis) -> tuple[Callable, tuple | None]:
+def anchor_defect_scan(basis: JetBasis) -> tuple[Callable, tuple | None]:
     """The ``defect_scan`` of the anchor defect T on ``basis.swept``; a run
     computes it once, through ``basis.once``."""
     return defect_scan(basis, functools.partial(anchor_defect, basis.swept))
 
 
-def _invariance_sweep(basis):
+def _invariance_sweep(basis: JetBasis):
     """The defect of an f-tuple of jet monomials on ``basis.swept`` and the
     first f-tuple whose defect is nonzero; a run computes it once, through
     ``basis.once``.  A pass of the anchor-defect scan proves every defect
@@ -380,7 +521,7 @@ def _texts(*functions: Polynomial) -> tuple[str, ...]:
     return tuple(map(str, functions))
 
 
-def check_fundamental_identity(basis) -> CheckReport:
+def check_fundamental_identity(basis: JetBasis) -> CheckReport:
     """Certify the fundamental identity over the run's jet basis.
 
     The residual is alternating in the f-slots and in the g-slots, so
@@ -416,7 +557,7 @@ def check_fundamental_identity(basis) -> CheckReport:
     )
 
 
-def check_invariance(basis) -> CheckReport:
+def check_invariance(basis: JetBasis) -> CheckReport:
     """Certify that every jet-basis Hamiltonian field preserves the n-vector.
 
     ``items_checked`` counts the f-tuples swept, up to the first failure.

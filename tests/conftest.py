@@ -104,6 +104,14 @@ def x(m: int, i: int) -> Polynomial:
     return Polynomial.variable(m, i)
 
 
+def dx(m: int, *indices: int) -> Form:
+    return Form.basis(m, indices)
+
+
+def dd(m: int, *indices: int) -> Multivector:
+    return Multivector.basis(m, indices)
+
+
 @pytest.fixture
 def scaled_r3() -> NambuStructure:
     """x3 * d1^d2^d3 on a 3-chart: order 3, vanishing on the x3 = 0 plane."""

@@ -38,20 +38,16 @@ from nambu.exterior import (
 )
 from nambu.poly import Polynomial
 from nambu.structure import (
+    JetBasis,
     NambuStructure,
     check_fundamental_identity,
     fi_residual,
     hamiltonian,
     nbracket,
 )
-from nambu.sweep import JetBasis
 from nambu.textio import format_tensor
 
-from conftest import SEED, random_form, random_multivector, random_polynomial
-
-
-def x(m, i):
-    return Polynomial.variable(m, i)
+from conftest import SEED, random_form, random_multivector, random_polynomial, x
 
 
 def _verdict(number: int, passed: bool, description: str) -> None:

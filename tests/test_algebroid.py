@@ -55,8 +55,10 @@ from nambu.exterior import (
 )
 from nambu.poly import Polynomial, jet_exponents
 from nambu.structure import (
+    JetBasis,
     NambuStructure,
     anchor_defect,
+    anchor_defect_scan,
     check_fundamental_identity,
     check_invariance,
     first_hit,
@@ -65,24 +67,11 @@ from nambu.structure import (
     nbracket,
     sharp,
 )
-from nambu.sweep import JetBasis
 from nambu.textio import load_structure_file
 
-from conftest import denominator_lcm, random_form, random_multivector, random_polynomial
+from conftest import dd, denominator_lcm, dx, random_form, random_multivector, random_polynomial, x
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def x(m, i):
-    return Polynomial.variable(m, i)
-
-
-def dx(m, *indices):
-    return Form.basis(m, indices)
-
-
-def dd(m, *indices):
-    return Multivector.basis(m, indices)
 
 
 def phi_morphism_residual(structure, fs, gs):
@@ -663,7 +652,7 @@ class TestVerifiers:
         failing = 0
         for structure in structures:
             basis = JetBasis(structure, 2)
-            anchor = basis.once(algebroid._anchor_hit)
+            _, anchor = basis.once(anchor_defect_scan)
             sharp_d = basis.once(algebroid._sharp_d_hit)
             grid = pairs(basis, basis.capped(1))
             assert sharp_d == first_hit(grid, partial(reduced_sharp_d, basis))
@@ -912,8 +901,6 @@ class TestVerifiers:
         # premises are checked at the anchor hit by the direct formulas on
         # the swept n-vector: on the fixtures of order n that fail,
         # cross_only_r5 at n = 3, and two seeded n-vectors of order n.
-        from nambu import algebroid
-
         structures = [
             structure
             for structure in (
@@ -929,16 +916,16 @@ class TestVerifiers:
         failing = 0
         for structure in structures:
             basis = JetBasis(structure, 2)
-            hit = basis.once(algebroid._anchor_hit)
+            family, hit = basis.once(anchor_defect_scan)
             if hit is None:
                 continue
             failing += 1
             assert hit[2] == 0 and basis.monomials[0] == Polynomial.constant(structure.m, 1)
             forms = basis.forms(hit)
             assert sharp_d_residual(basis.swept, *forms).is_zero()
-            family = basis.once(algebroid._anchor_family)(*hit)
-            assert not family.is_zero()
-            assert anchor_residual(basis.swept, *forms) == family
+            anchor = family(*hit)
+            assert not anchor.is_zero()
+            assert anchor_residual(basis.swept, *forms) == anchor
         # the two seeded n-vectors fail, and at n = 3 so do r6_nonexample,
         # r6_rational and cross_only_r5
         assert failing == (5 if n == 3 else 2)

@@ -487,6 +487,19 @@ class TestOneBasisPerRun:
                     "algebroid.leibniz_residual": 1,
                 },
             ),
+            # FI alone runs the anchor-defect scan itself: the same 21 anchor
+            # defects, the hit's dx^J read off the hit row's one value, then
+            # 97 f-tuples to the invariance hit and the defect there
+            # re-evaluated by FI's locate; only the report evaluates the
+            # direct nested residual
+            (
+                [R6_SUM, "--checks=fundamental-identity"],
+                {
+                    "structure.anchor_defect": 21,
+                    "structure.invariance_defect": 98,
+                    "structure.fi_residual": 1,
+                },
+            ),
             # the consistency scan of characterization and phi-morphism:
             # 6 coordinate f-tuples x_I times the 15 monomials of capped(2)
             # on R^4, one nbracket each, evaluated once for both checks
@@ -516,8 +529,8 @@ class TestOneBasisPerRun:
             ),
         ],
         ids=[
-            "r4-default", "r6-integrability", "r4-consistency", "r4-characterization",
-            "r6-rational-modular-cocycle",
+            "r4-default", "r6-integrability", "r6-fundamental-identity", "r4-consistency",
+            "r4-characterization", "r6-rational-modular-cocycle",
         ],
     )
     def test_shared_scans_run_once(self, monkeypatch, capsys, argv, expected):

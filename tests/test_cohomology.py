@@ -35,25 +35,18 @@ from nambu.exterior import (
     Form, Multivector, apply_vec, differential, format_tensor, pair, wedge, wedge_all,
 )
 from nambu.poly import Polynomial, jet_exponents, jet_monomials
-from nambu.structure import NambuStructure, check_fundamental_identity, hamiltonian, sharp
-from nambu.sweep import JetBasis
+from nambu.structure import (
+    JetBasis,
+    NambuStructure,
+    check_fundamental_identity,
+    hamiltonian,
+    sharp,
+)
 from nambu.textio import load_structure_file
 
-from conftest import denominator_lcm, random_form, random_multivector, random_polynomial
+from conftest import dd, denominator_lcm, dx, random_form, random_multivector, random_polynomial, x
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def x(m, i):
-    return Polynomial.variable(m, i)
-
-
-def dx(m, *indices):
-    return Form.basis(m, indices)
-
-
-def dd(m, *indices):
-    return Multivector.basis(m, indices)
 
 
 @pytest.fixture

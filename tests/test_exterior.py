@@ -31,7 +31,7 @@ from nambu.exterior import (
 )
 from nambu.poly import Polynomial
 
-from conftest import random_form, random_multivector, random_polynomial
+from conftest import dd, dx, random_form, random_multivector, random_polynomial, x
 from oracles import (
     oracle_apply_vec,
     oracle_contract_form,
@@ -41,18 +41,6 @@ from oracles import (
     oracle_pair,
     oracle_wedge,
 )
-
-
-def x(m, i):
-    return Polynomial.variable(m, i)
-
-
-def dx(m, *indices):
-    return Form.basis(m, indices)
-
-
-def dd(m, *indices):
-    return Multivector.basis(m, indices)
 
 
 class TestWedge:
@@ -569,6 +557,20 @@ class TestCopies:
             ):
                 assert type(clone) is type(tensor)
                 assert clone == tensor and hash(clone) == hash(tensor)
+
+    def test_tensors_carry_their_slots_only(self, rng):
+        # Form and Multivector add no slot to those of _Alternating, so a
+        # tensor has no __dict__ or __weakref__, refuses every assignment,
+        # and still copies and pickles equal
+        for tensor in (random_form(rng, 4, 2), random_multivector(rng, 4, 3)):
+            assert not hasattr(tensor, "__dict__") and not hasattr(tensor, "__weakref__")
+            for name in ("m", "degree", "components", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(tensor, name, None)
+            for clone in (
+                copy.copy(tensor), copy.deepcopy(tensor), pickle.loads(pickle.dumps(tensor))
+            ):
+                assert type(clone) is type(tensor) and clone == tensor
 
 
 class TestApplyVec:

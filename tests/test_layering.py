@@ -3,12 +3,15 @@
 A function-level import hides an import cycle, and a cross-module import
 of a private name couples two modules through an internal detail; neither
 is allowed.  Every module must also import on its own in a fresh
-interpreter.
+interpreter, and every name that the benchmark's layer tracer wraps must
+exist where the tracer looks for it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,6 +21,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nambu"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -60,3 +64,26 @@ def test_module_imports_in_a_fresh_interpreter(path):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_names_resolve():
+    # perfbench/tracer.py finds what it times and counts by name, so a
+    # function moved or deleted from its module would otherwise fail only
+    # in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracer.TIMED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"nambu.{module}"), name, None))
+    ]
+    for module, class_name, methods in tracer.COUNTED.values():
+        cls = getattr(importlib.import_module(f"nambu.{module}"), class_name, object)
+        missing += [
+            f"{module}.{class_name}.{method}"
+            for method in methods
+            if getattr(cls, method, None) in (None, getattr(object, method, None))
+        ]
+    assert missing == []

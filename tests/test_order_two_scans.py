@@ -1,6 +1,6 @@
 """At order 2 every certificate reports what a brute-force scan finds.
 
-The capped-row, slot-1 and read-off arguments of ``sweep`` hold for any
+The capped-row, slot-1 and read-off arguments of ``structure`` hold for any
 n-vector, so they hold at n = 2 as well.  Here each check's report at jet
 degree 2 is compared with the first nonzero direct residual over its full
 grid, in grid order, on the order-2 fixtures and on seeded rational
@@ -22,8 +22,7 @@ from nambu.cli import CHECKS
 from nambu.cohomology import VolumeForm, cobound1_eval, lsv_residual, modular_cochain
 from nambu.exterior import Multivector, format_tensor
 from nambu.poly import Polynomial
-from nambu.structure import NambuStructure, fi_residual, invariance_defect
-from nambu.sweep import JetBasis
+from nambu.structure import JetBasis, NambuStructure, fi_residual, invariance_defect
 from nambu.textio import load_structure_file
 
 from conftest import SEED, denominator_lcm, poisson_r3, random_multivector, random_polynomial

@@ -17,6 +17,7 @@ from nambu.poly import Polynomial, jet_monomials
 from nambu.structure import (
     CheckReport,
     Counterexample,
+    JetBasis,
     NambuStructure,
     PluckerVerdict,
     capped_first_hit,
@@ -35,14 +36,9 @@ from nambu.algebroid import (
 )
 from nambu.cli import CHECKS, DEFAULT_CHECKS
 from nambu.cohomology import VolumeForm, exactness_witness, modular_multivector
-from nambu.sweep import JetBasis
 
-from conftest import jacobian_nvector, poisson_r3, random_multivector, random_polynomial
+from conftest import jacobian_nvector, poisson_r3, random_multivector, random_polynomial, x
 from oracles import oracle_nambu_poisson, oracle_nbracket, oracle_plucker_fail, oracle_wedge
-
-
-def x(m, i):
-    return Polynomial.variable(m, i)
 
 
 def seeded_coefficient(rng, m):

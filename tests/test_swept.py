@@ -31,13 +31,11 @@ from nambu.cohomology import (
     modular_multivector,
 )
 from nambu.exterior import Multivector
-from nambu.poly import Polynomial
 from nambu.structure import (
-    NambuStructure, fi_residual, hamiltonian, invariance_defect, nbracket, sharp,
+    JetBasis, NambuStructure, fi_residual, hamiltonian, invariance_defect, nbracket, sharp,
 )
-from nambu.sweep import JetBasis
 
-from conftest import denominator_lcm, random_form, random_multivector, random_polynomial
+from conftest import denominator_lcm, random_form, random_multivector, random_polynomial, x
 
 
 def rational_structure(rng, m: int, n: int) -> NambuStructure:
@@ -60,10 +58,6 @@ def modular_cobound1(structure, volume, alpha, beta):
 
 def modular_cocycle_defect(structure, volume, alpha):
     return cocycle_defect(structure, modular_multivector(structure, volume), alpha)
-
-
-def x(m, i):
-    return Polynomial.variable(m, i)
 
 
 def nonzero_form(rng, m, degree):

@@ -10,7 +10,6 @@ import pytest
 from nambu.cli import MAX_JET_FORMS
 from nambu.errors import ParseError
 from nambu.exterior import Form, Multivector
-from nambu.poly import Polynomial
 from nambu.textio import (
     MAX_DIMENSION,
     SCHEMA,
@@ -21,11 +20,7 @@ from nambu.textio import (
     parse_multivector,
 )
 
-from conftest import random_form, random_multivector
-
-
-def x(m, i):
-    return Polynomial.variable(m, i)
+from conftest import random_form, random_multivector, x
 
 
 class TestTensorGrammar:
