@@ -55,14 +55,12 @@ from .algebroid import (
     verify_sharp_d_identity,
 )
 from .cohomology import (
-    TensorCochain1,
     VolumeForm,
     WitnessReport,
     cobound0,
     cobound1_eval,
     divergence,
     exactness_witness,
-    modular_cochain,
     modular_multivector,
     verify_lsv,
     verify_modular_cocycle,

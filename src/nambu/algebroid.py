@@ -4,7 +4,8 @@ The bracket is
 
     lbracket(a, b) = lie_form(sharp(a), b) + (-1)^n * <d a, lam> * b
 
-and ``sharp`` is the anchor, at every order n >= 2.  At n = 2 it is
+at every order n >= 2, with ``sharp`` the anchor and the density term
+``(-1)^n <d a, lam>`` from ``structure.bracket_scale``.  At n = 2 it is
 ``L_{sharp a} b + <d a, lam> b`` on 1-forms: a Leibniz bracket that is not
 skew, which agrees with the Koszul bracket on exact forms, where both give
 ``d{f, g}``.  The verifiers certify, over the monomial jet basis of
@@ -173,8 +174,8 @@ from .exterior import (
 )
 from .poly import Polynomial
 from .structure import (
-    CheckReport, JetBasis, NambuStructure, anchor_defect_scan, capped_first_hit, certify,
-    certify_forms, first_hit, nbracket, sharp,
+    CheckReport, JetBasis, NambuStructure, anchor_defect_scan, bracket_scale, capped_first_hit,
+    certify, certify_forms, first_hit, nbracket, sharp,
 )
 
 
@@ -201,13 +202,8 @@ def lbracket(structure: NambuStructure, alpha: Form, beta: Form) -> Form:
 
 def _cartan(structure: NambuStructure, alpha: Form, beta: Form) -> Form:
     result = lie_form(sharp(structure, alpha), beta)
-    scale = pair(ext_d(alpha), structure.nvector)
-    if not scale.is_zero():
-        correction = beta * scale
-        if structure.n % 2:
-            correction = -correction
-        result = result + correction
-    return result
+    scale = bracket_scale(structure, alpha)
+    return result if scale.is_zero() else result + beta * scale
 
 
 def skew_defect(structure: NambuStructure, alpha: Form, beta: Form) -> Form:

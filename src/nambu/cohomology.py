@@ -4,11 +4,12 @@ Volume forms are restricted to the family ``c * e^p * dx^1 ^ .. ^ dx^m``
 with rational ``c != 0`` and polynomial exponent ``p``: the family is closed
 under the positive rescalings used by the volume-independence statement,
 and it keeps every computation inside the polynomial ring, since the Lie
-derivative of such a volume along a field X is ``(div X + X(p))`` times the
-volume.
+derivative of such a volume along a field X is ``(div X + X(p))``
+(``volume_divergence``) times the volume.
 
-The degree-0 coboundary of a function f is the tensorial 1-cochain
-represented by the (n-1)-vector
+A tensorial 1-cochain is an (n-1)-vector w, acting on (n-1)-forms by ``a ->
+<a, w>``.  The degree-0 coboundary of a function f (``cobound0``) is the
+(n-1)-vector
 
     w_f = (-1)^(n-1) * contract_form(df, lam),
 
@@ -32,18 +33,18 @@ touches another, and a block without a target row is homogeneous, so its
 solution with the free variables at zero is zero.  The walk also follows
 entries that cancel, so its graph may have more edges than the system; a
 vertex set closed under more edges is still a union of components.  The
-degree-1 coboundary of a tensorial cochain c evaluates as
+degree-1 coboundary of a tensorial cochain w evaluates as
 
-    sharp(a)(c(b)) - sharp(b)(c(a)) - c(lbracket(a, b)).
+    sharp(a)<b, w> - sharp(b)<a, w> - <lbracket(a, b), w>   (``cobound1_eval``).
 
-For ``c = <., w>`` and any n-vector it is tensorial in its second slot,
-``cobound1(c)(a, b) = <b, U(a)>`` with the cocycle defect
+For any n-vector it is tensorial in its second slot, ``cobound1(w)(a, b) =
+<b, U(a)>`` with the cocycle defect
 
-    U(a) = D_a w - cobound0(<a, w>).w
+    U(a) = D_a w - cobound0(<a, w>)
 
 (``cocycle_defect``), with the dual action ``D_a P = L_{sharp a} P - (-1)^n
 <d a, lam> P`` of ``structure``, since ``sharp(a)<b, w> - <L_{sharp a} b, w>
-= <b, L_{sharp a} w>`` and ``pair(b, cobound0(h).w) = sharp(b)(h)``.  U
+= <b, L_{sharp a} w>`` and ``pair(b, cobound0(h)) = sharp(b)(h)``.  U
 reads no ``lbracket`` and, like the anchor defect T of ``structure``, is
 first-order in the function slot (``cobound0`` is a derivation).  So
 ``verify_cocycle`` scans U as T is scanned, through
@@ -77,7 +78,6 @@ from .exterior import (
     apply_vec,
     contract_form,
     differential,
-    ext_d,
     pair,
 )
 from .poly import Polynomial, grlex_key, poly_sum
@@ -85,6 +85,7 @@ from .structure import (
     CheckReport,
     JetBasis,
     NambuStructure,
+    bracket_scale,
     certify,
     certify_forms,
     defect_scan,
@@ -142,6 +143,12 @@ def divergence(vector: Multivector) -> Polynomial:
     return poly_sum(vector.m, [coeff.diff(j) for (j,), coeff in vector.components.items()])
 
 
+def volume_divergence(vector: Multivector, volume: VolumeForm) -> Polynomial:
+    """``div X + X(p)``, the density of the Lie derivative of the volume
+    ``c e^p dx^1 ^ .. ^ dx^m`` along the field X (module docstring)."""
+    return divergence(vector) + apply_vec(vector, volume.p)
+
+
 def _check_volume(structure: NambuStructure, volume: VolumeForm) -> None:
     if volume.m != structure.m:
         raise ChartMismatchError(
@@ -161,53 +168,38 @@ def modular_multivector(structure: NambuStructure, volume: VolumeForm) -> Multiv
     m, n = structure.m, structure.n
     components: dict[tuple[int, ...], Polynomial] = {}
     for indices in itertools.combinations(range(1, m + 1), n - 1):
-        field = sharp(structure, Form.basis(m, indices))
-        value = divergence(field) + apply_vec(field, volume.p)
+        value = volume_divergence(sharp(structure, Form.basis(m, indices)), volume)
         if not value.is_zero():
             components[indices] = value
     return Multivector(m, n - 1, components)
 
 
-@dataclass(frozen=True)
-class TensorCochain1:
-    """1-cochain on (n-1)-forms acting through the canonical pairing."""
-
-    w: Multivector
-
-    def __call__(self, alpha: Form) -> Polynomial:
-        return pair(alpha, self.w)
-
-
-def modular_cochain(structure: NambuStructure, volume: VolumeForm) -> TensorCochain1:
-    return TensorCochain1(modular_multivector(structure, volume))
-
-
-def cobound0(structure: NambuStructure, f: Polynomial) -> TensorCochain1:
-    """Degree-0 coboundary: the cochain ``a -> sharp(a)(f)``."""
+def cobound0(structure: NambuStructure, f: Polynomial) -> Multivector:
+    """Degree-0 coboundary: the (n-1)-vector w of the cochain
+    ``a -> <a, w> = sharp(a)(f)``."""
     if f.num_vars != structure.m:
         raise ChartMismatchError(
             f"function on {f.num_vars} variables, chart has {structure.m}"
         )
     w = contract_form(differential(f), structure.nvector)
-    if (structure.n - 1) % 2:
-        w = -w
-    return TensorCochain1(w)
+    return -w if (structure.n - 1) % 2 else w
 
 
 def cobound1_eval(
-    structure: NambuStructure, cochain: TensorCochain1, alpha: Form, beta: Form
+    structure: NambuStructure, w: Multivector, alpha: Form, beta: Form
 ) -> Polynomial:
-    """Degree-1 coboundary of a tensorial cochain, evaluated on a pair."""
-    value = apply_vec(sharp(structure, alpha), cochain(beta))
-    value = value - apply_vec(sharp(structure, beta), cochain(alpha))
-    return value - cochain(lbracket(structure, alpha, beta))
+    """Degree-1 coboundary of the tensorial cochain ``<., w>`` of an
+    (n-1)-vector w, evaluated on a pair."""
+    value = apply_vec(sharp(structure, alpha), pair(beta, w))
+    value = value - apply_vec(sharp(structure, beta), pair(alpha, w))
+    return value - pair(lbracket(structure, alpha, beta), w)
 
 
 def cocycle_defect(structure: NambuStructure, w: Multivector, alpha: Form) -> Multivector:
-    """``U(a) = D_a w - cobound0(<a, w>).w``, D the dual action
+    """``U(a) = D_a w - cobound0(<a, w>)``, D the dual action
     ``structure.dual_action``, whose pairing with an (n-1)-form b is
     ``cobound1`` of the cochain ``<., w>`` at ``(a, b)`` (module docstring)."""
-    return dual_action(structure, alpha, w) - cobound0(structure, pair(alpha, w)).w
+    return dual_action(structure, alpha, w) - cobound0(structure, pair(alpha, w))
 
 
 # -- volume identity -------------------------------------------------------------
@@ -219,18 +211,14 @@ def lsv_residual(
 ) -> Polynomial:
     """Residual of the Lie-derivative-of-volume identity for one form.
 
-    ``div(sharp a) + sharp(a)(p) - pair(a, M) - (-1)^(n-1) pair(d a, lam)``
+    ``volume_divergence(sharp a) - pair(a, M) + (-1)^n pair(d a, lam)``
     where M is the modular multivector; zero for every (n-1)-form exactly
-    when the modular cochain captures all volume divergences.
+    when the cochain ``<., M>`` captures all volume divergences.
     """
     if modular is None:
         modular = modular_multivector(structure, volume)
-    anchor = sharp(structure, alpha)
-    value = divergence(anchor) + apply_vec(anchor, volume.p) - pair(alpha, modular)
-    correction = pair(ext_d(alpha), structure.nvector)
-    if (structure.n - 1) % 2:
-        correction = -correction
-    return value - correction
+    value = volume_divergence(sharp(structure, alpha), volume) - pair(alpha, modular)
+    return value + bracket_scale(structure, alpha)
 
 
 def verify_lsv(basis: JetBasis, volume: VolumeForm) -> CheckReport:
@@ -257,33 +245,34 @@ def verify_lsv(basis: JetBasis, volume: VolumeForm) -> CheckReport:
 
 
 def _cocycle_report(
-    basis: JetBasis, check: str, cochain_of: Callable[[NambuStructure], TensorCochain1]
+    basis: JetBasis, check: str, w_of: Callable[[NambuStructure], Multivector]
 ) -> CheckReport:
-    """Scan the cocycle defect of ``cochain_of(basis.swept)`` on
-    ``basis.swept`` and report its first failing pair (``defect_scan``) with
-    ``cochain_of(basis.structure)`` on ``basis.structure``.  ``cobound1`` is
-    linear in the n-vector for a fixed cochain, and each cochain is the same
-    multiple of the other on both."""
-    w = cochain_of(basis.swept).w
-    _, hit = defect_scan(basis, partial(cocycle_defect, basis.swept, w))
+    """Scan the cocycle defect of ``w_of(basis.swept)`` on ``basis.swept``
+    and report its first failing pair (``defect_scan``) with
+    ``w_of(basis.structure)`` on ``basis.structure``.  ``cobound1`` is
+    linear in the n-vector for a fixed cochain, and each (n-1)-vector is the
+    same multiple of the other on both."""
+    _, hit = defect_scan(basis, partial(cocycle_defect, basis.swept, w_of(basis.swept)))
 
     def direct(alpha: Form, beta: Form) -> Polynomial:
-        return cobound1_eval(basis.structure, cochain_of(basis.structure), alpha, beta)
+        return cobound1_eval(basis.structure, w_of(basis.structure), alpha, beta)
 
     return certify_forms(basis, check, basis.size() ** 2, hit, direct)
 
 
-def verify_cocycle(basis: JetBasis, cochain: TensorCochain1) -> CheckReport:
-    """Certify ``cobound1`` of a tensorial cochain vanishes on all jet pairs."""
-    return _cocycle_report(basis, "cocycle", lambda _: cochain)
+def verify_cocycle(basis: JetBasis, w: Multivector) -> CheckReport:
+    """Certify ``cobound1`` of the tensorial cochain ``<., w>`` of an
+    (n-1)-vector w vanishes on all jet pairs."""
+    return _cocycle_report(basis, "cocycle", lambda _: w)
 
 
 def verify_modular_cocycle(basis: JetBasis, volume: VolumeForm) -> CheckReport:
-    """Certify that the modular cochain is a 1-cocycle; the sweep reads the
-    modular cochain of ``basis.swept``, c times that of the given n-vector."""
+    """Certify that the modular cochain ``<., M>`` is a 1-cocycle; the sweep
+    reads the modular multivector of ``basis.swept``, c times that of the
+    given n-vector."""
     _check_volume(basis.structure, volume)
     return _cocycle_report(
-        basis, "modular-cocycle", lambda structure: modular_cochain(structure, volume)
+        basis, "modular-cocycle", lambda structure: modular_multivector(structure, volume)
     )
 
 
@@ -299,7 +288,7 @@ def verify_volume_change(
         )
     before = modular_multivector(structure, volume)
     after = modular_multivector(structure, volume.rescaled(q))
-    residual = after - before - cobound0(structure, q).w
+    residual = after - before - cobound0(structure, q)
     return certify(
         "volume-change",
         math.comb(structure.m, structure.n - 1),
@@ -361,7 +350,7 @@ def exactness_witness(
     m = structure.m
     target = modular_multivector(structure, volume)
     coordinate_columns = [
-        cobound0(structure, Polynomial.variable(m, j)).w for j in range(1, m + 1)
+        cobound0(structure, Polynomial.variable(m, j)) for j in range(1, m + 1)
     ]
 
     obstruction = _divisibility_obstruction(structure, target, coordinate_columns)
@@ -382,7 +371,7 @@ def exactness_witness(
     if solution is None:
         return WitnessReport(feasible=False, witness=None, search_degree=search_degree)
     witness = Polynomial(m, solution)
-    if cobound0(structure, witness).w != target:
+    if cobound0(structure, witness) != target:
         raise AssertionError("solver returned a non-solution")
     return WitnessReport(feasible=True, witness=witness, search_degree=search_degree)
 

@@ -81,7 +81,7 @@ class Polynomial:
     stays ``None`` until the first ``diff`` call.
     """
 
-    __slots__ = ("num_vars", "terms", "_hash", "_partials")
+    __slots__ = ("num_vars", "terms", "_partials")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], _Scalar] | None = None):
         if num_vars < 1:
@@ -99,7 +99,6 @@ class Polynomial:
                 normalized[tuple(exps)] = value
         _set_num_vars(self, num_vars)
         _set_terms(self, normalized)
-        _set_hash(self, None)
         _set_partials(self, None)
 
     def __setattr__(self, name, value):
@@ -288,11 +287,7 @@ class Polynomial:
         return self.num_vars == other.num_vars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.num_vars, frozenset(self.terms.items())))
-            _set_hash(self, h)
-        return h
+        return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -308,7 +303,7 @@ class Polynomial:
 # write the slots through their descriptors, which is cheaper than
 # ``object.__setattr__``.
 _new = Polynomial.__new__
-_set_num_vars, _set_terms, _set_hash, _set_partials = (
+_set_num_vars, _set_terms, _set_partials = (
     Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
 )
 
@@ -323,7 +318,6 @@ def _wrap(num_vars: int, terms: dict[tuple[int, ...], _Scalar]) -> Polynomial:
     poly = _new(Polynomial)
     _set_num_vars(poly, num_vars)
     _set_terms(poly, terms)
-    _set_hash(poly, None)
     _set_partials(poly, None)
     return poly
 

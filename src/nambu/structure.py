@@ -77,11 +77,14 @@ the full grid.
 First-order defects.  For any n-vector and any (n-1)-form a, the
 bracket's dual action on multivectors is
 
-    D_a P = L_{sharp a} P - (-1)^n <d a, lam> P        (``dual_action``).
+    D_a P = L_{sharp a} P - (-1)^n <d a, lam> P        (``dual_action``),
+
+whose density term ``(-1)^n <d a, lam>`` (``bracket_scale``) is that of the
+bracket of ``algebroid``.
 
 Two defects are built on it: the anchor defect ``T(a) = D_a lam``
 (``anchor_defect``) and the cocycle defect ``U(a) = D_a w - cobound0(<a,
-w>).w`` of ``cohomology``.  Each is a first-order operator in the function
+w>)`` of ``cohomology``.  Each is a first-order operator in the function
 slot: ``T(f a) = f T(a) + B(df, a)``, with B linear over functions in df,
 so ``T(fh a) = f T(h a) + h T(f a) - fh T(a)``, and T vanishes on every
 polynomial form once it vanishes on the basis forms ``x^g dx^I`` with
@@ -452,15 +455,19 @@ def invariance_defect(
     return lie_mv(hamiltonian(structure, fs), structure.nvector)
 
 
+def bracket_scale(structure: NambuStructure, alpha: Form) -> Polynomial:
+    """``(-1)^n <d a, lam>``, the density term of the bracket
+    ``lbracket(a, b) = L_{sharp a} b + (-1)^n <d a, lam> b``."""
+    scale = pair(ext_d(alpha), structure.nvector)
+    return -scale if structure.n % 2 else scale
+
+
 def dual_action(structure: NambuStructure, alpha: Form, tensor: Multivector) -> Multivector:
     """``D_a P = L_{sharp a} P - (-1)^n <d a, lam> P``, the bracket's dual
     action on a multivector P (module docstring)."""
     derivative = lie_mv(sharp(structure, alpha), tensor)
-    scale = pair(ext_d(alpha), structure.nvector)
-    if scale.is_zero():
-        return derivative
-    correction = tensor * scale
-    return derivative + correction if structure.n % 2 else derivative - correction
+    scale = bracket_scale(structure, alpha)
+    return derivative if scale.is_zero() else derivative - tensor * scale
 
 
 def anchor_defect(structure: NambuStructure, alpha: Form) -> Multivector:

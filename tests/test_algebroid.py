@@ -59,8 +59,10 @@ from nambu.structure import (
     NambuStructure,
     anchor_defect,
     anchor_defect_scan,
+    bracket_scale,
     check_fundamental_identity,
     check_invariance,
+    dual_action,
     first_hit,
     hamiltonian,
     invariance_defect,
@@ -184,6 +186,26 @@ class TestBracketValues:
     def test_degree_guard(self, scaled_r3):
         with pytest.raises(DegreeError):
             lbracket(scaled_r3, dx(3, 1), dx(3, 1, 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bracket_scale_is_the_density_term(self, rng, n):
+        # (-1)^n <d a, lam> is the density term of both the bracket,
+        # lbracket(a, b) = L_{sharp a} b + scale b, and the dual action,
+        # D_a P = L_{sharp a} P - scale P, at both parities of n, on a
+        # seeded n-vector that need not be Nambu-Poisson
+        m = n + 1
+        structure = NambuStructure(m, n, random_multivector(rng, m, n, 1.0))
+        nonzero = 0
+        for _ in range(3):
+            a, b = (random_form(rng, m, n - 1) for _ in range(2))
+            tensor = random_multivector(rng, m, n - 1)
+            anchor = sharp(structure, a)
+            scale = bracket_scale(structure, a)
+            assert scale == pair(ext_d(a), structure.nvector) * (-1) ** n
+            assert lbracket(structure, a, b) - lie_form(anchor, b) == b * scale
+            assert dual_action(structure, a, tensor) - lie_mv(anchor, tensor) == -(tensor * scale)
+            nonzero += not scale.is_zero()
+        assert nonzero
 
 
 def seeded_structures(rng):

@@ -19,7 +19,7 @@ import pytest
 
 from nambu.algebroid import anchor_residual, leibniz_residual, sharp_d_residual
 from nambu.cli import CHECKS
-from nambu.cohomology import VolumeForm, cobound1_eval, lsv_residual, modular_cochain
+from nambu.cohomology import VolumeForm, cobound1_eval, lsv_residual, modular_multivector
 from nambu.exterior import Multivector, format_tensor
 from nambu.poly import Polynomial
 from nambu.structure import JetBasis, NambuStructure, fi_residual, invariance_defect
@@ -99,7 +99,7 @@ def brute_force(check: str, basis: JetBasis, volume: VolumeForm):
             "leibniz": (3, partial(leibniz_residual, structure)),
             "lsv": (1, partial(lsv_residual, structure, volume)),
             "modular-cocycle": (
-                2, partial(cobound1_eval, structure, modular_cochain(structure, volume))
+                2, partial(cobound1_eval, structure, modular_multivector(structure, volume))
             ),
         }[check]
         forms = [basis.form(*element) for element in basis.elements()]

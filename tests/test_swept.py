@@ -27,8 +27,7 @@ from nambu.algebroid import (
 )
 from nambu.cli import CHECKS
 from nambu.cohomology import (
-    VolumeForm, cobound1_eval, cocycle_defect, lsv_residual, modular_cochain,
-    modular_multivector,
+    VolumeForm, cobound1_eval, cocycle_defect, lsv_residual, modular_multivector,
 )
 from nambu.exterior import Multivector
 from nambu.structure import (
@@ -53,7 +52,7 @@ def phi_residual(structure, fs, gs):
 
 
 def modular_cobound1(structure, volume, alpha, beta):
-    return cobound1_eval(structure, modular_cochain(structure, volume), alpha, beta)
+    return cobound1_eval(structure, modular_multivector(structure, volume), alpha, beta)
 
 
 def modular_cocycle_defect(structure, volume, alpha):
