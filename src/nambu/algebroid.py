@@ -152,16 +152,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
 
 from .errors import ArityError, DegreeError
 from .exterior import (
     Form,
     Multivector,
     apply_vec,
+    contract_form,
     contract_vec,
     differential,
     ext_d,
@@ -174,8 +174,8 @@ from .exterior import (
 )
 from .poly import Polynomial
 from .structure import (
-    CheckReport, JetBasis, NambuStructure, anchor_defect_scan, bracket_scale, capped_first_hit,
-    certify, certify_forms, first_hit, nbracket, sharp,
+    CheckReport, JetBasis, NambuStructure, Record, anchor_defect_scan, bracket_scale,
+    capped_first_hit, certify, certify_forms, first_hit, nbracket, sharp,
 )
 
 
@@ -231,8 +231,8 @@ def sharp_d_residual(structure: NambuStructure, alpha: Form, beta: Form) -> Poly
 def reduced_sharp_d(basis: JetBasis, f: int, left: tuple, g: int, right: tuple) -> Polynomial:
     """The sharp-d residual on ``basis.swept`` at the basis pair ``(f, I, g, J)``,
     read off the anchor defect: ``(-1)^n A(x^f dx^I, dx^J)(x^g)``."""
-    family, _ = basis.once(anchor_defect_scan)
-    value = apply_vec(family(f, left, 0, right), basis.monomials[g])
+    defect, _ = basis.once(anchor_defect_scan)
+    value = apply_vec(contract_form(basis.units[right], defect(f, left)), basis.monomials[g])
     return -value if basis.swept.n % 2 else value
 
 
@@ -282,10 +282,10 @@ def verify_leibniz_identity(basis: JetBasis) -> CheckReport:
     with ``lie_form(A, c)`` on ``basis.swept``.  The report re-checks the
     triple with the direct nested formula on ``basis.structure``.
     """
-    family, hit = basis.once(anchor_defect_scan)
+    defect, hit = basis.once(anchor_defect_scan)
 
     def lift(point):
-        anchor = family(*point)
+        anchor = contract_form(basis.units[point[3]], defect(*point[:2]))
 
         def residual(*triple):
             return lie_form(anchor, basis.form(*triple[4:]))
@@ -446,8 +446,7 @@ def verify_characterization(basis: JetBasis) -> CheckReport:
 # -- formal wedges of functions --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalWedge:
+class FormalWedge(Record):
     """Finite rational combination of formal wedges of n-1 functions.
 
     No normalization beyond bilinearity is performed: factors are kept in

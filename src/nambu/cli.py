@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .algebroid import (
     lbracket,

@@ -64,11 +64,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from operator import add
-from typing import Callable
 
 from .algebroid import lbracket
 from .errors import ChartMismatchError, DegreeError
@@ -85,6 +84,7 @@ from .structure import (
     CheckReport,
     JetBasis,
     NambuStructure,
+    Record,
     bracket_scale,
     certify,
     certify_forms,
@@ -95,8 +95,7 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class VolumeForm:
+class VolumeForm(Record):
     """Nonvanishing volume ``c * e^p * dx^1 ^ .. ^ dx^m``."""
 
     c: Fraction
@@ -301,8 +300,7 @@ def verify_volume_change(
 # -- exactness search ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """Outcome of searching for f with ``cobound0(f) = target``."""
 
     feasible: bool

@@ -24,14 +24,14 @@ dropped; ``+`` and ``-`` run through it too.  A scalar result that is a sum
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, DegreeError
 from .poly import Polynomial, format_polynomial, poly_sum
 
-_Scalar = Union[int, Fraction, Polynomial]
+_Scalar = int | Fraction | Polynomial
 
 # strictly increasing chart indices, 1-based
 MultiIndex = tuple[int, ...]

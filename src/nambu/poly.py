@@ -45,15 +45,15 @@ terms by graded lexicographic order, highest first (``x1`` dominates).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, ParseError
 
 Rational = Fraction
 
-_Scalar = Union[int, Fraction]
+_Scalar = int | Fraction
 
 
 def _exact(value: _Scalar) -> _Scalar:

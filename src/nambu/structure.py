@@ -90,12 +90,12 @@ so ``T(fh a) = f T(h a) + h T(f a) - fh T(a)``, and T vanishes on every
 polynomial form once it vanishes on the basis forms ``x^g dx^I`` with
 deg g <= 1 (g = 1 gives ``T(dx^I) = 0``, then g = x_j gives ``B(dx_j,
 dx^I) = 0``).  ``defect_scan`` evaluates a defect there, each value once,
-and returns its family ``<dx^J, D(x^g dx^I)>`` and its hit.  The pair
-residual ``<b, D(a)>`` is linear over functions in b, and every row before
-the first nonzero ``D(x^g dx^I)`` has D = 0, so the first failing pair of
-the capped pair grid, in the pinned order, is ``(x^g dx^I, dx^J)`` for the
-first J with ``<dx^J, D(x^g dx^I)> != 0``; the hit is that point
-``(g, I, 0, J)``, read off the row's one value.
+and returns its values and its hit.  The pair residual ``<b, D(a)>`` is
+linear over functions in b, and every row before the first nonzero
+``D(x^g dx^I)`` has D = 0, so the first failing pair of the capped pair
+grid, in the pinned order, is ``(x^g dx^I, dx^J)`` for the first J with
+``<dx^J, D(x^g dx^I)> != 0``; the hit is that point ``(g, I, 0, J)``, read
+off the row's one value.
 
 The anchor defect.  The contraction of T(a) by any (n-1)-form b is the
 anchor residual of ``algebroid``: ``A(a, b) = [sharp a, sharp b] -
@@ -122,12 +122,14 @@ invariance defect:
 (an identity of the implemented operations, certified by the test suite).
 So on a hit of the anchor-defect scan FI and invariance are one capped
 sweep of the f-tuples through ``invariance_defect``, which a run computes
-once.  FI reads its failing g-tuple off the defect ``L``
+once; on a coordinate f-tuple ``x_I`` the sweep reads the scan's value
+``T(dx^I)`` instead.  FI reads its failing g-tuple off the defect ``L``
 (``check_fundamental_identity``), and only that tuple is evaluated by the
 direct nested-bracket formula.  The blind spot: when T vanishes, no
 invariance defect, fundamental-identity residual or direct anchor residual
-is evaluated, so a fault in those functions alone is not seen; the test
-suite checks each identity above by the direct formulas.
+is evaluated, and on a coordinate f-tuple no invariance defect is, so a
+fault in those functions alone is not seen there; the test suite checks
+each identity above by the direct formulas.
 """
 
 from __future__ import annotations
@@ -136,9 +138,8 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
 
 from .errors import ArityError, ChartMismatchError, DegreeError, OrderError
 from .exterior import (
@@ -148,14 +149,65 @@ from .exterior import (
 from .poly import Polynomial, jet_exponents
 
 
-@dataclass(frozen=True)
-class NambuStructure:
+class Record:
+    """Base of the package's immutable value records.
+
+    A record declares its fields, in order, as annotated class attributes,
+    and a default as the attribute's value; ``_fields`` lists them.  The
+    constructor takes the fields by position or keyword and then runs
+    ``__post_init__``.  A record refuses assignment and deletion, equals a
+    record of its own class with equal fields, and hashes and prints as its
+    fields.  Copy and pickle restore its attributes without the constructor.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {key: vars(cls)[key] for key in cls._fields if key in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        given = dict(zip(fields, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs.keys() or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}")
+        vars(self).update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(vars(self)[key] for key in self._fields)
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={vars(self)[key]!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class NambuStructure(Record):
     """Chart dimension, order, and the defining n-vector.
 
     Each instance carries a private table of the values that ``tabled``
     serves on unit forms ``dx^I``: the anchor ``sharp(dx^I)`` and the
     bracket ``lbracket(dx^I, dx^J)``, each computed on first use.  The
-    table is no dataclass field, so equality, hashing, repr and the
+    table is no record field, so equality, hashing, repr and the
     constructor ignore it, and a copy rebuilds through the constructor with
     an empty table of its own.
     """
@@ -230,16 +282,14 @@ class NambuStructure:
         return NambuStructure(self.m, self.n, Multivector(self.m, self.n, components))
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """Failing inputs plus the nonzero residual, both in canonical text."""
 
     inputs: tuple[str, ...]
     residual: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     check: str
     passed: bool
     items_checked: int
@@ -482,23 +532,23 @@ def anchor_defect(structure: NambuStructure, alpha: Form) -> Multivector:
 def defect_scan(
     basis: JetBasis, defect: Callable[[Form], Multivector]
 ) -> tuple[Callable, tuple | None]:
-    """Scan a defect D that is first-order in the function slot: the family
-    ``i(dx^J) D(x^g dx^I)`` at the points ``(g, I, 0, J)``, each ``D(x^g
-    dx^I)`` computed once, and the first failing pair ``(g, I, 0, J)`` of the
-    capped pair grid, or None; a pass proves D zero on every polynomial form
-    (module docstring)."""
+    """Scan a defect D that is first-order in the function slot: the values
+    ``value(g, I) = D(x^g dx^I)``, each computed once, and the first failing
+    pair ``(g, I, 0, J)`` of the capped pair grid, where ``i(dx^J) D(x^g
+    dx^I)`` is nonzero, or None; a pass proves D zero on every polynomial
+    form (module docstring)."""
 
     @functools.cache
     def value(g: int, indices: tuple[int, ...]) -> Multivector:
         return defect(basis.form(g, indices))
 
-    def family(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]) -> Multivector:
+    def paired(g: int, left: tuple[int, ...], _: int, right: tuple[int, ...]) -> Multivector:
         return contract_form(basis.units[right], value(g, left))
 
     row = first_hit(itertools.product(basis.capped(1), basis.index_sets), value)
     if row is None:
-        return family, None
-    return family, first_hit((row + (0, right) for right in basis.index_sets), family)
+        return value, None
+    return value, first_hit((row + (0, right) for right in basis.index_sets), paired)
 
 
 def anchor_defect_scan(basis: JetBasis) -> tuple[Callable, tuple | None]:
@@ -511,14 +561,20 @@ def _invariance_sweep(basis: JetBasis):
     """The defect of an f-tuple of jet monomials on ``basis.swept`` and the
     first f-tuple whose defect is nonzero; a run computes it once, through
     ``basis.once``.  A pass of the anchor-defect scan proves every defect
-    zero (module docstring), so the f-tuples are swept only on its hit."""
+    zero (module docstring), so the f-tuples are swept only on its hit.  The
+    defect of a coordinate f-tuple ``x_I`` is the anchor defect ``T(dx^I)``,
+    since ``d(dx^I) = 0``, and is read from the scan's values."""
     structure, monomials = basis.swept, basis.monomials
     grid = functools.partial(itertools.combinations, r=structure.n - 1)
+    anchor, hit = basis.once(anchor_defect_scan)
+    # monomials[i] is x_i
+    coordinates = {tuple(monomials[i] for i in indices): indices for indices in basis.index_sets}
 
     def defect(*fs: Polynomial) -> Multivector:
-        return invariance_defect(structure, fs)
+        indices = coordinates.get(fs)
+        return invariance_defect(structure, fs) if indices is None else anchor(0, indices)
 
-    if basis.once(anchor_defect_scan)[1] is None:
+    if hit is None:
         return defect, None
     capped = [monomials[g] for g in basis.capped(2)]
     return defect, capped_first_hit(grid, defect, monomials, capped)

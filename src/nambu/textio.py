@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Any
+from os import PathLike
 
 from .errors import ParseError
 from .cohomology import VolumeForm
 from .exterior import Form, Multivector, format_tensor
 from .poly import MAX_BITS, MAX_DIGITS, Polynomial, parse_polynomial
-from .structure import NambuStructure
+from .structure import NambuStructure, Record
 
 SCHEMA = "nambu-structure/1"
 
@@ -194,8 +192,7 @@ def _parse_blade(chunk: str, start: int, m: int, cls) -> tuple[int, ...]:
 # -- structure files ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureFile:
+class StructureFile(Record):
     """Validated content of a structure file."""
 
     dimension: int
@@ -224,7 +221,7 @@ def _parse_json_int(text: str) -> int | object:
     return _LONG_LITERAL if len(text.lstrip("-")) > MAX_DIGITS else int(text)
 
 
-def _check_literal(value: Any, location: str) -> None:
+def _check_literal(value: object, location: str) -> None:
     if value is _LONG_LITERAL:
         raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", location)
 
@@ -237,8 +234,9 @@ def load_structure_text(text: str) -> StructureFile:
     return load_structure_dict(doc)
 
 
-def load_structure_file(path: str | Path) -> StructureFile:
-    return load_structure_text(Path(path).read_text(encoding="utf-8"))
+def load_structure_file(path: str | PathLike) -> StructureFile:
+    with open(path, encoding="utf-8") as handle:
+        return load_structure_text(handle.read())
 
 
 def _require(doc: dict, key: str, kind, location: str):
@@ -253,7 +251,7 @@ def _require(doc: dict, key: str, kind, location: str):
     return value
 
 
-def load_structure_dict(doc: Any) -> StructureFile:
+def load_structure_dict(doc: object) -> StructureFile:
     if not isinstance(doc, dict):
         raise ParseError("structure file must be a JSON object", location="$")
     schema = _require(doc, "schema", str, "$")

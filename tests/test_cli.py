@@ -468,17 +468,18 @@ class TestOneBasisPerRun:
                 },
             ),
             # the anchor defect of 21 basis forms, to its hit at x1 dx^{2,3};
-            # on that hit 97 f-tuples to the invariance hit, plus the defect
-            # there re-evaluated by each report; the sharp-d scan of the
-            # anchor hit's row of 6 x 15 pairs from g = 1, 60 to its hit at
-            # x4; the Leibniz lift scans the third slot through the
+            # on that hit 97 f-tuples to the invariance hit, of which the 5
+            # coordinate tuples (x1, x2)..(x1, x6) read T(dx^I) off the scan,
+            # plus the defect there re-evaluated by each report; the sharp-d
+            # scan of the anchor hit's row of 6 x 15 pairs from g = 1, 60 to
+            # its hit at x4; the Leibniz lift scans the third slot through the
             # factorization, with S = 0 at the anchor hit, so only the report
             # re-evaluates the direct nested residual
             (
                 [R6_SUM, f"--checks={INTEGRABILITY}"],
                 {
                     "structure.anchor_defect": 21,
-                    "structure.invariance_defect": 99,
+                    "structure.invariance_defect": 94,
                     # the anchor hit, the sharp-d scan and the Leibniz lift
                     # read A off the anchor defect of the hit row, so only
                     # the anchor report's direct re-check evaluates it
@@ -489,14 +490,14 @@ class TestOneBasisPerRun:
             ),
             # FI alone runs the anchor-defect scan itself: the same 21 anchor
             # defects, the hit's dx^J read off the hit row's one value, then
-            # 97 f-tuples to the invariance hit and the defect there
-            # re-evaluated by FI's locate; only the report evaluates the
-            # direct nested residual
+            # 97 f-tuples to the invariance hit, less the 5 coordinate tuples
+            # read off the scan, and the defect there re-evaluated by FI's
+            # locate; only the report evaluates the direct nested residual
             (
                 [R6_SUM, "--checks=fundamental-identity"],
                 {
                     "structure.anchor_defect": 21,
-                    "structure.invariance_defect": 98,
+                    "structure.invariance_defect": 93,
                     "structure.fi_residual": 1,
                 },
             ),

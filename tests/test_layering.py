@@ -3,8 +3,9 @@
 A function-level import hides an import cycle, and a cross-module import
 of a private name couples two modules through an internal detail; neither
 is allowed.  Every module must also import on its own in a fresh
-interpreter, and every name that the benchmark's layer tracer wraps must
-exist where the tracer looks for it.
+interpreter, importing the CLI must load none of a few costly stdlib
+modules, and every name that the benchmark's layer tracer wraps must exist
+where the tracer looks for it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,23 @@ def test_module_imports_in_a_fresh_interpreter(path):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # importing nambu.cli is the start-up cost of every CLI run, and these
+    # stdlib modules each cost milliseconds to import; -S keeps site's .pth
+    # files, which may load them, out of the interpreter
+    heavy = ["dataclasses", "inspect", "typing", "pathlib"]
+    code = "import sys, nambu.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *heavy],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_traced_names_resolve():
