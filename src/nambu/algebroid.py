@@ -347,7 +347,8 @@ def _exact_forms_sweep(
 
 def _consistency_hit(basis: JetBasis) -> tuple | None:
     """First point ``(I, g)`` of the coordinate f-tuples ``x_I`` times
-    ``capped(2)`` where ``d(X_F(g) - {F, g})`` is nonzero on ``basis.swept``."""
+    ``capped(2)`` where ``d(X_F(g) - {F, g})`` is nonzero on ``basis.swept``;
+    g = 1 is skipped, since ``X_F(1) = {F, 1} = 0`` for every n-vector."""
     structure = basis.swept
     monomials = basis.monomials
 
@@ -356,7 +357,7 @@ def _consistency_hit(basis: JetBasis) -> tuple | None:
         field = sharp(structure, basis.units[indices])
         return differential(apply_vec(field, g) - nbracket(structure, [*fs, g]))
 
-    capped = [monomials[g] for g in basis.capped(2)]
+    capped = [monomials[g] for g in basis.capped(2)[1:]]
     return first_hit(itertools.product(basis.index_sets, capped), consistency)
 
 

@@ -65,7 +65,9 @@ Each residual below has its order for any n-vector (``algebroid`` and
   and invariance, on a hit of the anchor-defect scan, and the exact-forms
   consistency form ``d(X_F(g) - {F, g})`` of characterization and
   phi-morphism in g; F runs on the coordinate f-tuples, by tensoriality
-  (``algebroid``).
+  (``algebroid``).  Neither sweep evaluates the constant 1 in a function
+  slot: ``d1 = 0``, so an f-tuple holding 1 has ``X_F = 0`` and a zero
+  invariance defect, and ``X_F(1) = {F, 1} = 0``, for every n-vector.
 
 FI and invariance sweep combinations of f-tuples, which are no product: a
 tuple with a cubic entry may precede a capped one, so a capped hit is
@@ -123,13 +125,14 @@ invariance defect:
 So on a hit of the anchor-defect scan FI and invariance are one capped
 sweep of the f-tuples through ``invariance_defect``, which a run computes
 once; on a coordinate f-tuple ``x_I`` the sweep reads the scan's value
-``T(dx^I)`` instead.  FI reads its failing g-tuple off the defect ``L``
+``T(dx^I)`` instead, and it skips every f-tuple that holds the constant 1,
+whose defect is zero.  FI reads its failing g-tuple off the defect ``L``
 (``check_fundamental_identity``), and only that tuple is evaluated by the
 direct nested-bracket formula.  The blind spot: when T vanishes, no
 invariance defect, fundamental-identity residual or direct anchor residual
-is evaluated, and on a coordinate f-tuple no invariance defect is, so a
-fault in those functions alone is not seen there; the test suite checks
-each identity above by the direct formulas.
+is evaluated, and on a coordinate f-tuple or an f-tuple holding 1 no
+invariance defect is, so a fault in those functions alone is not seen
+there; the test suite checks each identity above by the direct formulas.
 """
 
 from __future__ import annotations
@@ -563,7 +566,11 @@ def _invariance_sweep(basis: JetBasis):
     ``basis.once``.  A pass of the anchor-defect scan proves every defect
     zero (module docstring), so the f-tuples are swept only on its hit.  The
     defect of a coordinate f-tuple ``x_I`` is the anchor defect ``T(dx^I)``,
-    since ``d(dx^I) = 0``, and is read from the scan's values."""
+    since ``d(dx^I) = 0``, and is read from the scan's values.  An f-tuple
+    that holds the constant 1 has ``X_F = 0``, since ``d1 = 0``, so its
+    defect is zero for every n-vector and the sweep skips it: the first
+    nonzero defect is the same, and a fault in ``invariance_defect`` on such
+    a tuple alone is not seen."""
     structure, monomials = basis.swept, basis.monomials
     grid = functools.partial(itertools.combinations, r=structure.n - 1)
     anchor, hit = basis.once(anchor_defect_scan)
@@ -576,8 +583,9 @@ def _invariance_sweep(basis: JetBasis):
 
     if hit is None:
         return defect, None
-    capped = [monomials[g] for g in basis.capped(2)]
-    return defect, capped_first_hit(grid, defect, monomials, capped)
+    # monomial 0 is the constant 1
+    capped = [monomials[g] for g in basis.capped(2)[1:]]
+    return defect, capped_first_hit(grid, defect, monomials[1:], capped)
 
 
 def _texts(*functions: Polynomial) -> tuple[str, ...]:

@@ -468,7 +468,8 @@ class TestOneBasisPerRun:
                 },
             ),
             # the anchor defect of 21 basis forms, to its hit at x1 dx^{2,3};
-            # on that hit 97 f-tuples to the invariance hit, of which the 5
+            # on that hit the f-tuples without the constant 1, 14 from
+            # (x1, x2) to the invariance hit at (x1, x2*x4), of which the 5
             # coordinate tuples (x1, x2)..(x1, x6) read T(dx^I) off the scan,
             # plus the defect there re-evaluated by each report; the sharp-d
             # scan of the anchor hit's row of 6 x 15 pairs from g = 1, 60 to
@@ -479,7 +480,7 @@ class TestOneBasisPerRun:
                 [R6_SUM, f"--checks={INTEGRABILITY}"],
                 {
                     "structure.anchor_defect": 21,
-                    "structure.invariance_defect": 94,
+                    "structure.invariance_defect": 11,
                     # the anchor hit, the sharp-d scan and the Leibniz lift
                     # read A off the anchor defect of the hit row, so only
                     # the anchor report's direct re-check evaluates it
@@ -490,23 +491,27 @@ class TestOneBasisPerRun:
             ),
             # FI alone runs the anchor-defect scan itself: the same 21 anchor
             # defects, the hit's dx^J read off the hit row's one value, then
-            # 97 f-tuples to the invariance hit, less the 5 coordinate tuples
-            # read off the scan, and the defect there re-evaluated by FI's
-            # locate; only the report evaluates the direct nested residual
+            # the 14 capped f-tuples without the constant 1 up to the
+            # invariance hit at (x1, x2*x4), less the 5 coordinate tuples
+            # read off the scan (the rescan finds no earlier f-tuple, since
+            # every (x1, cubic) comes later), and the defect there
+            # re-evaluated by FI's locate; only the report evaluates the
+            # direct nested residual
             (
                 [R6_SUM, "--checks=fundamental-identity"],
                 {
                     "structure.anchor_defect": 21,
-                    "structure.invariance_defect": 93,
+                    "structure.invariance_defect": 10,
                     "structure.fi_residual": 1,
                 },
             ),
             # the consistency scan of characterization and phi-morphism:
-            # 6 coordinate f-tuples x_I times the 15 monomials of capped(2)
-            # on R^4, one nbracket each, evaluated once for both checks
+            # 6 coordinate f-tuples x_I times the 14 monomials of capped(2)
+            # on R^4 other than 1, one nbracket each, evaluated once for
+            # both checks
             (
                 [R4_NF, "--checks=characterization,phi-morphism"],
-                {"algebroid.nbracket": 90},
+                {"algebroid.nbracket": 84},
             ),
             # characterization's function-slot rules after the consistency
             # scan: slot-2 is swept structure-free, through lie_form_defect,

@@ -367,16 +367,17 @@ class TestInvariance:
     @pytest.mark.parametrize("order", [3, 2])
     def test_capped_hit_is_located_on_the_full_grid(self, monkeypatch, scaled_r3, order):
         # A planted defect of order 3 is nonzero at the last capped f-tuple
-        # and at the first f-tuple holding a cubic.  The capped sweep hits
-        # the former; the report must be the first nonzero defect of a
-        # direct scan over all f-tuples, with its running item count.  At
-        # order 2 the f-tuples are single monomials and every cubic comes
-        # after every capped one.  Both structures are Nambu-Poisson, so
-        # their anchor defect vanishes and would certify invariance without
-        # a sweep; a bump planted in the anchor defect too makes its scan
-        # hit, so the capped sweep and the rescan run.  The bump spares the
-        # unit forms dx^I, whose anchor defect the sweep reads as the defect
-        # of the coordinate tuple x_I.
+        # and at the first f-tuple that holds a cubic and not the constant
+        # 1, (x1, x1^3); the sweep skips f-tuples holding 1, whose defect
+        # is zero.  The capped sweep hits the former; the report must be
+        # the first nonzero defect of a direct scan over all f-tuples, with
+        # its running item count.  At order 2 the f-tuples are single
+        # monomials and every cubic comes after every capped one.  Both
+        # structures are Nambu-Poisson, so their anchor defect vanishes and
+        # would certify invariance without a sweep; a bump planted in the
+        # anchor defect too makes its scan hit, so the capped sweep and the
+        # rescan run.  The bump spares the unit forms dx^I, whose anchor
+        # defect the sweep reads as the defect of the coordinate tuple x_I.
         from nambu import structure as module
         from nambu.exterior import format_tensor
 
@@ -386,7 +387,8 @@ class TestInvariance:
             nambu = NambuStructure(3, 2, x(3, 3) * Multivector.basis(3, (1, 2)))
         f_tuples = list(itertools.combinations(jet_monomials(3, 3), order - 1))
         capped = [fs for fs in f_tuples if max(f.total_degree() for f in fs) <= 2]
-        cubic = next(fs for fs in f_tuples if fs not in capped)
+        one = Polynomial.one(3)
+        cubic = next(fs for fs in f_tuples if fs not in capped and one not in fs)
         planted, bump = {capped[-1], cubic}, Multivector.basis(3, (1, 2, 3)[:order])
 
         def planted_defect(structure, fs):
@@ -414,6 +416,57 @@ class TestInvariance:
             planted_defect(nambu, f_tuples[position])
         )
         assert report.items_checked == position + 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_defect_vanishes_on_f_tuples_holding_the_constant(self, rng, n):
+        # The identities the skips rest on: d1 = 0, so an f-tuple holding 1
+        # has X_F = 0 and L_{X_F} lam = 0 for every n-vector, and the
+        # consistency 1-form d(X_F(g) - {F, g}) of the exact-forms scan is
+        # zero at g = 1 on its coordinate f-tuples x_I.  Checked on every
+        # capped f-tuple holding 1 of seeded n-vectors whose defect is
+        # nonzero elsewhere.
+        m = n + 1
+        one = Polynomial.one(m)
+        for _ in range(2):
+            structure = NambuStructure(m, n, random_multivector(rng, m, n, density=0.8))
+            f_tuples = list(itertools.combinations(jet_monomials(m, 2), n - 1))
+            assert any(
+                not invariance_defect(structure, fs).is_zero()
+                for fs in f_tuples if one not in fs
+            )
+            for fs in f_tuples:
+                if one in fs:
+                    assert invariance_defect(structure, fs).is_zero()
+            for indices in itertools.combinations(range(1, m + 1), n - 1):
+                fs = [x(m, i) for i in indices]
+                field = sharp(structure, Form.basis(m, indices))
+                consistency = apply_vec(field, one) - nbracket(structure, [*fs, one])
+                assert differential(consistency).is_zero()
+
+    def test_fault_on_f_tuples_holding_the_constant_goes_unseen(self, monkeypatch, sum_r6):
+        # The blind spot of the skip: a fault planted in invariance_defect on
+        # f-tuples holding 1 alone is never evaluated.  A direct scan over
+        # all f-tuples would report it at (1, x1); FI and invariance report
+        # the first nonzero defect of the f-tuples without 1, as unplanted.
+        from nambu import structure as module
+
+        one, bump = Polynomial.one(6), Multivector.basis(6, (1, 2, 3))
+        defect = module.invariance_defect
+        checks = (check_fundamental_identity, check_invariance)
+        unplanted = [check(JetBasis(sum_r6, 2)) for check in checks]
+
+        def planted_defect(structure, fs):
+            value = defect(structure, fs)
+            return value + bump if one in fs else value
+
+        monkeypatch.setattr(module, "invariance_defect", planted_defect)
+        f_tuples = itertools.combinations(jet_monomials(6, 2), 2)
+        first = next(fs for fs in f_tuples if not planted_defect(sum_r6, fs).is_zero())
+        assert first == (one, x(6, 1))
+        basis = JetBasis(sum_r6, 2)
+        reports = [check(basis) for check in checks]
+        assert reports == unplanted
+        assert all(str(one) not in report.counterexample.inputs for report in reports)
 
     @pytest.mark.parametrize(
         "failing,expected",
