@@ -6,6 +6,11 @@ empty check list, a request above a size budget), 2 when a requested check
 fails.  Output is deterministic: no timestamps, fixed ordering, canonical
 text for every tensor.  ``main`` builds its parser once per process, on its
 first call, and reuses it on every later call.
+
+Every subcommand has one output path: ``_cmd_check``, ``_cmd_compute`` and
+``_cmd_witness`` print nothing and return ``(exit_code, fields, lines)``, and
+``main`` prints them: nothing under ``--quiet``; under ``--json`` one report
+``{"schema", "command", *fields, "exit"}``; otherwise the text lines.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ from .poly import parse_polynomial
 REPORT_SCHEMA = "nambu-report/1"
 
 _CheckRunner = Callable[[JetBasis, VolumeForm], CheckReport]
+
+# What a subcommand returns to ``main``: its exit code, its own fields of the
+# --json report (in output order) and its text lines.
+_Output = tuple[int, dict, list[str]]
 
 CHECKS: dict[str, _CheckRunner] = {
     "fundamental-identity": lambda b, v: check_fundamental_identity(b),
@@ -150,32 +159,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     options = build_parser().parse_args(argv)
-    emit = _Emitter(quiet=options.quiet)
+    command = {"check": _cmd_check, "compute": _cmd_compute, "witness": _cmd_witness}
     try:
         loaded = load_structure_file(options.file)
-        structure = loaded.structure()
-        volume = loaded.volume()
-        if options.command == "check":
-            return _cmd_check(options, loaded, structure, volume, emit)
-        if options.command == "compute":
-            return _cmd_compute(options, structure, volume, emit)
-        return _cmd_witness(options, structure, volume, emit)
+        exit_code, fields, lines = command[options.command](
+            options, loaded, loaded.structure(), loaded.volume()
+        )
+        if options.quiet:
+            return exit_code
+        if options.json:
+            report = {
+                "schema": REPORT_SCHEMA, "command": options.command, **fields, "exit": exit_code
+            }
+            print(json.dumps(report, indent=2))
+        else:
+            print("\n".join(lines))
     except (NambuError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-class _Emitter:
-    def __init__(self, quiet: bool):
-        self.quiet = quiet
-
-    def line(self, text: str = "") -> None:
-        if not self.quiet:
-            print(text)
-
-    def json(self, payload: dict) -> None:
-        if not self.quiet:
-            print(json.dumps(payload, indent=2))
+    return exit_code
 
 
 def _resolve_degree(options, loaded, structure) -> int:
@@ -205,7 +207,7 @@ def _check_budget(source: str, value: int, estimate: int, budget: int, what: str
 
 def _resolve_checks(options, loaded, structure) -> list[str]:
     """The checks to run; an unknown name is refused with its source."""
-    if getattr(options, "checks", None) is not None:
+    if options.checks is not None:
         names = [name.strip() for name in options.checks.split(",") if name.strip()]
         if not names:
             raise ParseError("--checks names no check")
@@ -223,33 +225,23 @@ def _resolve_checks(options, loaded, structure) -> list[str]:
     return names
 
 
-def _cmd_check(options, loaded, structure, volume, emit: _Emitter) -> int:
+def _cmd_check(options, loaded, structure, volume) -> _Output:
     degree = _resolve_degree(options, loaded, structure)
     names = _resolve_checks(options, loaded, structure)
     basis = JetBasis(structure, degree)
     reports = [CHECKS[name](basis, volume) for name in names]
     failed = [r for r in reports if not r.passed]
-    exit_code = 2 if failed else 0
-    if options.json:
-        emit.json(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": "check",
-                "jet_degree": basis.max_degree,
-                "results": [_report_dict(r) for r in reports],
-                "exit": exit_code,
-            }
-        )
-        return exit_code
+    fields = {"jet_degree": basis.max_degree, "results": [_report_dict(r) for r in reports]}
+    lines = []
     for report in reports:
         if report.passed:
-            emit.line(f"{report.check}: pass (tuples certified: {report.items_checked})")
+            lines.append(f"{report.check}: pass (tuples certified: {report.items_checked})")
         else:
-            emit.line(f"{report.check}: FAIL")
-            emit.line(f"  inputs: {' | '.join(report.counterexample.inputs)}")
-            emit.line(f"  residual: {report.counterexample.residual}")
-    emit.line(f"result: {'fail' if failed else 'pass'}")
-    return exit_code
+            lines.append(f"{report.check}: FAIL")
+            lines.append(f"  inputs: {' | '.join(report.counterexample.inputs)}")
+            lines.append(f"  residual: {report.counterexample.residual}")
+    lines.append(f"result: {'fail' if failed else 'pass'}")
+    return 2 if failed else 0, fields, lines
 
 
 def _report_dict(report: CheckReport) -> dict:
@@ -267,7 +259,7 @@ def _report_dict(report: CheckReport) -> dict:
     }
 
 
-def _cmd_compute(options, structure, volume, emit: _Emitter) -> int:
+def _cmd_compute(options, loaded, structure, volume) -> _Output:
     what = options.what
     args = options.args
     m, n = structure.m, structure.n
@@ -287,20 +279,7 @@ def _cmd_compute(options, structure, volume, emit: _Emitter) -> int:
         _expect_args(what, args, n - 1)
         functions = [parse_polynomial(text, m) for text in args]
         result = format_tensor(hamiltonian(structure, functions))
-    if options.json:
-        emit.json(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": "compute",
-                "what": what,
-                "args": list(args),
-                "result": result,
-                "exit": 0,
-            }
-        )
-    else:
-        emit.line(result)
-    return 0
+    return 0, {"what": what, "args": list(args), "result": result}, [result]
 
 
 def _expect_args(what: str, args: Sequence[str], count: int) -> None:
@@ -308,45 +287,37 @@ def _expect_args(what: str, args: Sequence[str], count: int) -> None:
         raise ParseError(f"compute {what} takes exactly {count} argument(s), got {len(args)}")
 
 
-def _cmd_witness(options, structure, volume, emit: _Emitter) -> int:
+def _cmd_witness(options, loaded, structure, volume) -> _Output:
     if options.max_degree < 0:
         raise ParseError("--max-degree must be non-negative")
     degree = options.max_degree
     columns = math.comb(structure.m + degree, degree)
     _check_budget("--max-degree", degree, columns, MAX_WITNESS_COLUMNS, "witness columns")
     report = exactness_witness(structure, volume, degree)
-    if options.json:
-        emit.json(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": "witness",
-                "max_degree": report.search_degree,
-                "feasible": report.feasible,
-                "witness": str(report.witness) if report.witness is not None else None,
-                "obstruction": report.obstruction,
-                "degree_uniform": report.degree_uniform,
-                "smooth_obstruction": report.smooth_obstruction,
-                "exit": 0,
-            }
-        )
-        return 0
+    fields = {
+        "max_degree": report.search_degree,
+        "feasible": report.feasible,
+        "witness": str(report.witness) if report.witness is not None else None,
+        "obstruction": report.obstruction,
+        "degree_uniform": report.degree_uniform,
+        "smooth_obstruction": report.smooth_obstruction,
+    }
     if report.feasible:
-        emit.line(f"feasible: witness = {report.witness}")
-    else:
-        emit.line(f"infeasible at max degree {report.search_degree}")
-        if report.obstruction is not None:
-            emit.line(f"obstruction: {report.obstruction}")
-        if report.degree_uniform:
-            emit.line(
-                "the obstruction is degree-uniform: no polynomial f of any "
-                "degree satisfies the displayed equation"
-            )
-        if report.smooth_obstruction:
-            emit.line(
-                "no smooth f satisfies it either: the left side vanishes "
-                "where an obstructing variable is zero, the right side does not"
-            )
-    return 0
+        return 0, fields, [f"feasible: witness = {report.witness}"]
+    lines = [f"infeasible at max degree {report.search_degree}"]
+    if report.obstruction is not None:
+        lines.append(f"obstruction: {report.obstruction}")
+    if report.degree_uniform:
+        lines.append(
+            "the obstruction is degree-uniform: no polynomial f of any "
+            "degree satisfies the displayed equation"
+        )
+    if report.smooth_obstruction:
+        lines.append(
+            "no smooth f satisfies it either: the left side vanishes "
+            "where an obstructing variable is zero, the right side does not"
+        )
+    return 0, fields, lines
 
 
 if __name__ == "__main__":

@@ -26,10 +26,12 @@ class OrderError(NambuError):
 class ParseError(NambuError):
     """Malformed expression or structure-file content.
 
-    ``location`` is a short human-readable pointer (token position or
-    JSON path) used by the CLI for exit-1 diagnostics.
+    ``message`` is the diagnostic without its location. ``location`` is a
+    short human-readable pointer (token position or JSON path) used by the
+    CLI for exit-1 diagnostics.
     """
 
     def __init__(self, message: str, location: str | None = None):
+        self.message = message
         self.location = location
         super().__init__(message if location is None else f"{location}: {message}")

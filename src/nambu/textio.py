@@ -73,8 +73,7 @@ def _parse_tensor(text: str, m: int, degree: int, cls):
         except ParseError as exc:
             # count the column within the argument, not within the term
             column = int(exc.location.removeprefix("column ")) + start
-            message = str(exc).removeprefix(f"{exc.location}: ")
-            raise ParseError(message, f"column {column}") from None
+            raise ParseError(exc.message, f"column {column}") from None
         result = result + (term if sign > 0 else -term)
     return result
 
@@ -229,7 +228,8 @@ def _check_literal(value: object, location: str) -> None:
 def load_structure_text(text: str) -> StructureFile:
     try:
         doc = json.loads(text, parse_int=_parse_json_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise ParseError(f"invalid JSON: {exc}") from exc
     return load_structure_dict(doc)
 

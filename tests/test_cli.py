@@ -137,13 +137,33 @@ class TestCompute:
         code, out, err = run(capsys, ["compute", R4_NF, "bracket", tensor, "dx1^dx2"])
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_json_payload(self, capsys):
-        code, out, _ = run(capsys, ["compute", R3_SCALED, "modular", "--json"])
-        assert code == 0
+    @pytest.mark.parametrize(
+        "fixture, args, result",
+        [
+            (R3_SCALED, ["modular"], "d1^d2"),
+            (R3_SCALED, ["sharp", "dx1^dx3"], "-x3*d2"),
+            (R4_NF, ["bracket", "x1*dx1^dx2", "dx3^dx4"], "dx1^dx4"),
+            (R3_SCALED, ["hamiltonian", "x1", "x2"], "x3*d3"),
+        ],
+        ids=["modular", "sharp", "bracket", "hamiltonian"],
+    )
+    def test_json_payload(self, capsys, fixture, args, result):
+        code, out, err = run(capsys, ["compute", fixture, *args, "--json"])
+        assert (code, err) == (0, "")
         payload = json.loads(out)
         assert payload["schema"] == "nambu-report/1"
-        assert payload["result"] == "d1^d2"
+        assert payload["result"] == result
         assert payload["exit"] == 0
+        # the exact bytes, key order included
+        envelope = {
+            "schema": "nambu-report/1",
+            "command": "compute",
+            "what": args[0],
+            "args": args[1:],
+            "result": result,
+            "exit": 0,
+        }
+        assert out == json.dumps(envelope, indent=2) + "\n"
 
 
 class TestOrderTwo:
@@ -370,6 +390,17 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == f"error: {location}: integer literal exceeds 600 digits\n"
 
+    def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path):
+        # the JSON decoder recurses once per level, so 100,000 levels exceed
+        # the interpreter's recursion limit
+        depth = 100_000
+        target = tmp_path / "deep.json"
+        target.write_text('{"schema": "nambu-structure/1", "x": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = run(capsys, ["check", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON: ")
+        assert err.count("\n") == 1
+
     def test_huge_volume_constant_is_rejected_before_expansion(self, capsys, tmp_path):
         doc = json.loads(Path(R3_SCALED).read_text())
         doc["volume"] = {"constant": "1e20000000"}
@@ -410,10 +441,21 @@ class TestCheck:
         _, second, _ = run(capsys, args)
         assert first == second
 
-    def test_quiet_suppresses_output(self, capsys):
-        code, out, _ = run(capsys, ["check", R3_SCALED, "--checks=invariance", "--quiet"])
-        assert code == 0
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["check", R3_SCALED, "--checks=invariance"], 0),
+            (["check", R6_SUM, "--checks=anchor"], 2),
+            (["witness", R3_SCALED], 0),
+            (["compute", R3_SCALED, "modular"], 0),
+        ],
+        ids=["check-pass", "check-fail", "witness", "compute"],
+    )
+    def test_quiet_suppresses_output(self, capsys, argv, exit_code):
+        code, out, err = run(capsys, [*argv, "--quiet"])
+        assert code == exit_code
         assert out == ""
+        assert err == ""
 
     def test_file_checks_field_used_as_default(self, capsys, tmp_path):
         doc = json.loads(Path(R3_SCALED).read_text())

@@ -196,9 +196,14 @@ class TestStructureFiles:
         with pytest.raises(ParseError):
             load_structure_dict(doc)
 
-    def test_invalid_json_is_a_parse_error(self):
-        with pytest.raises(ParseError):
-            load_structure_text("{not json")
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[" * 100_000 + "]" * 100_000],
+        ids=["malformed", "nested-100000-deep"],
+    )
+    def test_invalid_json_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            load_structure_text(text)
 
     def test_fixture_files_load(self):
         from pathlib import Path
