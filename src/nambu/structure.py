@@ -10,7 +10,7 @@ in ``algebroid`` and ``cohomology``.
 The jet basis.  One ``JetBasis`` serves a whole ``check`` run: every
 verifier takes it, and a scan that two checks share runs once per run,
 through ``JetBasis.once`` (the anchor-defect scan of FI, invariance,
-anchor, sharp-d and Leibniz; on its hit, the invariance sweep of FI and
+anchor, sharp-d, Leibniz and the modular cocycle; on its hit, the invariance sweep of FI and
 invariance; the exact-forms consistency scan of characterization and
 phi-morphism).  Tables are computed on first use and then read: the
 basis holds the unit forms ``dx^I`` and the shared scans, and each
@@ -104,14 +104,17 @@ anchor residual of ``algebroid``: ``A(a, b) = [sharp a, sharp b] -
 sharp(lbracket(a, b)) = i_b T(a)``, since ``[sharp a, sharp b] = L_{sharp
 a}(i_b lam) = i_{L_{sharp a} b} lam + i_b L_{sharp a} lam``.
 ``anchor_defect_scan`` runs ``defect_scan`` on T once per run, and a pass
-proves three things for every polynomial pair, at every degree and not
+proves four things for every polynomial pair, at every degree and not
 only up to the jet degree:
 
 * ``A = 0``, since an n-vector killed by every ``i(dx^J)`` is zero: the
   anchor, sharp-d and Leibniz checks of ``algebroid`` pass;
 * ``L_{X_F} lam = T(df_1^..^df_{n-1}) = 0`` for every f-tuple, since
   ``d(df_1^..^df_{n-1}) = 0``: invariance passes;
-* hence FI passes, by the factorization below.
+* hence FI passes, by the factorization below;
+* the cocycle defect of the modular multivector, ``U_M = (-1)^(n+1) d_nu
+  T`` with d_nu the divergence against the volume, is zero: the modular
+  cocycle of ``cohomology`` passes.
 
 None of this uses the converse, the source paper's theorem that a
 Nambu-Poisson n-vector makes the anchor a morphism of brackets.

@@ -26,6 +26,10 @@ Structure files are JSON documents with schema tag ``nambu-structure/1``::
       "checks": ["fundamental-identity", ...],           # optional
       "jet_degree": 3                                    # optional
     }
+
+A key outside this schema, or a key that an object repeats, is refused at
+its JSON path: neither a misspelt field nor a second value is dropped
+silently.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .poly import MAX_BITS, MAX_DIGITS, Polynomial, parse_polynomial
 from .structure import NambuStructure, Record
 
 SCHEMA = "nambu-structure/1"
+FIELDS = ("schema", "dimension", "order", "lambda", "volume", "checks", "jet_degree")
 
 # Every polynomial stores one exponent per variable, so the dimension is
 # bounded before any is built.  From m = 34 on even the smallest check,
@@ -225,9 +230,31 @@ def _check_literal(value: object, location: str) -> None:
         raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", location)
 
 
+# Stands in for the value of a key that a JSON object repeats: ``json``
+# keeps the last value silently, so the schema checks reject this marker at
+# the key's JSON path instead.
+_REPEATED = object()
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    doc: dict = {}
+    for key, value in pairs:
+        doc[key] = _REPEATED if key in doc else value
+    return doc
+
+
+def _check_keys(doc: dict, keys: tuple[str, ...], location: str) -> None:
+    """Refuse a key outside the schema's ``keys`` and a repeated one."""
+    for key, value in doc.items():
+        if key not in keys:
+            raise ParseError(f"unknown field {key!r}", f"{location}.{key}")
+        if value is _REPEATED:
+            raise ParseError(f"repeated field {key!r}", f"{location}.{key}")
+
+
 def load_structure_text(text: str) -> StructureFile:
     try:
-        doc = json.loads(text, parse_int=_parse_json_int)
+        doc = json.loads(text, parse_int=_parse_json_int, object_pairs_hook=_object)
     except (json.JSONDecodeError, RecursionError) as exc:
         # the decoder recurses once per nesting level
         raise ParseError(f"invalid JSON: {exc}") from exc
@@ -254,6 +281,7 @@ def _require(doc: dict, key: str, kind, location: str):
 def load_structure_dict(doc: object) -> StructureFile:
     if not isinstance(doc, dict):
         raise ParseError("structure file must be a JSON object", location="$")
+    _check_keys(doc, FIELDS, "$")
     schema = _require(doc, "schema", str, "$")
     if schema != SCHEMA:
         raise ParseError(f"unsupported schema {schema!r}, expected {SCHEMA!r}", "$.schema")
@@ -269,6 +297,7 @@ def load_structure_dict(doc: object) -> StructureFile:
         location = f"$.lambda[{pos}]"
         if not isinstance(entry, dict):
             raise ParseError("component must be an object", location)
+        _check_keys(entry, ("index", "coeff"), location)
         index = _require(entry, "index", list, location)
         for i in index:
             _check_literal(i, f"{location}.index")
@@ -295,6 +324,7 @@ def load_structure_dict(doc: object) -> StructureFile:
         volume = doc["volume"]
         if not isinstance(volume, dict):
             raise ParseError("volume must be an object", "$.volume")
+        _check_keys(volume, ("constant", "exponent"), "$.volume")
         if "constant" in volume:
             text = volume["constant"]
             if not isinstance(text, str):

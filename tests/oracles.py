@@ -170,6 +170,21 @@ def oracle_divergence(vector: Multivector) -> Polynomial:
                       tuple(range(1, m + 1)), m)
 
 
+def oracle_volume_divergence(tensor: Multivector, p: Polynomial) -> Multivector:
+    """``d_nu P = sum_j d_j(i(dx_j) P) + i(dp) P``, the divergence of a
+    multivector against the volume ``c e^p dx^1 ^ .. ^ dx^m``, on dense
+    tensors; the constant c does not enter.  On a vector field it is
+    ``div X + X(p)``, and the modular multivector of an n-vector is
+    ``d_nu`` of it, up to sign (Koszul 1985; Xu, CMP 200, 1999)."""
+    m = tensor.m
+    total = oracle_contract_form(oracle_ext_d(Form.from_scalar(p)), tensor)
+    for j in range(1, m + 1):
+        inner = oracle_contract_form(Form.basis(m, (j,)), tensor)
+        derivative = {indices: coeff.diff(j) for indices, coeff in inner.components.items()}
+        total = total + Multivector(m, inner.degree, derivative)
+    return total
+
+
 def oracle_determinant(rows: list[list[Polynomial]]) -> Polynomial:
     """Exact determinant by Laplace expansion along the first row."""
     size = len(rows)

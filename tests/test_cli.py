@@ -390,6 +390,26 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == f"error: {location}: integer literal exceeds 600 digits\n"
 
+    @pytest.mark.parametrize(
+        "old, new, diagnostic",
+        [
+            ('"volume"', '"check": ["lsv"], "volume"', "$.check: unknown field 'check'"),
+            ('"exponent"', '"exponant"', "$.volume.exponant: unknown field 'exponant'"),
+            ('"volume"', '"checks": ["lsv"], "checks": ["anchor"], "volume"',
+             "$.checks: repeated field 'checks'"),
+        ],
+        ids=["unknown-top", "unknown-volume", "repeated"],
+    )
+    def test_field_outside_the_schema_is_an_input_error(
+        self, capsys, tmp_path, old, new, diagnostic
+    ):
+        text = Path(R3_SCALED).read_text()
+        assert old in text
+        target = tmp_path / "extra_field.json"
+        target.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, ["check", str(target)])
+        assert (code, out, err) == (1, "", f"error: {diagnostic}\n")
+
     def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path):
         # the JSON decoder recurses once per level, so 100,000 levels exceed
         # the interpreter's recursion limit
@@ -575,10 +595,31 @@ class TestOneBasisPerRun:
                 [R6_RATIONAL, "--checks=modular-cocycle"],
                 {"cohomology.cocycle_defect": 13, "cohomology.cobound1_eval": 1},
             ),
+            # r3_scaled is Nambu-Poisson: the anchor defect of its 4 x 3
+            # basis forms with deg g <= 1 passes, and since the cocycle
+            # defect of the modular multivector is +-d_nu of the anchor
+            # defect, that pass proves the modular cocycle, which evaluates
+            # no cocycle defect in the default run or alone
+            (
+                [R3_SCALED],
+                {"structure.anchor_defect": 12, "cohomology.cocycle_defect": 0},
+            ),
+            (
+                [R3_SCALED, "--checks=modular-cocycle"],
+                {"structure.anchor_defect": 12, "cohomology.cocycle_defect": 0},
+            ),
+            # the modular multivector of r6_nonexample is zero, whose
+            # cocycle defect is zero for every n-vector, so the check runs
+            # neither scan
+            (
+                [R6_SUM, "--checks=modular-cocycle"],
+                {"structure.anchor_defect": 0, "cohomology.cocycle_defect": 0},
+            ),
         ],
         ids=[
             "r4-default", "r6-integrability", "r6-fundamental-identity", "r4-consistency",
-            "r4-characterization", "r6-rational-modular-cocycle",
+            "r4-characterization", "r6-rational-modular-cocycle", "r3-default",
+            "r3-modular-cocycle", "r6-modular-cocycle",
         ],
     )
     def test_shared_scans_run_once(self, monkeypatch, capsys, argv, expected):
@@ -595,6 +636,19 @@ class TestOneBasisPerRun:
             monkeypatch.setattr(namespace, attribute, counted)
         run(capsys, ["check", *argv])
         assert counts == expected
+
+    @pytest.mark.parametrize("fixture", [R3_SCALED, R6_RATIONAL], ids=["r3", "r6-rational"])
+    def test_modular_cocycle_does_not_depend_on_who_ran_the_anchor_scan(self, capsys, fixture):
+        # the modular cocycle reads the anchor-defect scan that FI also
+        # reads: its result is the same when it runs that scan itself,
+        # before FI, and when FI has run it
+        def result(checks):
+            _, out, _ = run(capsys, ["check", fixture, f"--checks={checks}", "--json"])
+            return {r["check"]: r for r in json.loads(out)["results"]}["modular-cocycle"]
+
+        alone = result("modular-cocycle")
+        assert result("modular-cocycle,fundamental-identity") == alone
+        assert result("fundamental-identity,modular-cocycle") == alone
 
     def test_unit_anchors_and_brackets_are_computed_once(self, monkeypatch, capsys):
         # sharp(dx^I) and lbracket(dx^I, dx^J) are computed once per structure

@@ -38,6 +38,7 @@ from nambu.poly import Polynomial, jet_exponents, jet_monomials
 from nambu.structure import (
     JetBasis,
     NambuStructure,
+    anchor_defect,
     check_fundamental_identity,
     hamiltonian,
     sharp,
@@ -45,7 +46,7 @@ from nambu.structure import (
 from nambu.textio import load_structure_file
 
 from conftest import dd, denominator_lcm, dx, random_form, random_multivector, random_polynomial, x
-from oracles import oracle_divergence
+from oracles import oracle_divergence, oracle_volume_divergence
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -482,6 +483,60 @@ class TestModularCocycle:
             nonzero += not pair(b, defect).is_zero()
             failing += not anchor_residual(structure, a, b).is_zero()
         assert nonzero >= 2 and failing
+
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 3), (5, 4), (6, 5)])
+    def test_modular_cocycle_defect_is_the_divergence_of_the_anchor_defect(self, rng, m, n):
+        # For every n-vector, every volume c e^p dx^1^..^dx^m and every
+        # (n-1)-form a, U_M(a) = (-1)^(n+1) d_nu T(a), with d_nu the
+        # divergence against the volume, M the modular multivector and T
+        # the anchor defect; and M = (-1)^(n+1) d_nu lam.  The modular
+        # cocycle passes on a pass of the anchor-defect scan by the first
+        # identity (cohomology docstring).  Checked against the dense d_nu
+        # of the oracles on seeded n-vectors that are not Nambu-Poisson, a
+        # non-constant p, c != 1 and non-unit forms a.
+        structure = NambuStructure(m, n, random_multivector(rng, m, n, 1.0))
+        volume = VolumeForm(Fraction(rng.choice((2, -3)), 7), random_polynomial(rng, m, 2, 3))
+        assert not volume.p.is_constant()
+        modular = modular_multivector(structure, volume)
+        sign = 1 if n % 2 else -1
+        assert modular == oracle_volume_divergence(structure.nvector, volume.p) * sign
+        failing = 0
+        for _ in range(3):
+            a = random_form(rng, m, n - 1, 0.5)
+            defect = anchor_defect(structure, a)
+            divergence = oracle_volume_divergence(defect, volume.p) * sign
+            assert cocycle_defect(structure, modular, a) == divergence
+            failing += not divergence.is_zero()
+        assert failing
+
+    @pytest.mark.parametrize(
+        "name, seen",
+        [("r3_scaled", False), ("r6_nonexample", False), ("r6_rational", True)],
+    )
+    def test_fault_in_the_cocycle_defect_alone(self, monkeypatch, name, seen):
+        # The blind spots of the modular cocycle: on r3_scaled the anchor-
+        # defect scan passes, which proves the check, and r6_nonexample has
+        # M = 0, whose cocycle defect is zero; neither evaluates the cocycle
+        # defect, so a fault planted there alone goes unseen.  r6_rational
+        # fails the anchor-defect scan, so its cocycle defect is scanned,
+        # and the direct re-check of the faulty hit refuses it.
+        # verify_cocycle, for a general w, still scans on a pass of T.
+        loaded = load_structure_file(FIXTURES / f"{name}.json")
+        structure, volume = loaded.structure(), loaded.volume()
+        clean = verify_modular_cocycle(JetBasis(structure, 3), volume)
+        original = cohomology.cocycle_defect
+        unit = Multivector.basis(structure.m, tuple(range(1, structure.n)))
+        monkeypatch.setattr(cohomology, "cocycle_defect", lambda *args: original(*args) + unit)
+        if seen:
+            with pytest.raises(AssertionError, match="direct formula finds no failure"):
+                verify_modular_cocycle(JetBasis(structure, 3), volume)
+            return
+        assert verify_modular_cocycle(JetBasis(structure, 3), volume) == clean
+        assert clean.passed
+        modular = modular_multivector(structure, volume)
+        if not modular.is_zero():
+            with pytest.raises(AssertionError, match="direct formula finds no failure"):
+                verify_cocycle(JetBasis(structure, 3), modular)
 
 
 class TestVolumeChange:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -195,6 +196,43 @@ class TestStructureFiles:
         doc["lambda"].append({"index": [1, 2, 3], "coeff": "1"})
         with pytest.raises(ParseError):
             load_structure_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mutate,location",
+        [
+            # a typo for "checks" must not run the default checks
+            (lambda d: d.update(check=["lsv"]), "$.check"),
+            # a typo for "exponent" must not mean exponent 0
+            (lambda d: d["volume"].update(exponant="x1"), "$.volume.exponant"),
+            (lambda d: d["lambda"][0].update(coef="1"), "$.lambda[0].coef"),
+        ],
+        ids=["top", "volume", "lambda"],
+    )
+    def test_unknown_field_is_rejected_at_its_path(self, mutate, location):
+        doc = self.good()
+        mutate(doc)
+        with pytest.raises(ParseError) as info:
+            load_structure_dict(doc)
+        assert info.value.message.startswith("unknown field ")
+        assert info.value.location == location
+
+    @pytest.mark.parametrize(
+        "old,new,location",
+        [
+            ('"checks": ["invariance"]', '"checks": ["invariance"], "checks": ["lsv"]',
+             "$.checks"),
+            ('"exponent": "x1"', '"exponent": "x1", "exponent": "x2"', "$.volume.exponent"),
+            ('"coeff": "x3"', '"coeff": "x3", "coeff": "x3"', "$.lambda[0].coeff"),
+        ],
+        ids=["top", "volume", "lambda"],
+    )
+    def test_repeated_field_is_rejected_at_its_path(self, old, new, location):
+        text = json.dumps(self.good())
+        assert old in text
+        with pytest.raises(ParseError) as info:
+            load_structure_text(text.replace(old, new))
+        assert info.value.message.startswith("repeated field ")
+        assert info.value.location == location
 
     @pytest.mark.parametrize(
         "text",
